@@ -294,8 +294,8 @@ def check_poisson_intersection(a, max_witnesses=32):
     annihilation = run_identity_families(a.dim, fams, max_witnesses)
     hp = check_hom_poisson(a, max_witnesses)
     tp = check_transposed_hom_poisson(a, max_witnesses)
-    shared = (check_comm_hom_assoc(a, max_witnesses).passed
-              and check_hom_lie(a, max_witnesses).passed)
+    shared = (hp.sub_reports["comm-hom-assoc"].passed
+              and hp.sub_reports["hom-lie"].passed)
     notes = ["annihilation: %s" % ("pass" if annihilation.passed else "fail")]
     if shared:
         both = hp.passed and tp.passed

@@ -1,11 +1,10 @@
 """Matched pairs of algebras: mutual actions and the double construction.
 
 A matched pair consists of two algebras of the same class together with
-representations of each on the other's space.  The normative check is that
-the direct-sum double passes the class checker; the printed compatibility
-families of each matched-pair theorem are evaluated advisorily (and only
-where they typecheck as displayed), reported in sub_reports without
-affecting the verdict.
+representations of each on the other's space.  The check is that the
+direct-sum double passes the class checker; the module axioms of both action
+sets are reported alongside.  A semidirect product is the double of a matched
+pair with a zero opposite algebra and zero reverse actions.
 """
 
 from __future__ import annotations
@@ -24,10 +23,7 @@ from homstruct.core import (
     bilinear_from_table,
     block_diag,
     eval_bilinear,
-    run_identity_families,
     vec_add,
-    vec_neg,
-    vec_scale,
     vec_sub,
 )
 from homstruct.representations import check_rep
@@ -170,225 +166,15 @@ def build_double(mp, class_name, check_actions=True):
     return AlgebraPresentation(dim, ops, {"alpha": block_diag(a.alpha, b.alpha)})
 
 
-# ---------------------------------------------------------------------------
-# advisory compatibility families
-
-def _family_context(mp):
-    a, b = mp.algebra_a, mp.algebra_b
-    n, p = a.dim, b.dim
-    ea = [basis_vec(n, i) for i in range(n)]
-    eb = [basis_vec(p, i) for i in range(p)]
-    alA = [a.alpha.column(i) for i in range(n)]
-    alB = [b.alpha.column(i) for i in range(p)]
-    return a, b, n, p, ea, eb, alA, alB
-
-
-def _advisory_families(mp, class_name):
-    """(evaluated_families, skipped_notes) for the class, typed as displayed."""
-    a, b, n, p, ea, eb, alA, alB = _family_context(mp)
-    ab, ba = mp.actions_ab, mp.actions_ba
-    AB = ab.of
-    BA = ba.of
-
-    def dA(x, y):
-        return eval_bilinear(a.op("dot"), x, y)
-
-    def dB(x, y):
-        return eval_bilinear(b.op("dot"), x, y)
-
-    def brA(x, y):
-        # sub-adjacent commutator when no explicit bracket is present
-        if "bracket" in a.ops:
-            return eval_bilinear(a.op("bracket"), x, y)
-        return vec_sub(stA(x, y), stA(y, x))
-
-    def brB(x, y):
-        if "bracket" in b.ops:
-            return eval_bilinear(b.op("bracket"), x, y)
-        return vec_sub(stB(x, y), stB(y, x))
-
-    def stA(x, y):
-        return eval_bilinear(a.op("star"), x, y)
-
-    def stB(x, y):
-        return eval_bilinear(b.op("star"), x, y)
-
-    def rhoA(x):
-        return AB("l", x) - AB("r", x)
-
-    def rhoB(u):
-        return BA("l", u) - BA("r", u)
-
-    fams = []
-    notes = []
-
-    def comm_families():
-        fams.append(("comm2", ("b", "b", "a"), lambda a1, b1, x: vec_sub(
-            vec_add(dB(apply_map(AB("s", ea[x]), eb[a1]), alB[b1]),
-                    apply_map(AB("s", apply_map(BA("s", eb[a1]), ea[x])), alB[b1])),
-            vec_add(dB(alB[a1], apply_map(AB("s", ea[x]), eb[b1])),
-                    apply_map(AB("s", apply_map(BA("s", eb[b1]), ea[x])), alB[a1])))))
-        fams.append(("comm4", ("a", "a", "b"), lambda x, y, a1: vec_sub(
-            vec_add(dA(apply_map(BA("s", eb[a1]), ea[x]), alA[y]),
-                    apply_map(BA("s", apply_map(AB("s", ea[x]), eb[a1])), alA[y])),
-            vec_add(dA(alA[x], apply_map(BA("s", eb[a1]), ea[y])),
-                    apply_map(BA("s", apply_map(AB("s", ea[y]), eb[a1])), alA[x])))))
-        notes.append("comm1 and comm3 skipped: twist applied to an element "
-                     "of the other summand as displayed")
-
-    def lie_families(rho_ab, rho_ba):
-        fams.append(("lie1", ("a", "a", "b"), lambda x, y, a1: vec_sub(
-            apply_map(rho_ba(apply_map(b.alpha, eb[a1])), brA(ea[x], ea[y])),
-            vec_add(
-                vec_add(brA(apply_map(rho_ba(eb[a1]), ea[x]), alA[y]),
-                        brA(alA[x], apply_map(rho_ba(eb[a1]), ea[y]))),
-                vec_sub(
-                    apply_map(rho_ba(apply_map(rho_ab(ea[y]), eb[a1])), alA[x]),
-                    apply_map(rho_ba(apply_map(rho_ab(ea[x]), eb[a1])), alA[y]))))))
-        fams.append(("lie2", ("b", "b", "a"), lambda a1, b1, x: vec_sub(
-            apply_map(rho_ab(apply_map(a.alpha, ea[x])), brB(eb[a1], eb[b1])),
-            vec_add(
-                vec_add(brB(apply_map(rho_ab(ea[x]), eb[a1]), alB[b1]),
-                        brB(alB[a1], apply_map(rho_ab(ea[x]), eb[b1]))),
-                vec_sub(
-                    apply_map(rho_ab(apply_map(rho_ba(eb[b1]), ea[x])), alB[a1]),
-                    apply_map(rho_ab(apply_map(rho_ba(eb[a1]), ea[x])), alB[b1]))))))
-
-    if class_name == "comm-hom-assoc":
-        comm_families()
-    elif class_name == "hom-lie":
-        lie_families(lambda x: AB("rho", x), lambda u: BA("rho", u))
-    elif class_name == "transposed-hom-poisson":
-        comm_families()
-        lie_families(lambda x: AB("rho", x), lambda u: BA("rho", u))
-        fams.append(("mixed102", ("a", "b", "b"), lambda x, a1, b1: vec_sub(
-            vec_sub(
-                vec_scale(2, dB(alB[a1], apply_map(AB("rho", ea[x]), eb[b1]))),
-                vec_scale(2, apply_map(
-                    AB("s", apply_map(BA("rho", eb[b1]), ea[x])), alB[a1]))),
-            vec_add(
-                vec_add(brB(apply_map(AB("s", ea[x]), eb[a1]), alB[b1]),
-                        apply_map(AB("rho", apply_map(BA("s", eb[a1]), ea[x])),
-                                  alB[b1])),
-                apply_map(AB("rho", alA[x]), dB(eb[a1], eb[b1]))))))
-        fams.append(("mixed104", ("a", "a", "b"), lambda x, y, a1: vec_sub(
-            vec_sub(
-                vec_scale(2, dA(alA[x], apply_map(BA("rho", eb[a1]), ea[y]))),
-                vec_scale(2, apply_map(
-                    BA("s", apply_map(AB("rho", ea[y]), eb[a1])), alA[x]))),
-            vec_add(
-                vec_add(brA(apply_map(BA("s", eb[a1]), ea[x]), alA[y]),
-                        apply_map(BA("rho", apply_map(AB("s", ea[x]), eb[a1])),
-                                  alA[y])),
-                apply_map(BA("rho", apply_map(b.alpha, eb[a1])), dA(ea[x], ea[y]))))))
-        notes.append("mixed101 and mixed103 skipped: actions applied to "
-                     "elements of the wrong summand as displayed")
-    elif class_name in ("hom-pre-lie", "hom-pre-lie-poisson"):
-        fams.append(("lie11", ("a", "b", "b"), lambda x, a1, b1: vec_sub(
-            apply_map(AB("r", alA[x]), brB(eb[a1], eb[b1])),
-            vec_add(
-                vec_sub(apply_map(AB("r", apply_map(BA("r", eb[b1]), ea[x])), alB[a1]),
-                        apply_map(AB("r", apply_map(BA("l", eb[a1]), ea[x])), alB[b1])),
-                vec_sub(stB(alB[a1], apply_map(AB("r", ea[x]), eb[b1])),
-                        stB(alB[b1], apply_map(AB("r", ea[x]), eb[a1])))))))
-        fams.append(("lie12", ("a", "b", "b"), lambda x, a1, b1: vec_sub(
-            apply_map(AB("l", alA[x]), stB(eb[a1], eb[b1])),
-            vec_add(
-                vec_add(stB(apply_map(rhoA(ea[x]), eb[a1]), alB[b1]),
-                        vec_neg(apply_map(
-                            AB("l", apply_map(rhoB(eb[a1]), ea[x])), alB[b1]))),
-                vec_add(stB(alB[a1], apply_map(AB("l", ea[x]), eb[b1])),
-                        apply_map(AB("r", apply_map(BA("r", eb[b1]), ea[x])),
-                                  alB[a1]))))))
-        fams.append(("lie14", ("a", "a", "b"), lambda x, y, a1: vec_sub(
-            apply_map(BA("l", apply_map(b.alpha, eb[a1])), stA(ea[x], ea[y])),
-            vec_add(
-                vec_add(stA(apply_map(rhoB(eb[a1]), ea[x]), alA[y]),
-                        vec_neg(apply_map(
-                            BA("l", apply_map(rhoA(ea[x]), eb[a1])), alA[y]))),
-                vec_add(stA(alA[x], apply_map(BA("l", eb[a1]), ea[y])),
-                        apply_map(BA("r", apply_map(AB("r", ea[y]), eb[a1])),
-                                  alA[x]))))))
-        notes.append("lie13 skipped: garbled action argument as displayed")
-        if class_name == "hom-pre-lie-poisson":
-            comm_families()
-            fams.append(("pre1", ("a", "b", "b"), lambda x, a1, b1: vec_sub(
-                apply_map(AB("r", alA[x]), dB(eb[a1], eb[b1])),
-                vec_add(dB(alB[a1], apply_map(AB("r", ea[x]), eb[b1])),
-                        apply_map(AB("s", apply_map(BA("l", eb[b1]), ea[x])),
-                                  alB[a1])))))
-            fams.append(("pre2", ("a", "b", "b"), lambda x, a1, b1: vec_sub(
-                vec_add(stB(apply_map(AB("s", ea[x]), eb[a1]), alB[b1]),
-                        apply_map(AB("l", apply_map(BA("s", eb[a1]), ea[x])),
-                                  alB[b1])),
-                apply_map(AB("s", alA[x]), stB(eb[a1], eb[b1])))))
-            fams.append(("pre3", ("a", "b", "b"), lambda x, a1, b1: vec_sub(
-                vec_add(apply_map(AB("l", apply_map(BA("s", eb[a1]), ea[x])),
-                                  alB[b1]),
-                        stB(apply_map(AB("s", ea[x]), eb[a1]), alB[b1])),
-                vec_add(dB(alB[a1], apply_map(AB("l", ea[x]), eb[b1])),
-                        apply_map(AB("s", apply_map(BA("r", eb[b1]), ea[x])),
-                                  alB[a1])))))
-            fams.append(("pre5", ("a", "b", "b"), lambda x, a1, b1: vec_sub(
-                vec_sub(dB(apply_map(rhoA(ea[x]), eb[a1]), alB[b1]),
-                        apply_map(AB("s", apply_map(rhoB(eb[a1]), ea[x])),
-                                  alB[b1])),
-                vec_sub(
-                    vec_sub(apply_map(AB("l", alA[x]), dB(eb[a1], eb[b1])),
-                            stB(alB[a1], apply_map(AB("l", ea[x]), eb[b1]))),
-                    apply_map(AB("r", apply_map(BA("s", eb[b1]), ea[x])),
-                              alB[a1])))))
-            fams.append(("pre7", ("a", "a", "b"), lambda x, y, a1: vec_sub(
-                vec_add(stA(apply_map(BA("s", eb[a1]), ea[x]), alA[y]),
-                        apply_map(BA("l", apply_map(AB("s", ea[x]), eb[a1])),
-                                  alA[y])),
-                apply_map(BA("s", apply_map(b.alpha, eb[a1])), stA(ea[x], ea[y])))))
-            fams.append(("pre8", ("a", "a", "b"), lambda x, y, a1: vec_sub(
-                vec_add(apply_map(BA("l", apply_map(AB("s", ea[x]), eb[a1])),
-                                  alA[y]),
-                        stA(apply_map(BA("s", eb[a1]), ea[x]), alA[y])),
-                vec_add(dA(alA[x], apply_map(BA("l", eb[a1]), ea[y])),
-                        apply_map(BA("s", apply_map(AB("r", ea[y]), eb[a1])),
-                                  alA[x])))))
-            notes.append("pre4, pre6, pre9 and pre10 skipped: garbled "
-                         "braces or mismatched variables as displayed")
-    return fams, notes
-
-
-def _run_typed_families(mp, fams, max_witnesses=32):
-    n, p = mp.algebra_a.dim, mp.algebra_b.dim
-    witnesses = []
-    checked = 0
-    failures = 0
-    for (ident, sorts, fn) in fams:
-        ranges = [range(n) if s == "a" else range(p) for s in sorts]
-        idx = [0] * len(sorts)
-        stack = [()]
-        for r in ranges:
-            stack = [t + (i,) for t in stack for i in r]
-        for tup in stack:
-            checked += 1
-            res = fn(*tup)
-            if any(c != 0 for c in res):
-                failures += 1
-                witnesses.append((ident, tup, tuple(res)))
-    witnesses.sort(key=lambda w: (w[0], w[1]))
-    return CheckReport(witnesses=witnesses[:max_witnesses],
-                       checked=checked, failures=failures)
-
-
 def check_matched_pair(mp, class_name, max_witnesses=32):
-    """Normative verdict: the double passes the class checker.
+    """Verdict: the double passes the class checker.
 
-    The displayed compatibility families are evaluated advisorily in
-    sub_reports["advisory-families"]; they never affect the verdict.
-    Type-inconsistent families are skipped and listed in notes.
+    The module axioms of both action sets are reported in sub_reports
+    ("actions-ab-module", "actions-ba-module") next to the double's report.
     """
     class_name = resolve_class(class_name)
     double = build_double(mp, class_name, check_actions=False)
     verdict = check_class(double, class_name, max_witnesses)
-    fams, notes = _advisory_families(mp, class_name)
-    advisory = _run_typed_families(mp, fams, max_witnesses)
     rep_ab = check_rep(mp.algebra_a, mp.actions_ab, class_name, max_witnesses)
     rep_ba = check_rep(mp.algebra_b, mp.actions_ba, class_name, max_witnesses)
     return CheckReport(
@@ -397,19 +183,7 @@ def check_matched_pair(mp, class_name, max_witnesses=32):
         failures=verdict.failures,
         sub_reports={"actions-ab-module": rep_ab,
                      "actions-ba-module": rep_ba,
-                     "double": verdict},
-        notes=tuple(notes) + (
-            "advisory families verdict: %s (%d failures), not part of the "
-            "normative verdict" % ("pass" if advisory.passed else "fail",
-                                   advisory.failures),))
-
-
-def advisory_family_report(mp, class_name, max_witnesses=32):
-    class_name = resolve_class(class_name)
-    fams, notes = _advisory_families(mp, class_name)
-    report = _run_typed_families(mp, fams, max_witnesses)
-    return CheckReport(witnesses=report.witnesses, checked=report.checked,
-                       failures=report.failures, notes=tuple(notes))
+                     "double": verdict})
 
 
 def mp_pre_lie_to_lie(mp):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from homstruct.axioms import CLASS_OPS, check_class, check_morphism, resolve_class
 from homstruct.core import (
-    AlgebraPresentation,
     BilinearMap,
     CheckReport,
     ConstructionError,
@@ -18,7 +17,6 @@ from homstruct.core import (
     PreconditionError,
     apply_map,
     basis_vec,
-    block_diag,
     eval_bilinear,
     linear_combination,
     run_identity_families,
@@ -254,8 +252,10 @@ def semidirect_product(a, rep, class_name):
     dot:      (x+u)(y+v) = x.y + s(x)v + s(y)u
     bracket:  [x+u,y+v] = [x,y] + rho(x)v - rho(y)u
     star:     (x+u)*(y+v) = x*y + l(x)v + r(y)u
-    Twist is alpha (+) beta; the representation must pass the class's module
-    axioms and the result is re-checked against the class.
+    Twist is alpha (+) beta.  This is the double of the matched pair with a
+    zero opposite algebra and zero reverse actions.  The representation must
+    pass the class's module axioms and the result is re-checked against the
+    class.
     """
     class_name = resolve_class(class_name)
     _check_shapes(a, rep)
@@ -263,38 +263,9 @@ def semidirect_product(a, rep, class_name):
     if not gate.passed:
         raise PreconditionError("representation fails the %s module axioms"
                                 % class_name, gate)
-    n, m = a.dim, rep.module_dim
-    dim = n + m
-    e = [basis_vec(n, i) for i in range(n)]
-    v = [basis_vec(m, i) for i in range(m)]
-
-    def lift_a(x):
-        return tuple(x) + (0,) * m
-
-    def lift_v(u):
-        return (0,) * n + tuple(u)
-
-    def cross(op, act_first, act_second, sign):
-        def fn(I, J):
-            if I < n and J < n:
-                return lift_a(eval_bilinear(op, e[I], e[J]))
-            if I < n and J >= n:
-                return lift_v(apply_map(rep.of(act_first, e[I]), v[J - n]))
-            if I >= n and J < n:
-                u = apply_map(rep.of(act_second, e[J]), v[I - n])
-                return lift_v(u if sign > 0 else tuple(-c for c in u))
-            return (0,) * dim
-        return fn
-
-    from homstruct.core import bilinear_from_table
-    ops = {}
-    if "dot" in CLASS_OPS[class_name]:
-        ops["dot"] = bilinear_from_table(dim, cross(a.op("dot"), "s", "s", +1))
-    if "bracket" in CLASS_OPS[class_name]:
-        ops["bracket"] = bilinear_from_table(dim, cross(a.op("bracket"), "rho", "rho", -1))
-    if "star" in CLASS_OPS[class_name]:
-        ops["star"] = bilinear_from_table(dim, cross(a.op("star"), "l", "r", +1))
-    out = AlgebraPresentation(dim, ops, {"alpha": block_diag(a.alpha, rep.beta)})
+    from homstruct.matched_pairs import build_double, matched_pair_from_representation
+    out = build_double(matched_pair_from_representation(a, rep, class_name),
+                       class_name, check_actions=False)
     check = check_class(out, class_name)
     if not check.passed:
         raise ConstructionError(

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from homstruct.core import (
     LinearMap,
     RepresentationPresentation,
 )
+from homstruct.matched_pairs import build_double, matched_pair_from_representation
 from homstruct.representations import (
     PreconditionError,
     check_rep,
@@ -131,3 +133,61 @@ def test_rep_commutator():
     rep = _plp2_bimodule()
     rho = rep_commutator(rep)
     assert rho.actions["rho"][0] == rep.actions["l"][0] - rep.actions["r"][0]
+
+
+def _perturbed_reps(rep, rng, count):
+    """Copies of rep with one entry of one action matrix (or of beta) moved."""
+    out = []
+    for _ in range(count):
+        slot = rng.choice(sorted(rep.actions) + ["beta"])
+        idx = rng.randrange(rep.algebra_dim)
+        mat = rep.beta if slot == "beta" else rep.actions[slot][idx]
+        rows = [list(row) for row in mat.m]
+        r, c = rng.randrange(mat.rows), rng.randrange(mat.cols)
+        rows[r][c] += F(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+        moved = LinearMap.from_rows(rows)
+        actions = dict(rep.actions)
+        if slot == "beta":
+            beta = moved
+        else:
+            beta = rep.beta
+            actions[slot] = actions[slot][:idx] + (moved,) + actions[slot][idx + 1:]
+        out.append(RepresentationPresentation(
+            rep.algebra_dim, rep.module_dim, actions, beta))
+    return out
+
+
+def test_check_rep_matches_zero_opposite_double():
+    # a module over an in-class algebra is exactly a representation whose
+    # zero-opposite double lies in the class and is multiplicative on the
+    # tuples with one module slot (the twist-intertwining axioms)
+    thp = catalog.get("THP2", {"lam": F(1)})
+    plp = catalog.get("PLP2", {"a": F(0)})
+    cases = [
+        (thp, "transposed-hom-poisson"),
+        (catalog.get("TP2"), "transposed-hom-poisson"),
+        (catalog.get("CA2a"), "comm-hom-assoc"),
+        (catalog.get("CA3a"), "comm-hom-assoc"),
+        (_hom_lie_from(thp), "hom-lie"),
+        (plp, "hom-pre-lie"),
+        (plp, "hom-pre-lie-poisson"),
+    ]
+    rng = random.Random(20261017)
+    verdicts = set()
+    for a, cls in cases:
+        assert check_class(a, cls).passed, cls
+        reps = [regular_representation(a, cls)]
+        if a is plp:
+            # the regular bimodule of PLP2 fails; perturb one that passes
+            reps.append(_plp2_bimodule())
+        for rep in reps + _perturbed_reps(reps[-1], rng, 5):
+            double = build_double(matched_pair_from_representation(a, rep, cls),
+                                  cls, check_actions=False)
+            mult = check_multiplicative(double, max_witnesses=10 ** 6)
+            one_module_slot = [w for w in mult.witnesses
+                               if sum(i >= a.dim for i in w[1]) == 1]
+            passed = check_rep(a, rep, cls).passed
+            assert passed == (check_class(double, cls).passed
+                              and not one_module_slot), cls
+            verdicts.add((cls, passed))
+    assert len(verdicts) == 2 * len(set(cls for _, cls in cases))
