@@ -3,14 +3,23 @@
 Every identity is multilinear, so checking it on all basis tuples is both
 sound and complete.  Each checker takes a fully bound AlgebraPresentation and
 returns a CheckReport whose witnesses are (identity_id, basis_tuple, residual).
+
+The class identities are data (IDENTITIES), evaluated on integer tables: each
+op, and alpha, is scaled by the lcm of its denominators.  All terms of one
+identity use the same multiset of ops and the same number of alphas, so the
+integer residual is the rational residual times one positive scale and its
+zero test is exact.  Witness residuals are divided back into Fractions.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+from operator import mul
+
 from homstruct.core import (
-    AlgebraPresentation,
     CheckReport,
-    LinearMap,
+    DimensionError,
     MissingOperationError,
     apply_map,
     basis_vec,
@@ -33,6 +42,64 @@ CLASS_OPS = {
 
 CLASS_ALIASES = {"transposed-poisson": "transposed-hom-poisson"}
 
+# identity id -> (arity, terms); p, q, r are positions in the basis tuple.
+#   binary term (c, op, p, q):                     c op(e_p, e_q)
+#   ternary term (c, outer, inner, side, p, q, r): c outer(a(e_p), inner(e_q, e_r))
+#     for side "L", c outer(inner(e_q, e_r), a(e_p)) for side "R"
+IDENTITIES = {
+    # x.y - y.x
+    "commutative": (2, ((1, "dot", 0, 1), (-1, "dot", 1, 0))),
+    # (x.y).a(z) - a(x).(y.z)
+    "hom-associative": (3, ((1, "dot", "dot", "R", 2, 0, 1),
+                            (-1, "dot", "dot", "L", 0, 1, 2))),
+    # {x,y} + {y,x}
+    "skew-symmetry": (2, ((1, "bracket", 0, 1), (1, "bracket", 1, 0))),
+    # {a(x),{y,z}} + {a(y),{z,x}} + {a(z),{x,y}}
+    "hom-jacobi": (3, ((1, "bracket", "bracket", "L", 0, 1, 2),
+                       (1, "bracket", "bracket", "L", 1, 2, 0),
+                       (1, "bracket", "bracket", "L", 2, 0, 1))),
+    # {a(x), y.z} - a(y).{x,z} - a(z).{x,y}
+    "poisson-leibniz": (3, ((1, "bracket", "dot", "L", 0, 1, 2),
+                            (-1, "dot", "bracket", "L", 1, 0, 2),
+                            (-1, "dot", "bracket", "L", 2, 0, 1))),
+    # 2 a(z).{x,y} - {z.x, a(y)} - {a(x), z.y}
+    "transposed-leibniz": (3, ((2, "dot", "bracket", "L", 2, 0, 1),
+                               (-1, "bracket", "dot", "R", 1, 2, 0),
+                               (-1, "bracket", "dot", "L", 0, 2, 1))),
+    # (x*y)*a(z) - a(x)*(y*z) - (y*x)*a(z) + a(y)*(x*z)
+    "hom-pre-lie": (3, ((1, "star", "star", "R", 2, 0, 1),
+                        (-1, "star", "star", "L", 0, 1, 2),
+                        (-1, "star", "star", "R", 2, 1, 0),
+                        (1, "star", "star", "L", 1, 0, 2))),
+    # (x.y)*a(z) - a(x).(y*z)
+    "pre-poisson-1": (3, ((1, "star", "dot", "R", 2, 0, 1),
+                          (-1, "dot", "star", "L", 0, 1, 2))),
+    # (x*y).a(z) - (y*x).a(z) - a(x)*(y.z) + a(y)*(x.z)
+    "pre-poisson-2": (3, ((1, "dot", "star", "R", 2, 0, 1),
+                          (-1, "dot", "star", "R", 2, 1, 0),
+                          (-1, "star", "dot", "L", 0, 1, 2),
+                          (1, "star", "dot", "L", 1, 0, 2))),
+    # a(x).{y,z} + a(y).{z,x} + a(z).{x,y}
+    "cyclic-sum": (3, ((1, "dot", "bracket", "L", 0, 1, 2),
+                       (1, "dot", "bracket", "L", 1, 2, 0),
+                       (1, "dot", "bracket", "L", 2, 0, 1))),
+    # a(x).{y,z}
+    "dot-bracket-vanishes": (3, ((1, "dot", "bracket", "L", 0, 1, 2),)),
+    # {x.y, a(z)}
+    "bracket-dot-vanishes": (3, ((1, "bracket", "dot", "R", 2, 0, 1),)),
+}
+
+# class -> (sub-report classes, own identity ids)
+CLASS_FAMILIES = {
+    "comm-hom-assoc": ((), ("commutative", "hom-associative")),
+    "hom-lie": ((), ("skew-symmetry", "hom-jacobi")),
+    "hom-poisson": (("comm-hom-assoc", "hom-lie"), ("poisson-leibniz",)),
+    "transposed-hom-poisson": (("comm-hom-assoc", "hom-lie"), ("transposed-leibniz",)),
+    "hom-pre-lie": ((), ("hom-pre-lie",)),
+    "hom-pre-lie-poisson": (("comm-hom-assoc", "hom-pre-lie"),
+                            ("pre-poisson-1", "pre-poisson-2")),
+}
+
 
 def resolve_class(name):
     name = CLASS_ALIASES.get(name, name)
@@ -41,15 +108,103 @@ def resolve_class(name):
     return name
 
 
-def _ctx(a, *op_names):
-    """Return (basis vector fn, alpha-on-basis fn, op evaluators)."""
-    a.require_bound()
-    n = a.dim
-    alpha = a.alpha
-    e = [basis_vec(n, i) for i in range(n)]
-    av = [alpha.column(i) for i in range(n)]
-    ops = [a.op(name) for name in op_names]
-    return e, av, ops
+def _denominator_lcm(coeffs):
+    return math.lcm(1, *(c.denominator for c in coeffs))
+
+
+def _exact(acc, scale):
+    """The zero list as is; otherwise the residual as Fractions."""
+    return tuple(Fraction(x, scale) for x in acc) if any(acc) else acc
+
+
+class _Tables:
+    """Integer tables of one bound presentation, shared by one check's families.
+
+    ops[name][i][j] is op(e_i, e_j), evaluated by eval_bilinear, times
+    scales[name]; alpha[x] is a(e_x) times alpha_scale.
+    """
+
+    def __init__(self, a, op_names):
+        a.require_bound()
+        n = self.dim = a.dim
+        f = a.alpha
+        if f.rows != n or f.cols != n:
+            raise DimensionError("map 'alpha' is %dx%d, expected %dx%d"
+                                 % (f.rows, f.cols, n, n))
+        s = self.alpha_scale = _denominator_lcm(f.flat())
+        self.alpha = [[int(f.m[r][x] * s) for r in range(n)] for x in range(n)]
+        e = [[int(b == i) for i in range(n)] for b in range(n)]
+        self.ops, self.scales = {}, {}
+        for name in op_names:
+            op = a.op(name)
+            s = self.scales[name] = _denominator_lcm(c for (_, _, _, c) in op.entries)
+            self.ops[name] = [[[int(v * s) for v in eval_bilinear(op, x, y)] for y in e]
+                              for x in e]
+        self._nonzero = {}
+        self._twisted = {}
+
+    def nonzero(self, name):
+        """nz[i][j]: the (b, coefficient) pairs of op(e_i, e_j) with coefficient != 0."""
+        if name not in self._nonzero:
+            self._nonzero[name] = [[[(b, v) for b, v in enumerate(vec) if v]
+                                    for vec in row] for row in self.ops[name]]
+        return self._nonzero[name]
+
+    def twisted(self, name, side):
+        """M[x][b]: op(a(e_x), e_b) for side "L", op(e_b, a(e_x)) for side "R"."""
+        key = (name, side)
+        if key not in self._twisted:
+            n, t = self.dim, self.ops[name]
+            out = []
+            for col in self.alpha:
+                m = [[0] * n for _ in range(n)]
+                for x, c in enumerate(col):
+                    if c:
+                        for b in range(n):
+                            v = t[x][b] if side == "L" else t[b][x]
+                            m[b] = [u + c * w for u, w in zip(m[b], v)]
+                out.append(m)
+            self._twisted[key] = out
+        return self._twisted[key]
+
+    def family(self, ident):
+        """The (identity id, arity, residual fn) triple of one IDENTITIES row."""
+        arity, terms = IDENTITIES[ident]
+        n = self.dim
+        if arity == 2:
+            scale = self.scales[terms[0][1]]
+            compiled = [(c, self.ops[op], p, q) for (c, op, p, q) in terms]
+
+            def residual(*tup):
+                acc = [0] * n
+                for c, t, p, q in compiled:
+                    acc = [u + c * w for u, w in zip(acc, t[tup[p]][tup[q]])]
+                return _exact(acc, scale)
+        else:
+            _, outer, inner = terms[0][:3]
+            scale = self.scales[outer] * self.scales[inner] * self.alpha_scale
+            compiled = [(c, self.twisted(outer, side), self.nonzero(inner), p, q, r)
+                        for (c, outer, inner, side, p, q, r) in terms]
+
+            def residual(*tup):
+                coefs, rows = [], []
+                for c, m, nz, p, q, r in compiled:
+                    mx = m[tup[p]]
+                    for b, v in nz[tup[q]][tup[r]]:
+                        coefs.append(c * v)
+                        rows.append(mx[b])
+                if not rows:
+                    return [0] * n
+                return _exact([sum(map(mul, coefs, col)) for col in zip(*rows)], scale)
+        return ident, arity, residual
+
+
+def _check(a, cls, max_witnesses):
+    subs, idents = CLASS_FAMILIES[cls]
+    tables = _Tables(a, CLASS_OPS[cls])
+    return run_identity_families(
+        a.dim, [tables.family(ident) for ident in idents], max_witnesses,
+        sub_reports={sub: CLASS_CHECKERS[sub](a, max_witnesses) for sub in subs})
 
 
 def check_multiplicative(a, op_name="all", max_witnesses=32):
@@ -72,34 +227,12 @@ def check_multiplicative(a, op_name="all", max_witnesses=32):
 
 def check_comm_hom_assoc(a, max_witnesses=32):
     """Commutative Hom-associative: x.y = y.x and (x.y).a(z) = a(x).(y.z)."""
-    e, av, (dot,) = _ctx(a, "dot")
-    fams = [
-        ("commutative", 2,
-         lambda i, j: vec_sub(eval_bilinear(dot, e[i], e[j]),
-                              eval_bilinear(dot, e[j], e[i]))),
-        ("hom-associative", 3,
-         lambda i, j, k: vec_sub(
-             eval_bilinear(dot, eval_bilinear(dot, e[i], e[j]), av[k]),
-             eval_bilinear(dot, av[i], eval_bilinear(dot, e[j], e[k])))),
-    ]
-    return run_identity_families(a.dim, fams, max_witnesses)
+    return _check(a, "comm-hom-assoc", max_witnesses)
 
 
 def check_hom_lie(a, max_witnesses=32):
     """Skew-symmetry and the Hom-Jacobi identity for the bracket."""
-    e, av, (br,) = _ctx(a, "bracket")
-    fams = [
-        ("skew-symmetry", 2,
-         lambda i, j: vec_add(eval_bilinear(br, e[i], e[j]),
-                              eval_bilinear(br, e[j], e[i]))),
-        ("hom-jacobi", 3,
-         lambda i, j, k: vec_add(
-             eval_bilinear(br, av[i], eval_bilinear(br, e[j], e[k])),
-             vec_add(
-                 eval_bilinear(br, av[j], eval_bilinear(br, e[k], e[i])),
-                 eval_bilinear(br, av[k], eval_bilinear(br, e[i], e[j]))))),
-    ]
-    return run_identity_families(a.dim, fams, max_witnesses)
+    return _check(a, "hom-lie", max_witnesses)
 
 
 def check_hom_poisson(a, max_witnesses=32):
@@ -107,50 +240,17 @@ def check_hom_poisson(a, max_witnesses=32):
 
     Compatibility: {a(x), y.z} = a(y).{x,z} + a(z).{x,y}.
     """
-    e, av, (dot, br) = _ctx(a, "dot", "bracket")
-    fams = [
-        ("poisson-leibniz", 3,
-         lambda i, j, k: vec_sub(
-             eval_bilinear(br, av[i], eval_bilinear(dot, e[j], e[k])),
-             vec_add(
-                 eval_bilinear(dot, av[j], eval_bilinear(br, e[i], e[k])),
-                 eval_bilinear(dot, av[k], eval_bilinear(br, e[i], e[j]))))),
-    ]
-    return run_identity_families(
-        a.dim, fams, max_witnesses,
-        sub_reports={"comm-hom-assoc": check_comm_hom_assoc(a, max_witnesses),
-                     "hom-lie": check_hom_lie(a, max_witnesses)})
+    return _check(a, "hom-poisson", max_witnesses)
 
 
 def check_transposed_hom_poisson(a, max_witnesses=32):
     """Transposed Hom-Poisson: 2 a(z).{x,y} = {z.x, a(y)} + {a(x), z.y}."""
-    e, av, (dot, br) = _ctx(a, "dot", "bracket")
-    two = vec_scale  # readability below
-    fams = [
-        ("transposed-leibniz", 3,
-         lambda i, j, k: vec_sub(
-             two(2, eval_bilinear(dot, av[k], eval_bilinear(br, e[i], e[j]))),
-             vec_add(
-                 eval_bilinear(br, eval_bilinear(dot, e[k], e[i]), av[j]),
-                 eval_bilinear(br, av[i], eval_bilinear(dot, e[k], e[j]))))),
-    ]
-    return run_identity_families(
-        a.dim, fams, max_witnesses,
-        sub_reports={"comm-hom-assoc": check_comm_hom_assoc(a, max_witnesses),
-                     "hom-lie": check_hom_lie(a, max_witnesses)})
+    return _check(a, "transposed-hom-poisson", max_witnesses)
 
 
 def check_hom_pre_lie(a, max_witnesses=32):
     """Hom-pre-Lie: (x*y)*a(z) - a(x)*(y*z) is symmetric in x, y."""
-    e, av, (st,) = _ctx(a, "star")
-
-    def assoc(i, j, k):
-        return vec_sub(
-            eval_bilinear(st, eval_bilinear(st, e[i], e[j]), av[k]),
-            eval_bilinear(st, av[i], eval_bilinear(st, e[j], e[k])))
-
-    fams = [("hom-pre-lie", 3, lambda i, j, k: vec_sub(assoc(i, j, k), assoc(j, i, k)))]
-    return run_identity_families(a.dim, fams, max_witnesses)
+    return _check(a, "hom-pre-lie", max_witnesses)
 
 
 def check_hom_pre_lie_poisson(a, max_witnesses=32):
@@ -159,23 +259,7 @@ def check_hom_pre_lie_poisson(a, max_witnesses=32):
     relation-1: (x.y)*a(z) = a(x).(y*z)
     relation-2: (x*y).a(z) - (y*x).a(z) = a(x)*(y.z) - a(y)*(x.z)
     """
-    e, av, (dot, st) = _ctx(a, "dot", "star")
-    fams = [
-        ("pre-poisson-1", 3,
-         lambda i, j, k: vec_sub(
-             eval_bilinear(st, eval_bilinear(dot, e[i], e[j]), av[k]),
-             eval_bilinear(dot, av[i], eval_bilinear(st, e[j], e[k])))),
-        ("pre-poisson-2", 3,
-         lambda i, j, k: vec_sub(
-             vec_sub(eval_bilinear(dot, eval_bilinear(st, e[i], e[j]), av[k]),
-                     eval_bilinear(dot, eval_bilinear(st, e[j], e[i]), av[k])),
-             vec_sub(eval_bilinear(st, av[i], eval_bilinear(dot, e[j], e[k])),
-                     eval_bilinear(st, av[j], eval_bilinear(dot, e[i], e[k]))))),
-    ]
-    return run_identity_families(
-        a.dim, fams, max_witnesses,
-        sub_reports={"comm-hom-assoc": check_comm_hom_assoc(a, max_witnesses),
-                     "hom-pre-lie": check_hom_pre_lie(a, max_witnesses)})
+    return _check(a, "hom-pre-lie-poisson", max_witnesses)
 
 
 CLASS_CHECKERS = {
@@ -249,17 +333,11 @@ def check_transposed_consequences(a, max_witnesses=32):
     four-variable (only when alpha = id, otherwise skipped with a note):
     {x.z, y.t} + {x.t, y.z} = 2 (z.t).{x,y}.
     """
-    e, av, (dot, br) = _ctx(a, "dot", "bracket")
-    fams = [
-        ("cyclic-sum", 3,
-         lambda i, j, k: vec_add(
-             eval_bilinear(dot, av[i], eval_bilinear(br, e[j], e[k])),
-             vec_add(
-                 eval_bilinear(dot, av[j], eval_bilinear(br, e[k], e[i])),
-                 eval_bilinear(dot, av[k], eval_bilinear(br, e[i], e[j]))))),
-    ]
+    fams = [_Tables(a, ("dot", "bracket")).family("cyclic-sum")]
     notes = []
     if a.alpha.is_identity():
+        dot, br = a.op("dot"), a.op("bracket")
+        e = [basis_vec(a.dim, i) for i in range(a.dim)]
         fams.append((
             "four-variable", 4,
             lambda i, j, k, l: vec_sub(
@@ -284,14 +362,10 @@ def check_poisson_intersection(a, max_witnesses=32):
     Hom-associative dot and Hom-Lie bracket), joint membership and
     annihilation are equivalent; that biconditional is asserted.
     """
-    e, av, (dot, br) = _ctx(a, "dot", "bracket")
-    fams = [
-        ("dot-bracket-vanishes", 3,
-         lambda i, j, k: eval_bilinear(dot, av[i], eval_bilinear(br, e[j], e[k]))),
-        ("bracket-dot-vanishes", 3,
-         lambda i, j, k: eval_bilinear(br, eval_bilinear(dot, e[i], e[j]), av[k])),
-    ]
-    annihilation = run_identity_families(a.dim, fams, max_witnesses)
+    t = _Tables(a, ("dot", "bracket"))
+    annihilation = run_identity_families(
+        a.dim, [t.family("dot-bracket-vanishes"), t.family("bracket-dot-vanishes")],
+        max_witnesses)
     hp = check_hom_poisson(a, max_witnesses)
     tp = check_transposed_hom_poisson(a, max_witnesses)
     shared = (hp.sub_reports["comm-hom-assoc"].passed

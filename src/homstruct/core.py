@@ -645,6 +645,13 @@ def _load(text):
     return doc
 
 
+def _object(doc, key):
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise FormatError('"%s" must be an object' % key)
+    return value
+
+
 def _common_header(doc):
     dim = doc.get("dim")
     if not isinstance(dim, int) or dim < 1:
@@ -661,13 +668,13 @@ def parse_algebra(text):
     doc = _load(text)
     dim, basis, params = _common_header(doc)
     ops = {}
-    for name, raw in doc.get("ops", {}).items():
+    for name, raw in _object(doc, "ops").items():
         try:
             ops[name] = BilinearMap(dim, tuple(_entries_in(raw, dim, params, "op %r" % name)))
         except DimensionError as exc:
             raise FormatError(str(exc)) from None
     maps = {name: _matrix_in(raw, params, "map %r" % name, dim, dim)
-            for name, raw in doc.get("maps", {}).items()}
+            for name, raw in _object(doc, "maps").items()}
     return AlgebraPresentation(dim, ops, maps, basis, params)
 
 
@@ -690,7 +697,7 @@ def parse_representation(text):
         raise FormatError('"module_dim" must be a positive integer')
     params = tuple(doc.get("params", ()))
     actions = {}
-    for name, fam in doc.get("actions", {}).items():
+    for name, fam in _object(doc, "actions").items():
         if not isinstance(fam, list) or len(fam) != adim:
             raise FormatError("action %r must list %d matrices" % (name, adim))
         actions[name] = tuple(
@@ -746,7 +753,7 @@ def parse_comultiplications(text):
     doc = _load(text)
     dim, _, params = _common_header(doc)
     coops = {}
-    for name, raw in doc.get("coops", {}).items():
+    for name, raw in _object(doc, "coops").items():
         coops[name] = tuple(_entries_in(raw, dim, params, "coop %r" % name))
     return dim, coops
 

@@ -4,11 +4,15 @@ import random
 from fractions import Fraction
 
 from homstruct import catalog
+from homstruct.axioms import resolve_class
 from homstruct.core import (
     AlgebraPresentation,
     BilinearMap,
+    LinearMap,
     apply_map,
+    basis_vec,
     eval_bilinear,
+    run_identity_families,
     vec_add,
     vec_scale,
     vec_sub,
@@ -124,3 +128,162 @@ def naive_class_verdict(a, class_name, trials=20, seed=7):
             if any(c != 0 for c in r):
                 return False
     return True
+
+
+def rand_algebra(rng, n, op_names):
+    """Random bound algebra with the named ops, every constant drawn."""
+    ops = {name: BilinearMap(n, tuple(
+               (i, j, k, rand_fraction(rng))
+               for i in range(n) for j in range(n) for k in range(n)))
+           for name in op_names}
+    alpha = LinearMap.from_rows([rand_vec(rng, n) for _ in range(n)])
+    return AlgebraPresentation(n, ops, {"alpha": alpha})
+
+
+# ---------------------------------------------------------------------------
+# reference class checkers: each identity as a per-tuple closure over
+# Fraction vectors, the evaluation the integer kernel of homstruct.axioms
+# replaced.  The differential tests require identical reports from both.
+
+def _closure_ctx(a, *op_names):
+    a.require_bound()
+    n = a.dim
+    alpha = a.alpha
+    e = [basis_vec(n, i) for i in range(n)]
+    av = [alpha.column(i) for i in range(n)]
+    ops = [a.op(name) for name in op_names]
+    return e, av, ops
+
+
+def _closure_comm_hom_assoc(a, max_witnesses):
+    e, av, (dot,) = _closure_ctx(a, "dot")
+    fams = [
+        ("commutative", 2,
+         lambda i, j: vec_sub(eval_bilinear(dot, e[i], e[j]),
+                              eval_bilinear(dot, e[j], e[i]))),
+        ("hom-associative", 3,
+         lambda i, j, k: vec_sub(
+             eval_bilinear(dot, eval_bilinear(dot, e[i], e[j]), av[k]),
+             eval_bilinear(dot, av[i], eval_bilinear(dot, e[j], e[k])))),
+    ]
+    return run_identity_families(a.dim, fams, max_witnesses)
+
+
+def _closure_hom_lie(a, max_witnesses):
+    e, av, (br,) = _closure_ctx(a, "bracket")
+    fams = [
+        ("skew-symmetry", 2,
+         lambda i, j: vec_add(eval_bilinear(br, e[i], e[j]),
+                              eval_bilinear(br, e[j], e[i]))),
+        ("hom-jacobi", 3,
+         lambda i, j, k: vec_add(
+             eval_bilinear(br, av[i], eval_bilinear(br, e[j], e[k])),
+             vec_add(
+                 eval_bilinear(br, av[j], eval_bilinear(br, e[k], e[i])),
+                 eval_bilinear(br, av[k], eval_bilinear(br, e[i], e[j]))))),
+    ]
+    return run_identity_families(a.dim, fams, max_witnesses)
+
+
+def _closure_hom_poisson(a, max_witnesses):
+    e, av, (dot, br) = _closure_ctx(a, "dot", "bracket")
+    fams = [
+        ("poisson-leibniz", 3,
+         lambda i, j, k: vec_sub(
+             eval_bilinear(br, av[i], eval_bilinear(dot, e[j], e[k])),
+             vec_add(
+                 eval_bilinear(dot, av[j], eval_bilinear(br, e[i], e[k])),
+                 eval_bilinear(dot, av[k], eval_bilinear(br, e[i], e[j]))))),
+    ]
+    return run_identity_families(
+        a.dim, fams, max_witnesses,
+        sub_reports={"comm-hom-assoc": _closure_comm_hom_assoc(a, max_witnesses),
+                     "hom-lie": _closure_hom_lie(a, max_witnesses)})
+
+
+def _closure_transposed_hom_poisson(a, max_witnesses):
+    e, av, (dot, br) = _closure_ctx(a, "dot", "bracket")
+    fams = [
+        ("transposed-leibniz", 3,
+         lambda i, j, k: vec_sub(
+             vec_scale(2, eval_bilinear(dot, av[k], eval_bilinear(br, e[i], e[j]))),
+             vec_add(
+                 eval_bilinear(br, eval_bilinear(dot, e[k], e[i]), av[j]),
+                 eval_bilinear(br, av[i], eval_bilinear(dot, e[k], e[j]))))),
+    ]
+    return run_identity_families(
+        a.dim, fams, max_witnesses,
+        sub_reports={"comm-hom-assoc": _closure_comm_hom_assoc(a, max_witnesses),
+                     "hom-lie": _closure_hom_lie(a, max_witnesses)})
+
+
+def _closure_hom_pre_lie(a, max_witnesses):
+    e, av, (st,) = _closure_ctx(a, "star")
+
+    def assoc(i, j, k):
+        return vec_sub(
+            eval_bilinear(st, eval_bilinear(st, e[i], e[j]), av[k]),
+            eval_bilinear(st, av[i], eval_bilinear(st, e[j], e[k])))
+
+    fams = [("hom-pre-lie", 3, lambda i, j, k: vec_sub(assoc(i, j, k), assoc(j, i, k)))]
+    return run_identity_families(a.dim, fams, max_witnesses)
+
+
+def _closure_hom_pre_lie_poisson(a, max_witnesses):
+    e, av, (dot, st) = _closure_ctx(a, "dot", "star")
+    fams = [
+        ("pre-poisson-1", 3,
+         lambda i, j, k: vec_sub(
+             eval_bilinear(st, eval_bilinear(dot, e[i], e[j]), av[k]),
+             eval_bilinear(dot, av[i], eval_bilinear(st, e[j], e[k])))),
+        ("pre-poisson-2", 3,
+         lambda i, j, k: vec_sub(
+             vec_sub(eval_bilinear(dot, eval_bilinear(st, e[i], e[j]), av[k]),
+                     eval_bilinear(dot, eval_bilinear(st, e[j], e[i]), av[k])),
+             vec_sub(eval_bilinear(st, av[i], eval_bilinear(dot, e[j], e[k])),
+                     eval_bilinear(st, av[j], eval_bilinear(dot, e[i], e[k]))))),
+    ]
+    return run_identity_families(
+        a.dim, fams, max_witnesses,
+        sub_reports={"comm-hom-assoc": _closure_comm_hom_assoc(a, max_witnesses),
+                     "hom-pre-lie": _closure_hom_pre_lie(a, max_witnesses)})
+
+
+_CLOSURE_CHECKERS = {
+    "comm-hom-assoc": _closure_comm_hom_assoc,
+    "hom-lie": _closure_hom_lie,
+    "hom-poisson": _closure_hom_poisson,
+    "transposed-hom-poisson": _closure_transposed_hom_poisson,
+    "hom-pre-lie": _closure_hom_pre_lie,
+    "hom-pre-lie-poisson": _closure_hom_pre_lie_poisson,
+}
+
+
+def closure_check_class(a, cls, max_witnesses=32):
+    return _CLOSURE_CHECKERS[resolve_class(cls)](a, max_witnesses)
+
+
+def closure_cyclic_sum(a, max_witnesses=32):
+    """The cyclic-sum family of check_transposed_consequences, as a closure."""
+    e, av, (dot, br) = _closure_ctx(a, "dot", "bracket")
+    fams = [
+        ("cyclic-sum", 3,
+         lambda i, j, k: vec_add(
+             eval_bilinear(dot, av[i], eval_bilinear(br, e[j], e[k])),
+             vec_add(
+                 eval_bilinear(dot, av[j], eval_bilinear(br, e[k], e[i])),
+                 eval_bilinear(dot, av[k], eval_bilinear(br, e[i], e[j]))))),
+    ]
+    return run_identity_families(a.dim, fams, max_witnesses)
+
+
+def closure_annihilation(a, max_witnesses=32):
+    """The annihilation sub-report of check_poisson_intersection, as closures."""
+    e, av, (dot, br) = _closure_ctx(a, "dot", "bracket")
+    fams = [
+        ("dot-bracket-vanishes", 3,
+         lambda i, j, k: eval_bilinear(dot, av[i], eval_bilinear(br, e[j], e[k]))),
+        ("bracket-dot-vanishes", 3,
+         lambda i, j, k: eval_bilinear(br, eval_bilinear(dot, e[i], e[j]), av[k])),
+    ]
+    return run_identity_families(a.dim, fams, max_witnesses)

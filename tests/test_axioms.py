@@ -1,10 +1,15 @@
 from fractions import Fraction
 
+import random
+
 import pytest
 
 from homstruct import catalog
 from homstruct.axioms import (
     CLASS_CHECKERS,
+    CLASS_FAMILIES,
+    CLASS_OPS,
+    IDENTITIES,
     MissingOperationError,
     check_class,
     check_derivation,
@@ -14,9 +19,23 @@ from homstruct.axioms import (
     check_transposed_consequences,
     resolve_class,
 )
-from homstruct.core import LinearMap
+from homstruct.core import (
+    AlgebraPresentation,
+    BilinearMap,
+    DimensionError,
+    LinearMap,
+    UnboundParameterError,
+)
 
-from helpers import bound_fixtures, naive_class_verdict
+from helpers import (
+    bound_fixtures,
+    closure_annihilation,
+    closure_check_class,
+    closure_cyclic_sum,
+    naive_class_verdict,
+    perturbed_fixtures,
+    rand_algebra,
+)
 
 F = Fraction
 
@@ -120,3 +139,101 @@ def test_witness_cap_and_order():
 def test_class_names_cover_catalog_targets():
     targets = {catalog.target_class(n) for n in catalog.names()}
     assert targets <= set(CLASS_CHECKERS)
+
+
+def _flat(report):
+    """Everything a report says, with each residual also as its str."""
+    return (report.checked, report.failures,
+            [(w[0], w[1], w[2], [str(c) for c in w[2]]) for w in report.witnesses],
+            report.notes,
+            [(name, _flat(sub)) for name, sub in report.sub_reports.items()])
+
+
+def _random_algebras():
+    """Dense random algebras at dims 1-3; at dim 2 also copies with a zero op
+    and with a zero alpha."""
+    rng = random.Random(20261018)
+    out = []
+    for n in (1, 2, 3):
+        for cls, names in CLASS_OPS.items():
+            a = rand_algebra(rng, n, names)
+            out.append((cls, a))
+            if n == 2:
+                zero_op = dict(a.ops, **{rng.choice(names): BilinearMap(n)})
+                out.append((cls, AlgebraPresentation(n, zero_op, a.maps)))
+                out.append((cls, AlgebraPresentation(n, a.ops,
+                                                     {"alpha": LinearMap.zero(n)})))
+    return out
+
+
+def test_integer_kernel_matches_fraction_closures():
+    fixtures = [(a, c) for _, _, a, _ in bound_fixtures()
+                 for c in CLASS_OPS if set(CLASS_OPS[c]) <= set(a.ops)]
+    fixtures += [(a, cls) for _, a, cls in perturbed_fixtures()]
+    randoms = _random_algebras()
+    poisson = [a for a, _ in fixtures + [(a, cls) for cls, a in randoms]
+               if {"dot", "bracket"} <= set(a.ops)]
+    for mw in (0, 3, 32):
+        for a, cls in fixtures + [(a, cls) for cls, a in randoms]:
+            assert _flat(check_class(a, cls, mw)) == \
+                _flat(closure_check_class(a, cls, mw)), (cls, mw)
+        for a in poisson:
+            assert (_flat(check_poisson_intersection(a, mw).sub_reports["annihilation"])
+                    == _flat(closure_annihilation(a, mw)))
+            if not a.alpha.is_identity():
+                assert (_flat(check_transposed_consequences(a, mw))[:3]
+                        == _flat(closure_cyclic_sum(a, mw))[:3])
+
+
+def test_check_errors_match_fraction_closures():
+    def raised(fn, *args):
+        with pytest.raises((UnboundParameterError, MissingOperationError)) as exc:
+            fn(*args)
+        return type(exc.value), exc.value.args
+
+    tp2 = catalog.get("TP2")
+    one = BilinearMap(2, ((0, 0, 0, F(1)),))
+    cases = [
+        # unbound parameters are reported before anything is missing
+        (catalog.get("THP2"), "hom-pre-lie",
+         (UnboundParameterError, ("presentation has unbound parameters ('lam',)",))),
+        (AlgebraPresentation(2, dict(tp2.ops)), "hom-poisson",
+         (MissingOperationError, ("map 'alpha' is missing",))),
+        (tp2, "hom-pre-lie-poisson", (MissingOperationError, ("op 'star' is missing",))),
+        (AlgebraPresentation(2, {}, dict(tp2.maps)), "transposed-hom-poisson",
+         (MissingOperationError, ("op 'dot' is missing",))),
+        (AlgebraPresentation(2, {"dot": one}, dict(tp2.maps)), "hom-poisson",
+         (MissingOperationError, ("op 'bracket' is missing",))),
+    ]
+    for a, cls, expected in cases:
+        assert raised(check_class, a, cls, 32) == expected, cls
+        assert raised(closure_check_class, a, cls, 32) == expected, cls
+    # a non-square alpha is a shape error for every class, after the bound check
+    for rows, cols in ((3, 2), (1, 2), (2, 3)):
+        alpha = LinearMap.from_rows([[F(1)] * cols] * rows)
+        a = AlgebraPresentation(2, dict(tp2.ops), {"alpha": alpha})
+        for cls in CLASS_OPS:
+            with pytest.raises(DimensionError, match="map 'alpha' is %dx%d" % (rows, cols)):
+                check_class(a, cls)
+
+
+def test_identity_terms_are_homogeneous():
+    """Every term of a row has the same ops and alpha count, so one scale fits."""
+    def ops_alphas_slots(term):
+        if len(term) == 4:
+            return (term[1],), 0, term[2:]
+        assert term[3] in ("L", "R")
+        return tuple(sorted(term[1:3])), 1, term[4:]
+
+    for ident, (arity, terms) in IDENTITIES.items():
+        shapes = set()
+        for term in terms:
+            ops, alphas, slots = ops_alphas_slots(term)
+            assert sorted(slots) == list(range(arity)), ident
+            shapes.add((ops, alphas))
+        assert len(shapes) == 1, ident
+    for cls, (subs, idents) in CLASS_FAMILIES.items():
+        assert set(subs) <= set(CLASS_FAMILIES), cls
+        for ident in idents:
+            ops = ops_alphas_slots(IDENTITIES[ident][1][0])[0]
+            assert set(ops) <= set(CLASS_OPS[cls]), (cls, ident)

@@ -230,6 +230,27 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_object_sections_are_format_errors(thp2_file, tmp_path, capsys):
+    def doc(path, **fields):
+        path.write_text(json.dumps(fields))
+        return str(path)
+
+    alg = tmp_path / "alg.json"
+    for fields in ({"ops": [], "maps": {"alpha": [["1", "0"], ["0", "1"]]}},
+                   {"ops": {}, "maps": []}):
+        assert main(["check", doc(alg, dim=2, **fields),
+                     "--class", "hom-lie"]) == USAGE
+    rep = doc(tmp_path / "rep.json", algebra_dim=2, module_dim=1, actions=[],
+              beta=[["1"]])
+    assert main(["checkrep", thp2_file, rep,
+                 "--class", "transposed-hom-poisson"]) == USAGE
+    coops = doc(tmp_path / "coops.json", dim=2, coops=[])
+    assert main(["bialgebra", thp2_file, coops]) == USAGE
+    err = capsys.readouterr().err
+    assert err.count("input error: ") == 4 and "must be an object" in err
+    assert "Traceback" not in err
+
+
 def test_precondition_exit_code(thp2_file, capsys):
     # asking for a class whose operations the algebra does not carry
     assert main(["check", thp2_file, "--class", "hom-pre-lie"]) == PRECONDITION
