@@ -652,16 +652,34 @@ def _object(doc, key):
     return value
 
 
-def _common_header(doc):
-    dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
-        raise FormatError('"dim" must be a positive integer')
-    params = tuple(doc.get("params", ()))
+def _positive_int(key, value):
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise FormatError('"%s" must be a positive integer' % key)
+    return value
+
+
+def _params(doc):
+    params = doc.get("params", [])
+    if not isinstance(params, list) or not all(isinstance(n, str) for n in params):
+        raise FormatError('"params" must be an array of names')
     for name in params:
         if not NAME_RE.match(name):
             raise FormatError("bad parameter name %r" % name)
-    basis = tuple(doc.get("basis", default_basis(dim)))
-    return dim, basis, params
+    if len(set(params)) != len(params):
+        raise FormatError("duplicate parameter name in %r" % (params,))
+    return tuple(params)
+
+
+def _common_header(doc):
+    dim = _positive_int("dim", doc.get("dim"))
+    params = _params(doc)
+    if "basis" not in doc:
+        return dim, default_basis(dim), params
+    basis = doc["basis"]
+    if (not isinstance(basis, list) or not all(isinstance(b, str) for b in basis)
+            or len(set(basis)) != len(basis)):
+        raise FormatError('"basis" must be an array of distinct names')
+    return dim, tuple(basis), params
 
 
 def parse_algebra(text):
@@ -689,13 +707,9 @@ def serialize_algebra(p):
 
 def parse_representation(text):
     doc = _load(text)
-    adim = doc.get("algebra_dim", doc.get("dim"))
-    if not isinstance(adim, int) or adim < 1:
-        raise FormatError('"algebra_dim" must be a positive integer')
-    mdim = doc.get("module_dim")
-    if not isinstance(mdim, int) or mdim < 1:
-        raise FormatError('"module_dim" must be a positive integer')
-    params = tuple(doc.get("params", ()))
+    adim = _positive_int("algebra_dim", doc.get("algebra_dim", doc.get("dim")))
+    mdim = _positive_int("module_dim", doc.get("module_dim"))
+    params = _params(doc)
     actions = {}
     for name, fam in _object(doc, "actions").items():
         if not isinstance(fam, list) or len(fam) != adim:

@@ -18,7 +18,6 @@ from homstruct.core import (
     LinearMap,
     PreconditionError,
     RepresentationPresentation,
-    apply_map,
     basis_vec,
     bilinear_from_table,
     block_diag,
@@ -118,8 +117,16 @@ def build_double(mp, class_name, check_actions=True):
     def lift_b(u):
         return (0,) * n + tuple(u)
 
+    def actions(rep, name):
+        """The named action family, bound: no parameter name enters the double."""
+        fam = rep.action(name)
+        for f in fam:
+            f.require_bound()
+        return fam
+
     def mixed(op_name, fwd_action, bwd_action, bwd_sign):
         op_a, op_b = a.op(op_name), b.op(op_name)
+        fwd, bwd = actions(ab, fwd_action), actions(ba, bwd_action)
 
         def fn(I, J):
             if I < n and J < n:
@@ -127,14 +134,14 @@ def build_double(mp, class_name, check_actions=True):
             if I >= n and J >= n:
                 return lift_b(eval_bilinear(op_b, eb[I - n], eb[J - n]))
             if I < n:  # x op b = s_A(x)b (+/-) s_B(b)x
-                part_b = apply_map(ab.of(fwd_action, ea[I]), eb[J - n])
-                part_a = apply_map(ba.of(bwd_action, eb[J - n]), ea[I])
+                part_b = fwd[I].column(J - n)
+                part_a = bwd[J - n].column(I)
                 if bwd_sign < 0:
                     return vec_sub(lift_b(part_b), lift_a(part_a))
                 return vec_add(lift_b(part_b), lift_a(part_a))
             # a op y = s_B(a)y (+/-) s_A(y)a
-            part_b = apply_map(ab.of(fwd_action, ea[J]), eb[I - n])
-            part_a = apply_map(ba.of(bwd_action, eb[I - n]), ea[J])
+            part_b = fwd[J].column(I - n)
+            part_a = bwd[I - n].column(J)
             if bwd_sign < 0:
                 return vec_sub(lift_a(part_a), lift_b(part_b))
             return vec_add(lift_b(part_b), lift_a(part_a))
@@ -142,6 +149,8 @@ def build_double(mp, class_name, check_actions=True):
 
     def mixed_star():
         op_a, op_b = a.op("star"), b.op("star")
+        l_ab, r_ba = actions(ab, "l"), actions(ba, "r")
+        r_ab, l_ba = actions(ab, "r"), actions(ba, "l")
 
         def fn(I, J):
             if I < n and J < n:
@@ -149,11 +158,11 @@ def build_double(mp, class_name, check_actions=True):
             if I >= n and J >= n:
                 return lift_b(eval_bilinear(op_b, eb[I - n], eb[J - n]))
             if I < n:  # x * b = l_A(x)b + r_B(b)x
-                return vec_add(lift_b(apply_map(ab.of("l", ea[I]), eb[J - n])),
-                               lift_a(apply_map(ba.of("r", eb[J - n]), ea[I])))
+                return vec_add(lift_b(l_ab[I].column(J - n)),
+                               lift_a(r_ba[J - n].column(I)))
             # a * y = r_A(y)a + l_B(a)y
-            return vec_add(lift_b(apply_map(ab.of("r", ea[J]), eb[I - n])),
-                           lift_a(apply_map(ba.of("l", eb[I - n]), ea[J])))
+            return vec_add(lift_b(r_ab[J].column(I - n)),
+                           lift_a(l_ba[I - n].column(J)))
         return fn
 
     ops = {}

@@ -9,6 +9,8 @@ from homstruct.core import (
     AlgebraPresentation,
     BilinearMap,
     LinearMap,
+    PreconditionError,
+    RepresentationPresentation,
     apply_map,
     basis_vec,
     eval_bilinear,
@@ -138,6 +140,18 @@ def rand_algebra(rng, n, op_names):
            for name in op_names}
     alpha = LinearMap.from_rows([rand_vec(rng, n) for _ in range(n)])
     return AlgebraPresentation(n, ops, {"alpha": alpha})
+
+
+def rand_rep(rng, algebra_dim, module_dim, names):
+    """Random rep with the named actions: every entry of each action matrix
+    and of beta drawn, about a third of them zero."""
+    def mat():
+        return LinearMap.from_rows(
+            [[rand_fraction(rng) if rng.random() < 0.7 else F(0)
+              for _ in range(module_dim)] for _ in range(module_dim)])
+    return RepresentationPresentation(
+        algebra_dim, module_dim,
+        {name: tuple(mat() for _ in range(algebra_dim)) for name in names}, mat())
 
 
 # ---------------------------------------------------------------------------
@@ -287,3 +301,210 @@ def closure_annihilation(a, max_witnesses=32):
          lambda i, j, k: eval_bilinear(br, eval_bilinear(dot, e[i], e[j]), av[k])),
     ]
     return run_identity_families(a.dim, fams, max_witnesses)
+
+
+# ---------------------------------------------------------------------------
+# reference module checkers: each module axiom as a per-tuple closure over
+# Fraction LinearMap products, the evaluation the integer tables of
+# homstruct.representations replaced.  The differential tests require
+# identical reports from both.
+
+def _mat_families(n, families, max_witnesses=32, sub_reports=None, notes=()):
+    """Like run_identity_families but for matrix-valued residual functions."""
+    wrapped = [(ident, arity, lambda *t, fn=fn: fn(*t).flat())
+               for (ident, arity, fn) in families]
+    return run_identity_families(n, wrapped, max_witnesses, sub_reports, notes)
+
+
+def _ctx(a, rep, *op_names):
+    a.require_bound()
+    rep.require_bound()
+    if rep.algebra_dim != a.dim:
+        raise PreconditionError("representation algebra_dim does not match the algebra")
+    n = a.dim
+    e = [basis_vec(n, i) for i in range(n)]
+    av = [a.alpha.column(i) for i in range(n)]
+    ops = [a.op(name) for name in op_names]
+    return n, e, av, ops
+
+
+def check_rep_comm_assoc(a, rep, max_witnesses=32):
+    """Module axioms over a commutative Hom-associative algebra.
+
+    assoc-action: s(x.y) beta = s(a(x)) s(y)
+    twist-intertwine: beta s(x) = s(a(x)) beta
+    """
+    n, e, av, (dot,) = _ctx(a, rep, "dot")
+    s = rep.of
+    beta = rep.beta
+    fams = [
+        ("assoc-action", 2,
+         lambda i, j: s("s", eval_bilinear(dot, e[i], e[j])) @ beta
+                      - s("s", av[i]) @ s("s", e[j])),
+        ("twist-intertwine:s", 1,
+         lambda i: beta @ s("s", e[i]) - s("s", av[i]) @ beta),
+    ]
+    return _mat_families(n, fams, max_witnesses)
+
+
+def check_rep_hom_lie(a, rep, max_witnesses=32):
+    """Module axioms over a Hom-Lie algebra.
+
+    bracket-action: rho([x,y]) beta = rho(a(x)) rho(y) - rho(a(y)) rho(x)
+    twist-intertwine: beta rho(x) = rho(a(x)) beta
+    """
+    n, e, av, (br,) = _ctx(a, rep, "bracket")
+    rho = rep.of
+    beta = rep.beta
+    fams = [
+        ("bracket-action", 2,
+         lambda i, j: rho("rho", eval_bilinear(br, e[i], e[j])) @ beta
+                      - (rho("rho", av[i]) @ rho("rho", e[j])
+                         - rho("rho", av[j]) @ rho("rho", e[i]))),
+        ("twist-intertwine:rho", 1,
+         lambda i: beta @ rho("rho", e[i]) - rho("rho", av[i]) @ beta),
+    ]
+    return _mat_families(n, fams, max_witnesses)
+
+
+def check_rep_transposed(a, rep, max_witnesses=32):
+    """Module axioms over a transposed Hom-Poisson algebra.
+
+    On top of the commutative and Hom-Lie module axioms:
+    mixed-1: 2 s({x,y}) beta = rho(a(x)) s(y) - rho(a(y)) s(x)
+    mixed-2: 2 s(a(x)) rho(y) = rho(x.y) beta + rho(a(y)) s(x)
+    """
+    n, e, av, (dot, br) = _ctx(a, rep, "dot", "bracket")
+    of = rep.of
+    beta = rep.beta
+    fams = [
+        ("mixed-1", 2,
+         lambda i, j: of("s", eval_bilinear(br, e[i], e[j])).scale(2) @ beta
+                      - (of("rho", av[i]) @ of("s", e[j])
+                         - of("rho", av[j]) @ of("s", e[i]))),
+        ("mixed-2", 2,
+         lambda i, j: (of("s", av[i]) @ of("rho", e[j])).scale(2)
+                      - (of("rho", eval_bilinear(dot, e[i], e[j])) @ beta
+                         + of("rho", av[j]) @ of("s", e[i]))),
+    ]
+    return _mat_families(
+        n, fams, max_witnesses,
+        sub_reports={"comm-assoc-module": check_rep_comm_assoc(a, rep, max_witnesses),
+                     "hom-lie-module": check_rep_hom_lie(a, rep, max_witnesses)})
+
+
+def check_rep_pre_lie(a, rep, max_witnesses=32):
+    """Bimodule axioms over a Hom-pre-Lie algebra, with rho = l - r.
+
+    sub-bracket-action: l({x,y}) beta = l(a(x)) l(y) - l(a(y)) l(x)
+    right-action: r(a(y)) rho(x) = l(a(x)) r(y) - r(x*y) beta
+    twist-intertwine for l and r.
+    """
+    n, e, av, (st,) = _ctx(a, rep, "star")
+    of = rep.of
+    beta = rep.beta
+
+    def br(i, j):
+        return vec_sub(eval_bilinear(st, e[i], e[j]), eval_bilinear(st, e[j], e[i]))
+
+    def rho(x):
+        return of("l", x) - of("r", x)
+
+    fams = [
+        ("sub-bracket-action", 2,
+         lambda i, j: of("l", br(i, j)) @ beta
+                      - (of("l", av[i]) @ of("l", e[j])
+                         - of("l", av[j]) @ of("l", e[i]))),
+        ("right-action", 2,
+         lambda i, j: of("r", av[j]) @ rho(e[i])
+                      - (of("l", av[i]) @ of("r", e[j])
+                         - of("r", eval_bilinear(st, e[i], e[j])) @ beta)),
+        ("twist-intertwine:l", 1,
+         lambda i: beta @ of("l", e[i]) - of("l", av[i]) @ beta),
+        ("twist-intertwine:r", 1,
+         lambda i: beta @ of("r", e[i]) - of("r", av[i]) @ beta),
+    ]
+    return _mat_families(n, fams, max_witnesses)
+
+
+def check_rep_pre_lie_poisson(a, rep, max_witnesses=32):
+    """Bimodule axioms over a Hom-pre-Lie Poisson algebra.
+
+    On top of the commutative module and pre-Lie bimodule axioms:
+    compat-1: l(x.y) beta = s(a(x)) l(y)
+    compat-2: r(a(y)) s(x) = s(x*y) beta
+    compat-3: r(a(y)) s(x) = s(a(x)) r(y)
+    compat-4: s({x,y}) beta = l(a(x)) s(y) - l(a(y)) s(x)
+    compat-5: s(a(y)) rho(x) = l(a(x)) s(y) - r(x.y) beta
+    """
+    n, e, av, (dot, st) = _ctx(a, rep, "dot", "star")
+    of = rep.of
+    beta = rep.beta
+
+    def br(i, j):
+        return vec_sub(eval_bilinear(st, e[i], e[j]), eval_bilinear(st, e[j], e[i]))
+
+    def rho(x):
+        return of("l", x) - of("r", x)
+
+    fams = [
+        ("compat-1", 2,
+         lambda i, j: of("l", eval_bilinear(dot, e[i], e[j])) @ beta
+                      - of("s", av[i]) @ of("l", e[j])),
+        ("compat-2", 2,
+         lambda i, j: of("r", av[j]) @ of("s", e[i])
+                      - of("s", eval_bilinear(st, e[i], e[j])) @ beta),
+        ("compat-3", 2,
+         lambda i, j: of("r", av[j]) @ of("s", e[i]) - of("s", av[i]) @ of("r", e[j])),
+        ("compat-4", 2,
+         lambda i, j: of("s", br(i, j)) @ beta
+                      - (of("l", av[i]) @ of("s", e[j])
+                         - of("l", av[j]) @ of("s", e[i]))),
+        ("compat-5", 2,
+         lambda i, j: of("s", av[j]) @ rho(e[i])
+                      - (of("l", av[i]) @ of("s", e[j])
+                         - of("r", eval_bilinear(dot, e[i], e[j])) @ beta)),
+    ]
+    return _mat_families(
+        n, fams, max_witnesses,
+        sub_reports={"comm-assoc-module": check_rep_comm_assoc(a, rep, max_witnesses),
+                     "pre-lie-bimodule": check_rep_pre_lie(a, rep, max_witnesses)})
+
+
+_CLOSURE_REP_CHECKERS = {
+    "comm-hom-assoc": check_rep_comm_assoc,
+    "hom-lie": check_rep_hom_lie,
+    "transposed-hom-poisson": check_rep_transposed,
+    "hom-pre-lie": check_rep_pre_lie,
+    "hom-pre-lie-poisson": check_rep_pre_lie_poisson,
+}
+
+
+def closure_check_rep(a, rep, cls, max_witnesses=32):
+    return _CLOSURE_REP_CHECKERS[resolve_class(cls)](a, rep, max_witnesses)
+
+
+def closure_dual_hypotheses(a, rep, max_witnesses=32):
+    """The hypotheses report of dual_representation, as closures."""
+    n, e, av, (dot, br) = _ctx(a, rep, "dot", "bracket")
+    of = rep.of
+    beta = rep.beta
+    fams = [
+        ("hyp-mixed-1", 2,
+         lambda i, j: of("s", eval_bilinear(br, e[i], e[j])).scale(2) @ beta
+                      - (of("s", e[j]) @ of("rho", av[i])
+                         - of("s", e[i]) @ of("rho", av[j]))),
+        ("hyp-mixed-2", 2,
+         lambda i, j: (of("rho", e[j]) @ of("s", av[i])).scale(2)
+                      - (of("rho", eval_bilinear(dot, e[i], e[j])) @ beta
+                         + of("s", e[i]) @ of("rho", av[j]))),
+        ("hyp-strict-commute:s", 1,
+         lambda i: beta @ of("s", e[i]) - of("s", e[i]) @ beta),
+        ("hyp-strict-commute:rho", 1,
+         lambda i: beta @ of("rho", av[i]) - of("rho", e[i]) @ beta),
+        ("hyp-sym-commute:s", 1,
+         lambda i: beta @ of("s", e[i]) - of("s", av[i]) @ beta),
+        ("hyp-sym-commute:rho", 1,
+         lambda i: beta @ of("rho", e[i]) - of("rho", av[i]) @ beta),
+    ]
+    return _mat_families(n, fams, max_witnesses)

@@ -255,3 +255,30 @@ def test_precondition_exit_code(thp2_file, capsys):
     # asking for a class whose operations the algebra does not carry
     assert main(["check", thp2_file, "--class", "hom-pre-lie"]) == PRECONDITION
     capsys.readouterr()
+
+
+_ALG1 = {"dim": 1, "ops": {"dot": [], "bracket": []}, "maps": {"alpha": [["1"]]}}
+_REP1 = {"algebra_dim": 1, "module_dim": 1,
+         "actions": {"s": [[["0"]]], "rho": [[["0"]]]}, "beta": [["1"]]}
+
+
+@pytest.mark.parametrize("alg_changes, rep_changes, params", [
+    ({"dim": True}, {}, ""),
+    ({"params": "ab", "maps": {"alpha": [["a"]]}}, {}, "a=1,b=1"),
+    ({"params": ["a", "a"], "maps": {"alpha": [["a"]]}}, {}, "a=1"),
+    ({"dim": 2, "basis": [1, 1], "maps": {"alpha": [["1", "0"], ["0", "1"]]}},
+     {"algebra_dim": 2, "actions": {"s": [[["0"]]] * 2, "rho": [[["0"]]] * 2}}, ""),
+    ({}, {"algebra_dim": True}, ""),
+    ({}, {"module_dim": True}, ""),
+    ({}, {"params": ["1x"], "beta": [["1x"]]}, "1x=1"),
+    ({}, {"params": ["t", "t"], "beta": [["t"]]}, "t=1"),
+])
+def test_malformed_headers_are_format_errors(tmp_path, capsys, alg_changes,
+                                             rep_changes, params):
+    alg, rep = tmp_path / "alg.json", tmp_path / "rep.json"
+    alg.write_text(json.dumps(dict(_ALG1, **alg_changes)))
+    rep.write_text(json.dumps(dict(_REP1, **rep_changes)))
+    argv = ["checkrep", str(alg), str(rep), "--class", "transposed-hom-poisson"]
+    assert main(argv + (["--params", params] if params else [])) == USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Traceback" not in err

@@ -1,13 +1,17 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from homstruct import catalog
-from homstruct.axioms import check_class, check_morphism
+from homstruct.axioms import CLASS_OPS, check_class, check_morphism
 from homstruct.core import (
     AlgebraPresentation,
     LinearMap,
     RepresentationPresentation,
+    apply_map,
+    basis_vec,
+    eval_bilinear,
 )
 from homstruct.matched_pairs import (
     MatchedPairData,
@@ -19,7 +23,9 @@ from homstruct.matched_pairs import (
     mp_pre_lie_to_lie,
     swap,
 )
-from homstruct.representations import regular_representation, semidirect_product
+from homstruct.representations import REP_OPS, regular_representation, semidirect_product
+
+from helpers import rand_algebra, rand_rep
 
 F = Fraction
 
@@ -118,3 +124,37 @@ def test_matched_pair_shape_validation():
     with pytest.raises(Exception):
         MatchedPairData(mp.algebra_a, mp.algebra_b, mp.actions_ab,
                         RepresentationPresentation(3, 2, {}, LinearMap.identity(2)))
+
+
+
+def test_build_double_mixed_products_follow_the_actions():
+    # random actions both ways, so every mixed product has both parts:
+    # x.u = s(x)u + s(u)x, [x,u] = rho(x)u - rho(u)x, x*u = l(x)u + r(u)x and
+    # u*x = r(x)u + l(u)x for x in A, u in B
+    rng = random.Random(20261019)
+    n, p = 2, 3
+    for cls in ("transposed-hom-poisson", "hom-pre-lie-poisson"):
+        a, b = rand_algebra(rng, n, CLASS_OPS[cls]), rand_algebra(rng, p, CLASS_OPS[cls])
+        ab, ba = rand_rep(rng, n, p, REP_OPS[cls]), rand_rep(rng, p, n, REP_OPS[cls])
+        double = build_double(MatchedPairData(a, b, ab, ba), cls, check_actions=False)
+        for i in range(n):
+            for j in range(p):
+                x, u = basis_vec(n, i), basis_vec(p, j)
+
+                def parts(on_u, on_x, sign=1):
+                    """(on_x of u) x in the A block, (on_u of x) u in the B block."""
+                    return (tuple(sign * c for c in apply_map(ba.of(on_x, u), x))
+                            + apply_map(ab.of(on_u, x), u))
+
+                expected = {}
+                if "dot" in double.ops:
+                    expected["dot"] = (parts("s", "s"),) * 2
+                if "bracket" in double.ops:
+                    xu = parts("rho", "rho", sign=-1)
+                    expected["bracket"] = (xu, tuple(-c for c in xu))
+                if "star" in double.ops:
+                    expected["star"] = (parts("l", "r"), parts("r", "l"))
+                X, U = basis_vec(n + p, i), basis_vec(n + p, n + j)
+                for name, (xu, ux) in expected.items():
+                    assert eval_bilinear(double.op(name), X, U) == xu, (cls, name, i, j)
+                    assert eval_bilinear(double.op(name), U, X) == ux, (cls, name, i, j)

@@ -4,14 +4,18 @@ from fractions import Fraction
 import pytest
 
 from homstruct import catalog
-from homstruct.axioms import check_class, check_multiplicative
+from homstruct.axioms import CLASS_OPS, check_class, check_multiplicative
 from homstruct.core import (
     AlgebraPresentation,
     LinearMap,
+    MissingOperationError,
     RepresentationPresentation,
+    UnboundParameterError,
 )
 from homstruct.matched_pairs import build_double, matched_pair_from_representation
 from homstruct.representations import (
+    REP_OPS,
+    ConstructionError,
     PreconditionError,
     check_rep,
     dual_representation,
@@ -20,7 +24,13 @@ from homstruct.representations import (
     semidirect_product,
 )
 
-from helpers import bound_fixtures
+from helpers import (
+    bound_fixtures,
+    closure_check_rep,
+    closure_dual_hypotheses,
+    rand_algebra,
+    rand_rep,
+)
 
 F = Fraction
 
@@ -191,3 +201,95 @@ def test_check_rep_matches_zero_opposite_double():
                               and not one_module_slot), cls
             verdicts.add((cls, passed))
     assert len(verdicts) == 2 * len(set(cls for _, cls in cases))
+
+
+def _flat(report):
+    """Everything a report says, with each residual also as its str."""
+    return (report.passed, report.checked, report.failures,
+            [(w[0], w[1], w[2], [str(c) for c in w[2]]) for w in report.all_witnesses()],
+            [(name, _flat(sub)) for name, sub in report.sub_reports.items()])
+
+
+def _rep_cases():
+    """(algebra, rep, class) over every rep class: regular reps of the bound
+    fixtures, seeded one-entry perturbations of them and of the explicit PLP2
+    bimodule, random reps with non-integer entries at module_dim 1-3, and
+    regular and random reps of random algebras with non-integer constants."""
+    rng = random.Random(20261018)
+    cases = []
+    for _, _, a, _ in bound_fixtures():
+        for cls in REP_OPS:
+            if not set(CLASS_OPS[cls]) <= set(a.ops):
+                continue
+            reg = regular_representation(a, cls)
+            cases += [(a, rep, cls) for rep in [reg] + _perturbed_reps(reg, rng, 2)]
+            cases.append((a, rand_rep(rng, a.dim, rng.choice([1, 2, 3]), REP_OPS[cls]), cls))
+    for cls in REP_OPS:
+        # non-integer ops and alpha
+        a = rand_algebra(rng, 2, CLASS_OPS[cls])
+        cases += [(a, rep, cls) for rep in (regular_representation(a, cls),
+                                            rand_rep(rng, a.dim, 3, REP_OPS[cls]))]
+    plp = catalog.get("PLP2", {"a": F(0)})
+    for cls in ("hom-pre-lie", "hom-pre-lie-poisson"):
+        cases += [(plp, rep, cls)
+                  for rep in [_plp2_bimodule()] + _perturbed_reps(_plp2_bimodule(), rng, 4)]
+    return cases
+
+
+def test_check_rep_matches_fraction_closures():
+    cases = _rep_cases()
+    assert {cls for _, _, cls in cases} == set(REP_OPS)
+    assert {rep.module_dim != a.dim for a, rep, _ in cases} == {True, False}
+    verdicts = set()
+    for mw in (0, 3, 32):
+        for a, rep, cls in cases:
+            got = _flat(check_rep(a, rep, cls, mw))
+            assert got == _flat(closure_check_rep(a, rep, cls, mw)), (cls, mw)
+            verdicts.add((cls, got[0]))
+            if cls != "transposed-hom-poisson":
+                continue
+            try:
+                dual, hyp = dual_representation(a, rep, mw)
+            except ConstructionError:
+                # only when every hypothesis holds is the dual checked
+                assert closure_dual_hypotheses(a, rep, mw).passed
+                continue
+            assert _flat(hyp) == _flat(closure_dual_hypotheses(a, rep, mw))
+            assert (_flat(check_rep(a, dual, cls, mw))
+                    == _flat(closure_check_rep(a, dual, cls, mw)))
+    assert verdicts == {(cls, v) for cls in REP_OPS for v in (True, False)}
+
+
+def test_check_rep_errors_match_fraction_closures():
+    def raised(fn, *args):
+        with pytest.raises((UnboundParameterError, PreconditionError,
+                            MissingOperationError)) as exc:
+            fn(*args)
+        return type(exc.value), exc.value.args
+
+    tp2 = catalog.get("TP2")
+    reg = regular_representation(tp2, "transposed-hom-poisson")
+    unbound_rep = RepresentationPresentation(2, 2, dict(reg.actions), reg.beta, ("t",))
+    s_only = RepresentationPresentation(2, 2, {"s": reg.actions["s"]}, reg.beta)
+    no_dot = AlgebraPresentation(2, {"bracket": tp2.op("bracket")}, dict(tp2.maps))
+    three = catalog.get("CA3a")
+    cases = [
+        # unbound parameters first, the algebra's before the rep's
+        (catalog.get("THP2"), unbound_rep, "hom-pre-lie"),
+        (tp2, unbound_rep, "transposed-hom-poisson"),
+        # then the algebra_dim match, the algebra's ops and the actions
+        (three, s_only, "hom-pre-lie"),
+        (three, reg, "comm-hom-assoc"),
+        (no_dot, s_only, "transposed-hom-poisson"),
+        (tp2, s_only, "hom-pre-lie"),
+        (tp2, s_only, "transposed-hom-poisson"),
+        (tp2, s_only, "hom-lie"),
+        (tp2, RepresentationPresentation(2, 2, {"rho": reg.actions["rho"]}, reg.beta),
+         "transposed-hom-poisson"),
+    ]
+    for a, rep, cls in cases:
+        expected = raised(closure_check_rep, a, rep, cls)
+        assert raised(check_rep, a, rep, cls) == expected, (cls, expected)
+        if {"dot", "bracket"} <= set(a.ops) and a.dim == 2:
+            assert raised(dual_representation, a, rep) == \
+                raised(closure_dual_hypotheses, a, rep), (cls, expected)
