@@ -13,7 +13,6 @@ zero test is exact.  Witness residuals are divided back into Fractions.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from operator import mul
 
@@ -21,13 +20,10 @@ from homstruct.core import (
     CheckReport,
     DimensionError,
     MissingOperationError,
-    apply_map,
-    basis_vec,
+    contraction_family,
     eval_bilinear,
+    int_tensor,
     run_identity_families,
-    vec_add,
-    vec_scale,
-    vec_sub,
 )
 
 # op names each class must provide
@@ -108,10 +104,6 @@ def resolve_class(name):
     return name
 
 
-def _denominator_lcm(coeffs):
-    return math.lcm(1, *(c.denominator for c in coeffs))
-
-
 def _exact(acc, scale):
     """The zero list as is; otherwise the residual as Fractions."""
     return tuple(Fraction(x, scale) for x in acc) if any(acc) else acc
@@ -120,8 +112,8 @@ def _exact(acc, scale):
 class _Tables:
     """Integer tables of one bound presentation, shared by one check's families.
 
-    ops[name][i][j] is op(e_i, e_j), evaluated by eval_bilinear, times
-    scales[name]; alpha[x] is a(e_x) times alpha_scale.
+    ops[name][i][j] is op(e_i, e_j) times scales[name]; alpha[x] is a(e_x)
+    times alpha_scale.
     """
 
     def __init__(self, a, op_names):
@@ -131,15 +123,12 @@ class _Tables:
         if f.rows != n or f.cols != n:
             raise DimensionError("map 'alpha' is %dx%d, expected %dx%d"
                                  % (f.rows, f.cols, n, n))
-        s = self.alpha_scale = _denominator_lcm(f.flat())
-        self.alpha = [[int(f.m[r][x] * s) for r in range(n)] for x in range(n)]
-        e = [[int(b == i) for i in range(n)] for b in range(n)]
+        t = int_tensor(f)
+        self.alpha, self.alpha_scale = [list(col) for col in zip(*t.dense())], t.scale
         self.ops, self.scales = {}, {}
         for name in op_names:
-            op = a.op(name)
-            s = self.scales[name] = _denominator_lcm(c for (_, _, _, c) in op.entries)
-            self.ops[name] = [[[int(v * s) for v in eval_bilinear(op, x, y)] for y in e]
-                              for x in e]
+            t = int_tensor(a.op(name))
+            self.ops[name], self.scales[name] = t.dense(), t.scale
         self._nonzero = {}
         self._twisted = {}
 
@@ -211,18 +200,21 @@ def check_multiplicative(a, op_name="all", max_witnesses=32):
     """alpha(x # y) = alpha(x) # alpha(y) for the named op (or every op)."""
     a.require_bound()
     names = sorted(a.ops) if op_name == "all" else [op_name]
-    alpha = a.alpha
-    e = [basis_vec(a.dim, i) for i in range(a.dim)]
-    av = [alpha.column(i) for i in range(a.dim)]
+    _, fams = _morphism_families(a, a, a.alpha, names, "multiplicative:%s")
+    return run_identity_families(a.dim, fams, max_witnesses)
+
+
+def _morphism_families(a, b, f, names, ident, sign=1):
+    """The tensors, and per op name the family ident % name of
+    sign (f(x #_a y) - f(x) #_b f(y))."""
+    t = {"f": int_tensor(f)}
     fams = []
     for name in names:
-        op = a.op(name)
-        fams.append((
-            "multiplicative:%s" % name, 2,
-            lambda i, j, op=op: vec_sub(
-                apply_map(alpha, eval_bilinear(op, e[i], e[j])),
-                eval_bilinear(op, av[i], av[j]))))
-    return run_identity_families(a.dim, fams, max_witnesses)
+        t["a:" + name], t["b:" + name] = int_tensor(a.op(name)), int_tensor(b.op(name))
+        fams.append(contraction_family(ident % name, (2, (b.dim,), (
+            (sign, "ijr,or->ijo", ("a:" + name, "f")),
+            (-sign, "ai,bj,abo->ijo", ("f", "f", "b:" + name)))), t, a.dim))
+    return t, fams
 
 
 def check_comm_hom_assoc(a, max_witnesses=32):
@@ -282,22 +274,17 @@ def check_derivation(a, op_name, d, commuting_with_alpha=True, max_witnesses=32)
     d.require_bound()
     if d.rows != a.dim or d.cols != a.dim:
         raise ValueError("derivation matrix must be dim-square")
-    op = a.op(op_name)
     n = a.dim
-    e = [basis_vec(n, i) for i in range(n)]
-    fams = [
-        ("leibniz:%s" % op_name, 2,
-         lambda i, j: vec_sub(
-             apply_map(d, eval_bilinear(op, e[i], e[j])),
-             vec_add(eval_bilinear(op, apply_map(d, e[i]), e[j]),
-                     eval_bilinear(op, e[i], apply_map(d, e[j]))))),
-    ]
+    t = {"op": int_tensor(a.op(op_name)), "D": int_tensor(d)}
+    fams = [contraction_family("leibniz:%s" % op_name, (2, (n,), (
+        (1, "ijr,or->ijo", ("op", "D")),
+        (-1, "ri,rjo->ijo", ("D", "op")),
+        (-1, "rj,iro->ijo", ("D", "op")))), t, n)]
     if commuting_with_alpha:
-        alpha = a.alpha
-        fams.append((
-            "commutes-with-twist", 1,
-            lambda i: vec_sub(apply_map(alpha, apply_map(d, e[i])),
-                              apply_map(d, apply_map(alpha, e[i])))))
+        t["alpha"] = int_tensor(a.alpha)
+        fams.append(contraction_family("commutes-with-twist", (1, (n,), (
+            (1, "ri,or->io", ("D", "alpha")),
+            (-1, "ri,or->io", ("alpha", "D")))), t, n))
     return run_identity_families(n, fams, max_witnesses)
 
 
@@ -309,21 +296,12 @@ def check_morphism(a, b, f, op_names=None, max_witnesses=32):
     if f.rows != b.dim or f.cols != a.dim:
         raise ValueError("morphism matrix must be (dim b) x (dim a)")
     names = sorted(set(a.ops) & set(b.ops)) if op_names is None else list(op_names)
-    n = a.dim
-    e = [basis_vec(n, i) for i in range(n)]
-    fams = []
-    for name in names:
-        op_a, op_b = a.op(name), b.op(name)
-        fams.append((
-            "morphism:%s" % name, 2,
-            lambda i, j, op_a=op_a, op_b=op_b: vec_sub(
-                apply_map(f, eval_bilinear(op_a, e[i], e[j])),
-                eval_bilinear(op_b, apply_map(f, e[i]), apply_map(f, e[j])))))
-    fams.append((
-        "intertwines-twists", 1,
-        lambda i: vec_sub(apply_map(f, apply_map(a.alpha, e[i])),
-                          apply_map(b.alpha, apply_map(f, e[i])))))
-    return run_identity_families(n, fams, max_witnesses)
+    t, fams = _morphism_families(a, b, f, names, "morphism:%s")
+    t["a:alpha"], t["b:alpha"] = int_tensor(a.alpha), int_tensor(b.alpha)
+    fams.append(contraction_family("intertwines-twists", (1, (b.dim,), (
+        (1, "ri,or->io", ("a:alpha", "f")),
+        (-1, "ri,or->io", ("f", "b:alpha")))), t, a.dim))
+    return run_identity_families(a.dim, fams, max_witnesses)
 
 
 def check_transposed_consequences(a, max_witnesses=32):
@@ -336,18 +314,11 @@ def check_transposed_consequences(a, max_witnesses=32):
     fams = [_Tables(a, ("dot", "bracket")).family("cyclic-sum")]
     notes = []
     if a.alpha.is_identity():
-        dot, br = a.op("dot"), a.op("bracket")
-        e = [basis_vec(a.dim, i) for i in range(a.dim)]
-        fams.append((
-            "four-variable", 4,
-            lambda i, j, k, l: vec_sub(
-                vec_add(
-                    eval_bilinear(br, eval_bilinear(dot, e[i], e[k]),
-                                  eval_bilinear(dot, e[j], e[l])),
-                    eval_bilinear(br, eval_bilinear(dot, e[i], e[l]),
-                                  eval_bilinear(dot, e[j], e[k]))),
-                vec_scale(2, eval_bilinear(dot, eval_bilinear(dot, e[k], e[l]),
-                                           eval_bilinear(br, e[i], e[j]))))))
+        t = {"dot": int_tensor(a.op("dot")), "br": int_tensor(a.op("bracket"))}
+        fams.append(contraction_family("four-variable", (4, (a.dim,), (
+            (1, "ika,jlb,abo->ijklo", ("dot", "dot", "br")),
+            (1, "ila,jkb,abo->ijklo", ("dot", "dot", "br")),
+            (-2, "kla,ijb,abo->ijklo", ("dot", "br", "dot")))), t, a.dim))
     else:
         notes.append("four-variable identity skipped: twist is not the identity")
     return run_identity_families(a.dim, fams, max_witnesses, notes=notes)

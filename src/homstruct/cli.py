@@ -8,23 +8,20 @@ structured schema {command, inputs, verdict, witnesses, sub_reports, notes}.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 from fractions import Fraction
 
-from homstruct import catalog
 from homstruct.axioms import (
-    CLASS_CHECKERS,
     check_class,
-    check_derivation,
     resolve_class,
 )
 from homstruct.core import (
     ConstructionError,
     DimensionError,
     FormatError,
-    LinearMap,
     MissingOperationError,
     PreconditionError,
     UnboundParameterError,
@@ -35,6 +32,7 @@ from homstruct.core import (
     parse_representation,
     serialize_algebra,
     serialize_representation,
+    substitute_coefficient,
     substitute_params,
 )
 
@@ -281,6 +279,9 @@ def _cmd_bialgebra(args, binding):
     dim, coops = parse_comultiplications(_read(args.coops))
     if dim != a.dim:
         raise DimensionError("comultiplication dimension mismatch")
+    coops = {name: tuple((i, j, k, substitute_coefficient(c, binding))
+                         for (i, j, k, c) in entries)
+             for name, entries in coops.items()}
     report = check_bialgebra_conditions(a, coops, args.max_witnesses)
     return _emit_report(args, "bialgebra", [args.algebra, args.coops], report)
 
@@ -354,6 +355,7 @@ def _cmd_derivations(args, binding):
 
 
 def _cmd_catalog(args, binding):
+    from homstruct import catalog
     if args.action == "list":
         if args.json:
             doc = [catalog.describe(name) for name in catalog.names()]
@@ -380,7 +382,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parse_args keeps no
+    state in it between calls."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--params", default="", help="k=v,... parameter binding")
     common.add_argument("--json", action="store_true")

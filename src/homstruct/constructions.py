@@ -19,14 +19,12 @@ from homstruct.axioms import (
 )
 from homstruct.core import (
     AlgebraPresentation,
-    BilinearMap,
     ConstructionError,
     LinearMap,
     PreconditionError,
     apply_map,
     basis_vec,
     bilinear_from_table,
-    block_diag,
     eval_bilinear,
     vec_sub,
 )
@@ -184,10 +182,6 @@ def bracket_from_two_derivations(a, d1, d2):
     out = AlgebraPresentation(a.dim, {"dot": dot, "bracket": bracket},
                               dict(a.maps), a.basis)
     return _assert_closure(out, "hom-poisson", "bracket_from_two_derivations")
-
-
-def _kron_index(i, j, d2):
-    return i * d2 + j
 
 
 def tensor_product(a1, a2, class_name):

@@ -14,9 +14,11 @@ Conventions:
 from __future__ import annotations
 
 import json
+import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter, mul
 
 RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?$")
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -94,10 +96,6 @@ def require_bound(c, what="coefficient"):
 # ---------------------------------------------------------------------------
 # vectors
 
-def zero_vec(n):
-    return (ZERO,) * n
-
-
 def basis_vec(n, i):
     return tuple(ONE if j == i else ZERO for j in range(n))
 
@@ -112,10 +110,6 @@ def vec_sub(x, y):
 
 def vec_scale(c, x):
     return tuple(c * a for a in x)
-
-
-def vec_neg(x):
-    return tuple(-a for a in x)
 
 
 def vec_is_zero(x):
@@ -156,14 +150,6 @@ class BilinearMap:
 
     def is_bound(self):
         return all(isinstance(c, Fraction) for (_, _, _, c) in self.entries)
-
-    def table(self):
-        """Dense product table: table[i][j] is the vector op(e_i, e_j)."""
-        n = self.dim
-        t = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        for (i, j, k, c) in self.entries:
-            t[i][j][k] = require_bound(c)
-        return [[tuple(v) for v in row] for row in t]
 
 
 def bilinear_from_table(dim, fn):
@@ -562,6 +548,146 @@ def _tuples(dim, arity):
 
 
 # ---------------------------------------------------------------------------
+# integer tensors and contraction rows
+
+class IntTensor:
+    """A bound tensor scattered into integers: entries maps the index tuple
+    of each nonzero coefficient to it times scale, the lcm of the denominators."""
+
+    def __init__(self, shape, entries):
+        entries = [(e[:-1], require_bound(e[-1])) for e in entries]
+        self.shape = tuple(shape)
+        self.scale = math.lcm(1, *(c.denominator for _, c in entries))
+        self.entries = {tuple(idx): c.numerator * (self.scale // c.denominator)
+                        for idx, c in entries if c}
+
+    def dense(self):
+        """The tensor as nested int lists."""
+        strides = [math.prod(self.shape[n + 1:]) for n in range(len(self.shape))]
+        out = [0] * math.prod(self.shape)
+        for idx, v in self.entries.items():
+            out[sum(map(mul, idx, strides))] = v
+        for size in reversed(self.shape[1:]):
+            out = [out[p:p + size] for p in range(0, len(out), size)]
+        return out
+
+
+def int_tensor(x):
+    """The IntTensor of a BilinearMap (i, j, k), a LinearMap (row, col) or a
+    family of LinearMaps (member, row, col)."""
+    if isinstance(x, BilinearMap):
+        return IntTensor((x.dim,) * 3, x.entries)
+    if isinstance(x, LinearMap):
+        return IntTensor((x.rows, x.cols), ((r, c, v) for r, row in enumerate(x.m)
+                                            for c, v in enumerate(row)))
+    return IntTensor((len(x), x[0].rows, x[0].cols),
+                     ((p, r, c, v) for p, f in enumerate(x) for r, row in enumerate(f.m)
+                      for c, v in enumerate(row)))
+
+
+TUPLE_LETTERS = "ijkl"
+
+
+def contraction_family(ident, row, tensors, dim):
+    """The (ident, arity, fn) triple of a row (arity, out_shape, terms).
+
+    A term (c, spec, names) is c times the contraction of the named
+    IntTensors by an einsum-like spec such as "ijr,or->ijo": i, j, k, l are
+    basis-tuple positions, the other output letters are the residual's
+    coordinates in row-major order and every other letter is summed (no
+    letter repeats within an operand).  Each term is multiplied by L / s_t,
+    s_t the product of its tensors' scales and L their lcm over the row, so
+    the integer residual is L times the rational one: its zero test is
+    exact, and a nonzero one is returned as Fractions x / L.  Shapes are
+    checked here; the residual table is built on the first fn call.
+    """
+    arity, out_shape, terms = row
+    positions = TUPLE_LETTERS[:arity]
+    compiled = []
+    for c, spec, names in terms:
+        ins, out = spec.split("->")
+        ins, ts = ins.split(","), [tensors[name] for name in names]
+        sizes = dict.fromkeys(positions, dim)
+        for letters, t in zip(ins, ts):
+            if len(letters) != len(t.shape) or any(
+                    sizes.setdefault(x, size) != size for x, size in zip(letters, t.shape)):
+                raise DimensionError("%s: %r does not fit shapes %r"
+                                     % (ident, spec, [t.shape for t in ts]))
+        coords = [x for x in out if x not in TUPLE_LETTERS]
+        if (sorted(set(out) - set(coords)) != list(positions)
+                or [sizes[x] for x in coords] != list(out_shape)):
+            raise DimensionError("%s: %r does not give shape %r" % (ident, spec, out_shape))
+        strides = [(out.index(x), math.prod(out_shape[n + 1:])) for n, x in enumerate(coords)]
+        tup = _getter([out.index(x) for x in positions])
+        compiled.append((c, math.prod(t.scale for t in ts), ins, out, ts, tup, strides))
+    scale = math.lcm(*(term[1] for term in compiled))
+    size = math.prod(out_shape)
+    zero, table = (0,) * size, None
+
+    def residual(*key):
+        nonlocal table
+        if table is None:
+            table = {}
+            for c, s, ins, out, ts, tup, strides in compiled:
+                k = c * (scale // s)
+                for idx, v in _contract(ins, out, [t.entries for t in ts]).items():
+                    d = table.setdefault(tup(idx), {})
+                    f = sum(idx[p] * stride for p, stride in strides)
+                    d[f] = d.get(f, 0) + k * v
+        d = table.get(key)
+        if not d:
+            return zero
+        res = [ZERO] * size
+        for f, v in d.items():
+            res[f] = Fraction(v, scale)
+        return res
+
+    return ident, arity, residual
+
+
+def _getter(positions):
+    """idx -> the tuple of idx's entries at positions."""
+    if len(positions) == 1:
+        p = positions[0]
+        return lambda idx: (idx[p],)
+    return itemgetter(*positions) if positions else lambda idx: ()
+
+
+def _contract(ins, out, operands):
+    """The sparse contraction of the operand dicts, as out-index -> int.
+
+    Operands are taken pairwise, each next one sharing an index with the
+    running result if any remaining one does, which avoids outer products.
+    """
+    order, left, seen = [0], list(range(1, len(ins))), set(ins[0])
+    while left:
+        order.append(next((q for q in left if seen & set(ins[q])), left[0]))
+        left.remove(order[-1])
+        seen |= set(ins[order[-1]])
+    acc, letters = {(): 1}, ""
+    for step, p in enumerate(order):
+        keep = set(out).union(*(ins[q] for q in order[step + 1:]))
+        shared = [x for x in ins[p] if x in letters]
+        head = [x for x in letters if x in keep]
+        new = [x for x in ins[p] if x not in letters and x in keep]
+        key_b, ext_b = (_getter([ins[p].index(x) for x in xs]) for xs in (shared, new))
+        key_a, head_a = (_getter([letters.index(x) for x in xs]) for xs in (shared, head))
+        groups = {}
+        for idx, w in operands[p].items():
+            groups.setdefault(key_b(idx), []).append((ext_b(idx), w))
+        nxt = {}
+        for idx, v in acc.items():
+            group = groups.get(key_a(idx))
+            if group:
+                h = head_a(idx)
+                for e, w in group:
+                    nxt[h + e] = nxt.get(h + e, 0) + v * w
+        acc, letters = nxt, "".join(head + new)
+    final = _getter([letters.index(x) for x in out])
+    return {final(idx): v for idx, v in acc.items()}
+
+
+# ---------------------------------------------------------------------------
 # parameter substitution
 
 def substitute_params(p, binding):
@@ -622,7 +748,7 @@ def _entries_in(doc, dim, params, what):
         if not isinstance(e, dict) or set(e) != {"i", "j", "k", "c"}:
             raise FormatError('%s entry %d: expected {"i","j","k","c"}' % (what, pos))
         i, j, k = e["i"], e["j"], e["k"]
-        if not all(isinstance(v, int) for v in (i, j, k)):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (i, j, k)):
             raise FormatError("%s entry %d: indices must be integers" % (what, pos))
         if not all(0 <= v < dim for v in (i, j, k)):
             raise FormatError("%s entry %d: index out of range for dim %d" % (what, pos, dim))
@@ -634,7 +760,8 @@ def _entries_out(entries):
     return [{"i": i, "j": j, "k": k, "c": _coeff_out(c)} for (i, j, k, c) in entries]
 
 
-def _load(text):
+def _load(text, keys):
+    """The top-level object of a document whose keys are among keys."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -642,6 +769,9 @@ def _load(text):
                           % (exc.lineno, exc.colno, exc.msg)) from None
     if not isinstance(doc, dict):
         raise FormatError("top-level value must be an object")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise FormatError("unknown top-level key(s) %s" % ", ".join(map(repr, unknown)))
     return doc
 
 
@@ -683,7 +813,7 @@ def _common_header(doc):
 
 
 def parse_algebra(text):
-    doc = _load(text)
+    doc = _load(text, ("dim", "params", "basis", "ops", "maps"))
     dim, basis, params = _common_header(doc)
     ops = {}
     for name, raw in _object(doc, "ops").items():
@@ -706,7 +836,7 @@ def serialize_algebra(p):
 
 
 def parse_representation(text):
-    doc = _load(text)
+    doc = _load(text, ("algebra_dim", "dim", "module_dim", "params", "actions", "beta"))
     adim = _positive_int("algebra_dim", doc.get("algebra_dim", doc.get("dim")))
     mdim = _positive_int("module_dim", doc.get("module_dim"))
     params = _params(doc)
@@ -734,7 +864,7 @@ def serialize_representation(rep):
 
 
 def parse_form(text):
-    doc = _load(text)
+    doc = _load(text, ("dim", "params", "basis", "B"))
     dim, _, params = _common_header(doc)
     if "B" not in doc:
         raise FormatError('"B" is required')
@@ -748,7 +878,7 @@ def serialize_form(form):
 
 def parse_o_operator(text):
     """Parse a file holding an O-operator matrix T (rows = dim A, cols = dim V)."""
-    doc = _load(text)
+    doc = _load(text, ("T",))
     if "T" not in doc:
         raise FormatError('"T" is required')
     return _matrix_in(doc["T"], (), "T")
@@ -764,7 +894,7 @@ def parse_comultiplications(text):
     Returns (dim, {name: entries}) with entry (i, j, k, c) meaning the image
     of e_i has e_j (x) e_k coefficient c.
     """
-    doc = _load(text)
+    doc = _load(text, ("dim", "params", "basis", "coops"))
     dim, _, params = _common_header(doc)
     coops = {}
     for name, raw in _object(doc, "coops").items():

@@ -10,7 +10,7 @@ dim^3 for the triple-tensor identity).
 
 from __future__ import annotations
 
-from homstruct.axioms import check_class, resolve_class
+from homstruct.axioms import _morphism_families, check_class
 from homstruct.core import (
     AlgebraPresentation,
     BilinearFormPresentation,
@@ -18,15 +18,14 @@ from homstruct.core import (
     CheckReport,
     ConstructionError,
     DimensionError,
+    IntTensor,
     LinearMap,
     PreconditionError,
     RepresentationPresentation,
-    apply_map,
     basis_vec,
-    eval_bilinear,
+    contraction_family,
+    int_tensor,
     run_identity_families,
-    vec_add,
-    vec_sub,
 )
 from homstruct.matched_pairs import MatchedPairData, build_double, check_matched_pair
 from homstruct.representations import _action_matrices
@@ -105,22 +104,21 @@ def standard_form(n):
 
 
 def check_invariant_form(a, form, max_witnesses=32):
-    """B(x op y, alpha(z)) = B(alpha(x), y op z) for every present op."""
+    """B(x op y, alpha(z)) = B(alpha(x), y op z) for every present op.
+
+    The form's entries are checked for parameters up front.
+    """
     a.require_bound()
     if form.dim != a.dim:
         raise DimensionError("form dimension mismatch")
     n = a.dim
-    e = [basis_vec(n, i) for i in range(n)]
-    al = [apply_map(a.alpha, e[i]) for i in range(n)]
-    fams = []
-    for name in sorted(a.ops):
-        op = a.op(name)
-        fams.append((
-            "invariance:%s" % name, 3,
-            lambda i, j, k, op=op: (
-                form.value(eval_bilinear(op, e[i], e[j]), al[k])
-                - form.value(al[i], eval_bilinear(op, e[j], e[k])),)))
-    return run_identity_families(n, fams, max_witnesses)
+    t = {"alpha": int_tensor(a.alpha), "B": int_tensor(form.B)}
+    t.update((name, int_tensor(a.op(name))) for name in sorted(a.ops))
+    return run_identity_families(n, [contraction_family(
+        "invariance:%s" % name, (3, (), (
+            (1, "ijr,rs,sk->ijk", (name, "B", "alpha")),
+            (-1, "ri,rs,jks->ijk", ("alpha", "B", name)))), t, n)
+        for name in sorted(a.ops)], max_witnesses)
 
 
 def _block_closure_report(double, a, a_star, max_witnesses=32):
@@ -128,17 +126,11 @@ def _block_closure_report(double, a, a_star, max_witnesses=32):
     given products: the double's product of two basis vectors of one block
     is the summand's product, lifted into that block."""
     n = a.dim
-    e = [basis_vec(2 * n, i) for i in range(2 * n)]
-    f = [basis_vec(n, i) for i in range(n)]
     fams = []
     for (alg, off, tag) in ((a, 0, "a"), (a_star, n, "b")):
-        for name in ("dot", "bracket"):
-            fams.append((
-                "block-%s:%s" % (tag, name), 2,
-                lambda i, j, op=double.op(name), sub=alg.op(name), off=off: vec_sub(
-                    eval_bilinear(op, e[off + i], e[off + j]),
-                    (0,) * off + tuple(eval_bilinear(sub, f[i], f[j]))
-                    + (0,) * (n - off))))
+        inclusion = LinearMap.from_columns([basis_vec(2 * n, off + r) for r in range(n)])
+        fams += _morphism_families(alg, double, inclusion, ("dot", "bracket"),
+                                   "block-%s:%%s" % tag, sign=-1)[1]
     return run_identity_families(n, fams, max_witnesses)
 
 
@@ -152,12 +144,7 @@ def check_manin_triple(a, a_star, max_witnesses=32):
     a.require_bound()
     a_star.require_bound()
     double = build_double_dual(a, a_star)
-    n = a.dim
-    form = standard_form(n)
-    assert form.is_symmetric() and form.is_nondegenerate()
-    assert all(form.value(basis_vec(2 * n, i), basis_vec(2 * n, j)) == 0
-               for off in (0, n) for i in range(off, off + n)
-               for j in range(off, off + n))
+    form = standard_form(a.dim)
     subs = {
         "double-transposed": check_class(double, "transposed-hom-poisson",
                                          max_witnesses),
@@ -195,15 +182,6 @@ def comultiplications_from_dual_algebra(a_star):
             for name in sorted(a_star.ops)}
 
 
-def _coop_apply(dim, entries, x):
-    """Image of the vector x as a dim^2 lexicographic coefficient vector."""
-    out = [0] * (dim * dim)
-    for (i, j, k, c) in entries:
-        if x[i]:
-            out[j * dim + k] += c * x[i]
-    return tuple(out)
-
-
 def tensor_map(f, g):
     """Kronecker product acting on lexicographic tensor coordinates."""
     rows = []
@@ -212,49 +190,6 @@ def tensor_map(f, g):
             rows.append([f.m[r1][c1] * g.m[r2][c2]
                          for c1 in range(f.cols) for c2 in range(g.cols)])
     return LinearMap.from_rows(rows)
-
-
-def _apply_coop_slot(dim, entries, t, slot, other):
-    """Apply a coop to one slot of a dim^2 tensor and a map to the other.
-
-    slot 0: t_{jk} e_j (x) e_k -> sum t_{jk} coop(e_j) (x) other(e_k);
-    slot 1: -> sum t_{jk} other(e_j) (x) coop(e_k).  Returns a dim^3 vector.
-    """
-    out = [0] * (dim ** 3)
-    for j in range(dim):
-        for k in range(dim):
-            c = t[j * dim + k]
-            if not c:
-                continue
-            if slot == 0:
-                pair = _coop_apply(dim, entries, basis_vec(dim, j))
-                vec = other.column(k)
-                for pq in range(dim * dim):
-                    if pair[pq]:
-                        p, q = divmod(pq, dim)
-                        for r in range(dim):
-                            if vec[r]:
-                                out[(p * dim + q) * dim + r] += c * pair[pq] * vec[r]
-            else:
-                vec = other.column(j)
-                pair = _coop_apply(dim, entries, basis_vec(dim, k))
-                for p in range(dim):
-                    if vec[p]:
-                        for qr in range(dim * dim):
-                            if pair[qr]:
-                                q, r = divmod(qr, dim)
-                                out[(p * dim + q) * dim + r] += c * vec[p] * pair[qr]
-    return tuple(out)
-
-
-def _swap_first_two(dim, t):
-    """(tau (x) id) on a dim^3 tensor: e_p (x) e_q (x) e_r -> e_q (x) e_p (x) e_r."""
-    out = [0] * (dim ** 3)
-    for p in range(dim):
-        for q in range(dim):
-            for r in range(dim):
-                out[(q * dim + p) * dim + r] = t[(p * dim + q) * dim + r]
-    return tuple(out)
 
 
 def check_bialgebra_conditions(a, coops, max_witnesses=32):
@@ -284,88 +219,53 @@ def check_bialgebra_conditions(a, coops, max_witnesses=32):
             "hom-lie", max_witnesses),
     }
 
-    e = [basis_vec(n, i) for i in range(n)]
-    alpha = a.alpha
-    al = [apply_map(alpha, e[i]) for i in range(n)]
-    S = _action_matrices(a, a.op("dot"))
-    ad = _action_matrices(a, a.op("bracket"))
-    Dd = coops["dot"]
-    Db = coops["bracket"]
-
-    def Sa(x):
-        from homstruct.core import linear_combination
-        return linear_combination(S, x)
-
-    def ada(x):
-        from homstruct.core import linear_combination
-        return linear_combination(ad, x)
-
-    def delta(x):
-        return _coop_apply(n, Db, x)
-
-    def Delta(x):
-        return _coop_apply(n, Dd, x)
-
-    def cocycle(i, j):
-        lhs = delta(eval_bilinear(a.op("bracket"), e[i], e[j]))
-        rhs = vec_sub(
-            apply_map(tensor_map(ada(e[i]), alpha)
-                      + tensor_map(alpha, ada(e[i])), delta(e[j])),
-            apply_map(tensor_map(ada(e[j]), alpha)
-                      + tensor_map(alpha, ada(e[j])), delta(e[i])))
-        return vec_sub(lhs, rhs)
-
-    def infinitesimal(i, j):
-        lhs = Delta(eval_bilinear(a.op("dot"), e[i], e[j]))
-        rhs = vec_add(
-            apply_map(tensor_map(Sa(al[i]), alpha), Delta(e[j])),
-            apply_map(tensor_map(alpha, Sa(al[j])), Delta(e[i])))
-        return vec_sub(lhs, rhs)
-
-    def triple_tensor(i):
-        # (alpha (x) Delta) delta(x)
-        left = _apply_coop_slot(n, Dd, delta(e[i]), 1, alpha)
-        # (delta (x) alpha) Delta(x)
-        r1 = _apply_coop_slot(n, Db, Delta(e[i]), 0, alpha)
-        # (tau (x) id)(alpha (x) delta) Delta(x)
-        r2 = _swap_first_two(n, _apply_coop_slot(n, Db, Delta(e[i]), 1, alpha))
-        return vec_sub(left, vec_add(r1, r2))
-
-    def mixed1(i, j):
-        lhs = delta(eval_bilinear(a.op("dot"), e[i], e[j]))
-        rhs = vec_sub(
-            vec_add(apply_map(tensor_map(Sa(al[j]), alpha), delta(e[i])),
-                    apply_map(tensor_map(Sa(al[i]), alpha), delta(e[j]))),
-            vec_add(apply_map(tensor_map(alpha, ada(e[i])), Delta(e[j])),
-                    apply_map(tensor_map(alpha, ada(e[j])), Delta(e[i]))))
-        return vec_sub(lhs, rhs)
-
-    def mixed2(i, j):
-        lhs = Delta(eval_bilinear(a.op("bracket"), e[i], e[j]))
-        rhs = vec_add(
-            apply_map(tensor_map(ada(al[i]), alpha)
-                      + tensor_map(alpha, ada(al[i])), Delta(e[j])),
-            apply_map(tensor_map(Sa(al[j]), alpha)
-                      - tensor_map(alpha, Sa(al[j])), delta(e[i])))
-        return vec_sub(lhs, rhs)
-
-    fams = [
-        ("bracket-coop-cocycle", 2, cocycle),
-        ("dot-coop-infinitesimal", 2, infinitesimal),
-        ("triple-tensor", 1, triple_tensor),
-        ("mixed-dot-cobracket", 2, mixed1),
-        ("mixed-bracket-coproduct", 2, mixed2),
-    ]
-    fam_report = run_identity_families(
-        n, fams, max_witnesses,
+    t = {"alpha": int_tensor(a.alpha), "dot": int_tensor(a.op("dot")),
+         "br": int_tensor(a.op("bracket")),
+         "Dd": IntTensor((n,) * 3, coops["dot"]), "Db": IntTensor((n,) * 3, coops["bracket"])}
+    # e_i (x) e_j coordinates: p, q (and r); S(x) = x.-, ad(x) = {x,-}
+    out = (n, n)
+    rows = {
+        # delta({x,y}) - (ad(x) (x) a + a (x) ad(x)) delta(y) + (x <-> y)
+        "bracket-coop-cocycle": (2, out, (
+            (1, "ijr,rpq->ijpq", ("br", "Db")),
+            (-1, "iap,qb,jab->ijpq", ("br", "alpha", "Db")),
+            (-1, "pa,ibq,jab->ijpq", ("alpha", "br", "Db")),
+            (1, "jap,qb,iab->ijpq", ("br", "alpha", "Db")),
+            (1, "pa,jbq,iab->ijpq", ("alpha", "br", "Db")))),
+        # Delta(x.y) - (S(a(x)) (x) a) Delta(y) - (a (x) S(a(y))) Delta(x)
+        "dot-coop-infinitesimal": (2, out, (
+            (1, "ijr,rpq->ijpq", ("dot", "Dd")),
+            (-1, "xi,xap,qb,jab->ijpq", ("alpha", "dot", "alpha", "Dd")),
+            (-1, "pa,xj,xbq,iab->ijpq", ("alpha", "alpha", "dot", "Dd")))),
+        # (a (x) Delta) delta(x) - (delta (x) a) Delta(x)
+        #   - (tau (x) id)(a (x) delta) Delta(x)
+        "triple-tensor": (1, (n, n, n), (
+            (1, "iab,pa,bqr->ipqr", ("Db", "alpha", "Dd")),
+            (-1, "iab,apq,rb->ipqr", ("Dd", "Db", "alpha")),
+            (-1, "iab,qa,bpr->ipqr", ("Dd", "alpha", "Db")))),
+        # delta(x.y) - (S(a(y)) (x) a) delta(x) - (S(a(x)) (x) a) delta(y)
+        #   + (a (x) ad(x)) Delta(y) + (a (x) ad(y)) Delta(x)
+        "mixed-dot-cobracket": (2, out, (
+            (1, "ijr,rpq->ijpq", ("dot", "Db")),
+            (-1, "xj,xap,qb,iab->ijpq", ("alpha", "dot", "alpha", "Db")),
+            (-1, "xi,xap,qb,jab->ijpq", ("alpha", "dot", "alpha", "Db")),
+            (1, "pa,ibq,jab->ijpq", ("alpha", "br", "Dd")),
+            (1, "pa,jbq,iab->ijpq", ("alpha", "br", "Dd")))),
+        # Delta({x,y}) - (ad(a(x)) (x) a + a (x) ad(a(x))) Delta(y)
+        #   - (S(a(y)) (x) a - a (x) S(a(y))) delta(x)
+        "mixed-bracket-coproduct": (2, out, (
+            (1, "ijr,rpq->ijpq", ("br", "Dd")),
+            (-1, "xi,xap,qb,jab->ijpq", ("alpha", "br", "alpha", "Dd")),
+            (-1, "pa,xi,xbq,jab->ijpq", ("alpha", "alpha", "br", "Dd")),
+            (-1, "xj,xap,qb,iab->ijpq", ("alpha", "dot", "alpha", "Db")),
+            (1, "pa,xj,xbq,iab->ijpq", ("alpha", "alpha", "dot", "Db")))),
+    }
+    fams = [contraction_family(ident, row, t, n) for ident, row in rows.items()]
+    return run_identity_families(
+        n, fams, max_witnesses, sub_reports=subs,
         notes=("mixed-bracket-coproduct groups the twisted multiplication "
                "terms as a single operator difference acting on the "
                "cobracket",))
-    return CheckReport(witnesses=fam_report.witnesses,
-                       checked=fam_report.checked,
-                       failures=fam_report.failures,
-                       sub_reports=subs,
-                       notes=fam_report.notes)
 
 
 def equivalence_report(a, a_star, max_witnesses=32):

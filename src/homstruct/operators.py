@@ -6,6 +6,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from homstruct.axioms import (
+    CLASS_OPS,
+    _morphism_families,
     check_class,
     check_derivation,
     check_morphism,
@@ -13,8 +15,6 @@ from homstruct.axioms import (
 )
 from homstruct.core import (
     AlgebraPresentation,
-    BilinearMap,
-    CheckReport,
     ConstructionError,
     DimensionError,
     LinearMap,
@@ -23,7 +23,9 @@ from homstruct.core import (
     apply_map,
     basis_vec,
     bilinear_from_table,
+    contraction_family,
     eval_bilinear,
+    int_tensor,
     run_identity_families,
     vec_add,
     vec_sub,
@@ -62,25 +64,25 @@ def check_o_operator(a, rep, T, class_name, max_witnesses=32):
     if not gate.passed:
         raise PreconditionError(
             "actions fail the %s module axioms" % class_name, gate)
-    p = rep.module_dim
-    u = [basis_vec(p, i) for i in range(p)]
-    Tu = [T.column(i) for i in range(p)]
+    t, fams = _o_families(a, rep, T)
+    for name, act in (("dot", "s"), ("bracket", "rho")):
+        if name in CLASS_OPS[class_name]:
+            # T(u) op T(v) - T(act(T(u))v + act(T(v))u), with - for the bracket
+            t[name], t[act] = int_tensor(a.op(name)), int_tensor(rep.action(act))
+            fams.append(contraction_family("o-equation:%s" % name, (2, (a.dim,), (
+                (1, "ai,bj,abo->ijo", ("T", "T", name)),
+                (-1, "xi,xmj,om->ijo", ("T", act, "T")),
+                (1 if act == "rho" else -1, "xj,xmi,om->ijo", ("T", act, "T")))),
+                t, rep.module_dim))
+    return run_identity_families(rep.module_dim, fams, max_witnesses)
 
-    fams = [("twist-intertwine", 1,
-             lambda i: tuple((a.alpha @ T - T @ rep.beta).column(i)))]
-    if class_name in ("comm-hom-assoc", "transposed-hom-poisson"):
-        dot = a.op("dot")
-        fams.append(("o-equation:dot", 2, lambda i, j: vec_sub(
-            eval_bilinear(dot, Tu[i], Tu[j]),
-            apply_map(T, vec_add(apply_map(rep.of("s", Tu[i]), u[j]),
-                                 apply_map(rep.of("s", Tu[j]), u[i]))))))
-    if class_name in ("hom-lie", "transposed-hom-poisson"):
-        br = a.op("bracket")
-        fams.append(("o-equation:bracket", 2, lambda i, j: vec_sub(
-            eval_bilinear(br, Tu[i], Tu[j]),
-            apply_map(T, vec_sub(apply_map(rep.of("rho", Tu[i]), u[j]),
-                                 apply_map(rep.of("rho", Tu[j]), u[i]))))))
-    return run_identity_families(p, fams, max_witnesses)
+
+def _o_families(a, rep, T):
+    """The tensors of an O-operator check and its family alpha T - T beta."""
+    t = {"T": int_tensor(T), "alpha": int_tensor(a.alpha), "beta": int_tensor(rep.beta)}
+    return t, [contraction_family("twist-intertwine", (1, (a.dim,), (
+        (1, "or,ri->io", ("alpha", "T")),
+        (-1, "or,ri->io", ("T", "beta")))), t, rep.module_dim)]
 
 
 def check_rota_baxter(a, R, class_name, max_witnesses=32):
@@ -138,23 +140,16 @@ def o_operator_is_morphism(a, rep, T, class_name="transposed-hom-poisson",
     """
     class_name = resolve_class(class_name)
     induced = induced_products(a, rep, T, class_name, max_witnesses)
-    p = rep.module_dim
-    u = [basis_vec(p, i) for i in range(p)]
-    Tu = [T.column(i) for i in range(p)]
-    fams = [("twist-intertwine", 1,
-             lambda i: tuple((a.alpha @ T - T @ rep.beta).column(i)))]
+    t, fams = _o_families(a, rep, T)
     if "dot" in induced.ops:
-        ind_dot, dot = induced.op("dot"), a.op("dot")
-        fams.append(("morphism:dot", 2, lambda i, j: vec_sub(
-            apply_map(T, eval_bilinear(ind_dot, u[i], u[j])),
-            eval_bilinear(dot, Tu[i], Tu[j]))))
+        fams += _morphism_families(induced, a, T, ("dot",), "morphism:%s")[1]
     if "star" in induced.ops and "bracket" in a.ops:
-        st, br = induced.op("star"), a.op("bracket")
-        fams.append(("morphism:commutator", 2, lambda i, j: vec_sub(
-            apply_map(T, vec_sub(eval_bilinear(st, u[i], u[j]),
-                                 eval_bilinear(st, u[j], u[i]))),
-            eval_bilinear(br, Tu[i], Tu[j]))))
-    return run_identity_families(p, fams, max_witnesses)
+        t["st"], t["br"] = int_tensor(induced.op("star")), int_tensor(a.op("bracket"))
+        fams.append(contraction_family("morphism:commutator", (2, (a.dim,), (
+            (1, "ijr,or->ijo", ("st", "T")),
+            (-1, "jir,or->ijo", ("st", "T")),
+            (-1, "ai,bj,abo->ijo", ("T", "T", "br")))), t, rep.module_dim))
+    return run_identity_families(rep.module_dim, fams, max_witnesses)
 
 
 def compatible_pre_lie_from_invertible(a, rep, T, max_witnesses=32):

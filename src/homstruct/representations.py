@@ -23,7 +23,6 @@ from operator import mul
 
 from homstruct.axioms import (
     CLASS_OPS,
-    _denominator_lcm,
     _exact,
     _Tables,
     check_class,
@@ -37,6 +36,7 @@ from homstruct.core import (
     apply_map,
     basis_vec,
     eval_bilinear,
+    int_tensor,
     run_identity_families,
 )
 
@@ -160,10 +160,10 @@ def _mat_families(n, families, max_witnesses=32, sub_reports=None, notes=()):
     return run_identity_families(n, wrapped, max_witnesses, sub_reports, notes)
 
 
-def _int_matrix(f, scale):
-    """Rows of f times scale as ints; None for the zero matrix."""
-    rows = [[int(c * scale) for c in row] for row in f.m]
-    return rows if any(map(any, rows)) else None
+def _int_matrices(fam):
+    """int_tensor of a family of matrices, as (matrices, scale); None for a zero matrix."""
+    t = int_tensor(fam)
+    return [m if any(map(any, m)) else None for m in t.dense()], t.scale
 
 
 def _combination(vec, mats):
@@ -193,11 +193,8 @@ class _ModuleTables:
         self.size = rep.module_dim ** 2
         self.tables, self.scales = {}, {}
         for act in REP_OPS[cls]:
-            fam = rep.action(act)
-            s = self.scales[act] = _denominator_lcm(c for f in fam for c in f.flat())
-            self.tables[act] = [_int_matrix(f, s) for f in fam]
-        s = self.scales["beta"] = _denominator_lcm(rep.beta.flat())
-        self.tables["beta"] = _int_matrix(rep.beta, s)
+            self.tables[act], self.scales[act] = _int_matrices(rep.action(act))
+        (self.tables["beta"],), self.scales["beta"] = _int_matrices((rep.beta,))
         self._combined = {}
 
     def combined(self, act, op):
@@ -380,7 +377,10 @@ def bimodule_from_morphism(a, b, f, class_name="hom-pre-lie-poisson"):
     """Pull the regular bimodule of b back along a morphism f: a -> b.
 
     s(x) = S_b(f(x)), l(x) = L_b(f(x)), r(x) = R_b(f(x)) acting on b's space
-    with twist b.alpha; the result passes the class's module axioms over a.
+    with twist b.alpha.  The module axioms pull back along a morphism that
+    intertwines the twists, so b's regular bimodule must pass them (it can
+    fail, e.g. when b's twist is not multiplicative); the result then passes
+    the class's module axioms over a.
     """
     from homstruct.core import RepresentationPresentation
     class_name = resolve_class(class_name)
@@ -390,6 +390,10 @@ def bimodule_from_morphism(a, b, f, class_name="hom-pre-lie-poisson"):
     if not gate.passed:
         raise PreconditionError("f is not a morphism", gate)
     reg = regular_representation(b, class_name)
+    gate = check_rep(b, reg, class_name)
+    if not gate.passed:
+        raise PreconditionError(
+            "the regular bimodule of b fails the %s module axioms" % class_name, gate)
     n = a.dim
     actions = {name: tuple(reg.of(name, apply_map(f, basis_vec(n, i)))
                            for i in range(n))

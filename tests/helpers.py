@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 from homstruct import catalog
-from homstruct.axioms import resolve_class
+from homstruct.axioms import _Tables, resolve_class
+from homstruct.duality import tensor_map
+from homstruct.representations import _action_matrices
 from homstruct.core import (
     AlgebraPresentation,
     BilinearMap,
+    DimensionError,
     LinearMap,
     PreconditionError,
     RepresentationPresentation,
@@ -145,13 +148,10 @@ def rand_algebra(rng, n, op_names):
 def rand_rep(rng, algebra_dim, module_dim, names):
     """Random rep with the named actions: every entry of each action matrix
     and of beta drawn, about a third of them zero."""
-    def mat():
-        return LinearMap.from_rows(
-            [[rand_fraction(rng) if rng.random() < 0.7 else F(0)
-              for _ in range(module_dim)] for _ in range(module_dim)])
     return RepresentationPresentation(
         algebra_dim, module_dim,
-        {name: tuple(mat() for _ in range(algebra_dim)) for name in names}, mat())
+        {name: tuple(rand_matrix(rng, module_dim) for _ in range(algebra_dim))
+         for name in names}, rand_matrix(rng, module_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -508,3 +508,339 @@ def closure_dual_hypotheses(a, rep, max_witnesses=32):
          lambda i: beta @ of("rho", e[i]) - of("rho", av[i]) @ beta),
     ]
     return _mat_families(n, fams, max_witnesses)
+
+
+# ---------------------------------------------------------------------------
+# reference checks on Fraction closures: multiplicativity, derivations,
+# morphisms, the four-variable identity, invariant forms, block closure,
+# the bialgebra families and the O-operator families, the evaluation the
+# contraction rows of homstruct.core.contraction_family replaced.  The
+# differential tests require identical reports from both.
+
+def closure_check_multiplicative(a, op_name="all", max_witnesses=32):
+    """alpha(x # y) = alpha(x) # alpha(y) for the named op (or every op)."""
+    a.require_bound()
+    names = sorted(a.ops) if op_name == "all" else [op_name]
+    alpha = a.alpha
+    e = [basis_vec(a.dim, i) for i in range(a.dim)]
+    av = [alpha.column(i) for i in range(a.dim)]
+    fams = []
+    for name in names:
+        op = a.op(name)
+        fams.append((
+            "multiplicative:%s" % name, 2,
+            lambda i, j, op=op: vec_sub(
+                apply_map(alpha, eval_bilinear(op, e[i], e[j])),
+                eval_bilinear(op, av[i], av[j]))))
+    return run_identity_families(a.dim, fams, max_witnesses)
+
+
+def closure_check_derivation(a, op_name, d, commuting_with_alpha=True, max_witnesses=32):
+    """D is a derivation of the named op; optionally D must commute with alpha."""
+    a.require_bound()
+    d.require_bound()
+    if d.rows != a.dim or d.cols != a.dim:
+        raise ValueError("derivation matrix must be dim-square")
+    op = a.op(op_name)
+    n = a.dim
+    e = [basis_vec(n, i) for i in range(n)]
+    fams = [
+        ("leibniz:%s" % op_name, 2,
+         lambda i, j: vec_sub(
+             apply_map(d, eval_bilinear(op, e[i], e[j])),
+             vec_add(eval_bilinear(op, apply_map(d, e[i]), e[j]),
+                     eval_bilinear(op, e[i], apply_map(d, e[j]))))),
+    ]
+    if commuting_with_alpha:
+        alpha = a.alpha
+        fams.append((
+            "commutes-with-twist", 1,
+            lambda i: vec_sub(apply_map(alpha, apply_map(d, e[i])),
+                              apply_map(d, apply_map(alpha, e[i])))))
+    return run_identity_families(n, fams, max_witnesses)
+
+
+def closure_check_morphism(a, b, f, op_names=None, max_witnesses=32):
+    """f is an algebra morphism a -> b on the named ops and intertwines twists."""
+    a.require_bound()
+    b.require_bound()
+    f.require_bound()
+    if f.rows != b.dim or f.cols != a.dim:
+        raise ValueError("morphism matrix must be (dim b) x (dim a)")
+    names = sorted(set(a.ops) & set(b.ops)) if op_names is None else list(op_names)
+    n = a.dim
+    e = [basis_vec(n, i) for i in range(n)]
+    fams = []
+    for name in names:
+        op_a, op_b = a.op(name), b.op(name)
+        fams.append((
+            "morphism:%s" % name, 2,
+            lambda i, j, op_a=op_a, op_b=op_b: vec_sub(
+                apply_map(f, eval_bilinear(op_a, e[i], e[j])),
+                eval_bilinear(op_b, apply_map(f, e[i]), apply_map(f, e[j])))))
+    fams.append((
+        "intertwines-twists", 1,
+        lambda i: vec_sub(apply_map(f, apply_map(a.alpha, e[i])),
+                          apply_map(b.alpha, apply_map(f, e[i])))))
+    return run_identity_families(n, fams, max_witnesses)
+
+
+def closure_transposed_consequences(a, max_witnesses=32):
+    """Derived identities every transposed Hom-Poisson algebra must satisfy.
+
+    cyclic-sum: a(x).{y,z} + a(y).{z,x} + a(z).{x,y} = 0.
+    four-variable (only when alpha = id, otherwise skipped with a note):
+    {x.z, y.t} + {x.t, y.z} = 2 (z.t).{x,y}.
+    """
+    fams = [_Tables(a, ("dot", "bracket")).family("cyclic-sum")]
+    notes = []
+    if a.alpha.is_identity():
+        dot, br = a.op("dot"), a.op("bracket")
+        e = [basis_vec(a.dim, i) for i in range(a.dim)]
+        fams.append((
+            "four-variable", 4,
+            lambda i, j, k, l: vec_sub(
+                vec_add(
+                    eval_bilinear(br, eval_bilinear(dot, e[i], e[k]),
+                                  eval_bilinear(dot, e[j], e[l])),
+                    eval_bilinear(br, eval_bilinear(dot, e[i], e[l]),
+                                  eval_bilinear(dot, e[j], e[k]))),
+                vec_scale(2, eval_bilinear(dot, eval_bilinear(dot, e[k], e[l]),
+                                           eval_bilinear(br, e[i], e[j]))))))
+    else:
+        notes.append("four-variable identity skipped: twist is not the identity")
+    return run_identity_families(a.dim, fams, max_witnesses, notes=notes)
+
+
+def closure_check_invariant_form(a, form, max_witnesses=32):
+    """B(x op y, alpha(z)) = B(alpha(x), y op z) for every present op."""
+    a.require_bound()
+    if form.dim != a.dim:
+        raise DimensionError("form dimension mismatch")
+    n = a.dim
+    e = [basis_vec(n, i) for i in range(n)]
+    al = [apply_map(a.alpha, e[i]) for i in range(n)]
+    fams = []
+    for name in sorted(a.ops):
+        op = a.op(name)
+        fams.append((
+            "invariance:%s" % name, 3,
+            lambda i, j, k, op=op: (
+                form.value(eval_bilinear(op, e[i], e[j]), al[k])
+                - form.value(al[i], eval_bilinear(op, e[j], e[k])),)))
+    return run_identity_families(n, fams, max_witnesses)
+
+
+def closure_block_closure_report(double, a, a_star, max_witnesses=32):
+    """The two summands must be subalgebras of the double restricting to the
+    given products: the double's product of two basis vectors of one block
+    is the summand's product, lifted into that block."""
+    n = a.dim
+    e = [basis_vec(2 * n, i) for i in range(2 * n)]
+    f = [basis_vec(n, i) for i in range(n)]
+    fams = []
+    for (alg, off, tag) in ((a, 0, "a"), (a_star, n, "b")):
+        for name in ("dot", "bracket"):
+            fams.append((
+                "block-%s:%s" % (tag, name), 2,
+                lambda i, j, op=double.op(name), sub=alg.op(name), off=off: vec_sub(
+                    eval_bilinear(op, e[off + i], e[off + j]),
+                    (0,) * off + tuple(eval_bilinear(sub, f[i], f[j]))
+                    + (0,) * (n - off))))
+    return run_identity_families(n, fams, max_witnesses)
+
+
+def _coop_apply(dim, entries, x):
+    """Image of the vector x as a dim^2 lexicographic coefficient vector."""
+    out = [0] * (dim * dim)
+    for (i, j, k, c) in entries:
+        if x[i]:
+            out[j * dim + k] += c * x[i]
+    return tuple(out)
+
+
+def _apply_coop_slot(dim, entries, t, slot, other):
+    """Apply a coop to one slot of a dim^2 tensor and a map to the other.
+
+    slot 0: t_{jk} e_j (x) e_k -> sum t_{jk} coop(e_j) (x) other(e_k);
+    slot 1: -> sum t_{jk} other(e_j) (x) coop(e_k).  Returns a dim^3 vector.
+    """
+    out = [0] * (dim ** 3)
+    for j in range(dim):
+        for k in range(dim):
+            c = t[j * dim + k]
+            if not c:
+                continue
+            if slot == 0:
+                pair = _coop_apply(dim, entries, basis_vec(dim, j))
+                vec = other.column(k)
+                for pq in range(dim * dim):
+                    if pair[pq]:
+                        p, q = divmod(pq, dim)
+                        for r in range(dim):
+                            if vec[r]:
+                                out[(p * dim + q) * dim + r] += c * pair[pq] * vec[r]
+            else:
+                vec = other.column(j)
+                pair = _coop_apply(dim, entries, basis_vec(dim, k))
+                for p in range(dim):
+                    if vec[p]:
+                        for qr in range(dim * dim):
+                            if pair[qr]:
+                                q, r = divmod(qr, dim)
+                                out[(p * dim + q) * dim + r] += c * vec[p] * pair[qr]
+    return tuple(out)
+
+
+def _swap_first_two(dim, t):
+    """(tau (x) id) on a dim^3 tensor: e_p (x) e_q (x) e_r -> e_q (x) e_p (x) e_r."""
+    out = [0] * (dim ** 3)
+    for p in range(dim):
+        for q in range(dim):
+            for r in range(dim):
+                out[(q * dim + p) * dim + r] = t[(p * dim + q) * dim + r]
+    return tuple(out)
+
+
+def closure_bialgebra_families(a, coops, max_witnesses=32):
+    """The five compatibility families of check_bialgebra_conditions, with
+    its note, as closures; the caller checks the gates."""
+    n = a.dim
+    e = [basis_vec(n, i) for i in range(n)]
+    alpha = a.alpha
+    al = [apply_map(alpha, e[i]) for i in range(n)]
+    S = _action_matrices(a, a.op("dot"))
+    ad = _action_matrices(a, a.op("bracket"))
+    Dd = coops["dot"]
+    Db = coops["bracket"]
+
+    def Sa(x):
+        from homstruct.core import linear_combination
+        return linear_combination(S, x)
+
+    def ada(x):
+        from homstruct.core import linear_combination
+        return linear_combination(ad, x)
+
+    def delta(x):
+        return _coop_apply(n, Db, x)
+
+    def Delta(x):
+        return _coop_apply(n, Dd, x)
+
+    def cocycle(i, j):
+        lhs = delta(eval_bilinear(a.op("bracket"), e[i], e[j]))
+        rhs = vec_sub(
+            apply_map(tensor_map(ada(e[i]), alpha)
+                      + tensor_map(alpha, ada(e[i])), delta(e[j])),
+            apply_map(tensor_map(ada(e[j]), alpha)
+                      + tensor_map(alpha, ada(e[j])), delta(e[i])))
+        return vec_sub(lhs, rhs)
+
+    def infinitesimal(i, j):
+        lhs = Delta(eval_bilinear(a.op("dot"), e[i], e[j]))
+        rhs = vec_add(
+            apply_map(tensor_map(Sa(al[i]), alpha), Delta(e[j])),
+            apply_map(tensor_map(alpha, Sa(al[j])), Delta(e[i])))
+        return vec_sub(lhs, rhs)
+
+    def triple_tensor(i):
+        # (alpha (x) Delta) delta(x)
+        left = _apply_coop_slot(n, Dd, delta(e[i]), 1, alpha)
+        # (delta (x) alpha) Delta(x)
+        r1 = _apply_coop_slot(n, Db, Delta(e[i]), 0, alpha)
+        # (tau (x) id)(alpha (x) delta) Delta(x)
+        r2 = _swap_first_two(n, _apply_coop_slot(n, Db, Delta(e[i]), 1, alpha))
+        return vec_sub(left, vec_add(r1, r2))
+
+    def mixed1(i, j):
+        lhs = delta(eval_bilinear(a.op("dot"), e[i], e[j]))
+        rhs = vec_sub(
+            vec_add(apply_map(tensor_map(Sa(al[j]), alpha), delta(e[i])),
+                    apply_map(tensor_map(Sa(al[i]), alpha), delta(e[j]))),
+            vec_add(apply_map(tensor_map(alpha, ada(e[i])), Delta(e[j])),
+                    apply_map(tensor_map(alpha, ada(e[j])), Delta(e[i]))))
+        return vec_sub(lhs, rhs)
+
+    def mixed2(i, j):
+        lhs = Delta(eval_bilinear(a.op("bracket"), e[i], e[j]))
+        rhs = vec_add(
+            apply_map(tensor_map(ada(al[i]), alpha)
+                      + tensor_map(alpha, ada(al[i])), Delta(e[j])),
+            apply_map(tensor_map(Sa(al[j]), alpha)
+                      - tensor_map(alpha, Sa(al[j])), delta(e[i])))
+        return vec_sub(lhs, rhs)
+
+    fams = [
+        ("bracket-coop-cocycle", 2, cocycle),
+        ("dot-coop-infinitesimal", 2, infinitesimal),
+        ("triple-tensor", 1, triple_tensor),
+        ("mixed-dot-cobracket", 2, mixed1),
+        ("mixed-bracket-coproduct", 2, mixed2),
+    ]
+    return run_identity_families(
+        n, fams, max_witnesses,
+        notes=("mixed-bracket-coproduct groups the twisted multiplication "
+               "terms as a single operator difference acting on the "
+               "cobracket",))
+
+
+def closure_o_operator_families(a, rep, T, class_name, max_witnesses=32):
+    """The families of check_o_operator, after its gate, as closures."""
+    p = rep.module_dim
+    u = [basis_vec(p, i) for i in range(p)]
+    Tu = [T.column(i) for i in range(p)]
+
+    fams = [("twist-intertwine", 1,
+             lambda i: tuple((a.alpha @ T - T @ rep.beta).column(i)))]
+    if class_name in ("comm-hom-assoc", "transposed-hom-poisson"):
+        dot = a.op("dot")
+        fams.append(("o-equation:dot", 2, lambda i, j: vec_sub(
+            eval_bilinear(dot, Tu[i], Tu[j]),
+            apply_map(T, vec_add(apply_map(rep.of("s", Tu[i]), u[j]),
+                                 apply_map(rep.of("s", Tu[j]), u[i]))))))
+    if class_name in ("hom-lie", "transposed-hom-poisson"):
+        br = a.op("bracket")
+        fams.append(("o-equation:bracket", 2, lambda i, j: vec_sub(
+            eval_bilinear(br, Tu[i], Tu[j]),
+            apply_map(T, vec_sub(apply_map(rep.of("rho", Tu[i]), u[j]),
+                                 apply_map(rep.of("rho", Tu[j]), u[i]))))))
+    return run_identity_families(p, fams, max_witnesses)
+
+
+def closure_o_morphism_families(a, rep, T, induced, max_witnesses=32):
+    """The families of o_operator_is_morphism on its induced structure, as
+    closures."""
+    p = rep.module_dim
+    u = [basis_vec(p, i) for i in range(p)]
+    Tu = [T.column(i) for i in range(p)]
+    fams = [("twist-intertwine", 1,
+             lambda i: tuple((a.alpha @ T - T @ rep.beta).column(i)))]
+    if "dot" in induced.ops:
+        ind_dot, dot = induced.op("dot"), a.op("dot")
+        fams.append(("morphism:dot", 2, lambda i, j: vec_sub(
+            apply_map(T, eval_bilinear(ind_dot, u[i], u[j])),
+            eval_bilinear(dot, Tu[i], Tu[j]))))
+    if "star" in induced.ops and "bracket" in a.ops:
+        st, br = induced.op("star"), a.op("bracket")
+        fams.append(("morphism:commutator", 2, lambda i, j: vec_sub(
+            apply_map(T, vec_sub(eval_bilinear(st, u[i], u[j]),
+                                 eval_bilinear(st, u[j], u[i]))),
+            eval_bilinear(br, Tu[i], Tu[j]))))
+    return run_identity_families(p, fams, max_witnesses)
+
+
+def rand_coops(rng, n):
+    """Random "dot" and "bracket" comultiplication entries, about a third of
+    the n^3 coefficients zero."""
+    return {name: tuple((i, j, k, rand_fraction(rng))
+                        for i in range(n) for j in range(n) for k in range(n)
+                        if rng.random() < 0.7)
+            for name in ("dot", "bracket")}
+
+
+def rand_matrix(rng, rows, cols=None):
+    """Random matrix, about a third of the entries zero."""
+    return LinearMap.from_rows(
+        [[rand_fraction(rng) if rng.random() < 0.7 else F(0)
+          for _ in range(rows if cols is None else cols)] for _ in range(rows)])

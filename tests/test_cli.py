@@ -282,3 +282,117 @@ def test_malformed_headers_are_format_errors(tmp_path, capsys, alg_changes,
     assert main(argv + (["--params", params] if params else [])) == USAGE
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "Traceback" not in err
+
+
+def test_parser_reuse_gives_the_same_bytes(thp2_file, thp2_reg_file, tmp_path, capsys):
+    """In-process calls on the one cached parser print exactly what the same
+    calls print, each on a freshly built parser."""
+    from homstruct import cli
+    cat_thp2 = tmp_path / "cat.json"
+    cat_thp2.write_text(serialize_algebra(catalog.get("THP2")))
+    calls = [
+        ["check", thp2_file, "--class", "hom-poisson", "--max-witnesses", "1"],
+        ["check", str(cat_thp2), "--class", "transposed-hom-poisson", "--params",
+         "lam=5/2", "--json"],
+        ["checkrep", thp2_file, thp2_reg_file, "--class", "transposed-hom-poisson"],
+        ["check", str(cat_thp2), "--class", "hom-poisson", "--params", "lam=1",
+         "--max-witnesses", "0", "--json"],
+        ["derivations", thp2_file, "--op", "dot"],
+        ["check", thp2_file, "--class", "hom-poisson"],
+        ["catalog", "show", "THP2", "--params", "lam=3"],
+        ["catalog", "show"],
+        ["bogus"],
+        ["dualrep", thp2_file, thp2_reg_file, "--json", "--max-witnesses", "2"],
+        ["check", thp2_file, "--class", "hom-poisson", "--json"],
+    ]
+
+    def run(fresh):
+        out = []
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    reused = run(False)
+    assert [c for c, _, _ in reused] == [FAIL, PASS, PASS, FAIL, PASS, FAIL, PASS, USAGE,
+                                         USAGE, FAIL, FAIL]
+    assert reused == run(True)
+
+
+def test_bialgebra_binds_the_coop_file(thp2_file, tmp_path, capsys):
+    cf = tmp_path / "coops.json"
+    cf.write_text(json.dumps({
+        "dim": 2, "params": ["t"],
+        "coops": {"dot": [{"i": 0, "j": 0, "k": 0, "c": "t"}],
+                  "bracket": [{"i": 1, "j": 0, "k": 1, "c": "-t"}]}}))
+    assert main(["bialgebra", thp2_file, str(cf)]) == USAGE
+    assert "parameter 't' is unbound" in capsys.readouterr().err
+    for value, code in (("0", PASS), ("1", FAIL)):
+        assert main(["bialgebra", thp2_file, str(cf), "--params", "t=" + value]) == code
+    capsys.readouterr()
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"dim": 2, "coops": {"dot": [], "bracket": []}}))
+    assert main(["bialgebra", thp2_file, str(zero), "--json"]) == PASS
+    doc = json.loads(capsys.readouterr().out)
+    assert main(["bialgebra", thp2_file, str(cf), "--params", "t=0", "--json"]) == PASS
+    assert json.loads(capsys.readouterr().out)["witnesses"] == doc["witnesses"] == []
+
+
+_ENTRY = {"i": 0, "j": 0, "k": 0, "c": "1"}
+
+
+@pytest.mark.parametrize("kind, doc", [
+    ("algebra", dict(_ALG1, opz={"dot": []})),
+    ("algebra", dict(_ALG1, ops={"dot": [dict(_ENTRY, i=False)]})),
+    ("rep", dict(_REP1, bta=[["1"]])),
+    ("form", {"dim": 1, "B": [["1"]], "b": [["1"]]}),
+    ("operator", {"T": [["1"]], "R": [["1"]]}),
+    ("coops", {"dim": 1, "coops": {"dot": [], "bracket": []}, "coop": {}}),
+    ("coops", {"dim": 1, "coops": {"dot": [dict(_ENTRY, k=False)], "bracket": []}}),
+])
+def test_unknown_keys_and_boolean_indices_are_format_errors(tmp_path, capsys, kind, doc):
+    from homstruct.core import FormatError, parse_form
+    alg, rep = tmp_path / "alg.json", tmp_path / "rep.json"
+    alg.write_text(json.dumps(_ALG1))
+    rep.write_text(json.dumps(_REP1))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    if kind == "form":
+        with pytest.raises(FormatError, match="unknown top-level key"):
+            parse_form(bad.read_text())
+        return
+    argv = {"algebra": ["check", str(bad), "--class", "comm-hom-assoc"],
+            "rep": ["checkrep", str(alg), str(bad), "--class", "transposed-hom-poisson"],
+            "operator": ["rb", "check", str(alg), str(bad)],
+            "coops": ["bialgebra", str(alg), str(bad)]}[kind]
+    assert main(argv) == USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Traceback" not in err
+
+
+def test_catalog_serializations_still_parse():
+    from homstruct.core import (
+        BilinearFormPresentation,
+        parse_algebra,
+        parse_comultiplications,
+        parse_form,
+        parse_o_operator,
+        parse_representation,
+        serialize_form,
+    )
+    for name in catalog.names():
+        text = serialize_algebra(catalog.get(name))
+        assert serialize_algebra(parse_algebra(text)) == text, name
+    a = catalog.get("THP2", {"lam": F(1)})
+    text = serialize_representation(regular_representation(a, "transposed-hom-poisson"))
+    assert serialize_representation(parse_representation(text)) == text
+    coops = comultiplications_from_dual_algebra(trivial_dual(a))
+    text = serialize_comultiplications(2, coops)
+    assert serialize_comultiplications(*parse_comultiplications(text)) == text
+    text = serialize_o_operator(LinearMap.identity(2))
+    assert serialize_o_operator(parse_o_operator(text)) == text
+    text = serialize_form(BilinearFormPresentation(2, LinearMap.identity(2)))
+    assert serialize_form(parse_form(text)) == text

@@ -1,0 +1,356 @@
+"""Differential tests: every check written as contraction rows against the
+Fraction closure it replaced (tests/helpers.py), plus the evaluator itself."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from homstruct import catalog
+from homstruct.axioms import (
+    CLASS_OPS,
+    check_class,
+    check_derivation,
+    check_morphism,
+    check_multiplicative,
+    check_transposed_consequences,
+)
+from homstruct.core import (
+    AlgebraPresentation,
+    BilinearFormPresentation,
+    BilinearMap,
+    ConstructionError,
+    DimensionError,
+    IntTensor,
+    LinearMap,
+    MissingOperationError,
+    PreconditionError,
+    RepresentationPresentation,
+    UnboundParameterError,
+    contraction_family,
+    int_tensor,
+    run_identity_families,
+)
+from homstruct.duality import (
+    _block_closure_report,
+    build_double_dual,
+    check_bialgebra_conditions,
+    check_invariant_form,
+    comultiplications_from_dual_algebra,
+    standard_form,
+    trivial_dual,
+)
+from homstruct.matched_pairs import zero_representation
+from homstruct.operators import (
+    check_o_operator,
+    derivation_space,
+    induced_products,
+    o_operator_is_morphism,
+)
+from homstruct.representations import check_rep, regular_representation
+
+from helpers import (
+    bound_fixtures,
+    closure_bialgebra_families,
+    closure_block_closure_report,
+    closure_check_derivation,
+    closure_check_invariant_form,
+    closure_check_morphism,
+    closure_check_multiplicative,
+    closure_o_morphism_families,
+    closure_o_operator_families,
+    closure_transposed_consequences,
+    perturbed_fixtures,
+    rand_algebra,
+    rand_coops,
+    rand_matrix,
+    rand_rep,
+)
+
+F = Fraction
+WITNESS_CAPS = (0, 3, 32)
+
+
+def _flat(report):
+    """Everything a report says, with each residual by value and by str."""
+    return (report.checked, report.failures,
+            [(w[0], w[1], w[2], [str(c) for c in w[2]]) for w in report.witnesses],
+            report.notes,
+            [(name, _flat(sub)) for name, sub in report.sub_reports.items()])
+
+
+def _same(new, old):
+    """Compare at every witness cap; returns the verdict."""
+    for mw in WITNESS_CAPS:
+        assert _flat(new(mw)) == _flat(old(mw)), mw
+    return new(32).passed
+
+
+def _algebras():
+    """Bound fixtures, 20 perturbations and dense random algebras at dims
+    1-3 with non-integer ops and alpha (one per class op set)."""
+    out = [a for _, _, a, _ in bound_fixtures()]
+    out += [a for _, a, _ in perturbed_fixtures(20, seed=20261018)]
+    rng = random.Random(6)
+    out += [rand_algebra(rng, n, names) for n in (1, 2, 3)
+            for names in sorted(set(CLASS_OPS.values()))]
+    return out
+
+
+def _transposed():
+    """Algebras with a dot and a bracket: the transposed fixtures, their
+    perturbations and random ones."""
+    return [a for a in _algebras() if {"dot", "bracket"} <= set(a.ops)]
+
+
+def test_multiplicative_matches_closure():
+    verdicts = {_same(lambda mw: check_multiplicative(a, op_name, mw),
+                      lambda mw: closure_check_multiplicative(a, op_name, mw))
+                for a in _algebras() for op_name in ["all"] + sorted(a.ops)}
+    assert verdicts == {True, False}
+
+
+def test_derivation_matches_closure():
+    rng = random.Random(7)
+    verdicts = set()
+    for a in _algebras():
+        op_name = sorted(a.ops)[0]
+        ds = [rand_matrix(rng, a.dim), LinearMap.identity(a.dim)]
+        if a.dim <= 2:
+            ds += derivation_space(a, op_name, commuting_with=None)
+        for d in ds:
+            for commuting in (True, False):
+                verdicts.add(_same(
+                    lambda mw: check_derivation(a, op_name, d, commuting, mw),
+                    lambda mw: closure_check_derivation(a, op_name, d, commuting, mw)))
+    assert verdicts == {True, False}
+
+
+def test_morphism_matches_closure():
+    rng = random.Random(8)
+    verdicts = set()
+    for a in _algebras():
+        for f in (LinearMap.diagonal([F(3)] + [F(1)] * (a.dim - 1)), rand_matrix(rng, a.dim)):
+            for names in (None, sorted(a.ops)[:1]):
+                verdicts.add(_same(lambda mw: check_morphism(a, a, f, names, mw),
+                                   lambda mw: closure_check_morphism(a, a, f, names, mw)))
+    assert verdicts == {True, False}
+    # between algebras of different dimensions
+    for n, m in ((1, 2), (2, 3), (3, 2)):
+        a, b = rand_algebra(rng, n, ("dot", "bracket")), rand_algebra(rng, m, ("dot",))
+        f = rand_matrix(rng, m, n)
+        _same(lambda mw: check_morphism(a, b, f, None, mw),
+              lambda mw: closure_check_morphism(a, b, f, None, mw))
+
+
+def test_transposed_consequences_match_closure():
+    rng = random.Random(9)
+    cases = _transposed()
+    # alpha = id, so that the four-variable family runs
+    cases += [AlgebraPresentation(a.dim, a.ops, {"alpha": LinearMap.identity(a.dim)})
+              for a in cases]
+    cases.append(rand_algebra(rng, 4, ("dot", "bracket")))
+    assert sum(a.alpha.is_identity() for a in cases) > 10
+    verdicts = {_same(lambda mw: check_transposed_consequences(a, mw),
+                      lambda mw: closure_transposed_consequences(a, mw)) for a in cases}
+    assert verdicts == {True, False}
+
+
+def _forms(rng, n):
+    return [BilinearFormPresentation(n, rand_matrix(rng, n)),
+            BilinearFormPresentation(n, LinearMap.identity(n))]
+
+
+def test_invariant_form_matches_closure():
+    rng = random.Random(10)
+    cases = [(a, form) for a in _algebras() for form in _forms(rng, a.dim)]
+    for a in _transposed()[:12]:
+        double = build_double_dual(a, trivial_dual(a)) if _is_transposed(a) else None
+        if double is not None:
+            cases.append((double, standard_form(a.dim)))
+            cases.append((double, BilinearFormPresentation(2 * a.dim,
+                                                           rand_matrix(rng, 2 * a.dim))))
+    verdicts = {_same(lambda mw: check_invariant_form(a, form, mw),
+                      lambda mw: closure_check_invariant_form(a, form, mw))
+                for a, form in cases}
+    assert verdicts == {True, False}
+
+
+def _is_transposed(a):
+    return check_class(a, "transposed-hom-poisson").passed
+
+
+def test_block_closure_matches_closure():
+    rng = random.Random(11)
+    cases = []
+    for a in _transposed():
+        if _is_transposed(a):
+            a_star = trivial_dual(a)
+            cases.append((build_double_dual(a, a_star), a, a_star))
+    for n in (1, 2, 3):
+        a, a_star = (rand_algebra(rng, n, ("dot", "bracket")) for _ in range(2))
+        cases.append((rand_algebra(rng, 2 * n, ("dot", "bracket")), a, a_star))
+    verdicts = {_same(lambda mw: _block_closure_report(double, a, a_star, mw),
+                      lambda mw: closure_block_closure_report(double, a, a_star, mw))
+                for double, a, a_star in cases}
+    assert verdicts == {True, False}
+
+
+def test_bialgebra_families_match_closure():
+    rng = random.Random(12)
+    cases = []
+    for idx, a in enumerate(_transposed()):
+        cases.append((a, rand_coops(rng, a.dim)))
+        if idx % 3 == 0:
+            dual = trivial_dual(a)
+            one = AlgebraPresentation(a.dim, dict(dual.ops, dot=BilinearMap(
+                a.dim, ((0, 0, 0, F(1)),))), dict(dual.maps))
+            cases.append((a, comultiplications_from_dual_algebra(dual)))
+            cases.append((a, comultiplications_from_dual_algebra(one)))
+    failing = set()
+    for a, coops in cases:
+        for mw in WITNESS_CAPS:
+            new = check_bialgebra_conditions(a, coops, mw)
+            old = closure_bialgebra_families(a, coops, mw)
+            assert _flat(new)[:4] == _flat(old)[:4], mw
+        failing.update(w[0] for w in old.witnesses)
+    assert len(failing) == 5
+
+
+def _o_operator_cases():
+    """(a, rep, T, class) with a rep that passes the module axioms."""
+    rng = random.Random(13)
+    out = []
+    for name, _, a, cls in bound_fixtures():
+        for c in ("comm-hom-assoc", "hom-lie", "transposed-hom-poisson"):
+            if not set(CLASS_OPS[c]) <= set(a.ops):
+                continue
+            reg = regular_representation(a, c)
+            if not check_rep(a, reg, c).passed:
+                continue
+            for T in (LinearMap.identity(a.dim), LinearMap.zero(a.dim),
+                      rand_matrix(rng, a.dim)):
+                out.append((a, reg, T, c))
+    # zero actions on modules of other dimensions, with random beta and T
+    for a in _transposed():
+        for p in (1, 2, 3):
+            zero = zero_representation(a.dim, p, rand_matrix(rng, p), ("s", "rho"))
+            out.append((a, zero, rand_matrix(rng, a.dim, p), "transposed-hom-poisson"))
+    # random actions: with zero ops, alpha = 0 and beta = 0 every module
+    # axiom holds, so the gate passes and the o-equations see random s, rho
+    for n, p in ((1, 2), (2, 2), (2, 3), (3, 1)):
+        a = AlgebraPresentation(n, {"dot": BilinearMap(n), "bracket": BilinearMap(n)},
+                                {"alpha": LinearMap.zero(n)})
+        rep = rand_rep(rng, n, p, ("s", "rho"))
+        rep = RepresentationPresentation(n, p, dict(rep.actions), LinearMap.zero(p))
+        for cls in ("comm-hom-assoc", "hom-lie", "transposed-hom-poisson"):
+            out.append((a, rep, rand_matrix(rng, n, p), cls))
+    return out
+
+
+def test_o_operator_families_match_closure():
+    cases = _o_operator_cases()
+    assert len(cases) > 40
+    verdicts = {_same(lambda mw: check_o_operator(a, rep, T, cls, mw),
+                      lambda mw: closure_o_operator_families(a, rep, T, cls, mw))
+                for a, rep, T, cls in cases}
+    assert verdicts == {True, False}
+
+
+def test_o_operator_morphism_families_match_closure():
+    seen = 0
+    for a, rep, T, cls in _o_operator_cases():
+        try:
+            induced = induced_products(a, rep, T, cls)
+        except (PreconditionError, ConstructionError):
+            continue
+        seen += 1
+        _same(lambda mw: o_operator_is_morphism(a, rep, T, cls, mw),
+              lambda mw: closure_o_morphism_families(a, rep, T, induced, mw))
+    assert seen > 10
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as exc:
+        fn(*args)
+    return type(exc.value), exc.value.args
+
+
+def test_check_errors_match_closures():
+    tp2 = catalog.get("TP2")
+    thp2 = catalog.get("THP2")  # unbound lam
+    sq, wide = LinearMap.identity(2), LinearMap.zero(2, 3)
+    no_alpha = AlgebraPresentation(2, dict(tp2.ops))
+    param_form = BilinearFormPresentation(2, LinearMap.from_rows([["t", F(0)], [F(0), F(1)]]))
+    pairs = [
+        # non-square D, missing op, unbound algebra, missing alpha
+        (check_derivation, closure_check_derivation, (tp2, "dot", wide)),
+        (check_derivation, closure_check_derivation, (tp2, "star", sq)),
+        (check_derivation, closure_check_derivation, (thp2, "star", wide)),
+        (check_derivation, closure_check_derivation, (no_alpha, "dot", sq)),
+        # wrong-shape f, missing op, unbound algebra, missing alpha
+        (check_morphism, closure_check_morphism, (tp2, tp2, wide)),
+        (check_morphism, closure_check_morphism, (tp2, tp2, sq, ("star",))),
+        (check_morphism, closure_check_morphism, (tp2, thp2, sq)),
+        (check_morphism, closure_check_morphism, (no_alpha, tp2, sq)),
+        (check_multiplicative, closure_check_multiplicative, (tp2, "star")),
+        (check_multiplicative, closure_check_multiplicative, (thp2,)),
+        (check_multiplicative, closure_check_multiplicative, (no_alpha,)),
+        # form dimension mismatch, unbound algebra, missing alpha, unbound form
+        (check_invariant_form, closure_check_invariant_form,
+         (tp2, BilinearFormPresentation(3))),
+        (check_invariant_form, closure_check_invariant_form,
+         (thp2, BilinearFormPresentation(2))),
+        (check_invariant_form, closure_check_invariant_form,
+         (no_alpha, BilinearFormPresentation(2))),
+        (check_invariant_form, closure_check_invariant_form, (tp2, param_form)),
+    ]
+    for new, old, args in pairs:
+        assert _raised(new, *args) == _raised(old, *args), (new.__name__, args[1:])
+    assert _raised(check_invariant_form, tp2, param_form)[0] is UnboundParameterError
+    # a wrong-shape T, before anything else
+    reg = regular_representation(tp2, "transposed-hom-poisson")
+    assert _raised(check_o_operator, tp2, reg, wide, "transposed-hom-poisson")[0] \
+        is DimensionError
+    # an unbound form raises even where the closure never reads its entry
+    zero = AlgebraPresentation(2, {"dot": BilinearMap(2)}, {"alpha": sq})
+    assert closure_check_invariant_form(zero, param_form).passed
+    with pytest.raises(UnboundParameterError):
+        check_invariant_form(zero, param_form)
+    # unbound comultiplications fail the dual gate before any family runs
+    with pytest.raises(UnboundParameterError):
+        check_bialgebra_conditions(tp2, {"dot": ((0, 0, 0, "t"),), "bracket": ()})
+    with pytest.raises(MissingOperationError):
+        check_bialgebra_conditions(
+            AlgebraPresentation(2, {"dot": tp2.op("dot")}, dict(tp2.maps)),
+            {"dot": (), "bracket": ()})
+
+
+def test_contraction_family_rows():
+    # op(e_i, e_j) for op = e1 e1 = 1/2 e2 on a dim-2 space, against the
+    # tensor contracted with a 1/3-scaled identity: residual (op - op/3)
+    op = int_tensor(BilinearMap(2, ((0, 0, 1, F(1, 2)),)))
+    third = int_tensor(LinearMap.diagonal([F(1, 3), F(1, 3)]))
+    t = {"op": op, "g": third}
+    assert (op.scale, op.entries, third.scale) == (2, {(0, 0, 1): 1}, 3)
+    ident, arity, fn = contraction_family("x", (2, (2,), (
+        (1, "ijo->ijo", ("op",)), (-1, "ijr,or->ijo", ("op", "g")))), t, 2)
+    report = run_identity_families(2, [(ident, arity, fn)])
+    assert report.witnesses == [("x", (0, 0), (F(0), F(1, 3)))]
+    assert report.checked == 4
+    # a summed letter that reaches no operand of the running result is
+    # taken last, and scalar rows have one coordinate
+    g = int_tensor(LinearMap.from_rows([[F(1), F(2)], [F(3), F(4)]]))
+    _, _, fn = contraction_family("tr", (1, (), ((1, "ai,bc,ab->i", ("g", "g", "g")),)),
+                                  {"g": g}, 2)
+    # sum_{a,b,c} g[a][i] g[b][c] g[a][b]
+    want = [sum(g.dense()[a][i] * g.dense()[b][c] * g.dense()[a][b]
+                for a in range(2) for b in range(2) for c in range(2)) for i in range(2)]
+    assert [list(fn(i)) for i in range(2)] == [[F(w)] for w in want]
+    with pytest.raises(DimensionError):
+        contraction_family("bad", (2, (2,), ((1, "ijr,or->ijo", ("op", "w")),)),
+                           {"op": op, "w": int_tensor(LinearMap.zero(2, 3))}, 2)
+    with pytest.raises(DimensionError):
+        contraction_family("bad", (2, (3,), ((1, "ijo->ijo", ("op",)),)), t, 2)
+    with pytest.raises(UnboundParameterError):
+        IntTensor((1,), [(0, "t")])

@@ -82,6 +82,16 @@ def test_standard_form():
         (F(1), F(0), F(0), F(0)), (F(0), F(1), F(0), F(0)))
 
 
+def test_standard_form_is_a_split_pairing():
+    # what check_manin_triple's note states: symmetric, nondegenerate, and
+    # zero on each block
+    for n in (1, 2, 3, 4):
+        f = standard_form(n)
+        assert f.is_symmetric() and f.is_nondegenerate()
+        assert all(f.B.m[i][j] == 0 for off in (0, n) for i in range(off, off + n)
+                   for j in range(off, off + n))
+
+
 def test_invariant_form_abelian():
     a = _abelian()
     d = build_double_dual(a, trivial_dual(a))

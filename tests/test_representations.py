@@ -17,6 +17,7 @@ from homstruct.representations import (
     REP_OPS,
     ConstructionError,
     PreconditionError,
+    bimodule_from_morphism,
     check_rep,
     dual_representation,
     regular_representation,
@@ -293,3 +294,19 @@ def test_check_rep_errors_match_fraction_closures():
         if {"dot", "bracket"} <= set(a.ops) and a.dim == 2:
             assert raised(dual_representation, a, rep) == \
                 raised(closure_dual_hypotheses, a, rep), (cls, expected)
+
+
+def test_bimodule_from_morphism_gates_on_the_regular_bimodule():
+    # PLP2's twist 2 id is not multiplicative, so its regular bimodule fails
+    # the module axioms: a precondition, not a failed construction
+    for a_value in (F(0), F(1), F(-2)):
+        b = catalog.get("PLP2", {"a": a_value})
+        with pytest.raises(PreconditionError) as exc:
+            bimodule_from_morphism(b, b, LinearMap.identity(2))
+        assert exc.value.report is not None and not exc.value.report.passed
+    for name, cls in (("CA2a", "comm-hom-assoc"), ("CA3a", "comm-hom-assoc"),
+                      ("TP2", "transposed-hom-poisson"),
+                      ("THP2", "transposed-hom-poisson")):
+        b = catalog.get(name, {"lam": F(1)} if name == "THP2" else None)
+        rep = bimodule_from_morphism(b, b, LinearMap.identity(b.dim), cls)
+        assert check_rep(b, rep, cls).passed, name
