@@ -13,6 +13,7 @@ zero test is exact.  Witness residuals are divided back into Fractions.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import mul
 
@@ -112,8 +113,8 @@ def _exact(acc, scale):
 class _Tables:
     """Integer tables of one bound presentation, shared by one check's families.
 
-    ops[name][i][j] is op(e_i, e_j) times scales[name]; alpha[x] is a(e_x)
-    times alpha_scale.
+    ops[name][i][j] is op(e_i, e_j), evaluated by eval_bilinear, times
+    scales[name]; alpha[x] is a(e_x) times alpha_scale.
     """
 
     def __init__(self, a, op_names):
@@ -125,10 +126,13 @@ class _Tables:
                                  % (f.rows, f.cols, n, n))
         t = int_tensor(f)
         self.alpha, self.alpha_scale = [list(col) for col in zip(*t.dense())], t.scale
+        e = [[int(b == i) for i in range(n)] for b in range(n)]
         self.ops, self.scales = {}, {}
         for name in op_names:
-            t = int_tensor(a.op(name))
-            self.ops[name], self.scales[name] = t.dense(), t.scale
+            op = a.op(name)
+            s = self.scales[name] = math.lcm(1, *(c.denominator for *_, c in op.entries))
+            self.ops[name] = [[[int(v * s) for v in eval_bilinear(op, x, y)] for y in e]
+                              for x in e]
         self._nonzero = {}
         self._twisted = {}
 

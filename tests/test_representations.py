@@ -296,7 +296,7 @@ def test_check_rep_errors_match_fraction_closures():
                 raised(closure_dual_hypotheses, a, rep), (cls, expected)
 
 
-def test_bimodule_from_morphism_gates_on_the_regular_bimodule():
+def test_bimodule_from_morphism_gates_on_the_pulled_back_bimodule():
     # PLP2's twist 2 id is not multiplicative, so its regular bimodule fails
     # the module axioms: a precondition, not a failed construction
     for a_value in (F(0), F(1), F(-2)):
@@ -310,3 +310,8 @@ def test_bimodule_from_morphism_gates_on_the_regular_bimodule():
         b = catalog.get(name, {"lam": F(1)} if name == "THP2" else None)
         rep = bimodule_from_morphism(b, b, LinearMap.identity(b.dim), cls)
         assert check_rep(b, rep, cls).passed, name
+    # f = 0 intertwines the twists, and the zero bimodule it pulls back passes
+    for a_value in (F(0), F(1), F(-2)):
+        b = catalog.get("PLP2", {"a": a_value})
+        rep = bimodule_from_morphism(b, b, LinearMap.zero(2, 2))
+        assert check_rep(b, rep, "hom-pre-lie-poisson").passed
