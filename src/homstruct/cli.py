@@ -384,8 +384,7 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser():
-    """The argument parser, built once per process: parse_args keeps no
-    state in it between calls."""
+    """The argument parser, built once per process (parse_args keeps no state in it)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--params", default="", help="k=v,... parameter binding")
     common.add_argument("--json", action="store_true")

@@ -144,11 +144,9 @@ def check_manin_triple(a, a_star, max_witnesses=32):
     a.require_bound()
     a_star.require_bound()
     double = build_double_dual(a, a_star)
-    n = a.dim
-    form = standard_form(n)
+    form, n = standard_form(a.dim), a.dim
     assert form.is_symmetric() and form.is_nondegenerate()
-    assert all(form.B.m[i][j] == 0 for off in (0, n) for i in range(off, off + n)
-               for j in range(off, off + n))
+    assert not any(form.B.m[o + i][o + j] for o in (0, n) for i in range(n) for j in range(n))
     subs = {
         "double-transposed": check_class(double, "transposed-hom-poisson",
                                          max_witnesses),

@@ -377,11 +377,9 @@ def bimodule_from_morphism(a, b, f, class_name="hom-pre-lie-poisson"):
     """Pull the regular bimodule of b back along a morphism f: a -> b.
 
     s(x) = S_b(f(x)), l(x) = L_b(f(x)), r(x) = R_b(f(x)) acting on b's space
-    with twist b.alpha.  The result is returned only if it passes the class's
-    module axioms over a; otherwise PreconditionError carries that report.
-    A passing regular bimodule of b suffices (the axioms pull back along a
-    morphism that intertwines the twists) but is not needed: f = 0 gives the
-    zero bimodule, which passes.
+    with twist b.alpha, returned if it passes the class's module axioms over a
+    (PreconditionError with that report if not).  A passing regular bimodule
+    of b suffices but is not needed: f = 0 gives the zero bimodule.
     """
     from homstruct.core import RepresentationPresentation
     class_name = resolve_class(class_name)
