@@ -382,13 +382,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def non_negative_int(text):
+    """An option value that must be a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("%r is negative" % text)
+    return value
+
+
 @functools.cache
 def _build_parser():
     """The argument parser, built once per process (parse_args keeps no state in it)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--params", default="", help="k=v,... parameter binding")
     common.add_argument("--json", action="store_true")
-    common.add_argument("--max-witnesses", type=int, default=32)
+    common.add_argument("--max-witnesses", type=non_negative_int, default=32)
     common.add_argument("-o", dest="output", default=None, metavar="FILE")
 
     def with_class(p, required=True):

@@ -18,15 +18,15 @@ from homstruct.axioms import (
     resolve_class,
 )
 from homstruct.core import (
+    ONE,
     AlgebraPresentation,
     ConstructionError,
+    IntTensor,
     LinearMap,
     PreconditionError,
-    apply_map,
-    basis_vec,
-    bilinear_from_table,
-    eval_bilinear,
-    vec_sub,
+    bilinear_from_terms,
+    int_tensor,
+    maps_from_terms,
 )
 
 
@@ -45,16 +45,12 @@ def _assert_closure(a, class_name, what):
     return a
 
 
-def _compose_ops(a, g, op_names=None):
+def _compose_ops(a, g, op_names):
     """Replace each op by g o op."""
-    names = sorted(a.ops) if op_names is None else op_names
-    e = [basis_vec(a.dim, i) for i in range(a.dim)]
-    out = {}
-    for name in names:
-        op = a.op(name)
-        out[name] = bilinear_from_table(
-            a.dim, lambda i, j, op=op: apply_map(g, eval_bilinear(op, e[i], e[j])))
-    return out
+    t = {"g": int_tensor(g)}
+    t.update((name, int_tensor(a.op(name))) for name in op_names)
+    return {name: bilinear_from_terms(a.dim, ((1, "ijr,kr->ijk", (name, "g")),), t)
+            for name in op_names}
 
 
 def yau_twist(a, g, class_name):
@@ -126,10 +122,10 @@ def alpha_h_twist(a, h):
         raise PreconditionError("alpha_h_twist requires the identity twist on input")
     _require(check_class(a, "transposed-hom-poisson"),
              "input is not a transposed Poisson algebra")
-    dot = a.op("dot")
-    h = tuple(Fraction(c) for c in h)
-    alpha_h = LinearMap.from_columns(
-        [eval_bilinear(dot, h, basis_vec(a.dim, j)) for j in range(a.dim)])
+    t = {"h": IntTensor((len(h),), ((x, Fraction(c)) for x, c in enumerate(h))),
+         "dot": int_tensor(a.op("dot"))}
+    # column j of alpha_h is h.e_j
+    alpha_h = maps_from_terms((a.dim, a.dim), ((1, "x,xjk->kj", ("h", "dot")),), t)
     maps = dict(a.maps)
     maps["alpha"] = alpha_h
     out = AlgebraPresentation(a.dim, dict(a.ops), maps, a.basis)
@@ -148,11 +144,9 @@ def bracket_from_derivation(a, d):
     _require(check_derivation(a, "dot", d),
              "D is not a derivation commuting with the twist")
     dot = a.op("dot")
-    e = [basis_vec(a.dim, i) for i in range(a.dim)]
-    bracket = bilinear_from_table(
-        a.dim,
-        lambda i, j: vec_sub(eval_bilinear(dot, e[i], apply_map(d, e[j])),
-                             eval_bilinear(dot, apply_map(d, e[i]), e[j])))
+    bracket = bilinear_from_terms(a.dim, (
+        (1, "rj,irk->ijk", ("D", "dot")),
+        (-1, "ri,rjk->ijk", ("D", "dot"))), {"D": int_tensor(d), "dot": int_tensor(dot)})
     out = AlgebraPresentation(a.dim, {"dot": dot, "bracket": bracket},
                               dict(a.maps), a.basis)
     return _assert_closure(out, "transposed-hom-poisson", "bracket_from_derivation")
@@ -173,12 +167,10 @@ def bracket_from_two_derivations(a, d1, d2):
     if d1 @ d2 != d2 @ d1:
         raise PreconditionError("D1 and D2 do not commute")
     dot = a.op("dot")
-    e = [basis_vec(a.dim, i) for i in range(a.dim)]
-    bracket = bilinear_from_table(
-        a.dim,
-        lambda i, j: vec_sub(
-            eval_bilinear(dot, apply_map(d1, e[i]), apply_map(d2, e[j])),
-            eval_bilinear(dot, apply_map(d1, e[j]), apply_map(d2, e[i]))))
+    bracket = bilinear_from_terms(a.dim, (
+        (1, "ai,bj,abk->ijk", ("D1", "D2", "dot")),
+        (-1, "aj,bi,abk->ijk", ("D1", "D2", "dot"))),
+        {"D1": int_tensor(d1), "D2": int_tensor(d2), "dot": int_tensor(dot)})
     out = AlgebraPresentation(a.dim, {"dot": dot, "bracket": bracket},
                               dict(a.maps), a.basis)
     return _assert_closure(out, "hom-poisson", "bracket_from_two_derivations")
@@ -200,40 +192,30 @@ def tensor_product(a1, a2, class_name):
                  "tensor factor is not in class %s" % class_name)
     n1, n2 = a1.dim, a2.dim
     dim = n1 * n2
-    e1 = [basis_vec(n1, i) for i in range(n1)]
-    e2 = [basis_vec(n2, i) for i in range(n2)]
+    # P[I][i1][i2] = 1 for I = i1*n2 + i2
+    t = {"P": IntTensor((dim, n1, n2), ((i1 * n2 + i2, i1, i2, ONE)
+                                        for i1 in range(n1) for i2 in range(n2))),
+         "1:alpha": int_tensor(a1.alpha), "2:alpha": int_tensor(a2.alpha)}
+    for name in CLASS_OPS[class_name]:
+        t["1:" + name], t["2:" + name] = int_tensor(a1.op(name)), int_tensor(a2.op(name))
 
-    def kron_vec(u, v):
-        return tuple(u[i] * v[j] for i in range(n1) for j in range(n2))
-
-    def product(opname1, opname2):
-        p1, p2 = a1.op(opname1), a2.op(opname2)
-
-        def fn(I, J):
-            i1, i2 = divmod(I, n2)
-            j1, j2 = divmod(J, n2)
-            return kron_vec(eval_bilinear(p1, e1[i1], e1[j1]),
-                            eval_bilinear(p2, e2[i2], e2[j2]))
-        return fn
-
-    def add_fns(f, g):
-        return lambda I, J: tuple(x + y for x, y in zip(f(I, J), g(I, J)))
+    def product(*pairs):
+        return bilinear_from_terms(dim, [
+            (1, "Iac,Jbd,abx,cdy,Kxy->IJK", ("P", "P", "1:" + p1, "2:" + p2, "P"))
+            for p1, p2 in pairs], t)
 
     ops = {}
     if "dot" in CLASS_OPS[class_name]:
-        ops["dot"] = bilinear_from_table(dim, product("dot", "dot"))
+        ops["dot"] = product(("dot", "dot"))
     if class_name == "transposed-hom-poisson":
-        ops["bracket"] = bilinear_from_table(
-            dim, add_fns(product("bracket", "dot"), product("dot", "bracket")))
+        ops["bracket"] = product(("bracket", "dot"), ("dot", "bracket"))
     if class_name == "hom-pre-lie-poisson":
-        ops["star"] = bilinear_from_table(
-            dim, add_fns(product("star", "dot"), product("dot", "star")))
+        ops["star"] = product(("star", "dot"), ("dot", "star"))
     if not ops:
         raise PreconditionError("tensor_product supports the commutative, "
                                 "transposed and pre-Lie Poisson classes")
-    alpha = LinearMap.from_columns(
-        [kron_vec(a1.alpha.column(i1), a2.alpha.column(i2))
-         for i1 in range(n1) for i2 in range(n2)])
+    alpha = maps_from_terms((dim, dim), (
+        (1, "Kxy,xa,yc,Iac->KI", ("P", "1:alpha", "2:alpha", "P")),), t)
     out = AlgebraPresentation(dim, ops, {"alpha": alpha})
     return _assert_closure(out, class_name, "tensor_product")
 
@@ -248,12 +230,9 @@ def sub_adjacent(a):
     has_dot = "dot" in a.ops
     cls_in = "hom-pre-lie-poisson" if has_dot else "hom-pre-lie"
     _require(check_class(a, cls_in), "input is not in class %s" % cls_in)
-    st = a.op("star")
-    e = [basis_vec(a.dim, i) for i in range(a.dim)]
-    bracket = bilinear_from_table(
-        a.dim,
-        lambda i, j: vec_sub(eval_bilinear(st, e[i], e[j]),
-                             eval_bilinear(st, e[j], e[i])))
+    bracket = bilinear_from_terms(a.dim, (
+        (1, "ijk->ijk", ("star",)),
+        (-1, "jik->ijk", ("star",))), {"star": int_tensor(a.op("star"))})
     ops = {"bracket": bracket}
     if has_dot:
         ops["dot"] = a.op("dot")

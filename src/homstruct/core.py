@@ -26,6 +26,11 @@ NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# The largest dim, algebra_dim or module_dim a document may declare.  A
+# declared dim sizes the basis names and the dense dim^3 tables before any
+# entry is read; at 64 an op's table has 262,144 cells.
+MAX_DIM = 64
+
 
 class FormatError(ValueError):
     """A document does not conform to the interchange format."""
@@ -100,18 +105,6 @@ def basis_vec(n, i):
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def vec_add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vec_sub(x, y):
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def vec_scale(c, x):
-    return tuple(c * a for a in x)
-
-
 def vec_is_zero(x):
     return all(a == 0 for a in x)
 
@@ -150,18 +143,6 @@ class BilinearMap:
 
     def is_bound(self):
         return all(isinstance(c, Fraction) for (_, _, _, c) in self.entries)
-
-
-def bilinear_from_table(dim, fn):
-    """Build a BilinearMap from a function (i, j) -> coefficient vector."""
-    entries = []
-    for i in range(dim):
-        for j in range(dim):
-            v = fn(i, j)
-            for k, c in enumerate(v):
-                if c != 0:
-                    entries.append((i, j, k, c))
-    return BilinearMap(dim, tuple(entries))
 
 
 def eval_bilinear(op, x, y):
@@ -327,15 +308,6 @@ class LinearMap:
                     f = m[r][c]
                     m[r] = [v - f * w for v, w in zip(m[r], m[c])]
         return LinearMap.from_rows([row[n:] for row in m])
-
-
-def apply_map(f, x):
-    """Matrix-vector product under the column convention."""
-    if len(x) != f.cols:
-        raise DimensionError("vector length %d does not match cols %d" % (len(x), f.cols))
-    return tuple(
-        sum((require_bound(f.m[r][c]) * x[c] for c in range(f.cols) if x[c]), ZERO)
-        for r in range(f.rows))
 
 
 def block_diag(f, g):
@@ -518,7 +490,10 @@ def run_identity_families(dim, families, max_witnesses=32, sub_reports=None, not
 
     families: iterable of (identity_id, arity, fn) where fn maps a basis index
     tuple to a residual coefficient vector (zero means the identity holds).
+    At most max_witnesses (>= 0) witnesses are kept.
     """
+    if max_witnesses < 0:
+        raise ValueError("max_witnesses must be >= 0, got %d" % max_witnesses)
     witnesses = []
     checked = 0
     failures = 0
@@ -585,42 +560,92 @@ def int_tensor(x):
                       for c, v in enumerate(row)))
 
 
+def contract(shape, terms, tensors):
+    """The exact sum of terms (c, spec, names) as {index: Fraction}, nonzero
+    entries only.
+
+    A term is c times the contraction of the named IntTensors by an
+    einsum-like spec such as "ijr,kr->ijk": the output letters index the
+    result, of the given shape, and every other letter is summed (no letter
+    repeats within an operand).  Each term is multiplied by L / s_t, s_t the
+    product of its tensors' scales and L their lcm over the terms, so the
+    integer sum is L times the rational one.  A spec that does not fit its
+    tensors' shapes or the output shape raises DimensionError.
+    """
+    return _exact_sum(_compile(shape, terms, tensors))
+
+
+def _compile(shape, terms, tensors):
+    """The terms as (c, s_t, operand letters, output letters, operand entries),
+    their shapes checked."""
+    compiled = []
+    for c, spec, names in terms:
+        ins, out = spec.split("->")
+        ins, ts = ins.split(","), [tensors[name] for name in names]
+        sizes = dict(zip(out, shape))
+        if len(out) != len(shape) or any(
+                len(letters) != len(t.shape) or any(
+                    sizes.setdefault(x, size) != size for x, size in zip(letters, t.shape))
+                for letters, t in zip(ins, ts)):
+            raise DimensionError("%r does not fit shapes %r with output shape %r"
+                                 % (spec, [t.shape for t in ts], tuple(shape)))
+        compiled.append((c, math.prod(t.scale for t in ts), ins, out, [t.entries for t in ts]))
+    return compiled
+
+
+def _exact_sum(compiled):
+    scale = math.lcm(*(term[1] for term in compiled))
+    acc = {}
+    for c, s, ins, out, operands in compiled:
+        k = c * (scale // s)
+        for idx, v in _contract(ins, out, operands).items():
+            acc[idx] = acc.get(idx, 0) + k * v
+    return {idx: Fraction(v, scale) for idx, v in acc.items() if v}
+
+
+def bilinear_from_terms(dim, terms, tensors):
+    """The BilinearMap whose (i, j, k) constant is the contracted sum."""
+    return BilinearMap(dim, tuple(
+        idx + (c,) for idx, c in contract((dim,) * 3, terms, tensors).items()))
+
+
+def maps_from_terms(shape, terms, tensors):
+    """The contracted sum as a LinearMap of shape (rows, cols), or as a family
+    of LinearMaps for shape (members, rows, cols)."""
+    sums = contract(shape, terms, tensors)
+    *members, rows, cols = shape
+
+    def matrix(*p):
+        return LinearMap.from_rows([[sums.get(p + (r, c), ZERO) for c in range(cols)]
+                                    for r in range(rows)])
+    return tuple(matrix(p) for p in range(members[0])) if members else matrix()
+
+
 TUPLE_LETTERS = "ijkl"
 
 
 def contraction_family(ident, row, tensors, dim):
     """The (ident, arity, fn) triple of a row (arity, out_shape, terms).
 
-    A term (c, spec, names) is c times the contraction of the named
-    IntTensors by an einsum-like spec such as "ijr,or->ijo": i, j, k, l are
-    basis-tuple positions, the other output letters are the residual's
-    coordinates in row-major order and every other letter is summed (no
-    letter repeats within an operand).  Each term is multiplied by L / s_t,
-    s_t the product of its tensors' scales and L their lcm over the row, so
-    the integer residual is L times the rational one: its zero test is
-    exact, and a nonzero one is returned as Fractions x / L.  Shapes are
-    checked here; the residual table is built on the first fn call.
+    The terms are contract's, with i, j, k, l the basis-tuple positions and
+    the other output letters the residual's coordinates in row-major order.
+    The residual is contract's exact sum, so its zero test is exact.  Shapes
+    are checked here; the residual table is built on the first fn call.
     """
     arity, out_shape, terms = row
     positions = TUPLE_LETTERS[:arity]
-    compiled = []
+    canonical = []
     for c, spec, names in terms:
         ins, out = spec.split("->")
-        ins, ts = ins.split(","), [tensors[name] for name in names]
-        sizes = dict.fromkeys(positions, dim)
-        for letters, t in zip(ins, ts):
-            if len(letters) != len(t.shape) or any(
-                    sizes.setdefault(x, size) != size for x, size in zip(letters, t.shape)):
-                raise DimensionError("%s: %r does not fit shapes %r"
-                                     % (ident, spec, [t.shape for t in ts]))
-        coords = [x for x in out if x not in TUPLE_LETTERS]
-        if (sorted(set(out) - set(coords)) != list(positions)
-                or [sizes[x] for x in coords] != list(out_shape)):
+        coords = "".join(x for x in out if x not in TUPLE_LETTERS)
+        if sorted(set(out) - set(coords)) != list(positions):
             raise DimensionError("%s: %r does not give shape %r" % (ident, spec, out_shape))
-        strides = [(out.index(x), math.prod(out_shape[n + 1:])) for n, x in enumerate(coords)]
-        tup = _getter([out.index(x) for x in positions])
-        compiled.append((c, math.prod(t.scale for t in ts), ins, out, ts, tup, strides))
-    scale = math.lcm(*(term[1] for term in compiled))
+        canonical.append((c, "%s->%s%s" % (ins, positions, coords), names))
+    try:
+        compiled = _compile((dim,) * arity + tuple(out_shape), canonical, tensors)
+    except DimensionError as exc:
+        raise DimensionError("%s: %s" % (ident, exc)) from None
+    strides = [math.prod(out_shape[n + 1:]) for n in range(len(out_shape))]
     size = math.prod(out_shape)
     zero, table = (0,) * size, None
 
@@ -628,18 +653,14 @@ def contraction_family(ident, row, tensors, dim):
         nonlocal table
         if table is None:
             table = {}
-            for c, s, ins, out, ts, tup, strides in compiled:
-                k = c * (scale // s)
-                for idx, v in _contract(ins, out, [t.entries for t in ts]).items():
-                    d = table.setdefault(tup(idx), {})
-                    f = sum(idx[p] * stride for p, stride in strides)
-                    d[f] = d.get(f, 0) + k * v
+            for idx, v in _exact_sum(compiled).items():
+                table.setdefault(idx[:arity], {})[sum(map(mul, idx[arity:], strides))] = v
         d = table.get(key)
         if not d:
             return zero
         res = [ZERO] * size
         for f, v in d.items():
-            res[f] = Fraction(v, scale)
+            res[f] = v
         return res
 
     return ident, arity, residual
@@ -783,8 +804,11 @@ def _object(doc, key):
 
 
 def _positive_int(key, value):
+    """A dimension read from a document: a positive integer up to MAX_DIM."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise FormatError('"%s" must be a positive integer' % key)
+    if value > MAX_DIM:
+        raise FormatError('"%s" must be at most %d' % (key, MAX_DIM))
     return value
 
 

@@ -25,10 +25,10 @@ from homstruct.core import (
     basis_vec,
     contraction_family,
     int_tensor,
+    maps_from_terms,
     run_identity_families,
 )
 from homstruct.matched_pairs import MatchedPairData, build_double, check_matched_pair
-from homstruct.representations import _action_matrices
 
 
 def dual_map(f):
@@ -43,8 +43,11 @@ def coadjoint_actions(alg, beta=None):
     (the two conventions deliberately differ), with module twist alpha^T
     unless beta is given.
     """
-    s = tuple(-M.transpose() for M in _action_matrices(alg, alg.op("dot")))
-    rho = tuple(M.transpose() for M in _action_matrices(alg, alg.op("bracket")))
+    n = alg.dim
+    t = {"dot": int_tensor(alg.op("dot")), "br": int_tensor(alg.op("bracket"))}
+    # S(x)^T[r][c] = (x.e_r)_c and ad(x)^T[r][c] = {x, e_r}_c
+    s = maps_from_terms((n, n, n), ((-1, "xrc->xrc", ("dot",)),), t)
+    rho = maps_from_terms((n, n, n), ((1, "xrc->xrc", ("br",)),), t)
     if beta is None:
         beta = alg.alpha.transpose()
     return RepresentationPresentation(alg.dim, alg.dim, {"s": s, "rho": rho}, beta)
@@ -154,6 +157,7 @@ def check_manin_triple(a, a_star, max_witnesses=32):
         "invariant-form": check_invariant_form(double, form, max_witnesses),
     }
     return CheckReport(
+        checked=sum(sub.checked for sub in subs.values()),
         sub_reports=subs,
         notes=("standard pairing symmetry, nondegeneracy and isotropy of "
                "both blocks hold by construction",))

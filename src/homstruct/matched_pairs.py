@@ -14,16 +14,13 @@ from dataclasses import dataclass
 from homstruct.axioms import CLASS_OPS, check_class, resolve_class
 from homstruct.core import (
     AlgebraPresentation,
+    BilinearMap,
     CheckReport,
     LinearMap,
     PreconditionError,
     RepresentationPresentation,
     basis_vec,
-    bilinear_from_table,
     block_diag,
-    eval_bilinear,
-    vec_add,
-    vec_sub,
 )
 from homstruct.representations import check_rep
 
@@ -57,7 +54,6 @@ def zero_representation(algebra_dim, module_dim, beta, names):
 
 
 def zero_algebra(dim, alpha, op_names):
-    from homstruct.core import BilinearMap
     return AlgebraPresentation(
         dim, {name: BilinearMap(dim) for name in op_names}, {"alpha": alpha})
 
@@ -86,13 +82,20 @@ def block_swap_map(n, p):
     return LinearMap.from_columns(cols)
 
 
+# op -> (left action, right action, sign of the right one) in the double's
+# cross products: x op u = left(x)u + sign right(u)x for x and u in
+# different summands
+CROSS_ACTIONS = {"dot": ("s", "s", 1), "bracket": ("rho", "rho", -1), "star": ("l", "r", 1)}
+
+
 def build_double(mp, class_name, check_actions=True):
     """The class structure on A (+) B (A block first) defined by the actions.
 
     dot:      x.b = s_A(x)b + s_B(b)x
     bracket:  [x,b] = rho_A(x)b - rho_B(b)x   (and skew for [a,y])
     star:     x*b = l_A(x)b + r_B(b)x,  a*y = r_A(y)a + l_B(a)y
-    Twist is alpha_A (+) alpha_B.
+    Twist is alpha_A (+) alpha_B.  The ops are a block scatter of both op
+    tables and the action matrices.
     """
     class_name = resolve_class(class_name)
     a, b = mp.algebra_a, mp.algebra_b
@@ -106,73 +109,25 @@ def build_double(mp, class_name, check_actions=True):
                 raise PreconditionError(
                     "%s fails the %s module axioms" % (tag, class_name), gate)
     n, p = a.dim, b.dim
-    dim = n + p
-    ea = [basis_vec(n, i) for i in range(n)]
-    eb = [basis_vec(p, i) for i in range(p)]
-    ab, ba = mp.actions_ab, mp.actions_ba
 
-    def lift_a(x):
-        return tuple(x) + (0,) * p
-
-    def lift_b(u):
-        return (0,) * n + tuple(u)
-
-    def actions(rep, name):
-        """The named action family, bound: no parameter name enters the double."""
-        fam = rep.action(name)
-        for f in fam:
-            f.require_bound()
-        return fam
-
-    def mixed(op_name, fwd_action, bwd_action, bwd_sign):
-        op_a, op_b = a.op(op_name), b.op(op_name)
-        fwd, bwd = actions(ab, fwd_action), actions(ba, bwd_action)
-
-        def fn(I, J):
-            if I < n and J < n:
-                return lift_a(eval_bilinear(op_a, ea[I], ea[J]))
-            if I >= n and J >= n:
-                return lift_b(eval_bilinear(op_b, eb[I - n], eb[J - n]))
-            if I < n:  # x op b = s_A(x)b (+/-) s_B(b)x
-                part_b = fwd[I].column(J - n)
-                part_a = bwd[J - n].column(I)
-                if bwd_sign < 0:
-                    return vec_sub(lift_b(part_b), lift_a(part_a))
-                return vec_add(lift_b(part_b), lift_a(part_a))
-            # a op y = s_B(a)y (+/-) s_A(y)a
-            part_b = fwd[J].column(I - n)
-            part_a = bwd[I - n].column(J)
-            if bwd_sign < 0:
-                return vec_sub(lift_a(part_a), lift_b(part_b))
-            return vec_add(lift_b(part_b), lift_a(part_a))
-        return fn
-
-    def mixed_star():
-        op_a, op_b = a.op("star"), b.op("star")
-        l_ab, r_ba = actions(ab, "l"), actions(ba, "r")
-        r_ab, l_ba = actions(ab, "r"), actions(ba, "l")
-
-        def fn(I, J):
-            if I < n and J < n:
-                return lift_a(eval_bilinear(op_a, ea[I], ea[J]))
-            if I >= n and J >= n:
-                return lift_b(eval_bilinear(op_b, eb[I - n], eb[J - n]))
-            if I < n:  # x * b = l_A(x)b + r_B(b)x
-                return vec_add(lift_b(l_ab[I].column(J - n)),
-                               lift_a(r_ba[J - n].column(I)))
-            # a * y = r_A(y)a + l_B(a)y
-            return vec_add(lift_b(r_ab[J].column(I - n)),
-                           lift_a(l_ba[I - n].column(J)))
-        return fn
+    def action(rep, name):
+        """(x, k, m, c): act(e_x) has entry c at row k, column m.  Bound: no
+        parameter name enters the double."""
+        return [(x, k, m, c) for x, f in enumerate(rep.action(name))
+                for k, row in enumerate(f.require_bound().m) for m, c in enumerate(row) if c]
 
     ops = {}
-    if "dot" in CLASS_OPS[class_name]:
-        ops["dot"] = bilinear_from_table(dim, mixed("dot", "s", "s", +1))
-    if "bracket" in CLASS_OPS[class_name]:
-        ops["bracket"] = bilinear_from_table(dim, mixed("bracket", "rho", "rho", -1))
-    if "star" in CLASS_OPS[class_name]:
-        ops["star"] = bilinear_from_table(dim, mixed_star())
-    return AlgebraPresentation(dim, ops, {"alpha": block_diag(a.alpha, b.alpha)})
+    for name in CLASS_OPS[class_name]:
+        left, right, sign = CROSS_ACTIONS[name]
+        entries = list(a.op(name).entries)
+        entries += [(n + i, n + j, n + k, c) for i, j, k, c in b.op(name).entries]
+        # the algebra's element e_x sits at x0 + x, the module's e_m at m0 + m
+        for rep, x0, m0 in ((mp.actions_ab, 0, n), (mp.actions_ba, n, 0)):
+            entries += [(x0 + x, m0 + m, m0 + k, c) for x, k, m, c in action(rep, left)]
+            entries += [(m0 + m, x0 + x, m0 + k, sign * c)
+                        for x, k, m, c in action(rep, right)]
+        ops[name] = BilinearMap(n + p, tuple(entries))
+    return AlgebraPresentation(n + p, ops, {"alpha": block_diag(a.alpha, b.alpha)})
 
 
 def check_matched_pair(mp, class_name, max_witnesses=32):

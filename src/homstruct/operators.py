@@ -20,15 +20,12 @@ from homstruct.core import (
     LinearMap,
     MissingOperationError,
     PreconditionError,
-    apply_map,
     basis_vec,
-    bilinear_from_table,
+    bilinear_from_terms,
     contraction_family,
     eval_bilinear,
     int_tensor,
     run_identity_families,
-    vec_add,
-    vec_sub,
 )
 from homstruct.representations import check_rep, regular_representation
 
@@ -109,16 +106,16 @@ def induced_products(a, rep, T, class_name="transposed-hom-poisson",
     if not gate.passed:
         raise PreconditionError("T is not an O-operator", gate)
     p = rep.module_dim
-    u = [basis_vec(p, i) for i in range(p)]
-    Tu = [T.column(i) for i in range(p)]
+    t = {"T": int_tensor(T)}
     ops = {}
     if class_name in ("comm-hom-assoc", "transposed-hom-poisson"):
-        ops["dot"] = bilinear_from_table(p, lambda i, j: vec_add(
-            apply_map(rep.of("s", Tu[i]), u[j]),
-            apply_map(rep.of("s", Tu[j]), u[i])))
+        t["s"] = int_tensor(rep.action("s"))
+        ops["dot"] = bilinear_from_terms(p, (
+            (1, "xi,xkj->ijk", ("T", "s")),
+            (1, "xj,xki->ijk", ("T", "s"))), t)
     if class_name in ("hom-lie", "transposed-hom-poisson"):
-        ops["star"] = bilinear_from_table(
-            p, lambda i, j: apply_map(rep.of("rho", Tu[i]), u[j]))
+        t["rho"] = int_tensor(rep.action("rho"))
+        ops["star"] = bilinear_from_terms(p, ((1, "xi,xkj->ijk", ("T", "rho")),), t)
     out = AlgebraPresentation(p, ops, {"alpha": rep.beta})
     target = {"comm-hom-assoc": "comm-hom-assoc",
               "hom-lie": "hom-pre-lie",
@@ -166,14 +163,14 @@ def compatible_pre_lie_from_invertible(a, rep, T, max_witnesses=32):
     gate = check_o_operator(a, rep, T, "transposed-hom-poisson", max_witnesses)
     if not gate.passed:
         raise PreconditionError("T is not an O-operator", gate)
-    Ti = T.inverse()
     n = a.dim
-    e = [basis_vec(n, i) for i in range(n)]
-    dot = bilinear_from_table(n, lambda i, j: apply_map(T, vec_add(
-        apply_map(rep.of("s", e[i]), apply_map(Ti, e[j])),
-        apply_map(rep.of("s", e[j]), apply_map(Ti, e[i])))))
-    star = bilinear_from_table(n, lambda i, j: apply_map(
-        T, apply_map(rep.of("rho", e[i]), apply_map(Ti, e[j]))))
+    t = {"T": int_tensor(T), "Ti": int_tensor(T.inverse()),
+         "s": int_tensor(rep.action("s")), "rho": int_tensor(rep.action("rho"))}
+    dot = bilinear_from_terms(n, (
+        (1, "om,imb,bj->ijo", ("T", "s", "Ti")),
+        (1, "om,jmb,bi->ijo", ("T", "s", "Ti"))), t)
+    star_terms = ((1, "om,imb,bj->ijo", ("T", "rho", "Ti")),)
+    star = bilinear_from_terms(n, star_terms, t)
     out = AlgebraPresentation(n, {"dot": dot, "star": star},
                               {"alpha": a.alpha}, a.basis)
     verdict = check_class(out, "hom-pre-lie-poisson")
@@ -181,8 +178,8 @@ def compatible_pre_lie_from_invertible(a, rep, T, max_witnesses=32):
         raise ConstructionError(
             "compatible structure failed the pre-Lie Poisson checker; "
             "first witnesses %r" % (verdict.all_witnesses()[:4],))
-    commutator = bilinear_from_table(n, lambda i, j: vec_sub(
-        eval_bilinear(star, e[i], e[j]), eval_bilinear(star, e[j], e[i])))
+    commutator = bilinear_from_terms(n, star_terms + (
+        (-1, "om,jmb,bi->ijo", ("T", "rho", "Ti")),), t)
     if dot != a.op("dot") or commutator != a.op("bracket"):
         raise ConstructionError(
             "sub-adjacent structure does not reproduce the input tables")
@@ -200,17 +197,15 @@ def rota_baxter_induced(a, R, max_witnesses=32):
     if not gate.passed:
         raise PreconditionError("R is not a Rota-Baxter operator", gate)
     n = a.dim
-    e = [basis_vec(n, i) for i in range(n)]
-    dot_a, br = a.op("dot"), a.op("bracket")
-    dot = bilinear_from_table(n, lambda i, j: vec_add(
-        eval_bilinear(dot_a, apply_map(R, e[i]), e[j]),
-        eval_bilinear(dot_a, e[i], apply_map(R, e[j]))))
-    star = bilinear_from_table(
-        n, lambda i, j: eval_bilinear(br, apply_map(R, e[i]), e[j]))
+    t = {"R": int_tensor(R), "dot": int_tensor(a.op("dot")), "br": int_tensor(a.op("bracket"))}
+    dot = bilinear_from_terms(n, (
+        (1, "ri,rjk->ijk", ("R", "dot")),
+        (1, "rj,irk->ijk", ("R", "dot"))), t)
+    star_terms = ((1, "ri,rjk->ijk", ("R", "br")),)
+    star = bilinear_from_terms(n, star_terms, t)
     out = AlgebraPresentation(n, {"dot": dot, "star": star},
                               {"alpha": a.alpha}, a.basis)
-    bracket = bilinear_from_table(n, lambda i, j: vec_sub(
-        eval_bilinear(star, e[i], e[j]), eval_bilinear(star, e[j], e[i])))
+    bracket = bilinear_from_terms(n, star_terms + ((-1, "rj,rik->ijk", ("R", "br")),), t)
     sub = AlgebraPresentation(n, {"dot": dot, "bracket": bracket},
                               {"alpha": a.alpha}, a.basis)
     verdict = check_class(sub, "transposed-hom-poisson")

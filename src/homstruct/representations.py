@@ -31,12 +31,10 @@ from homstruct.axioms import (
 )
 from homstruct.core import (
     ConstructionError,
-    LinearMap,
     PreconditionError,
-    apply_map,
-    basis_vec,
-    eval_bilinear,
+    RepresentationPresentation,
     int_tensor,
+    maps_from_terms,
     run_identity_families,
 )
 
@@ -153,13 +151,6 @@ def _check_shapes(a, rep):
         raise PreconditionError("representation algebra_dim does not match the algebra")
 
 
-def _mat_families(n, families, max_witnesses=32, sub_reports=None, notes=()):
-    """Like run_identity_families but for matrix-valued residual functions."""
-    wrapped = [(ident, arity, lambda *t, fn=fn: fn(*t).flat())
-               for (ident, arity, fn) in families]
-    return run_identity_families(n, wrapped, max_witnesses, sub_reports, notes)
-
-
 def _int_matrices(fam):
     """int_tensor of a family of matrices, as (matrices, scale); None for a zero matrix."""
     t = int_tensor(fam)
@@ -272,18 +263,10 @@ def check_rep(a, rep, class_name, max_witnesses=32):
 # ---------------------------------------------------------------------------
 # constructions
 
-def _action_matrices(a, op, side="left"):
-    """Matrices of op(e_i, -) (left) or op(-, e_i) (right) on the algebra."""
-    n = a.dim
-    e = [basis_vec(n, i) for i in range(n)]
-    out = []
-    for i in range(n):
-        if side == "left":
-            cols = [eval_bilinear(op, e[i], e[m]) for m in range(n)]
-        else:
-            cols = [eval_bilinear(op, e[m], e[i]) for m in range(n)]
-        out.append(LinearMap.from_columns(cols))
-    return tuple(out)
+# action -> (op, spec): act(e_x)[k][m] is the e_k coefficient of
+# e_x op e_m (left actions) or of e_m op e_x (the right action r)
+REGULAR_ACTIONS = {"s": ("dot", "xmk->xkm"), "rho": ("bracket", "xmk->xkm"),
+                   "l": ("star", "xmk->xkm"), "r": ("star", "mxk->xkm")}
 
 
 def regular_representation(a, class_name):
@@ -291,17 +274,13 @@ def regular_representation(a, class_name):
     the module twist is the algebra twist."""
     class_name = resolve_class(class_name)
     a.require_bound()
-    from homstruct.core import RepresentationPresentation
+    n = a.dim
     actions = {}
-    if "s" in REP_OPS[class_name]:
-        actions["s"] = _action_matrices(a, a.op("dot"))
-    if "rho" in REP_OPS[class_name]:
-        actions["rho"] = _action_matrices(a, a.op("bracket"))
-    if "l" in REP_OPS[class_name]:
-        actions["l"] = _action_matrices(a, a.op("star"))
-    if "r" in REP_OPS[class_name]:
-        actions["r"] = _action_matrices(a, a.op("star"), side="right")
-    return RepresentationPresentation(a.dim, a.dim, actions, a.alpha)
+    for name in REP_OPS[class_name]:
+        op, spec = REGULAR_ACTIONS[name]
+        actions[name] = maps_from_terms((n, n, n), ((1, spec, (op,)),),
+                                        {op: int_tensor(a.op(op))})
+    return RepresentationPresentation(n, n, actions, a.alpha)
 
 
 def semidirect_product(a, rep, class_name):
@@ -334,7 +313,6 @@ def semidirect_product(a, rep, class_name):
 
 def rep_commutator(rep):
     """rho = l - r from a pre-Lie(-Poisson) bimodule; s and beta are kept."""
-    from homstruct.core import RepresentationPresentation
     rep.require_bound()
     actions = {"rho": tuple(l - r for l, r in zip(rep.action("l"), rep.action("r")))}
     if "s" in rep.actions:
@@ -354,7 +332,6 @@ def dual_representation(a, rep, max_witnesses=32):
     checked against the module axioms, and a failure there raises
     ConstructionError.  Returns (dual_rep, hypotheses_report).
     """
-    from homstruct.core import RepresentationPresentation
     cls = "transposed-hom-poisson"
     tables = _ModuleTables(a, rep, cls)
     hyp = run_identity_families(
@@ -381,7 +358,6 @@ def bimodule_from_morphism(a, b, f, class_name="hom-pre-lie-poisson"):
     (PreconditionError with that report if not).  A passing regular bimodule
     of b suffices but is not needed: f = 0 gives the zero bimodule.
     """
-    from homstruct.core import RepresentationPresentation
     class_name = resolve_class(class_name)
     a.require_bound()
     b.require_bound()
@@ -389,59 +365,15 @@ def bimodule_from_morphism(a, b, f, class_name="hom-pre-lie-poisson"):
     if not gate.passed:
         raise PreconditionError("f is not a morphism", gate)
     reg = regular_representation(b, class_name)
-    n = a.dim
-    actions = {name: tuple(reg.of(name, apply_map(f, basis_vec(n, i)))
-                           for i in range(n))
+    n, p = a.dim, b.dim
+    t = {"f": int_tensor(f)}
+    t.update((name, int_tensor(fam)) for name, fam in reg.actions.items())
+    # act(e_x) = sum_r f[r][x] act_b(e_r)
+    actions = {name: maps_from_terms((n, p, p), ((1, "rx,rkm->xkm", ("f", name)),), t)
                for name in reg.actions}
-    rep = RepresentationPresentation(n, b.dim, actions, b.alpha)
+    rep = RepresentationPresentation(n, p, actions, b.alpha)
     gate = check_rep(a, rep, class_name)
     if not gate.passed:
         raise PreconditionError(
             "the pulled-back bimodule fails the %s module axioms" % class_name, gate)
     return rep
-
-
-def twisted_bimodule(a, g_alg, g_mod, class_name="hom-pre-lie-poisson"):
-    """Twist the regular bimodule of a by an algebra morphism and a module map.
-
-    Hypotheses (all reported): g_alg is a morphism of a commuting with alpha;
-    g_mod commutes with alpha and intertwines each regular action as
-    g_mod act(x) = act(g_alg(x)) g_mod.  The twisted actions are
-    act~(x) = act(g_alg(x)) g_mod over the compose-twisted algebra, with module
-    twist alpha g_mod.  Returns (twisted_algebra, twisted_rep, report).
-    """
-    from homstruct.constructions import compose_twist
-    from homstruct.core import RepresentationPresentation
-    class_name = resolve_class(class_name)
-    a.require_bound()
-    g_mod.require_bound()
-    gate = check_morphism(a, a, g_alg, op_names=CLASS_OPS[class_name])
-    if not gate.passed:
-        raise PreconditionError("g_alg is not a morphism", gate)
-    if g_alg @ a.alpha != a.alpha @ g_alg:
-        raise PreconditionError("g_alg does not commute with the twist")
-    reg = regular_representation(a, class_name)
-    n = a.dim
-    e = [basis_vec(n, i) for i in range(n)]
-    fams = [("module-map-commutes", 1,
-             lambda i: g_mod @ a.alpha - a.alpha @ g_mod if i == 0
-             else LinearMap.zero(n))]
-    for name in sorted(reg.actions):
-        fams.append((
-            "intertwines:%s" % name, 1,
-            lambda i, name=name: g_mod @ reg.of(name, e[i])
-                                 - reg.of(name, apply_map(g_alg, e[i])) @ g_mod))
-    report = _mat_families(n, fams)
-    if not report.passed:
-        raise PreconditionError("module map hypotheses failed", report)
-    twisted_alg = compose_twist(a, g_alg, class_name)
-    actions = {name: tuple(reg.of(name, apply_map(g_alg, e[i])) @ g_mod
-                           for i in range(n))
-               for name in reg.actions}
-    rep = RepresentationPresentation(n, n, actions, a.alpha @ g_mod)
-    closure = check_rep(twisted_alg, rep, class_name)
-    if not closure.passed:
-        raise ConstructionError(
-            "twisted_bimodule: output failed the %s module axioms; witnesses %r"
-            % (class_name, closure.all_witnesses()[:4]))
-    return twisted_alg, rep, report

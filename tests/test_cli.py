@@ -284,6 +284,36 @@ def test_malformed_headers_are_format_errors(tmp_path, capsys, alg_changes,
     assert err.startswith("input error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key", ["dim", "algebra_dim", "module_dim"])
+def test_dim_above_the_cap_is_a_format_error(tmp_path, capsys, key):
+    from homstruct.core import MAX_DIM
+    alg, rep = tmp_path / "alg.json", tmp_path / "rep.json"
+    over = {key: MAX_DIM + 1}
+    alg.write_text(json.dumps(dict(_ALG1, **(over if key == "dim" else {}))))
+    rep.write_text(json.dumps(dict(_REP1, **({} if key == "dim" else over))))
+    assert main(["checkrep", str(alg), str(rep), "--class", "transposed-hom-poisson"]) == USAGE
+    assert capsys.readouterr().err == 'input error: "%s" must be at most %d\n' % (key, MAX_DIM)
+
+
+@pytest.mark.parametrize("command", ["check", "checkrep", "manin"])
+def test_negative_max_witnesses_is_a_usage_error(thp2_file, thp2_reg_file, tmp_path,
+                                                  capsys, command):
+    dual = tmp_path / "dual.json"
+    dual.write_text(serialize_algebra(trivial_dual(catalog.get("THP2", {"lam": F(1)}))))
+    argv, code = {
+        "check": (["check", thp2_file, "--class", "hom-poisson"], FAIL),
+        "checkrep": (["checkrep", thp2_file, thp2_reg_file, "--class",
+                      "transposed-hom-poisson"], PASS),
+        "manin": (["manin", thp2_file, str(dual)], FAIL)}[command]
+    assert main(argv + ["--max-witnesses", "-1"]) == USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == "usage error: argument --max-witnesses: '-1' is negative\n"
+    assert main(argv + ["--max-witnesses", "0"]) == code
+    from homstruct.core import run_identity_families
+    with pytest.raises(ValueError):
+        run_identity_families(1, [], -1)
+
+
 def test_parser_reuse_gives_the_same_bytes(thp2_file, thp2_reg_file, tmp_path, capsys):
     """In-process calls on the one cached parser print exactly what the same
     calls print, each on a freshly built parser."""

@@ -12,9 +12,7 @@ from homstruct.core import (
     FormatError,
     LinearMap,
     UnboundParameterError,
-    apply_map,
     basis_vec,
-    bilinear_from_table,
     eval_bilinear,
     parse_algebra,
     parse_coefficient,
@@ -23,6 +21,8 @@ from homstruct.core import (
     serialize_representation,
     substitute_params,
 )
+
+from helpers import apply_map, bilinear_from_table
 
 F = Fraction
 

@@ -105,6 +105,14 @@ def test_manin_triple_abelian_passes():
     assert set(rep.sub_reports) == {"double-transposed", "blocks", "invariant-form"}
 
 
+def test_manin_triple_counts_its_sub_reports():
+    # TP2 (dim 2): 64 tuples in the double's own family, 16 in the blocks'
+    # four binary families, 2 * 64 in the invariance families
+    rep = check_manin_triple(catalog.get("TP2"), trivial_dual(catalog.get("TP2")))
+    assert [sub.checked for sub in rep.sub_reports.values()] == [64, 16, 128]
+    assert rep.checked == 64 + 16 + 128
+
+
 def test_manin_triple_fails_on_thp2_zero_dual():
     a = catalog.get("THP2", {"lam": F(1)})
     rep = check_manin_triple(a, trivial_dual(a))

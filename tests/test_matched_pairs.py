@@ -9,7 +9,6 @@ from homstruct.core import (
     AlgebraPresentation,
     LinearMap,
     RepresentationPresentation,
-    apply_map,
     basis_vec,
     eval_bilinear,
 )
@@ -25,7 +24,7 @@ from homstruct.matched_pairs import (
 )
 from homstruct.representations import REP_OPS, regular_representation, semidirect_product
 
-from helpers import rand_algebra, rand_rep
+from helpers import apply_map, rand_algebra, rand_rep
 
 F = Fraction
 
