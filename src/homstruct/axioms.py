@@ -111,10 +111,15 @@ def _exact(acc, scale):
 
 
 class _Tables:
-    """Integer tables of one bound presentation, shared by one check's families.
+    """Integer tables of one bound presentation, shared by one check's
+    families and by its sub-reports.
 
     ops[name][i][j] is op(e_i, e_j), evaluated by eval_bilinear, times
-    scales[name]; alpha[x] is a(e_x) times alpha_scale.
+    scales[name]; alpha[x] is a(e_x) times alpha_scale.  All tables are built
+    here, in the order of op_names, so a missing op is reported before any
+    identity runs.  A composite class check builds one _Tables for its own
+    ops and passes it to its sub-checkers (the `_tables` argument), whose
+    ops it contains.
     """
 
     def __init__(self, a, op_names):
@@ -192,12 +197,15 @@ class _Tables:
         return ident, arity, residual
 
 
-def _check(a, cls, max_witnesses):
+def _check(a, cls, max_witnesses, tables):
+    """The class report; sub-reports go through CLASS_CHECKERS on the same tables."""
     subs, idents = CLASS_FAMILIES[cls]
-    tables = _Tables(a, CLASS_OPS[cls])
+    if tables is None:
+        tables = _Tables(a, CLASS_OPS[cls])
     return run_identity_families(
         a.dim, [tables.family(ident) for ident in idents], max_witnesses,
-        sub_reports={sub: CLASS_CHECKERS[sub](a, max_witnesses) for sub in subs})
+        sub_reports={sub: CLASS_CHECKERS[sub](a, max_witnesses, _tables=tables)
+                     for sub in subs})
 
 
 def check_multiplicative(a, op_name="all", max_witnesses=32):
@@ -221,41 +229,41 @@ def _morphism_families(a, b, f, names, ident, sign=1):
     return t, fams
 
 
-def check_comm_hom_assoc(a, max_witnesses=32):
+def check_comm_hom_assoc(a, max_witnesses=32, _tables=None):
     """Commutative Hom-associative: x.y = y.x and (x.y).a(z) = a(x).(y.z)."""
-    return _check(a, "comm-hom-assoc", max_witnesses)
+    return _check(a, "comm-hom-assoc", max_witnesses, _tables)
 
 
-def check_hom_lie(a, max_witnesses=32):
+def check_hom_lie(a, max_witnesses=32, _tables=None):
     """Skew-symmetry and the Hom-Jacobi identity for the bracket."""
-    return _check(a, "hom-lie", max_witnesses)
+    return _check(a, "hom-lie", max_witnesses, _tables)
 
 
-def check_hom_poisson(a, max_witnesses=32):
+def check_hom_poisson(a, max_witnesses=32, _tables=None):
     """Hom-Poisson: comm Hom-assoc dot, Hom-Lie bracket, Leibniz compatibility.
 
     Compatibility: {a(x), y.z} = a(y).{x,z} + a(z).{x,y}.
     """
-    return _check(a, "hom-poisson", max_witnesses)
+    return _check(a, "hom-poisson", max_witnesses, _tables)
 
 
-def check_transposed_hom_poisson(a, max_witnesses=32):
+def check_transposed_hom_poisson(a, max_witnesses=32, _tables=None):
     """Transposed Hom-Poisson: 2 a(z).{x,y} = {z.x, a(y)} + {a(x), z.y}."""
-    return _check(a, "transposed-hom-poisson", max_witnesses)
+    return _check(a, "transposed-hom-poisson", max_witnesses, _tables)
 
 
-def check_hom_pre_lie(a, max_witnesses=32):
+def check_hom_pre_lie(a, max_witnesses=32, _tables=None):
     """Hom-pre-Lie: (x*y)*a(z) - a(x)*(y*z) is symmetric in x, y."""
-    return _check(a, "hom-pre-lie", max_witnesses)
+    return _check(a, "hom-pre-lie", max_witnesses, _tables)
 
 
-def check_hom_pre_lie_poisson(a, max_witnesses=32):
+def check_hom_pre_lie_poisson(a, max_witnesses=32, _tables=None):
     """Hom-pre-Lie Poisson: comm Hom-assoc dot, Hom-pre-Lie star, two relations.
 
     relation-1: (x.y)*a(z) = a(x).(y*z)
     relation-2: (x*y).a(z) - (y*x).a(z) = a(x)*(y.z) - a(y)*(x.z)
     """
-    return _check(a, "hom-pre-lie-poisson", max_witnesses)
+    return _check(a, "hom-pre-lie-poisson", max_witnesses, _tables)
 
 
 CLASS_CHECKERS = {
@@ -341,8 +349,8 @@ def check_poisson_intersection(a, max_witnesses=32):
     annihilation = run_identity_families(
         a.dim, [t.family("dot-bracket-vanishes"), t.family("bracket-dot-vanishes")],
         max_witnesses)
-    hp = check_hom_poisson(a, max_witnesses)
-    tp = check_transposed_hom_poisson(a, max_witnesses)
+    hp = check_hom_poisson(a, max_witnesses, _tables=t)
+    tp = check_transposed_hom_poisson(a, max_witnesses, _tables=t)
     shared = (hp.sub_reports["comm-hom-assoc"].passed
               and hp.sub_reports["hom-lie"].passed)
     notes = ["annihilation: %s" % ("pass" if annihilation.passed else "fail")]

@@ -522,13 +522,14 @@ def main(argv=None):
     except _UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return USAGE
+    except (PreconditionError, MissingOperationError) as exc:
+        # before ValueError, which PreconditionError subclasses
+        print("precondition failed: %s" % exc, file=sys.stderr)
+        return PRECONDITION
     except (FormatError, UnboundParameterError, DimensionError,
             ValueError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return USAGE
-    except (PreconditionError, MissingOperationError) as exc:
-        print("precondition failed: %s" % exc, file=sys.stderr)
-        return PRECONDITION
     except ConstructionError as exc:
         print("check failed: %s" % exc, file=sys.stderr)
         return FAIL

@@ -269,45 +269,24 @@ class LinearMap:
         if not self.is_square:
             raise DimensionError("determinant of a non-square map")
         self.require_bound()
-        n = self.rows
-        m = [list(row) for row in self.m]
-        d = ONE
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if piv is None:
-                return ZERO
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                d = -d
-            d *= m[c][c]
-            inv = 1 / m[c][c]
-            for r in range(c + 1, n):
-                f = m[r][c] * inv
-                if f:
-                    for cc in range(c, n):
-                        m[r][cc] -= f * m[c][cc]
-        return d
+        reduced, pivots, ratio = fraction_free_rref(self.m, self.cols)
+        if len(pivots) < self.rows:
+            return ZERO
+        return ratio * math.prod(row[p] for row, p in zip(reduced, pivots))
 
     def inverse(self):
         if not self.is_square:
             raise DimensionError("inverse of a non-square map")
         self.require_bound()
         n = self.rows
-        m = [list(row) + [ONE if i == r else ZERO for i in range(n)]
-             for r, row in enumerate(self.m)]
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if piv is None:
-                raise DimensionError("map is singular")
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-            inv = 1 / m[c][c]
-            m[c] = [v * inv for v in m[c]]
-            for r in range(n):
-                if r != c and m[r][c]:
-                    f = m[r][c]
-                    m[r] = [v - f * w for v, w in zip(m[r], m[c])]
-        return LinearMap.from_rows([row[n:] for row in m])
+        # [M | I] reduces to [P | P M^-1], P the diagonal of pivot entries
+        reduced, pivots, _ = fraction_free_rref(
+            [row + tuple(int(c == r) for c in range(n)) for r, row in enumerate(self.m)],
+            2 * n)
+        if pivots != list(range(n)):
+            raise DimensionError("map is singular")
+        return LinearMap.from_rows([[Fraction(x, row[p]) for x in row[n:]]
+                                    for row, p in zip(reduced, pivots)])
 
 
 def block_diag(f, g):
@@ -329,6 +308,58 @@ def linear_combination(mats, x):
         if c != 0:
             out = out + mat.scale(c)
     return out
+
+
+def fraction_free_rref(rows, width):
+    """Reduced row echelon form by fraction-free Gauss-Jordan elimination.
+
+    Each row (of ints or Fractions) is scaled to integers by the lcm of its
+    denominators.  Pivots are taken in column order; every other row r with
+    entry f != 0 in the pivot column becomes (p r - f q) / g, for q the pivot
+    row, p its pivot entry and g the gcd of the result, so entries stay
+    small and no Fraction is formed.  Zero rows are dropped.
+
+    Returns (reduced, pivots, ratio).  reduced[t] is an integer row whose
+    entry at pivots[t] is nonzero and whose entries at the other pivot
+    columns are 0: divided by its pivot entry it is row t of the (unique)
+    reduced row echelon form.  For a square input of full rank, det(rows) is
+    ratio times the product of the pivot entries (ratio collects -1 per row
+    swap, g / p per row operation and 1 / lcm per input row).
+    """
+    num, den = 1, 1
+    ints = []
+    for row in rows:
+        s = math.lcm(*[x.denominator for x in row])
+        den *= s
+        row = [x.numerator * (s // x.denominator) for x in row]
+        if any(row):
+            ints.append(row)
+    pivots = []
+    for col in range(width):
+        rank = len(pivots)
+        at = next((t for t in range(rank, len(ints)) if ints[t][col]), None)
+        if at is None:
+            continue
+        if at != rank:
+            ints[rank], ints[at] = ints[at], ints[rank]
+            num = -num
+        q = ints[rank]
+        p = q[col]
+        kept = []
+        for t, r in enumerate(ints):
+            f = r[col]
+            if f and t != rank:
+                r = [p * x - f * y for x, y in zip(r, q)]
+                g = math.gcd(*r)
+                if not g:
+                    continue
+                num, den = num * g, den * p
+                if g > 1:
+                    r = [x // g for x in r]
+            kept.append(r)
+        ints = kept
+        pivots.append(col)
+    return ints[:len(pivots)], pivots, Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from homstruct.core import (
     basis_vec,
     block_diag,
 )
-from homstruct.representations import check_rep
+from homstruct.representations import REP_OPS, check_rep, rep_class
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,7 @@ def zero_algebra(dim, alpha, op_names):
 
 def matched_pair_from_representation(a, rep, class_name):
     """Matched pair with a zero opposite algebra and zero reverse actions."""
-    class_name = resolve_class(class_name)
-    from homstruct.representations import REP_OPS
+    class_name = rep_class(class_name)
     names = REP_OPS[class_name]
     b = zero_algebra(rep.module_dim, rep.beta, CLASS_OPS[class_name])
     back = zero_representation(rep.module_dim, a.dim, a.alpha, names)
@@ -136,7 +135,7 @@ def check_matched_pair(mp, class_name, max_witnesses=32):
     The module axioms of both action sets are reported in sub_reports
     ("actions-ab-module", "actions-ba-module") next to the double's report.
     """
-    class_name = resolve_class(class_name)
+    class_name = rep_class(class_name)
     double = build_double(mp, class_name, check_actions=False)
     verdict = check_class(double, class_name, max_witnesses)
     rep_ab = check_rep(mp.algebra_a, mp.actions_ab, class_name, max_witnesses)

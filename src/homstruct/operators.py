@@ -3,13 +3,13 @@ linear solver for derivation spaces."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from homstruct.axioms import (
     CLASS_OPS,
     _morphism_families,
     check_class,
-    check_derivation,
     check_morphism,
     resolve_class,
 )
@@ -20,10 +20,10 @@ from homstruct.core import (
     LinearMap,
     MissingOperationError,
     PreconditionError,
-    basis_vec,
     bilinear_from_terms,
+    contract,
     contraction_family,
-    eval_bilinear,
+    fraction_free_rref,
     int_tensor,
     run_identity_families,
 )
@@ -223,100 +223,100 @@ def rota_baxter_induced(a, R, max_witnesses=32):
 # ---------------------------------------------------------------------------
 # derivation spaces by exact elimination
 
-def _rref(rows, width):
-    """Reduced row echelon form with lexicographic pivot order; returns
-    (reduced_rows, pivot_columns)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(width):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = ONE / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [v - factor * p for v, p in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return rows[:rank], pivots
-
-
 def nullspace_basis(rows, width):
     """Canonical basis of the solution space of rows . v = 0.
 
+    The rows (ints or Fractions) are reduced by core.fraction_free_rref, so
+    the elimination runs on integers and divides by the pivots only here.
     Free variables are set to 1 one at a time in lexicographic order; the
     resulting basis is itself in reduced echelon form.
     """
-    reduced, pivots = _rref(rows, width)
+    reduced, pivots, _ = fraction_free_rref(rows, width)
     pivot_set = set(pivots)
-    free = [c for c in range(width) if c not in pivot_set]
     basis = []
-    for f in free:
+    for f in range(width):
+        if f in pivot_set:
+            continue
         v = [ZERO] * width
         v[f] = ONE
         for r, p in zip(reduced, pivots):
-            v[p] = -r[f]
+            if r[f]:
+                v[p] = Fraction(-r[f], r[p])
         basis.append(tuple(v))
     return basis
+
+
+def _distinct_rows(rows):
+    """The distinct nonzero integer rows, each divided by its gcd and signed
+    so that its first nonzero entry is positive."""
+    out = {}
+    for row in rows:
+        g = math.gcd(*row)
+        if g:
+            if next(filter(None, row)) < 0:
+                g = -g
+            out.setdefault(tuple(row) if g == 1 else tuple([x // g for x in row]), None)
+    return list(out)
 
 
 def derivation_space(a, op_name, commuting_with="alpha"):
     """Basis of the space of derivations of the named op.
 
     Solves the Leibniz system D(e_i op e_j) = D(e_i) op e_j + e_i op D(e_j)
-    over the n^2 matrix unknowns, together with alpha D = D alpha when
-    `commuting_with` names a map (pass None to drop the constraint).
-    Returns a deterministic reduced-echelon list of LinearMaps.
+    over the n^2 matrix unknowns, together with g D = D g for the map g that
+    `commuting_with` names (pass None to drop the constraint).  The system
+    is built on the integer tables of the op and of g (each scaled by the
+    lcm of its denominators, which leaves the solutions unchanged), with
+    zero and repeated rows dropped, and solved by nullspace_basis.  Returns
+    a deterministic reduced-echelon list of LinearMaps, all of which are
+    checked in one contraction over the stacked basis.
     """
     if op_name not in a.ops:
         raise MissingOperationError("op %r is missing" % op_name)
     a.require_bound()
     n = a.dim
-    op = a.op(op_name)
-    c = [[eval_bilinear(op, basis_vec(n, i), basis_vec(n, j))
-          for j in range(n)] for i in range(n)]
+    t = {"op": int_tensor(a.op(op_name))}
+    c = t["op"].dense()
     width = n * n  # unknown D[r][col] at index r*n + col
     rows = []
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                row = [ZERO] * width
+                row = [0] * width
                 # D(e_i op e_j)_k
-                for m in range(n):
-                    if c[i][j][m]:
-                        row[k * n + m] += c[i][j][m]
+                row[k * n:(k + 1) * n] = c[i][j]
                 # -(D(e_i) op e_j)_k - (e_i op D(e_j))_k
                 for r in range(n):
                     row[r * n + i] -= c[r][j][k]
                     row[r * n + j] -= c[i][r][k]
-                if any(row):
-                    rows.append(row)
+                rows.append(row)
     if commuting_with is not None:
-        g = a.map(commuting_with)
+        f = a.map(commuting_with)
+        if (f.rows, f.cols) != (n, n):
+            raise DimensionError("map %r is %dx%d, expected %dx%d"
+                                 % (commuting_with, f.rows, f.cols, n, n))
+        t["g"] = int_tensor(f)
+        g = t["g"].dense()
         for r in range(n):
             for col in range(n):
-                row = [ZERO] * width
+                row = [0] * width
                 # (g D - D g)[r][col]
                 for m in range(n):
-                    row[m * n + col] += g.m[r][m]
-                    row[r * n + m] -= g.m[m][col]
-                if any(row):
-                    rows.append(row)
-    basis = nullspace_basis(rows, width)
-    out = []
-    for v in basis:
-        d = LinearMap.from_rows([[v[r * n + col] for col in range(n)]
-                                 for r in range(n)])
-        verdict = check_derivation(a, op_name, d,
-                                   commuting_with_alpha=commuting_with == "alpha")
-        assert verdict.passed, "solver returned a non-derivation"
-        out.append(d)
+                    row[m * n + col] += g[r][m]
+                    row[r * n + m] -= g[m][col]
+                rows.append(row)
+    out = [LinearMap.from_rows([v[r * n:(r + 1) * n] for r in range(n)])
+           for v in nullspace_basis(_distinct_rows(rows), width)]
+    if out:
+        k, t["D"] = len(out), int_tensor(out)
+        wrong = contract((k, n, n, n), (
+            (1, "ijr,bor->bijo", ("op", "D")),
+            (-1, "bri,rjo->bijo", ("D", "op")),
+            (-1, "brj,iro->bijo", ("D", "op"))), t)
+        if commuting_with is not None:
+            wrong = wrong or contract((k, n, n), (
+                (1, "or,bri->bio", ("g", "D")),
+                (-1, "bor,ri->bio", ("D", "g"))), t)
+        if wrong:
+            raise ConstructionError("solver returned a non-derivation")
     return out

@@ -144,6 +144,15 @@ DUAL_HYPOTHESES = ("hyp-mixed-1", "hyp-mixed-2", "hyp-strict-commute:s",
                    "hyp-strict-commute:rho", "hyp-sym-commute:s", "hyp-sym-commute:rho")
 
 
+def rep_class(name):
+    """The resolved class name; PreconditionError for a class without module axioms."""
+    cls = resolve_class(name)
+    if cls not in REP_OPS:
+        raise PreconditionError("class %s has no module axioms (classes with module "
+                                "axioms: %s)" % (cls, ", ".join(REP_OPS)))
+    return cls
+
+
 def _check_shapes(a, rep):
     a.require_bound()
     rep.require_bound()
@@ -257,7 +266,7 @@ REP_CHECKERS = {cls: partial(_check, cls) for cls in REP_OPS}
 
 def check_rep(a, rep, class_name, max_witnesses=32):
     """The module axioms of the class; sub-reports hold those of its parts."""
-    return REP_CHECKERS[resolve_class(class_name)](a, rep, max_witnesses)
+    return REP_CHECKERS[rep_class(class_name)](a, rep, max_witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +281,7 @@ REGULAR_ACTIONS = {"s": ("dot", "xmk->xkm"), "rho": ("bracket", "xmk->xkm"),
 def regular_representation(a, class_name):
     """The algebra acting on itself: s, rho, l, r from the structure constants;
     the module twist is the algebra twist."""
-    class_name = resolve_class(class_name)
+    class_name = rep_class(class_name)
     a.require_bound()
     n = a.dim
     actions = {}
@@ -294,7 +303,7 @@ def semidirect_product(a, rep, class_name):
     pass the class's module axioms and the result is re-checked against the
     class.
     """
-    class_name = resolve_class(class_name)
+    class_name = rep_class(class_name)
     _check_shapes(a, rep)
     gate = check_rep(a, rep, class_name)
     if not gate.passed:
@@ -358,7 +367,7 @@ def bimodule_from_morphism(a, b, f, class_name="hom-pre-lie-poisson"):
     (PreconditionError with that report if not).  A passing regular bimodule
     of b suffices but is not needed: f = 0 gives the zero bimodule.
     """
-    class_name = resolve_class(class_name)
+    class_name = rep_class(class_name)
     a.require_bound()
     b.require_bound()
     gate = check_morphism(a, b, f, op_names=CLASS_OPS[class_name])

@@ -14,12 +14,14 @@ from homstruct.axioms import (
 )
 from homstruct.constructions import _assert_closure, _require
 from homstruct.core import (
+    ONE,
     ZERO,
     AlgebraPresentation,
     BilinearMap,
     ConstructionError,
     DimensionError,
     LinearMap,
+    MissingOperationError,
     PreconditionError,
     RepresentationPresentation,
     basis_vec,
@@ -887,6 +889,26 @@ def bilinear_from_table(dim, fn):
     return BilinearMap(dim, tuple(entries))
 
 
+# basis changes with non-integer inverses, one per fixture dimension
+BASIS_CHANGES = {
+    2: LinearMap.from_rows([[F(1), F(1, 2)], [F(1, 3), F(1)]]),
+    3: LinearMap.from_rows([[F(1), F(1, 2), F(0)], [F(0), F(1), F(1, 3)],
+                            [F(2), F(0), F(1)]])}
+
+
+def transported(a):
+    """a carried along x -> P x: ops P op(P^-1 x, P^-1 y), twist P alpha P^-1.
+    It stays in a's classes, with dense non-integer constants and a twist
+    that is not symmetric."""
+    P = BASIS_CHANGES[a.dim]
+    Pi = P.inverse()
+    e = [Pi.column(i) for i in range(a.dim)]
+    ops = {name: bilinear_from_table(
+               a.dim, lambda i, j, op=op: apply_map(P, eval_bilinear(op, e[i], e[j])))
+           for name, op in a.ops.items()}
+    return AlgebraPresentation(a.dim, ops, {"alpha": P @ a.alpha @ Pi}, a.basis)
+
+
 # ---------------------------------------------------------------------------
 # reference builders: each builder's products as per-basis-pair closures
 # over Fraction vectors, the evaluation its contraction terms replaced.  The
@@ -1320,3 +1342,148 @@ def closure_rota_baxter_induced(a, R, max_witnesses=32):
         raise ConstructionError(
             "R is not a morphism from the induced sub-adjacent structure")
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference linear algebra: Fraction Gauss-Jordan, the elimination that
+# core.fraction_free_rref replaced in the derivation solver and in
+# LinearMap.det and inverse.  The differential tests require equal results.
+
+def fraction_rref(rows, width):
+    """Reduced row echelon form with lexicographic pivot order; returns
+    (reduced_rows, pivot_columns)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    rank = 0
+    for col in range(width):
+        pivot = None
+        for r in range(rank, len(rows)):
+            if rows[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = ONE / rows[rank][col]
+        rows[rank] = [v * inv for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [v - factor * p for v, p in zip(rows[r], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    return rows[:rank], pivots
+
+
+def fraction_nullspace_basis(rows, width):
+    """Canonical basis of the solution space of rows . v = 0.
+
+    Free variables are set to 1 one at a time in lexicographic order; the
+    resulting basis is itself in reduced echelon form.
+    """
+    reduced, pivots = fraction_rref(rows, width)
+    pivot_set = set(pivots)
+    free = [c for c in range(width) if c not in pivot_set]
+    basis = []
+    for f in free:
+        v = [ZERO] * width
+        v[f] = ONE
+        for r, p in zip(reduced, pivots):
+            v[p] = -r[f]
+        basis.append(tuple(v))
+    return basis
+
+
+def fraction_derivation_space(a, op_name, commuting_with="alpha"):
+    """Basis of the space of derivations of the named op, on Fraction rows
+    read through eval_bilinear, each basis element checked on its own."""
+    if op_name not in a.ops:
+        raise MissingOperationError("op %r is missing" % op_name)
+    a.require_bound()
+    n = a.dim
+    op = a.op(op_name)
+    c = [[eval_bilinear(op, basis_vec(n, i), basis_vec(n, j))
+          for j in range(n)] for i in range(n)]
+    width = n * n  # unknown D[r][col] at index r*n + col
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                row = [ZERO] * width
+                # D(e_i op e_j)_k
+                for m in range(n):
+                    if c[i][j][m]:
+                        row[k * n + m] += c[i][j][m]
+                # -(D(e_i) op e_j)_k - (e_i op D(e_j))_k
+                for r in range(n):
+                    row[r * n + i] -= c[r][j][k]
+                    row[r * n + j] -= c[i][r][k]
+                if any(row):
+                    rows.append(row)
+    if commuting_with is not None:
+        g = a.map(commuting_with)
+        for r in range(n):
+            for col in range(n):
+                row = [ZERO] * width
+                # (g D - D g)[r][col]
+                for m in range(n):
+                    row[m * n + col] += g.m[r][m]
+                    row[r * n + m] -= g.m[m][col]
+                if any(row):
+                    rows.append(row)
+    basis = fraction_nullspace_basis(rows, width)
+    out = []
+    for v in basis:
+        d = LinearMap.from_rows([[v[r * n + col] for col in range(n)]
+                                 for r in range(n)])
+        verdict = check_derivation(a, op_name, d,
+                                   commuting_with_alpha=commuting_with == "alpha")
+        assert verdict.passed, "solver returned a non-derivation"
+        out.append(d)
+    return out
+
+
+def fraction_det(f):
+    if not f.is_square:
+        raise DimensionError("determinant of a non-square map")
+    f.require_bound()
+    n = f.rows
+    m = [list(row) for row in f.m]
+    d = ONE
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            return ZERO
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            d = -d
+        d *= m[c][c]
+        inv = 1 / m[c][c]
+        for r in range(c + 1, n):
+            g = m[r][c] * inv
+            if g:
+                for cc in range(c, n):
+                    m[r][cc] -= g * m[c][cc]
+    return d
+
+
+def fraction_inverse(f):
+    if not f.is_square:
+        raise DimensionError("inverse of a non-square map")
+    f.require_bound()
+    n = f.rows
+    m = [list(row) + [ONE if i == r else ZERO for i in range(n)]
+         for r, row in enumerate(f.m)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            raise DimensionError("map is singular")
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+        inv = 1 / m[c][c]
+        m[c] = [v * inv for v in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                g = m[r][c]
+                m[r] = [v - g * w for v, w in zip(m[r], m[c])]
+    return LinearMap.from_rows([row[n:] for row in m])

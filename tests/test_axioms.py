@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from homstruct import catalog
+from homstruct import axioms, catalog
 from homstruct.axioms import (
     CLASS_CHECKERS,
     CLASS_FAMILIES,
@@ -25,6 +25,7 @@ from homstruct.core import (
     DimensionError,
     LinearMap,
     UnboundParameterError,
+    eval_bilinear,
 )
 
 from helpers import (
@@ -237,3 +238,59 @@ def test_identity_terms_are_homogeneous():
         for ident in idents:
             ops = ops_alphas_slots(IDENTITIES[ident][1][0])[0]
             assert set(ops) <= set(CLASS_OPS[cls]), (cls, ident)
+
+
+def test_composite_check_builds_each_table_once(monkeypatch):
+    """One composite check reads each op table once: 2 n^2 eval_bilinear
+    calls for dot and bracket, which its sub-reports reuse."""
+    calls = []
+
+    def counting(op, x, y):
+        calls.append(op)
+        return eval_bilinear(op, x, y)
+
+    monkeypatch.setattr(axioms, "eval_bilinear", counting)
+    a = catalog.get("TP2")
+    assert check_class(a, "transposed-hom-poisson").passed
+    assert len(calls) == 2 * a.dim ** 2 > 0
+    assert calls.count(a.op("dot")) == calls.count(a.op("bracket")) == a.dim ** 2
+
+
+def test_composite_sub_reports_equal_standalone_checks():
+    """Sub-reports on the parent's tables say what the standalone checks say."""
+    composites = [cls for cls, (subs, _) in CLASS_FAMILIES.items() if subs]
+    inputs = [a for _, _, a, _ in bound_fixtures()]
+    inputs += [a for _, a, _ in perturbed_fixtures(40, seed=20261020)]
+    inputs += [a for _, a in _random_algebras()]
+    verdicts = set()
+    for a in inputs:
+        for cls in composites:
+            if not set(CLASS_OPS[cls]) <= set(a.ops):
+                continue
+            for mw in (0, 3, 32):
+                parent = check_class(a, cls, mw)
+                for sub in CLASS_FAMILIES[cls][0]:
+                    alone = check_class(a, sub, mw)
+                    mine = parent.sub_reports[sub]
+                    assert (mine.passed, _flat(mine), str(mine)) == \
+                        (alone.passed, _flat(alone), str(alone)), (cls, sub, mw)
+                    verdicts.add(alone.passed)
+    assert verdicts == {True, False}
+
+
+def test_composites_dispatch_through_class_checkers(monkeypatch):
+    """The tracer times sub-reports by wrapping CLASS_CHECKERS entries, which
+    must be called with the algebra as the first positional argument."""
+    seen = []
+    for sub, fn in list(CLASS_CHECKERS.items()):
+        def spy(*args, sub=sub, fn=fn, **kwargs):
+            seen.append((sub, args[0]))
+            return fn(*args, **kwargs)
+        monkeypatch.setitem(CLASS_CHECKERS, sub, spy)
+    tp2, plp2 = catalog.get("TP2"), catalog.get("PLP2", {"a": F(0)})
+    for a, cls in ((tp2, "hom-poisson"), (tp2, "transposed-hom-poisson"),
+                   (plp2, "hom-pre-lie-poisson")):
+        seen.clear()
+        check_class(a, cls)
+        subs = CLASS_FAMILIES[cls][0]
+        assert seen == [(cls, a)] + [(sub, a) for sub in subs] and subs

@@ -28,7 +28,6 @@ from homstruct.core import (
     PreconditionError,
     RepresentationPresentation,
     basis_vec,
-    eval_bilinear,
     serialize_algebra,
     serialize_representation,
 )
@@ -52,8 +51,6 @@ from homstruct.representations import (
 )
 
 from helpers import (
-    apply_map,
-    bilinear_from_table,
     bound_fixtures,
     closure_alpha_h_twist,
     closure_bimodule_from_morphism,
@@ -74,6 +71,7 @@ from helpers import (
     rand_matrix,
     rand_rep,
     rand_vec,
+    transported,
     vec_scale,
 )
 
@@ -83,31 +81,12 @@ F = Fraction
 BOTH = {"output", "PreconditionError"}
 
 
-# basis changes with non-integer inverses, one per fixture dimension
-_P = {2: LinearMap.from_rows([[F(1), F(1, 2)], [F(1, 3), F(1)]]),
-      3: LinearMap.from_rows([[F(1), F(1, 2), F(0)], [F(0), F(1), F(1, 3)],
-                              [F(2), F(0), F(1)]])}
-
-
-def _transported(a):
-    """a carried along x -> P x: ops P op(P^-1 x, P^-1 y), twist P alpha P^-1.
-    It stays in a's classes, with dense non-integer constants and a twist
-    that is not symmetric."""
-    P = _P[a.dim]
-    Pi = P.inverse()
-    e = [Pi.column(i) for i in range(a.dim)]
-    ops = {name: bilinear_from_table(
-               a.dim, lambda i, j, op=op: apply_map(P, eval_bilinear(op, e[i], e[j])))
-           for name, op in a.ops.items()}
-    return AlgebraPresentation(a.dim, ops, {"alpha": P @ a.alpha @ Pi}, a.basis)
-
-
 def _algebras():
     """Bound fixtures and their basis changes, 20 perturbations and dense
     random algebras at dims 1-3 with non-integer ops and alpha (one per class
     op set)."""
     out = [a for _, _, a, _ in bound_fixtures()]
-    out += [_transported(a) for a in out]
+    out += [transported(a) for a in out]
     out += [a for _, a, _ in perturbed_fixtures(20, seed=20261019)]
     rng = random.Random(16)
     out += [rand_algebra(rng, n, names) for n in (1, 2, 3)

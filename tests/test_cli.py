@@ -257,6 +257,22 @@ def test_precondition_exit_code(thp2_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["checkrep", "semidirect", "matched"])
+def test_class_without_module_axioms_is_a_precondition(thp2_file, thp2_reg_file,
+                                                       capsys, command):
+    argv = {"checkrep": ["checkrep", thp2_file, thp2_reg_file],
+            "semidirect": ["semidirect", thp2_file, thp2_reg_file],
+            "matched": ["matched", "check", thp2_file, thp2_file, thp2_reg_file,
+                        thp2_reg_file]}[command]
+    assert main(argv + ["--class", "hom-poisson"]) == PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == (
+        "precondition failed: class hom-poisson has no module axioms (classes with "
+        "module axioms: comm-hom-assoc, hom-lie, transposed-hom-poisson, hom-pre-lie, "
+        "hom-pre-lie-poisson)\n")
+
+
 _ALG1 = {"dim": 1, "ops": {"dot": [], "bracket": []}, "maps": {"alpha": [["1"]]}}
 _REP1 = {"algebra_dim": 1, "module_dim": 1,
          "actions": {"s": [[["0"]]], "rho": [[["0"]]]}, "beta": [["1"]]}

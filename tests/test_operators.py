@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from homstruct import catalog
+from homstruct import catalog, operators
 from homstruct.axioms import check_class, check_derivation
 from homstruct.constructions import sub_adjacent
 from homstruct.core import LinearMap, RepresentationPresentation
@@ -173,3 +173,20 @@ def test_nullspace_basis_canonical():
     rows = [[F(1), F(1), F(0)], [F(0), F(0), F(1)]]
     basis = nullspace_basis(rows, 3)
     assert basis == [(F(-1), F(1), F(0))]
+
+
+def test_derivation_space_calls_nullspace_basis_through_the_module(monkeypatch):
+    """The tracer counts the solver's system by rebinding
+    operators.nullspace_basis, called with (rows, width) positionally."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return nullspace_basis(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "nullspace_basis", spy)
+    a = catalog.get("THP2", {"lam": F(1)})
+    assert derivation_space(a, "dot") == [LinearMap.diagonal([F(0), F(1)])]
+    [(args, kwargs)] = calls
+    assert kwargs == {} and len(args) == 2 and args[1] == a.dim ** 2
+    assert all(len(row) == args[1] for row in args[0])

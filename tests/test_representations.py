@@ -12,7 +12,11 @@ from homstruct.core import (
     RepresentationPresentation,
     UnboundParameterError,
 )
-from homstruct.matched_pairs import build_double, matched_pair_from_representation
+from homstruct.matched_pairs import (
+    build_double,
+    check_matched_pair,
+    matched_pair_from_representation,
+)
 from homstruct.representations import (
     REP_OPS,
     ConstructionError,
@@ -315,3 +319,25 @@ def test_bimodule_from_morphism_gates_on_the_pulled_back_bimodule():
         b = catalog.get("PLP2", {"a": a_value})
         rep = bimodule_from_morphism(b, b, LinearMap.zero(2, 2))
         assert check_rep(b, rep, "hom-pre-lie-poisson").passed
+
+
+def test_classes_without_module_axioms_raise_precondition():
+    a = catalog.get("THP2", {"lam": F(1)})
+    rep = regular_representation(a, "transposed-hom-poisson")
+    calls = [lambda cls: check_rep(a, rep, cls),
+             lambda cls: regular_representation(a, cls),
+             lambda cls: semidirect_product(a, rep, cls),
+             lambda cls: bimodule_from_morphism(a, a, LinearMap.identity(2), cls),
+             lambda cls: matched_pair_from_representation(a, rep, cls),
+             lambda cls: build_double(matched_pair_from_representation(
+                 a, rep, "transposed-hom-poisson"), cls),
+             lambda cls: check_matched_pair(matched_pair_from_representation(
+                 a, rep, "transposed-hom-poisson"), cls)]
+    missing = set(CLASS_OPS) - set(REP_OPS)
+    assert missing == {"hom-poisson"}
+    for cls in missing:
+        for call in calls:
+            with pytest.raises(PreconditionError,
+                               match="class %s has no module axioms \\(classes with module "
+                                     "axioms: %s\\)" % (cls, ", ".join(REP_OPS))):
+                call(cls)
