@@ -105,7 +105,10 @@ def _parse_vector(text, dim):
         m = _VEC_TERM.match(term)
         if not m:
             raise _UsageError("bad vector term %r" % term)
-        coef = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+        try:
+            coef = Fraction(m.group(1) or 1)
+        except ZeroDivisionError:
+            raise _UsageError("bad rational in vector %r" % text)
         idx = int(m.group(2)) - 1
         if idx >= dim:
             raise _UsageError("basis index out of range in %r" % term)
@@ -180,6 +183,10 @@ def _cmd_check(args, binding):
 
 def _cmd_twist(args, binding):
     from homstruct import constructions
+    for flag, value in (("--yau", args.yau), ("--compose", args.compose),
+                        ("--derived", args.derived)):
+        if value is not None and args.class_name is None:
+            raise _UsageError("twist %s needs --class" % flag)
     a = _load_algebra(args.file, binding)
     if args.alpha_h is not None:
         out = constructions.alpha_h_twist(a, _parse_vector(args.alpha_h, a.dim))
@@ -413,10 +420,11 @@ def _build_parser():
 
     p = sub.add_parser("twist", parents=[common])
     with_class(p, required=False)
-    p.add_argument("--alpha-h", dest="alpha_h", default=None, metavar="VEC")
-    p.add_argument("--yau", default=None, metavar="MAP")
-    p.add_argument("--compose", default=None, metavar="MAP")
-    p.add_argument("--derived", type=int, default=None, metavar="N")
+    how = p.add_mutually_exclusive_group()
+    how.add_argument("--alpha-h", dest="alpha_h", default=None, metavar="VEC")
+    how.add_argument("--yau", default=None, metavar="MAP")
+    how.add_argument("--compose", default=None, metavar="MAP")
+    how.add_argument("--derived", type=int, default=None, metavar="N")
     p.add_argument("--type", type=int, choices=(1, 2), default=1)
     p.add_argument("file")
     p.set_defaults(fn=_cmd_twist)

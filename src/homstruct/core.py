@@ -13,6 +13,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -705,18 +706,21 @@ def _getter(positions):
     return itemgetter(*positions) if positions else lambda idx: ()
 
 
-def _contract(ins, out, operands):
-    """The sparse contraction of the operand dicts, as out-index -> int.
+@functools.cache
+def _plan(ins, out):
+    """The steps of a contraction of operands with letters ins (a tuple) into
+    out: (operand, key_b, ext_b, key_a, head_a) per step, and the final getter.
 
     Operands are taken pairwise, each next one sharing an index with the
     running result if any remaining one does, which avoids outer products.
+    The plan depends on the letters only, so it is built once per spec.
     """
     order, left, seen = [0], list(range(1, len(ins))), set(ins[0])
     while left:
         order.append(next((q for q in left if seen & set(ins[q])), left[0]))
         left.remove(order[-1])
         seen |= set(ins[order[-1]])
-    acc, letters = {(): 1}, ""
+    steps, letters = [], ""
     for step, p in enumerate(order):
         keep = set(out).union(*(ins[q] for q in order[step + 1:]))
         shared = [x for x in ins[p] if x in letters]
@@ -724,6 +728,16 @@ def _contract(ins, out, operands):
         new = [x for x in ins[p] if x not in letters and x in keep]
         key_b, ext_b = (_getter([ins[p].index(x) for x in xs]) for xs in (shared, new))
         key_a, head_a = (_getter([letters.index(x) for x in xs]) for xs in (shared, head))
+        steps.append((p, key_b, ext_b, key_a, head_a))
+        letters = "".join(head + new)
+    return tuple(steps), _getter([letters.index(x) for x in out])
+
+
+def _contract(ins, out, operands):
+    """The sparse contraction of the operand dicts, as out-index -> int."""
+    steps, final = _plan(tuple(ins), out)
+    acc = {(): 1}
+    for p, key_b, ext_b, key_a, head_a in steps:
         groups = {}
         for idx, w in operands[p].items():
             groups.setdefault(key_b(idx), []).append((ext_b(idx), w))
@@ -734,8 +748,7 @@ def _contract(ins, out, operands):
                 h = head_a(idx)
                 for e, w in group:
                     nxt[h + e] = nxt.get(h + e, 0) + v * w
-        acc, letters = nxt, "".join(head + new)
-    final = _getter([letters.index(x) for x in out])
+        acc = nxt
     return {final(idx): v for idx, v in acc.items()}
 
 

@@ -5,34 +5,27 @@ basis element, plus a module twist beta.  All module axioms are linear in the
 module argument, so they are checked as matrix identities; witnesses carry the
 algebra basis tuple and the flattened residual matrix.
 
-The module axioms are data (MODULE_IDENTITIES), evaluated on integer tables:
-each action family, beta, alpha and each op is scaled by the lcm of its
-denominators.  A term's integer product is its rational product times the
-product of its factors' scales, so each term is multiplied by L / scale,
-where L is the lcm of the identity's term scales; the integer residual is
-then L times the rational one and its zero test is exact.  Witness residuals
-are divided back into Fractions.
+The module axioms are data (MODULE_IDENTITIES): rows of contraction terms
+over the integer tensors of alpha, the class's ops, its actions and beta,
+evaluated by core.contraction_family, so each residual is exact.
 """
 
 from __future__ import annotations
 
-import math
 from functools import partial
-from itertools import chain
-from operator import mul
 
 from homstruct.axioms import (
     CLASS_OPS,
-    _exact,
-    _Tables,
     check_class,
     check_morphism,
     resolve_class,
 )
 from homstruct.core import (
     ConstructionError,
+    DimensionError,
     PreconditionError,
     RepresentationPresentation,
+    contraction_family,
     int_tensor,
     maps_from_terms,
     run_identity_families,
@@ -49,77 +42,76 @@ REP_OPS = {
 
 def _intertwine(act):
     """The row of beta act(x) - act(a(x)) beta."""
-    return (1, ((1, ("beta", (act, 0))), (-1, ((act, "a", 0), "beta"))))
+    return (1, ((1, "uv,ivw->iuw", ("beta", act)),
+                (-1, "xi,xuv,vw->iuw", ("alpha", act, "beta"))))
 
 
-# identity id -> (arity, terms); a term (c, factors) is c times the product of
-# its module_dim-square factors, read left to right.  A factor is
-#   "beta"            the module twist,
-#   (act, p)          act(e_p),
-#   (act, "a", p)     act(a(e_p)),
-#   (act, op, p, q)   act(op(e_p, e_q)),
-# for an action family act and positions p, q in the basis tuple.  Over a
-# Hom-pre-Lie algebra {x,y} = x*y - y*x and rho = l - r, two terms each.
+# identity id -> (arity, terms): contract's terms (c, spec, tensor names) over
+# "alpha" (a(e_x) = sum_r alpha[r][x] e_r), the ops (op(e_i, e_j) has e_k
+# coefficient op[i][j][k]), the actions (act(e_x) is the matrix act[x]) and
+# "beta".  The basis tuple is (i, j), u and w index the residual matrix and
+# v, x are summed.  Over a Hom-pre-Lie algebra {x,y} = x*y - y*x and
+# rho = l - r, two terms each.
 MODULE_IDENTITIES = {
     # s(x.y) beta - s(a(x)) s(y)
-    "assoc-action": (2, ((1, (("s", "dot", 0, 1), "beta")),
-                         (-1, (("s", "a", 0), ("s", 1))))),
+    "assoc-action": (2, ((1, "ijx,xuv,vw->ijuw", ("dot", "s", "beta")),
+                         (-1, "xi,xuv,jvw->ijuw", ("alpha", "s", "s")))),
     # rho([x,y]) beta - rho(a(x)) rho(y) + rho(a(y)) rho(x)
-    "bracket-action": (2, ((1, (("rho", "bracket", 0, 1), "beta")),
-                           (-1, (("rho", "a", 0), ("rho", 1))),
-                           (1, (("rho", "a", 1), ("rho", 0))))),
+    "bracket-action": (2, ((1, "ijx,xuv,vw->ijuw", ("bracket", "rho", "beta")),
+                           (-1, "xi,xuv,jvw->ijuw", ("alpha", "rho", "rho")),
+                           (1, "xj,xuv,ivw->ijuw", ("alpha", "rho", "rho")))),
     # 2 s({x,y}) beta - rho(a(x)) s(y) + rho(a(y)) s(x)
-    "mixed-1": (2, ((2, (("s", "bracket", 0, 1), "beta")),
-                    (-1, (("rho", "a", 0), ("s", 1))),
-                    (1, (("rho", "a", 1), ("s", 0))))),
+    "mixed-1": (2, ((2, "ijx,xuv,vw->ijuw", ("bracket", "s", "beta")),
+                    (-1, "xi,xuv,jvw->ijuw", ("alpha", "rho", "s")),
+                    (1, "xj,xuv,ivw->ijuw", ("alpha", "rho", "s")))),
     # 2 s(a(x)) rho(y) - rho(x.y) beta - rho(a(y)) s(x)
-    "mixed-2": (2, ((2, (("s", "a", 0), ("rho", 1))),
-                    (-1, (("rho", "dot", 0, 1), "beta")),
-                    (-1, (("rho", "a", 1), ("s", 0))))),
+    "mixed-2": (2, ((2, "xi,xuv,jvw->ijuw", ("alpha", "s", "rho")),
+                    (-1, "ijx,xuv,vw->ijuw", ("dot", "rho", "beta")),
+                    (-1, "xj,xuv,ivw->ijuw", ("alpha", "rho", "s")))),
     # l({x,y}) beta - l(a(x)) l(y) + l(a(y)) l(x)
-    "sub-bracket-action": (2, ((1, (("l", "star", 0, 1), "beta")),
-                               (-1, (("l", "star", 1, 0), "beta")),
-                               (-1, (("l", "a", 0), ("l", 1))),
-                               (1, (("l", "a", 1), ("l", 0))))),
+    "sub-bracket-action": (2, ((1, "ijx,xuv,vw->ijuw", ("star", "l", "beta")),
+                               (-1, "jix,xuv,vw->ijuw", ("star", "l", "beta")),
+                               (-1, "xi,xuv,jvw->ijuw", ("alpha", "l", "l")),
+                               (1, "xj,xuv,ivw->ijuw", ("alpha", "l", "l")))),
     # r(a(y)) rho(x) - l(a(x)) r(y) + r(x*y) beta
-    "right-action": (2, ((1, (("r", "a", 1), ("l", 0))),
-                         (-1, (("r", "a", 1), ("r", 0))),
-                         (-1, (("l", "a", 0), ("r", 1))),
-                         (1, (("r", "star", 0, 1), "beta")))),
+    "right-action": (2, ((1, "xj,xuv,ivw->ijuw", ("alpha", "r", "l")),
+                         (-1, "xj,xuv,ivw->ijuw", ("alpha", "r", "r")),
+                         (-1, "xi,xuv,jvw->ijuw", ("alpha", "l", "r")),
+                         (1, "ijx,xuv,vw->ijuw", ("star", "r", "beta")))),
     # l(x.y) beta - s(a(x)) l(y)
-    "compat-1": (2, ((1, (("l", "dot", 0, 1), "beta")),
-                     (-1, (("s", "a", 0), ("l", 1))))),
+    "compat-1": (2, ((1, "ijx,xuv,vw->ijuw", ("dot", "l", "beta")),
+                     (-1, "xi,xuv,jvw->ijuw", ("alpha", "s", "l")))),
     # r(a(y)) s(x) - s(x*y) beta
-    "compat-2": (2, ((1, (("r", "a", 1), ("s", 0))),
-                     (-1, (("s", "star", 0, 1), "beta")))),
+    "compat-2": (2, ((1, "xj,xuv,ivw->ijuw", ("alpha", "r", "s")),
+                     (-1, "ijx,xuv,vw->ijuw", ("star", "s", "beta")))),
     # r(a(y)) s(x) - s(a(x)) r(y)
-    "compat-3": (2, ((1, (("r", "a", 1), ("s", 0))),
-                     (-1, (("s", "a", 0), ("r", 1))))),
+    "compat-3": (2, ((1, "xj,xuv,ivw->ijuw", ("alpha", "r", "s")),
+                     (-1, "xi,xuv,jvw->ijuw", ("alpha", "s", "r")))),
     # s({x,y}) beta - l(a(x)) s(y) + l(a(y)) s(x)
-    "compat-4": (2, ((1, (("s", "star", 0, 1), "beta")),
-                     (-1, (("s", "star", 1, 0), "beta")),
-                     (-1, (("l", "a", 0), ("s", 1))),
-                     (1, (("l", "a", 1), ("s", 0))))),
+    "compat-4": (2, ((1, "ijx,xuv,vw->ijuw", ("star", "s", "beta")),
+                     (-1, "jix,xuv,vw->ijuw", ("star", "s", "beta")),
+                     (-1, "xi,xuv,jvw->ijuw", ("alpha", "l", "s")),
+                     (1, "xj,xuv,ivw->ijuw", ("alpha", "l", "s")))),
     # s(a(y)) rho(x) - l(a(x)) s(y) + r(x.y) beta
-    "compat-5": (2, ((1, (("s", "a", 1), ("l", 0))),
-                     (-1, (("s", "a", 1), ("r", 0))),
-                     (-1, (("l", "a", 0), ("s", 1))),
-                     (1, (("r", "dot", 0, 1), "beta")))),
+    "compat-5": (2, ((1, "xj,xuv,ivw->ijuw", ("alpha", "s", "l")),
+                     (-1, "xj,xuv,ivw->ijuw", ("alpha", "s", "r")),
+                     (-1, "xi,xuv,jvw->ijuw", ("alpha", "l", "s")),
+                     (1, "ijx,xuv,vw->ijuw", ("dot", "r", "beta")))),
     # the sufficient hypotheses of dual_representation
     # 2 s({x,y}) beta - s(y) rho(a(x)) + s(x) rho(a(y))
-    "hyp-mixed-1": (2, ((2, (("s", "bracket", 0, 1), "beta")),
-                        (-1, (("s", 1), ("rho", "a", 0))),
-                        (1, (("s", 0), ("rho", "a", 1))))),
+    "hyp-mixed-1": (2, ((2, "ijx,xuv,vw->ijuw", ("bracket", "s", "beta")),
+                        (-1, "xi,xvw,juv->ijuw", ("alpha", "rho", "s")),
+                        (1, "xj,xvw,iuv->ijuw", ("alpha", "rho", "s")))),
     # 2 rho(y) s(a(x)) - rho(x.y) beta - s(x) rho(a(y))
-    "hyp-mixed-2": (2, ((2, (("rho", 1), ("s", "a", 0))),
-                        (-1, (("rho", "dot", 0, 1), "beta")),
-                        (-1, (("s", 0), ("rho", "a", 1))))),
+    "hyp-mixed-2": (2, ((2, "xi,xvw,juv->ijuw", ("alpha", "s", "rho")),
+                        (-1, "ijx,xuv,vw->ijuw", ("dot", "rho", "beta")),
+                        (-1, "xj,xvw,iuv->ijuw", ("alpha", "rho", "s")))),
     # beta s(x) - s(x) beta
-    "hyp-strict-commute:s": (1, ((1, ("beta", ("s", 0))),
-                                 (-1, (("s", 0), "beta")))),
+    "hyp-strict-commute:s": (1, ((1, "uv,ivw->iuw", ("beta", "s")),
+                                 (-1, "iuv,vw->iuw", ("s", "beta")))),
     # beta rho(a(x)) - rho(x) beta
-    "hyp-strict-commute:rho": (1, ((1, ("beta", ("rho", "a", 0))),
-                                   (-1, (("rho", 0), "beta")))),
+    "hyp-strict-commute:rho": (1, ((1, "xi,xvw,uv->iuw", ("alpha", "rho", "beta")),
+                                   (-1, "iuv,vw->iuw", ("rho", "beta")))),
     "hyp-sym-commute:s": _intertwine("s"),
     "hyp-sym-commute:rho": _intertwine("rho"),
 }
@@ -160,105 +152,39 @@ def _check_shapes(a, rep):
         raise PreconditionError("representation algebra_dim does not match the algebra")
 
 
-def _int_matrices(fam):
-    """int_tensor of a family of matrices, as (matrices, scale); None for a zero matrix."""
-    t = int_tensor(fam)
-    return [m if any(map(any, m)) else None for m in t.dense()], t.scale
+def _tensors(a, rep, cls):
+    """The integer tensors of the class's rows.  A bad input raises its first
+    error in this order: bounds, algebra_dim, alpha's shape, the ops in
+    CLASS_OPS order, the actions in REP_OPS order, beta."""
+    _check_shapes(a, rep)
+    n, f = a.dim, a.alpha
+    if f.rows != n or f.cols != n:
+        raise DimensionError("map 'alpha' is %dx%d, expected %dx%d" % (f.rows, f.cols, n, n))
+    t = {"alpha": int_tensor(f)}
+    t.update((op, int_tensor(a.op(op))) for op in CLASS_OPS[cls])
+    t.update((act, int_tensor(rep.action(act))) for act in REP_OPS[cls])
+    t["beta"] = int_tensor(rep.beta)
+    return t
 
 
-def _combination(vec, mats):
-    """sum_k vec[k] mats[k]; None for the zero matrix (mats may hold None)."""
-    out = None
-    for c, m in zip(vec, mats):
-        if c and m is not None:
-            if out is None:
-                out = [[c * v for v in row] for row in m]
-            else:
-                out = [[u + c * v for u, v in zip(r1, r2)] for r1, r2 in zip(out, m)]
-    return out if out is not None and any(map(any, out)) else None
-
-
-class _ModuleTables:
-    """Integer tables of one bound algebra and representation, shared by one
-    check's families and its sub-reports.
-
-    tables[act][x] is the action matrix of e_x and tables["beta"] the module
-    twist, each times scales[act] (None for a zero matrix); the algebra's
-    alpha and ops are axioms._Tables.
-    """
-
-    def __init__(self, a, rep, cls):
-        _check_shapes(a, rep)
-        self.alg = _Tables(a, CLASS_OPS[cls])
-        self.size = rep.module_dim ** 2
-        self.tables, self.scales = {}, {}
-        for act in REP_OPS[cls]:
-            self.tables[act], self.scales[act] = _int_matrices(rep.action(act))
-        (self.tables["beta"],), self.scales["beta"] = _int_matrices((rep.beta,))
-        self._combined = {}
-
-    def combined(self, act, op):
-        """T[x] = act(a(e_x)) for op "a"; T[i][j] = act(op(e_i, e_j)) otherwise."""
-        key = (act, op)
-        if key not in self._combined:
-            mats = self.tables[act]
-            if op == "a":
-                t = [_combination(col, mats) for col in self.alg.alpha]
-            else:
-                t = [[_combination(v, mats) for v in row] for row in self.alg.ops[op]]
-            self._combined[key] = t
-        return self._combined[key]
-
-    def factor(self, f):
-        """(table, positions, scale): the factor at tuple t is table[t[p]]...[t[q]]."""
-        if f == "beta":
-            return self.tables["beta"], (), self.scales["beta"]
-        act, s = f[0], self.scales[f[0]]
-        if len(f) == 2:
-            return self.tables[act], f[1:], s
-        if f[1] == "a":
-            return self.combined(act, "a"), f[2:], s * self.alg.alpha_scale
-        return self.combined(act, f[1]), f[2:], s * self.alg.scales[f[1]]
-
-    def family(self, ident):
-        """The (identity id, arity, residual fn) triple of one MODULE_IDENTITIES row."""
+def _families(idents, tensors):
+    n, p = tensors["alpha"].shape[0], tensors["beta"].shape[0]
+    fams = []
+    for ident in idents:
         arity, terms = MODULE_IDENTITIES[ident]
-        compiled = [(c, [self.factor(f) for f in factors]) for c, factors in terms]
-        term_scales = [math.prod(s for _, _, s in fs) for _, fs in compiled]
-        scale = math.lcm(*term_scales)
-        compiled = [(c * (scale // ts), [(t, pos) for t, pos, _ in fs])
-                    for (c, fs), ts in zip(compiled, term_scales)]
-        size = self.size
-
-        def residual(*tup):
-            acc = [0] * size
-            for k, fs in compiled:
-                mats = []
-                for t, pos in fs:
-                    for p in pos:
-                        t = t[tup[p]]
-                    if t is None:
-                        break
-                    mats.append(t)
-                else:
-                    out = mats[0]
-                    for m in mats[1:]:
-                        cols = list(zip(*m))
-                        out = [[sum(map(mul, row, col)) for col in cols] for row in out]
-                    acc = [u + k * v for u, v in zip(acc, chain.from_iterable(out))]
-            return _exact(acc, scale)
-        return ident, arity, residual
+        fams.append(contraction_family(ident, (arity, (p, p), terms), tensors, n))
+    return fams
 
 
-def _report(tables, cls, max_witnesses):
+def _report(tensors, cls, max_witnesses):
     subs, idents = REP_FAMILIES[cls]
     return run_identity_families(
-        tables.alg.dim, [tables.family(ident) for ident in idents], max_witnesses,
-        sub_reports={name: _report(tables, sub, max_witnesses) for name, sub in subs})
+        tensors["alpha"].shape[0], _families(idents, tensors), max_witnesses,
+        sub_reports={name: _report(tensors, sub, max_witnesses) for name, sub in subs})
 
 
 def _check(cls, a, rep, max_witnesses=32):
-    return _report(_ModuleTables(a, rep, cls), cls, max_witnesses)
+    return _report(_tensors(a, rep, cls), cls, max_witnesses)
 
 
 REP_CHECKERS = {cls: partial(_check, cls) for cls in REP_OPS}
@@ -342,16 +268,18 @@ def dual_representation(a, rep, max_witnesses=32):
     ConstructionError.  Returns (dual_rep, hypotheses_report).
     """
     cls = "transposed-hom-poisson"
-    tables = _ModuleTables(a, rep, cls)
-    hyp = run_identity_families(
-        a.dim, [tables.family(ident) for ident in DUAL_HYPOTHESES], max_witnesses)
+    t = _tensors(a, rep, cls)
+    hyp = run_identity_families(a.dim, _families(DUAL_HYPOTHESES, t), max_witnesses)
     dual = RepresentationPresentation(
         a.dim, rep.module_dim,
         {"s": tuple(m.transpose() for m in rep.action("s")),
          "rho": tuple(m.transpose().scale(-1) for m in rep.action("rho"))},
         rep.beta.transpose())
     if hyp.passed:
-        closure = _check(cls, a, dual, max_witnesses)
+        # the algebra's tensors are kept; only the module's are swapped
+        t.update(s=int_tensor(dual.action("s")), rho=int_tensor(dual.action("rho")),
+                 beta=int_tensor(dual.beta))
+        closure = _report(t, cls, max_witnesses)
         if not closure.passed:
             raise ConstructionError(
                 "dual_representation: hypotheses hold but the dual failed; "

@@ -83,6 +83,34 @@ def test_twist_derived(thp2_file, tmp_path):
     assert main(["check", str(out), "--class", "transposed-hom-poisson"]) == PASS
 
 
+@pytest.mark.parametrize("vec", ["1/0*e1", "e1-1/0*e2", "1/0,1"])
+def test_twist_alpha_h_division_by_zero_is_a_usage_error(thp2_file, capsys, vec):
+    assert main(["twist", thp2_file, "--alpha-h", vec]) == USAGE
+    err = capsys.readouterr().err
+    assert err == "usage error: bad rational in vector %r\n" % vec
+
+
+@pytest.mark.parametrize("flag, value", [("--yau", "alpha"), ("--compose", "alpha"),
+                                         ("--derived", "1")])
+def test_twist_needs_class_for_class_twists(thp2_file, capsys, flag, value):
+    assert main(["twist", thp2_file, flag, value]) == USAGE
+    assert capsys.readouterr().err == "usage error: twist %s needs --class\n" % flag
+
+
+@pytest.mark.parametrize("first, second", [
+    (["--alpha-h", "e1"], ["--yau", "alpha"]),
+    (["--yau", "alpha"], ["--compose", "alpha"]),
+    (["--compose", "alpha"], ["--derived", "1"]),
+    (["--derived", "1"], ["--alpha-h", "e1"]),
+])
+def test_twist_options_are_mutually_exclusive(thp2_file, capsys, first, second):
+    argv = ["twist", thp2_file, "--class", "transposed-hom-poisson"] + first + second
+    assert main(argv) == USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument %s: not allowed with argument %s"
+                          % (second[0], first[0])), err
+
+
 def test_tensor(thp2_file, tmp_path):
     out = tmp_path / "tensor.json"
     assert main(["tensor", thp2_file, thp2_file, "--class",

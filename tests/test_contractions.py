@@ -347,6 +347,34 @@ def test_contraction_family_rows():
     want = [sum(g.dense()[a][i] * g.dense()[b][c] * g.dense()[a][b]
                 for a in range(2) for b in range(2) for c in range(2)) for i in range(2)]
     assert [list(fn(i)) for i in range(2)] == [[F(w)] for w in want]
+    # one spec over operands of other shapes and sparsity: a contraction plan
+    # is shared by every use of its spec, so it may depend on the letters only
+    rng = random.Random(11)
+
+    def rand_tensor(shape, density):
+        cells = [()]
+        for size in shape:
+            cells = [c + (x,) for c in cells for x in range(size)]
+        return [c + (F(rng.randint(-3, 3), rng.choice((1, 2, 3))),)
+                for c in cells if rng.random() < density]
+
+    for n, p, density in ((2, 3, 1.0), (3, 2, 0.3), (1, 4, 0.6)):
+        raw = {"op": rand_tensor((n, n, n), density),
+               "act": rand_tensor((n, p, p), density),
+               "beta": rand_tensor((p, p), density)}
+        dense = {name: {tuple(e[:-1]): e[-1] for e in entries}
+                 for name, entries in raw.items()}
+        t = {name: IntTensor(shape, raw[name]) for name, shape in
+             (("op", (n, n, n)), ("act", (n, p, p)), ("beta", (p, p)))}
+        _, _, fn = contraction_family("act(op(x, y)) beta", (2, (p, p), (
+            (1, "ijx,xuv,vw->ijuw", ("op", "act", "beta")),)), t, n)
+        for i in range(n):
+            for j in range(n):
+                want = [sum(dense["op"].get((i, j, x), 0) * dense["act"].get((x, u, v), 0)
+                            * dense["beta"].get((v, w), 0)
+                            for x in range(n) for v in range(p))
+                        for u in range(p) for w in range(p)]
+                assert list(fn(i, j)) == want, (n, p, i, j)
     with pytest.raises(DimensionError):
         contraction_family("bad", (2, (2,), ((1, "ijr,or->ijo", ("op", "w")),)),
                            {"op": op, "w": int_tensor(LinearMap.zero(2, 3))}, 2)

@@ -125,14 +125,19 @@ def test_dual_representation_regular_hypotheses():
     assert not check_rep(thp, dual, "transposed-hom-poisson").passed
 
 
+def _tp2_line_module():
+    """A one-dimensional TP2 module on which every dual hypothesis holds."""
+    b = LinearMap.from_rows([[F(2)]])
+    return RepresentationPresentation(2, 1, {
+        "s": (LinearMap.zero(1), b),
+        "rho": (LinearMap.zero(1), LinearMap.zero(1)),
+    }, b)
+
+
 def test_dual_representation_when_hypotheses_pass():
     # one-dimensional module where every hypothesis holds: the dual passes
     a = catalog.get("TP2")
-    b = F(2)
-    rep = RepresentationPresentation(2, 1, {
-        "s": (LinearMap.zero(1), LinearMap.from_rows([[b]])),
-        "rho": (LinearMap.zero(1), LinearMap.zero(1)),
-    }, LinearMap.from_rows([[b]]))
+    rep = _tp2_line_module()
     assert check_rep(a, rep, "transposed-hom-poisson").passed
     dual, hyp = dual_representation(a, rep)
     assert hyp.passed
@@ -141,6 +146,22 @@ def test_dual_representation_when_hypotheses_pass():
     assert dual.beta == rep.beta.transpose()
     assert dual.actions["s"][1] == rep.actions["s"][1].transpose()
     assert dual.actions["rho"][1] == -rep.actions["rho"][1].transpose()
+
+
+def test_dual_representation_converts_the_algebra_once(monkeypatch):
+    # the hypotheses and the closure check on the dual share the algebra's
+    # integer tensors; only the module's are converted again
+    import homstruct.representations as reps
+    a = catalog.get("TP2")
+    rep = _tp2_line_module()
+    seen = []
+    convert = reps.int_tensor
+    monkeypatch.setattr(reps, "int_tensor", lambda x: seen.append(x) or convert(x))
+    dual, hyp = dual_representation(a, rep)
+    assert hyp.passed
+    for x in (a.alpha, a.op("dot"), a.op("bracket")):
+        assert sum(y is x for y in seen) == 1
+    assert sum(y is dual.beta for y in seen) == 1
 
 
 def test_rep_commutator():
