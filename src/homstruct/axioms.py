@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter
 
 from homstruct.core import (
     CheckReport,
@@ -105,11 +105,6 @@ def resolve_class(name):
     return name
 
 
-def _exact(acc, scale):
-    """The zero list as is; otherwise the residual as Fractions."""
-    return tuple(Fraction(x, scale) for x in acc) if any(acc) else acc
-
-
 class _Tables:
     """Integer tables of one bound presentation, shared by one check's
     families and by its sub-reports.
@@ -136,20 +131,24 @@ class _Tables:
         for name in op_names:
             op = a.op(name)
             s = self.scales[name] = math.lcm(1, *(c.denominator for *_, c in op.entries))
-            self.ops[name] = [[[int(v * s) for v in eval_bilinear(op, x, y)] for y in e]
-                              for x in e]
+            self.ops[name] = [[[v.numerator * (s // v.denominator)
+                                for v in eval_bilinear(op, x, y)] for y in e] for x in e]
         self._nonzero = {}
         self._twisted = {}
 
     def nonzero(self, name):
-        """nz[i][j]: the (b, coefficient) pairs of op(e_i, e_j) with coefficient != 0."""
+        """(i, j, pairs) for each op(e_i, e_j) != 0, pairs its (b, coefficient)
+        pairs with coefficient != 0."""
         if name not in self._nonzero:
-            self._nonzero[name] = [[[(b, v) for b, v in enumerate(vec) if v]
-                                    for vec in row] for row in self.ops[name]]
+            self._nonzero[name] = [
+                (i, j, pairs) for i, row in enumerate(self.ops[name])
+                for j, vec in enumerate(row)
+                for pairs in [[(b, v) for b, v in enumerate(vec) if v]] if pairs]
         return self._nonzero[name]
 
     def twisted(self, name, side):
-        """M[x][b]: op(a(e_x), e_b) for side "L", op(e_b, a(e_x)) for side "R"."""
+        """M[x][b]: the (o, coefficient) pairs with coefficient != 0 of
+        op(a(e_x), e_b) for side "L", of op(e_b, a(e_x)) for side "R"."""
         key = (name, side)
         if key not in self._twisted:
             n, t = self.dim, self.ops[name]
@@ -161,40 +160,50 @@ class _Tables:
                         for b in range(n):
                             v = t[x][b] if side == "L" else t[b][x]
                             m[b] = [u + c * w for u, w in zip(m[b], v)]
-                out.append(m)
+                out.append([[(o, w) for o, w in enumerate(vec) if w] for vec in m])
             self._twisted[key] = out
         return self._twisted[key]
 
     def family(self, ident):
-        """The (identity id, arity, residual fn) triple of one IDENTITIES row."""
+        """The (identity id, arity, table fn) triple of one IDENTITIES row.
+
+        The table is a sparse join: a term only reaches the tuples on which
+        its inner product (the op itself, for a binary row) is nonzero.
+        """
         arity, terms = IDENTITIES[ident]
         n = self.dim
         if arity == 2:
             scale = self.scales[terms[0][1]]
-            compiled = [(c, self.ops[op], p, q) for (c, op, p, q) in terms]
-
-            def residual(*tup):
-                acc = [0] * n
-                for c, t, p, q in compiled:
-                    acc = [u + c * w for u, w in zip(acc, t[tup[p]][tup[q]])]
-                return _exact(acc, scale)
         else:
             _, outer, inner = terms[0][:3]
             scale = self.scales[outer] * self.scales[inner] * self.alpha_scale
-            compiled = [(c, self.twisted(outer, side), self.nonzero(inner), p, q, r)
-                        for (c, outer, inner, side, p, q, r) in terms]
 
-            def residual(*tup):
-                coefs, rows = [], []
-                for c, m, nz, p, q, r in compiled:
-                    mx = m[tup[p]]
-                    for b, v in nz[tup[q]][tup[r]]:
-                        coefs.append(c * v)
-                        rows.append(mx[b])
-                if not rows:
-                    return [0] * n
-                return _exact([sum(map(mul, coefs, col)) for col in zip(*rows)], scale)
-        return ident, arity, residual
+        def table():
+            acc = {}
+            for term in terms:
+                c, slots = term[0], term[-arity:]
+                place = itemgetter(*map(slots.index, range(arity)))
+                if arity == 2:
+                    for x, y, pairs in self.nonzero(term[1]):
+                        res = acc.setdefault(place((x, y)), [0] * n)
+                        for o, v in pairs:
+                            res[o] += c * v
+                    continue
+                m = self.twisted(term[1], term[3])
+                for xq, xr, pairs in self.nonzero(term[2]):
+                    pairs = [(b, c * v) for b, v in pairs]
+                    for xp, mx in enumerate(m):
+                        res = None  # allocated once some twisted row is nonzero
+                        for b, cv in pairs:
+                            row = mx[b]
+                            if row:
+                                if res is None:
+                                    res = acc.setdefault(place((xp, xq, xr)), [0] * n)
+                                for o, w in row:
+                                    res[o] += cv * w
+            return {tup: tuple(Fraction(x, scale) for x in res)
+                    for tup, res in acc.items() if any(res)}
+        return ident, arity, table
 
 
 def _check(a, cls, max_witnesses, tables):

@@ -187,6 +187,10 @@ def _cmd_twist(args, binding):
                         ("--derived", args.derived)):
         if value is not None and args.class_name is None:
             raise _UsageError("twist %s needs --class" % flag)
+    if args.alpha_h is not None and args.class_name is not None:
+        raise _UsageError("twist --alpha-h takes no --class")
+    if args.type is not None and args.derived is None:
+        raise _UsageError("twist --type needs --derived")
     a = _load_algebra(args.file, binding)
     if args.alpha_h is not None:
         out = constructions.alpha_h_twist(a, _parse_vector(args.alpha_h, a.dim))
@@ -196,7 +200,7 @@ def _cmd_twist(args, binding):
         out = constructions.compose_twist(a, a.map(args.compose), args.class_name)
     elif args.derived is not None:
         out = constructions.derived_algebra(a, args.derived, args.class_name,
-                                            kind=args.type)
+                                            kind=args.type or 1)
     else:
         raise _UsageError(
             "twist needs one of --alpha-h, --yau, --compose, --derived")
@@ -425,7 +429,7 @@ def _build_parser():
     how.add_argument("--yau", default=None, metavar="MAP")
     how.add_argument("--compose", default=None, metavar="MAP")
     how.add_argument("--derived", type=int, default=None, metavar="N")
-    p.add_argument("--type", type=int, choices=(1, 2), default=1)
+    p.add_argument("--type", type=int, choices=(1, 2), default=None)
     p.add_argument("file")
     p.set_defaults(fn=_cmd_twist)
 

@@ -106,10 +106,6 @@ def basis_vec(n, i):
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def vec_is_zero(x):
-    return all(a == 0 for a in x)
-
-
 # ---------------------------------------------------------------------------
 # bilinear maps
 
@@ -518,40 +514,29 @@ class CheckReport:
 
 
 def run_identity_families(dim, families, max_witnesses=32, sub_reports=None, notes=()):
-    """Evaluate residual functions on all basis tuples; collect sorted witnesses.
+    """Evaluate each family's residual table once; collect sorted witnesses.
 
-    families: iterable of (identity_id, arity, fn) where fn maps a basis index
-    tuple to a residual coefficient vector (zero means the identity holds).
-    At most max_witnesses (>= 0) witnesses are kept.
+    families: iterable of (identity_id, arity, table) where table() returns
+    {basis index tuple: residual coefficient vector} for the tuples whose
+    residual may be nonzero; the identity holds on every tuple it leaves out,
+    and an all-zero residual is not a witness.  Each family counts all
+    dim ** arity basis tuples as checked.  At most max_witnesses (>= 0)
+    witnesses are kept.
     """
     if max_witnesses < 0:
         raise ValueError("max_witnesses must be >= 0, got %d" % max_witnesses)
     witnesses = []
     checked = 0
-    failures = 0
-    for (ident, arity, fn) in families:
-        for tup in _tuples(dim, arity):
-            checked += 1
-            res = fn(*tup)
-            if not vec_is_zero(res):
-                failures += 1
-                witnesses.append((ident, tup, tuple(res)))
+    for (ident, arity, table) in families:
+        checked += dim ** arity
+        witnesses += [(ident, tup, tuple(res)) for tup, res in table().items() if any(res)]
     witnesses.sort(key=lambda w: (w[0], w[1]))
     return CheckReport(
         witnesses=witnesses[:max_witnesses],
         checked=checked,
-        failures=failures,
+        failures=len(witnesses),
         sub_reports=dict(sub_reports or {}),
         notes=tuple(notes))
-
-
-def _tuples(dim, arity):
-    if arity == 0:
-        yield ()
-        return
-    for head in _tuples(dim, arity - 1):
-        for i in range(dim):
-            yield head + (i,)
 
 
 # ---------------------------------------------------------------------------
@@ -657,12 +642,12 @@ TUPLE_LETTERS = "ijkl"
 
 
 def contraction_family(ident, row, tensors, dim):
-    """The (ident, arity, fn) triple of a row (arity, out_shape, terms).
+    """The (ident, arity, table) triple of a row (arity, out_shape, terms).
 
     The terms are contract's, with i, j, k, l the basis-tuple positions and
     the other output letters the residual's coordinates in row-major order.
-    The residual is contract's exact sum, so its zero test is exact.  Shapes
-    are checked here; the residual table is built on the first fn call.
+    table() is contract's exact sum grouped by basis tuple, nonzero tuples
+    only, so its zero test is exact.  Shapes are checked here.
     """
     arity, out_shape, terms = row
     positions = TUPLE_LETTERS[:arity]
@@ -679,23 +664,14 @@ def contraction_family(ident, row, tensors, dim):
         raise DimensionError("%s: %s" % (ident, exc)) from None
     strides = [math.prod(out_shape[n + 1:]) for n in range(len(out_shape))]
     size = math.prod(out_shape)
-    zero, table = (0,) * size, None
 
-    def residual(*key):
-        nonlocal table
-        if table is None:
-            table = {}
-            for idx, v in _exact_sum(compiled).items():
-                table.setdefault(idx[:arity], {})[sum(map(mul, idx[arity:], strides))] = v
-        d = table.get(key)
-        if not d:
-            return zero
-        res = [ZERO] * size
-        for f, v in d.items():
-            res[f] = v
-        return res
+    def table():
+        out = {}
+        for idx, v in _exact_sum(compiled).items():
+            out.setdefault(idx[:arity], [ZERO] * size)[sum(map(mul, idx[arity:], strides))] = v
+        return out
 
-    return ident, arity, residual
+    return ident, arity, table
 
 
 def _getter(positions):

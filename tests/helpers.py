@@ -3,10 +3,9 @@
 import random
 from fractions import Fraction
 
-from homstruct import catalog
+from homstruct import catalog, core
 from homstruct.axioms import (
     CLASS_OPS,
-    _Tables,
     check_class,
     check_derivation,
     check_morphism,
@@ -28,13 +27,51 @@ from homstruct.core import (
     block_diag,
     eval_bilinear,
     require_bound,
-    run_identity_families,
 )
 from homstruct.duality import tensor_map
 from homstruct.operators import check_o_operator, check_rota_baxter
 from homstruct.representations import REP_OPS, check_rep
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# the per-tuple oracle protocol: the reference checkers below give each
+# identity as a closure fn(*basis_tuple) -> residual, evaluated on every
+# basis tuple; per_tuple turns one into the table fn that
+# homstruct.core.run_identity_families reads.
+
+def vec_is_zero(x):
+    return all(a == 0 for a in x)
+
+
+def _tuples(dim, arity):
+    if arity == 0:
+        yield ()
+        return
+    for head in _tuples(dim, arity - 1):
+        for i in range(dim):
+            yield head + (i,)
+
+
+def per_tuple(dim, arity, fn):
+    """The table fn of a per-tuple closure: {tuple: fn(*tuple)} on the basis
+    tuples whose residual is nonzero."""
+    def table():
+        out = {}
+        for tup in _tuples(dim, arity):
+            res = fn(*tup)
+            if not vec_is_zero(res):
+                out[tup] = res
+        return out
+    return table
+
+
+def run_identity_families(dim, families, max_witnesses=32, sub_reports=None, notes=()):
+    """core.run_identity_families over (ident, arity, per-tuple closure) families."""
+    return core.run_identity_families(
+        dim, [(ident, arity, per_tuple(dim, arity, fn)) for ident, arity, fn in families],
+        max_witnesses, sub_reports, notes)
 
 
 def rand_fraction(rng):
@@ -80,20 +117,24 @@ def perturbed_fixtures(count=100, seed=20260823):
     out = []
     for idx in range(count):
         name, label, a, cls = base[rng.randrange(len(base))]
-        op_name = rng.choice(sorted(a.ops))
-        n = a.dim
-        i, j, k = (rng.randrange(n) for _ in range(3))
-        delta = F(0)
-        while delta == 0:
-            delta = rand_fraction(rng)
-        table = {(ei, ej, ek): c for (ei, ej, ek, c) in a.op(op_name).entries}
-        table[(i, j, k)] = table.get((i, j, k), F(0)) + delta
-        ops = dict(a.ops)
-        ops[op_name] = BilinearMap(n, tuple(
-            (ei, ej, ek, c) for (ei, ej, ek), c in sorted(table.items())))
-        out.append(("%s[%s]#%d" % (name, label, idx),
-                    AlgebraPresentation(n, ops, dict(a.maps), a.basis), cls))
+        out.append(("%s[%s]#%d" % (name, label, idx), perturb(rng, a), cls))
     return out
+
+
+def perturb(rng, a):
+    """a with one structure constant of one op changed by a nonzero delta."""
+    op_name = rng.choice(sorted(a.ops))
+    n = a.dim
+    i, j, k = (rng.randrange(n) for _ in range(3))
+    delta = F(0)
+    while delta == 0:
+        delta = rand_fraction(rng)
+    table = {(ei, ej, ek): c for (ei, ej, ek, c) in a.op(op_name).entries}
+    table[(i, j, k)] = table.get((i, j, k), F(0)) + delta
+    ops = dict(a.ops)
+    ops[op_name] = BilinearMap(n, tuple(
+        (ei, ej, ek, c) for (ei, ej, ek), c in sorted(table.items())))
+    return AlgebraPresentation(n, ops, dict(a.maps), a.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -291,15 +332,16 @@ def closure_check_class(a, cls, max_witnesses=32):
 def closure_cyclic_sum(a, max_witnesses=32):
     """The cyclic-sum family of check_transposed_consequences, as a closure."""
     e, av, (dot, br) = _closure_ctx(a, "dot", "bracket")
-    fams = [
-        ("cyclic-sum", 3,
-         lambda i, j, k: vec_add(
-             eval_bilinear(dot, av[i], eval_bilinear(br, e[j], e[k])),
-             vec_add(
-                 eval_bilinear(dot, av[j], eval_bilinear(br, e[k], e[i])),
-                 eval_bilinear(dot, av[k], eval_bilinear(br, e[i], e[j]))))),
-    ]
-    return run_identity_families(a.dim, fams, max_witnesses)
+    return run_identity_families(a.dim, [_cyclic_sum(e, av, dot, br)], max_witnesses)
+
+
+def _cyclic_sum(e, av, dot, br):
+    return ("cyclic-sum", 3,
+            lambda i, j, k: vec_add(
+                eval_bilinear(dot, av[i], eval_bilinear(br, e[j], e[k])),
+                vec_add(
+                    eval_bilinear(dot, av[j], eval_bilinear(br, e[k], e[i])),
+                    eval_bilinear(dot, av[k], eval_bilinear(br, e[i], e[j])))))
 
 
 def closure_annihilation(a, max_witnesses=32):
@@ -603,11 +645,10 @@ def closure_transposed_consequences(a, max_witnesses=32):
     four-variable (only when alpha = id, otherwise skipped with a note):
     {x.z, y.t} + {x.t, y.z} = 2 (z.t).{x,y}.
     """
-    fams = [_Tables(a, ("dot", "bracket")).family("cyclic-sum")]
+    e, av, (dot, br) = _closure_ctx(a, "dot", "bracket")
+    fams = [_cyclic_sum(e, av, dot, br)]
     notes = []
     if a.alpha.is_identity():
-        dot, br = a.op("dot"), a.op("bracket")
-        e = [basis_vec(a.dim, i) for i in range(a.dim)]
         fams.append((
             "four-variable", 4,
             lambda i, j, k, l: vec_sub(

@@ -11,6 +11,7 @@ from homstruct.axioms import (
     CLASS_OPS,
     IDENTITIES,
     MissingOperationError,
+    _Tables,
     check_class,
     check_derivation,
     check_morphism,
@@ -19,9 +20,11 @@ from homstruct.axioms import (
     check_transposed_consequences,
     resolve_class,
 )
+from homstruct.constructions import tensor_product
 from homstruct.core import (
     AlgebraPresentation,
     BilinearMap,
+    CheckReport,
     DimensionError,
     LinearMap,
     UnboundParameterError,
@@ -34,8 +37,10 @@ from helpers import (
     closure_check_class,
     closure_cyclic_sum,
     naive_class_verdict,
+    perturb,
     perturbed_fixtures,
     rand_algebra,
+    transported,
 )
 
 F = Fraction
@@ -184,6 +189,49 @@ def test_integer_kernel_matches_fraction_closures():
             if not a.alpha.is_identity():
                 assert (_flat(check_transposed_consequences(a, mw))[:3]
                         == _flat(closure_cyclic_sum(a, mw))[:3])
+
+
+def _capped(report, mw):
+    """report with every witness list, its sub-reports' included, cut to mw."""
+    return CheckReport(report.witnesses[:mw], report.checked, report.failures,
+                       {name: _capped(sub, mw) for name, sub in report.sub_reports.items()},
+                       report.notes)
+
+
+def test_sparse_join_matches_fraction_closures_at_dim_8():
+    """The check-sparse shape: dim-8 tensor products of catalog entries, as
+    built, with one factor carried to a dense non-integer basis, and with one
+    constant perturbed.  Most op cells and twisted rows are zero here, so
+    the sparse join skips most of its work; the reports must still be the
+    Fraction closures' ones.  The closures cost seconds at dim 8, so each
+    runs once, at the largest cap: the report at a smaller cap keeps the
+    first witnesses of each list (run_identity_families sorts, then cuts)."""
+    T, PLP = "transposed-hom-poisson", "hom-pre-lie-poisson"
+    tp, thp = catalog.get("TP2"), catalog.get("THP2", {"lam": F(5, 2)})
+    plp = catalog.get("PLP2", {"a": F(3)})
+    rng = random.Random(20261018)
+    cases = []
+    for factors, cls, classes in (((tp, thp, tp), T, ("hom-poisson", T)),
+                                  ((tp, transported(thp), tp), T, (T,)),
+                                  ((plp, plp, plp), PLP, (PLP,)),
+                                  ((plp, transported(plp), plp), PLP, (PLP,))):
+        a = tensor_product(tensor_product(factors[0], factors[1], cls), factors[2], cls)
+        cases += [(a, classes), (perturb(rng, a), classes[-1:])]
+    verdicts, skips = set(), set()
+    for a, classes in cases:
+        assert a.dim == 8
+        for cls in classes:
+            tables = _Tables(a, CLASS_OPS[cls])
+            skips.add(any(len(tables.nonzero(op)) < 64 for op in CLASS_OPS[cls])
+                      and any(not row for op in CLASS_OPS[cls] for side in "LR"
+                              for m in tables.twisted(op, side) for row in m))
+            oracle = closure_check_class(a, cls, 1000)
+            for mw in (0, 3, 1000):
+                mine, want = check_class(a, cls, mw), _capped(oracle, mw)
+                assert (mine.passed, _flat(mine), str(mine)) == \
+                    (want.passed, _flat(want), str(want)), (cls, mw)
+            verdicts.add(oracle.passed)
+    assert verdicts == {True, False} and skips == {True}
 
 
 def test_check_errors_match_fraction_closures():

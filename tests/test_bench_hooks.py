@@ -41,3 +41,21 @@ def test_traced_family_ids_are_identity_rows(monkeypatch):
         assert ident in run.IDENTITIES and ident in IDENTITIES, ident
     for ident in MODULE_IDS:
         assert ident in run.IDENTITIES and ident in MODULE_IDENTITIES, ident
+
+
+def test_tracer_times_each_class_family(monkeypatch):
+    """The tracer times a family by wrapping its table fn; one traced check
+    must give every family of the class a time."""
+    from homstruct import axioms, catalog
+
+    tracing = _load(monkeypatch, "tracing")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert axioms.check_class(catalog.get("TP2"), "transposed-hom-poisson").passed
+    finally:
+        tracer.uninstall()
+    for ident in ("commutative", "hom-associative", "skew-symmetry", "hom-jacobi",
+                  "transposed-leibniz"):
+        assert ident in tracer.family_s, ident
+    assert tracer.counts["tuples"] > 0

@@ -71,8 +71,7 @@ def test_twist_alpha_h(tmp_path, capsys):
     tp2 = tmp_path / "tp2.json"
     tp2.write_text(serialize_algebra(catalog.get("TP2")))
     out = tmp_path / "twisted.json"
-    assert main(["twist", str(tp2), "--class", "transposed-hom-poisson",
-                 "--alpha-h", "e1", "-o", str(out)]) == PASS
+    assert main(["twist", str(tp2), "--alpha-h", "e1", "-o", str(out)]) == PASS
     assert main(["check", str(out), "--class", "transposed-hom-poisson"]) == PASS
 
 
@@ -95,6 +94,29 @@ def test_twist_alpha_h_division_by_zero_is_a_usage_error(thp2_file, capsys, vec)
 def test_twist_needs_class_for_class_twists(thp2_file, capsys, flag, value):
     assert main(["twist", thp2_file, flag, value]) == USAGE
     assert capsys.readouterr().err == "usage error: twist %s needs --class\n" % flag
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--alpha-h", "e1", "--class", "hom-lie"], "twist --alpha-h takes no --class"),
+    (["--alpha-h", "e1", "--type", "2"], "twist --type needs --derived"),
+    (["--alpha-h", "e1", "--type", "1"], "twist --type needs --derived"),
+    (["--yau", "alpha", "--class", "transposed-hom-poisson", "--type", "2"],
+     "twist --type needs --derived"),
+    (["--compose", "alpha", "--class", "transposed-hom-poisson", "--type", "1"],
+     "twist --type needs --derived"),
+])
+def test_twist_rejects_options_it_would_ignore(thp2_file, capsys, extra, message):
+    assert main(["twist", thp2_file] + extra) == USAGE
+    assert capsys.readouterr() == ("", "usage error: %s\n" % message)
+
+
+def test_twist_derived_type_defaults_to_1(thp2_file, tmp_path, capsys):
+    outs = []
+    for kind in ([], ["--type", "1"], ["--type", "2"]):
+        assert main(["twist", thp2_file, "--class", "transposed-hom-poisson",
+                     "--derived", "2"] + kind) == PASS
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] != outs[2]
 
 
 @pytest.mark.parametrize("first, second", [

@@ -1,0 +1,93 @@
+"""The family protocol of core.run_identity_families: a family is
+(identity id, arity, table fn), and table() gives the residuals of the
+basis tuples on which the identity may fail."""
+
+from fractions import Fraction
+
+from homstruct import axioms, catalog, core, representations
+from homstruct.axioms import CLASS_FAMILIES, check_class
+from homstruct.core import (
+    ZERO,
+    BilinearMap,
+    contraction_family,
+    int_tensor,
+    run_identity_families,
+)
+from homstruct.representations import REP_FAMILIES, check_rep, regular_representation
+
+F = Fraction
+
+
+def _counting(monkeypatch):
+    """Patch the runner the checkers call so that every table fn it gets is
+    counted; returns the list of [ident, calls] pairs."""
+    seen = []
+
+    def runner(dim, families, *args, **kwargs):
+        wrapped = []
+        for ident, arity, table in families:
+            slot = [ident, 0]
+            seen.append(slot)
+
+            def counted(table=table, slot=slot):
+                slot[1] += 1
+                return table()
+            wrapped.append((ident, arity, counted))
+        return core.run_identity_families(dim, wrapped, *args, **kwargs)
+
+    for mod in (axioms, representations):
+        monkeypatch.setattr(mod, "run_identity_families", runner)
+    return seen
+
+
+def _idents(families, cls):
+    subs, idents = families[cls]
+    out = list(idents)
+    for sub in subs:
+        out += _idents(families, sub[1] if isinstance(sub, tuple) else sub)
+    return sorted(out)
+
+
+def test_each_table_is_read_once_per_report(monkeypatch):
+    seen = _counting(monkeypatch)
+    thp = catalog.get("THP2", {"lam": F(1)})
+    for cls in ("hom-poisson", "transposed-hom-poisson"):
+        seen.clear()
+        report = check_class(thp, cls)
+        assert report.passed == (cls != "hom-poisson")
+        assert sorted(ident for ident, _ in seen) == _idents(CLASS_FAMILIES, cls)
+        assert all(calls == 1 for _, calls in seen), seen
+    tp = catalog.get("TP2")
+    rep = regular_representation(tp, "transposed-hom-poisson")
+    seen.clear()
+    assert check_rep(tp, rep, "transposed-hom-poisson").passed
+    assert sorted(ident for ident, _ in seen) == _idents(REP_FAMILIES,
+                                                         "transposed-hom-poisson")
+    assert all(calls == 1 for _, calls in seen), seen
+
+
+def test_empty_tables_count_every_tuple():
+    zero = {"z": int_tensor(BilinearMap(3))}
+    families = [
+        contraction_family("scalar", (3, (), ((1, "ijk->ijk", ("z",)),)), zero, 3),
+        contraction_family("vector", (2, (3,), ((1, "ijo->ijo", ("z",)),)), zero, 3),
+        ("none", 4, dict),
+        ("constant", 0, dict),
+    ]
+    assert [fn() for _, _, fn in families] == [{}, {}, {}, {}]
+    report = run_identity_families(3, families)
+    assert (report.checked, report.failures, report.witnesses) == (27 + 9 + 81 + 1, 0, [])
+    assert report.passed
+
+
+def test_zero_residuals_are_not_witnesses():
+    def table():
+        return {(0, 1): (ZERO, ZERO), (1, 0): [F(0), F(-1, 2)], (1, 1): [0, 0]}
+    # a row whose two terms cancel leaves its table empty
+    t = {"op": int_tensor(catalog.get("TP2").op("dot"))}
+    cancel = contraction_family("cancel", (2, (2,), (
+        (1, "ijo->ijo", ("op",)), (-1, "ijo->ijo", ("op",)))), t, 2)
+    for mw in (0, 1, 5):
+        report = run_identity_families(2, [("z", 2, table), cancel], mw)
+        assert (report.checked, report.failures) == (8, 1)
+        assert report.witnesses == [("z", (1, 0), (F(0), F(-1, 2)))][:mw]
