@@ -27,21 +27,14 @@ from homstruct.core import (
     bilinear_from_terms,
     int_tensor,
     maps_from_terms,
+    require_closure,
+    require_passed,
 )
 
 
-def _require(report, message):
-    if not report.passed:
-        raise PreconditionError(message, report)
-    return report
-
-
 def _assert_closure(a, class_name, what):
-    report = check_class(a, class_name)
-    if not report.passed:
-        raise ConstructionError(
-            "%s: output failed the %s checker; first witnesses %r"
-            % (what, class_name, report.all_witnesses()[:4]))
+    require_closure(check_class(a, class_name),
+                    "%s: output failed the %s checker" % (what, class_name))
     return a
 
 
@@ -62,8 +55,8 @@ def yau_twist(a, g, class_name):
     a.require_bound()
     if not a.alpha.is_identity():
         raise PreconditionError("yau_twist requires the identity twist on input")
-    _require(check_morphism(a, a, g, op_names=CLASS_OPS[class_name]),
-             "g is not a morphism of the input algebra")
+    require_passed(check_morphism(a, a, g, op_names=CLASS_OPS[class_name]),
+                   "g is not a morphism of the input algebra")
     ops = _compose_ops(a, g, list(CLASS_OPS[class_name]))
     maps = dict(a.maps)
     maps["alpha"] = g
@@ -78,8 +71,8 @@ def compose_twist(a, g, class_name):
     """
     class_name = resolve_class(class_name)
     a.require_bound()
-    _require(check_morphism(a, a, g, op_names=CLASS_OPS[class_name]),
-             "g is not a morphism of the input algebra")
+    require_passed(check_morphism(a, a, g, op_names=CLASS_OPS[class_name]),
+                   "g is not a morphism of the input algebra")
     if g @ a.alpha != a.alpha @ g:
         raise PreconditionError("g does not commute with the twist")
     ops = _compose_ops(a, g, list(CLASS_OPS[class_name]))
@@ -101,8 +94,8 @@ def derived_algebra(a, n, class_name, kind=1):
         raise PreconditionError("derived_algebra requires n >= 1")
     if kind not in (1, 2):
         raise PreconditionError("kind must be 1 or 2")
-    _require(check_multiplicative(a),
-             "twist is not multiplicative for the algebra's ops")
+    require_passed(check_multiplicative(a),
+                   "twist is not multiplicative for the algebra's ops")
     p = n if kind == 1 else 2 ** n - 1
     g = a.alpha.power(p)
     ops = _compose_ops(a, g, list(CLASS_OPS[class_name]))
@@ -120,8 +113,8 @@ def alpha_h_twist(a, h):
     a.require_bound()
     if not a.alpha.is_identity():
         raise PreconditionError("alpha_h_twist requires the identity twist on input")
-    _require(check_class(a, "transposed-hom-poisson"),
-             "input is not a transposed Poisson algebra")
+    require_passed(check_class(a, "transposed-hom-poisson"),
+                   "input is not a transposed Poisson algebra")
     t = {"h": IntTensor((len(h),), ((x, Fraction(c)) for x, c in enumerate(h))),
          "dot": int_tensor(a.op("dot"))}
     # column j of alpha_h is h.e_j
@@ -139,10 +132,10 @@ def bracket_from_derivation(a, d):
     transposed Hom-Poisson algebra.
     """
     a.require_bound()
-    _require(check_class(a, "comm-hom-assoc"),
-             "input is not commutative Hom-associative")
-    _require(check_derivation(a, "dot", d),
-             "D is not a derivation commuting with the twist")
+    require_passed(check_class(a, "comm-hom-assoc"),
+                   "input is not commutative Hom-associative")
+    require_passed(check_derivation(a, "dot", d),
+                   "D is not a derivation commuting with the twist")
     dot = a.op("dot")
     bracket = bilinear_from_terms(a.dim, (
         (1, "rj,irk->ijk", ("D", "dot")),
@@ -159,11 +152,11 @@ def bracket_from_two_derivations(a, d1, d2):
     alpha; the result is a Hom-Poisson algebra.
     """
     a.require_bound()
-    _require(check_class(a, "comm-hom-assoc"),
-             "input is not commutative Hom-associative")
+    require_passed(check_class(a, "comm-hom-assoc"),
+                   "input is not commutative Hom-associative")
     for tag, d in (("D1", d1), ("D2", d2)):
-        _require(check_derivation(a, "dot", d),
-                 "%s is not a derivation commuting with the twist" % tag)
+        require_passed(check_derivation(a, "dot", d),
+                       "%s is not a derivation commuting with the twist" % tag)
     if d1 @ d2 != d2 @ d1:
         raise PreconditionError("D1 and D2 do not commute")
     dot = a.op("dot")
@@ -188,8 +181,8 @@ def tensor_product(a1, a2, class_name):
     a1.require_bound()
     a2.require_bound()
     for a in (a1, a2):
-        _require(check_class(a, class_name),
-                 "tensor factor is not in class %s" % class_name)
+        require_passed(check_class(a, class_name),
+                       "tensor factor is not in class %s" % class_name)
     n1, n2 = a1.dim, a2.dim
     dim = n1 * n2
     # P[I][i1][i2] = 1 for I = i1*n2 + i2
@@ -229,7 +222,7 @@ def sub_adjacent(a):
     a.require_bound()
     has_dot = "dot" in a.ops
     cls_in = "hom-pre-lie-poisson" if has_dot else "hom-pre-lie"
-    _require(check_class(a, cls_in), "input is not in class %s" % cls_in)
+    require_passed(check_class(a, cls_in), "input is not in class %s" % cls_in)
     bracket = bilinear_from_terms(a.dim, (
         (1, "ijk->ijk", ("star",)),
         (-1, "jik->ijk", ("star",))), {"star": int_tensor(a.op("star"))})
@@ -252,8 +245,8 @@ def twisting_report(a, g, class_name="transposed-hom-poisson"):
     a.require_bound()
     if not a.alpha.is_identity():
         raise PreconditionError("twisting_report requires the identity twist")
-    _require(check_morphism(a, a, g, op_names=CLASS_OPS[class_name]),
-             "g is not a morphism of the input algebra")
+    require_passed(check_morphism(a, a, g, op_names=CLASS_OPS[class_name]),
+                   "g is not a morphism of the input algebra")
     ops = _compose_ops(a, g, list(CLASS_OPS[class_name]))
     untwisted = AlgebraPresentation(
         a.dim, ops, {"alpha": LinearMap.identity(a.dim)}, a.basis)

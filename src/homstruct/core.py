@@ -513,6 +513,19 @@ class CheckReport:
         return out
 
 
+def require_passed(report, message):
+    """A hypothesis gate: PreconditionError(message, report) unless it passed."""
+    if not report.passed:
+        raise PreconditionError(message, report)
+
+
+def require_closure(report, message):
+    """The check of an output whose closure a theorem guarantees:
+    ConstructionError naming the first witnesses unless it passed."""
+    if not report.passed:
+        raise ConstructionError("%s; first witnesses %r" % (message, report.all_witnesses()[:4]))
+
+
 def run_identity_families(dim, families, max_witnesses=32, sub_reports=None, notes=()):
     """Evaluate each family's residual table once; collect sorted witnesses.
 
@@ -773,11 +786,13 @@ def _matrix_in(doc, params, what, rows=None, cols=None):
     if (not isinstance(doc, list) or not doc
             or any(not isinstance(r, list) for r in doc)):
         raise FormatError("%s: matrix must be a non-empty array of rows" % what)
-    parsed = [[parse_coefficient(c, params) for c in row] for row in doc]
-    f = LinearMap.from_rows(parsed)
+    try:
+        f = LinearMap.from_rows([[parse_coefficient(c, params) for c in row] for row in doc])
+    except DimensionError as exc:
+        raise FormatError(str(exc)) from None
     if rows is not None and (f.rows, f.cols) != (rows, cols):
-        raise DimensionError("%s: expected %dx%d matrix, got %dx%d"
-                             % (what, rows, cols, f.rows, f.cols))
+        raise FormatError("%s: expected %dx%d matrix, got %dx%d"
+                          % (what, rows, cols, f.rows, f.cols))
     return f
 
 
@@ -859,12 +874,8 @@ def _common_header(doc):
 def parse_algebra(text):
     doc = _load(text, ("dim", "params", "basis", "ops", "maps"))
     dim, basis, params = _common_header(doc)
-    ops = {}
-    for name, raw in _object(doc, "ops").items():
-        try:
-            ops[name] = BilinearMap(dim, tuple(_entries_in(raw, dim, params, "op %r" % name)))
-        except DimensionError as exc:
-            raise FormatError(str(exc)) from None
+    ops = {name: BilinearMap(dim, tuple(_entries_in(raw, dim, params, "op %r" % name)))
+           for name, raw in _object(doc, "ops").items()}
     maps = {name: _matrix_in(raw, params, "map %r" % name, dim, dim)
             for name, raw in _object(doc, "maps").items()}
     return AlgebraPresentation(dim, ops, maps, basis, params)

@@ -26,6 +26,7 @@ from homstruct.core import (
     contraction_family,
     int_tensor,
     maps_from_terms,
+    require_passed,
     run_identity_families,
 )
 from homstruct.matched_pairs import MatchedPairData, build_double, check_matched_pair
@@ -89,10 +90,8 @@ def build_double_dual(a, a_star):
     Hom-Poisson checker.
     """
     for tag, alg in (("a", a), ("a_star", a_star)):
-        gate = check_class(alg, "transposed-hom-poisson")
-        if not gate.passed:
-            raise PreconditionError(
-                "%s is not a transposed Hom-Poisson algebra" % tag, gate)
+        require_passed(check_class(alg, "transposed-hom-poisson"),
+                       "%s is not a transposed Hom-Poisson algebra" % tag)
     return build_double(coadjoint_matched_pair(a, a_star),
                         "transposed-hom-poisson", check_actions=False)
 

@@ -21,8 +21,9 @@ from homstruct.core import (
     RepresentationPresentation,
     basis_vec,
     block_diag,
+    require_passed,
 )
-from homstruct.representations import REP_OPS, check_rep, rep_class
+from homstruct.representations import CROSS_ACTIONS, REP_OPS, check_rep, rep_class
 
 
 @dataclass(frozen=True)
@@ -81,12 +82,6 @@ def block_swap_map(n, p):
     return LinearMap.from_columns(cols)
 
 
-# op -> (left action, right action, sign of the right one) in the double's
-# cross products: x op u = left(x)u + sign right(u)x for x and u in
-# different summands
-CROSS_ACTIONS = {"dot": ("s", "s", 1), "bracket": ("rho", "rho", -1), "star": ("l", "r", 1)}
-
-
 def build_double(mp, class_name, check_actions=True):
     """The class structure on A (+) B (A block first) defined by the actions.
 
@@ -103,10 +98,8 @@ def build_double(mp, class_name, check_actions=True):
     if check_actions:
         for rep, alg, tag in ((mp.actions_ab, a, "actions_ab"),
                               (mp.actions_ba, b, "actions_ba")):
-            gate = check_rep(alg, rep, class_name)
-            if not gate.passed:
-                raise PreconditionError(
-                    "%s fails the %s module axioms" % (tag, class_name), gate)
+            require_passed(check_rep(alg, rep, class_name),
+                           "%s fails the %s module axioms" % (tag, class_name))
     n, p = a.dim, b.dim
 
     def action(rep, name):

@@ -25,6 +25,8 @@ from homstruct.core import (
     contraction_family,
     fraction_free_rref,
     int_tensor,
+    require_closure,
+    require_passed,
     run_identity_families,
 )
 from homstruct.representations import check_rep, regular_representation
@@ -57,10 +59,8 @@ def check_o_operator(a, rep, T, class_name, max_witnesses=32):
     a.require_bound()
     rep.require_bound()
     T.require_bound()
-    gate = check_rep(a, rep, class_name, max_witnesses)
-    if not gate.passed:
-        raise PreconditionError(
-            "actions fail the %s module axioms" % class_name, gate)
+    require_passed(check_rep(a, rep, class_name, max_witnesses),
+                   "actions fail the %s module axioms" % class_name)
     t, fams = _o_families(a, rep, T)
     for name, act in (("dot", "s"), ("bracket", "rho")):
         if name in CLASS_OPS[class_name]:
@@ -102,9 +102,8 @@ def induced_products(a, rep, T, class_name="transposed-hom-poisson",
     the dot and the Hom-Lie class only the star (a Hom-pre-Lie product).
     """
     class_name = resolve_class(class_name)
-    gate = check_o_operator(a, rep, T, class_name, max_witnesses)
-    if not gate.passed:
-        raise PreconditionError("T is not an O-operator", gate)
+    require_passed(check_o_operator(a, rep, T, class_name, max_witnesses),
+                   "T is not an O-operator")
     p = rep.module_dim
     t = {"T": int_tensor(T)}
     ops = {}
@@ -120,11 +119,8 @@ def induced_products(a, rep, T, class_name="transposed-hom-poisson",
     target = {"comm-hom-assoc": "comm-hom-assoc",
               "hom-lie": "hom-pre-lie",
               "transposed-hom-poisson": "hom-pre-lie-poisson"}[class_name]
-    verdict = check_class(out, target)
-    if not verdict.passed:
-        raise ConstructionError(
-            "induced products failed the %s checker; first witnesses %r"
-            % (target, verdict.all_witnesses()[:4]))
+    require_closure(check_class(out, target),
+                    "induced products failed the %s checker" % target)
     return out
 
 
@@ -160,9 +156,8 @@ def compatible_pre_lie_from_invertible(a, rep, T, max_witnesses=32):
         raise PreconditionError("T must be square")
     if T.det() == 0:
         raise PreconditionError("T must be invertible")
-    gate = check_o_operator(a, rep, T, "transposed-hom-poisson", max_witnesses)
-    if not gate.passed:
-        raise PreconditionError("T is not an O-operator", gate)
+    require_passed(check_o_operator(a, rep, T, "transposed-hom-poisson", max_witnesses),
+                   "T is not an O-operator")
     n = a.dim
     t = {"T": int_tensor(T), "Ti": int_tensor(T.inverse()),
          "s": int_tensor(rep.action("s")), "rho": int_tensor(rep.action("rho"))}
@@ -173,11 +168,8 @@ def compatible_pre_lie_from_invertible(a, rep, T, max_witnesses=32):
     star = bilinear_from_terms(n, star_terms, t)
     out = AlgebraPresentation(n, {"dot": dot, "star": star},
                               {"alpha": a.alpha}, a.basis)
-    verdict = check_class(out, "hom-pre-lie-poisson")
-    if not verdict.passed:
-        raise ConstructionError(
-            "compatible structure failed the pre-Lie Poisson checker; "
-            "first witnesses %r" % (verdict.all_witnesses()[:4],))
+    require_closure(check_class(out, "hom-pre-lie-poisson"),
+                    "compatible structure failed the pre-Lie Poisson checker")
     commutator = bilinear_from_terms(n, star_terms + (
         (-1, "om,jmb,bi->ijo", ("T", "rho", "Ti")),), t)
     if dot != a.op("dot") or commutator != a.op("bracket"):
@@ -193,9 +185,8 @@ def rota_baxter_induced(a, R, max_witnesses=32):
     The sub-adjacent structure is transposed Hom-Poisson and R is a morphism
     from it to a; both facts are verified.
     """
-    gate = check_rota_baxter(a, R, "transposed-hom-poisson", max_witnesses)
-    if not gate.passed:
-        raise PreconditionError("R is not a Rota-Baxter operator", gate)
+    require_passed(check_rota_baxter(a, R, "transposed-hom-poisson", max_witnesses),
+                   "R is not a Rota-Baxter operator")
     n = a.dim
     t = {"R": int_tensor(R), "dot": int_tensor(a.op("dot")), "br": int_tensor(a.op("bracket"))}
     dot = bilinear_from_terms(n, (
@@ -208,11 +199,8 @@ def rota_baxter_induced(a, R, max_witnesses=32):
     bracket = bilinear_from_terms(n, star_terms + ((-1, "rj,rik->ijk", ("R", "br")),), t)
     sub = AlgebraPresentation(n, {"dot": dot, "bracket": bracket},
                               {"alpha": a.alpha}, a.basis)
-    verdict = check_class(sub, "transposed-hom-poisson")
-    if not verdict.passed:
-        raise ConstructionError(
-            "sub-adjacent of the induced structure failed the transposed "
-            "checker; first witnesses %r" % (verdict.all_witnesses()[:4],))
+    require_closure(check_class(sub, "transposed-hom-poisson"),
+                    "sub-adjacent of the induced structure failed the transposed checker")
     morph = check_morphism(sub, a, R)
     if not morph.passed:
         raise ConstructionError(

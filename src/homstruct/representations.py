@@ -5,9 +5,14 @@ basis element, plus a module twist beta.  All module axioms are linear in the
 module argument, so they are checked as matrix identities; witnesses carry the
 algebra basis tuple and the flattened residual matrix.
 
-The module axioms are data (MODULE_IDENTITIES): rows of contraction terms
-over the integer tensors of alpha, the class's ops, its actions and beta,
-evaluated by core.contraction_family, so each residual is exact.
+A representation is exactly a semidirect product A + V that lies in the
+class, so each class module axiom is a class identity (axioms.IDENTITIES)
+with one argument in V, each product with one argument in V read through
+CROSS_ACTIONS.  MODULE_AXIOMS names those arguments; the rows derived from
+it, with the hypotheses of dual_representation and the twist intertwining
+rows, are MODULE_IDENTITIES: rows of contraction terms over the integer
+tensors of alpha, the class's ops, its actions and beta, evaluated by
+core.contraction_family, so each residual is exact.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from functools import partial
 
 from homstruct.axioms import (
     CLASS_OPS,
+    IDENTITIES,
     check_class,
     check_morphism,
     resolve_class,
@@ -28,16 +34,61 @@ from homstruct.core import (
     contraction_family,
     int_tensor,
     maps_from_terms,
+    require_passed,
     run_identity_families,
 )
 
-REP_OPS = {
-    "comm-hom-assoc": ("s",),
-    "hom-lie": ("rho",),
-    "transposed-hom-poisson": ("s", "rho"),
-    "hom-pre-lie": ("l", "r"),
-    "hom-pre-lie-poisson": ("s", "l", "r"),
+# op -> (left action, right action, sign of the right one): for x in the
+# algebra and v in the module, op(x, v) = left(x)v and op(v, x) = sign right(x)v.
+# The one table behind the module axioms, the regular representation and
+# the cross products of matched_pairs.build_double.
+CROSS_ACTIONS = {"dot": ("s", "s", 1), "bracket": ("rho", "rho", -1), "star": ("l", "r", 1)}
+
+# module axiom -> (class identity, the letters of its arguments x, y, z, sign):
+# i and j are the basis tuple and v the module slot.
+MODULE_AXIOMS = {
+    "assoc-action": ("hom-associative", "ijv", 1),
+    "bracket-action": ("hom-jacobi", "ijv", -1),
+    "mixed-1": ("transposed-leibniz", "ijv", 1),
+    "mixed-2": ("transposed-leibniz", "jvi", 1),
+    "sub-bracket-action": ("hom-pre-lie", "ijv", 1),
+    "right-action": ("hom-pre-lie", "ivj", 1),
+    "compat-1": ("pre-poisson-1", "ijv", 1),
+    "compat-2": ("pre-poisson-1", "vij", 1),
+    "compat-3": ("pre-poisson-1", "ivj", 1),
+    "compat-4": ("pre-poisson-2", "ijv", 1),
+    "compat-5": ("pre-poisson-2", "ivj", 1),
 }
+
+
+def _acting(op, algebra_first):
+    """(action, sign) by which an algebra element acts through op on a
+    module element, given the side of the algebra element."""
+    left, right, sign = CROSS_ACTIONS[op]
+    return (left, 1) if algebra_first else (right, sign)
+
+
+def _derive(ident, letters, sign):
+    """The module axiom of one MODULE_AXIOMS row, as contraction terms.
+
+    Each ternary term c outer(a(p), inner(q, r)) (or with the outer
+    arguments swapped, side "R") is a matrix in the module slot: x is the
+    summed algebra index, m the summed module one and u, w the residual
+    matrix's row and column.
+    """
+    terms = []
+    for c, outer, inner, side, *args in IDENTITIES[ident][1]:
+        p, q, r = (letters[n] for n in args)
+        if p == "v":
+            # outer's algebra argument is inner(q, r); a(v) is beta v
+            act, s = _acting(outer, side == "R")
+            terms.append((sign * c * s, "%s%sx,xum,mw->ijuw" % (q, r), (inner, act, "beta")))
+        else:
+            inner_act, s = _acting(inner, r == "v")
+            outer_act, t = _acting(outer, side == "L")
+            terms.append((sign * c * s * t, "x%s,xum,%smw->ijuw" % (p, q if r == "v" else r),
+                          ("alpha", outer_act, inner_act)))
+    return tuple(terms)
 
 
 def _intertwine(act):
@@ -50,53 +101,9 @@ def _intertwine(act):
 # "alpha" (a(e_x) = sum_r alpha[r][x] e_r), the ops (op(e_i, e_j) has e_k
 # coefficient op[i][j][k]), the actions (act(e_x) is the matrix act[x]) and
 # "beta".  The basis tuple is (i, j), u and w index the residual matrix and
-# v, x are summed.  Over a Hom-pre-Lie algebra {x,y} = x*y - y*x and
-# rho = l - r, two terms each.
-MODULE_IDENTITIES = {
-    # s(x.y) beta - s(a(x)) s(y)
-    "assoc-action": (2, ((1, "ijx,xuv,vw->ijuw", ("dot", "s", "beta")),
-                         (-1, "xi,xuv,jvw->ijuw", ("alpha", "s", "s")))),
-    # rho([x,y]) beta - rho(a(x)) rho(y) + rho(a(y)) rho(x)
-    "bracket-action": (2, ((1, "ijx,xuv,vw->ijuw", ("bracket", "rho", "beta")),
-                           (-1, "xi,xuv,jvw->ijuw", ("alpha", "rho", "rho")),
-                           (1, "xj,xuv,ivw->ijuw", ("alpha", "rho", "rho")))),
-    # 2 s({x,y}) beta - rho(a(x)) s(y) + rho(a(y)) s(x)
-    "mixed-1": (2, ((2, "ijx,xuv,vw->ijuw", ("bracket", "s", "beta")),
-                    (-1, "xi,xuv,jvw->ijuw", ("alpha", "rho", "s")),
-                    (1, "xj,xuv,ivw->ijuw", ("alpha", "rho", "s")))),
-    # 2 s(a(x)) rho(y) - rho(x.y) beta - rho(a(y)) s(x)
-    "mixed-2": (2, ((2, "xi,xuv,jvw->ijuw", ("alpha", "s", "rho")),
-                    (-1, "ijx,xuv,vw->ijuw", ("dot", "rho", "beta")),
-                    (-1, "xj,xuv,ivw->ijuw", ("alpha", "rho", "s")))),
-    # l({x,y}) beta - l(a(x)) l(y) + l(a(y)) l(x)
-    "sub-bracket-action": (2, ((1, "ijx,xuv,vw->ijuw", ("star", "l", "beta")),
-                               (-1, "jix,xuv,vw->ijuw", ("star", "l", "beta")),
-                               (-1, "xi,xuv,jvw->ijuw", ("alpha", "l", "l")),
-                               (1, "xj,xuv,ivw->ijuw", ("alpha", "l", "l")))),
-    # r(a(y)) rho(x) - l(a(x)) r(y) + r(x*y) beta
-    "right-action": (2, ((1, "xj,xuv,ivw->ijuw", ("alpha", "r", "l")),
-                         (-1, "xj,xuv,ivw->ijuw", ("alpha", "r", "r")),
-                         (-1, "xi,xuv,jvw->ijuw", ("alpha", "l", "r")),
-                         (1, "ijx,xuv,vw->ijuw", ("star", "r", "beta")))),
-    # l(x.y) beta - s(a(x)) l(y)
-    "compat-1": (2, ((1, "ijx,xuv,vw->ijuw", ("dot", "l", "beta")),
-                     (-1, "xi,xuv,jvw->ijuw", ("alpha", "s", "l")))),
-    # r(a(y)) s(x) - s(x*y) beta
-    "compat-2": (2, ((1, "xj,xuv,ivw->ijuw", ("alpha", "r", "s")),
-                     (-1, "ijx,xuv,vw->ijuw", ("star", "s", "beta")))),
-    # r(a(y)) s(x) - s(a(x)) r(y)
-    "compat-3": (2, ((1, "xj,xuv,ivw->ijuw", ("alpha", "r", "s")),
-                     (-1, "xi,xuv,jvw->ijuw", ("alpha", "s", "r")))),
-    # s({x,y}) beta - l(a(x)) s(y) + l(a(y)) s(x)
-    "compat-4": (2, ((1, "ijx,xuv,vw->ijuw", ("star", "s", "beta")),
-                     (-1, "jix,xuv,vw->ijuw", ("star", "s", "beta")),
-                     (-1, "xi,xuv,jvw->ijuw", ("alpha", "l", "s")),
-                     (1, "xj,xuv,ivw->ijuw", ("alpha", "l", "s")))),
-    # s(a(y)) rho(x) - l(a(x)) s(y) + r(x.y) beta
-    "compat-5": (2, ((1, "xj,xuv,ivw->ijuw", ("alpha", "s", "l")),
-                     (-1, "xj,xuv,ivw->ijuw", ("alpha", "s", "r")),
-                     (-1, "xi,xuv,jvw->ijuw", ("alpha", "l", "s")),
-                     (1, "ijx,xuv,vw->ijuw", ("dot", "r", "beta")))),
+# the other letters are summed.
+MODULE_IDENTITIES = {axiom: (2, _derive(*row)) for axiom, row in MODULE_AXIOMS.items()}
+MODULE_IDENTITIES.update({
     # the sufficient hypotheses of dual_representation
     # 2 s({x,y}) beta - s(y) rho(a(x)) + s(x) rho(a(y))
     "hyp-mixed-1": (2, ((2, "ijx,xuv,vw->ijuw", ("bracket", "s", "beta")),
@@ -114,7 +121,7 @@ MODULE_IDENTITIES = {
                                    (-1, "iuv,vw->iuw", ("rho", "beta")))),
     "hyp-sym-commute:s": _intertwine("s"),
     "hyp-sym-commute:rho": _intertwine("rho"),
-}
+})
 MODULE_IDENTITIES.update(
     {"twist-intertwine:%s" % act: _intertwine(act) for act in ("s", "rho", "l", "r")})
 
@@ -131,6 +138,11 @@ REP_FAMILIES = {
                              ("pre-lie-bimodule", "hom-pre-lie")),
                             ("compat-1", "compat-2", "compat-3", "compat-4", "compat-5")),
 }
+
+# class -> its actions: those of its ops in CROSS_ACTIONS
+REP_OPS = {cls: tuple(dict.fromkeys(act for op in CLASS_OPS[cls]
+                                    for act in CROSS_ACTIONS[op][:2]))
+           for cls in REP_FAMILIES}
 
 DUAL_HYPOTHESES = ("hyp-mixed-1", "hyp-mixed-2", "hyp-strict-commute:s",
                    "hyp-strict-commute:rho", "hyp-sym-commute:s", "hyp-sym-commute:rho")
@@ -198,23 +210,21 @@ def check_rep(a, rep, class_name, max_witnesses=32):
 # ---------------------------------------------------------------------------
 # constructions
 
-# action -> (op, spec): act(e_x)[k][m] is the e_k coefficient of
-# e_x op e_m (left actions) or of e_m op e_x (the right action r)
-REGULAR_ACTIONS = {"s": ("dot", "xmk->xkm"), "rho": ("bracket", "xmk->xkm"),
-                   "l": ("star", "xmk->xkm"), "r": ("star", "mxk->xkm")}
-
-
 def regular_representation(a, class_name):
-    """The algebra acting on itself: s, rho, l, r from the structure constants;
-    the module twist is the algebra twist."""
+    """The algebra acting on itself through CROSS_ACTIONS: left(e_x) e_m =
+    e_x op e_m and right(e_x) e_m = sign e_m op e_x; the module twist is the
+    algebra twist."""
     class_name = rep_class(class_name)
     a.require_bound()
     n = a.dim
     actions = {}
-    for name in REP_OPS[class_name]:
-        op, spec = REGULAR_ACTIONS[name]
-        actions[name] = maps_from_terms((n, n, n), ((1, spec, (op,)),),
-                                        {op: int_tensor(a.op(op))})
+    for op in CLASS_OPS[class_name]:
+        left, right, sign = CROSS_ACTIONS[op]
+        t = {op: int_tensor(a.op(op))}
+        # act(e_x)[k][m] is the e_k coefficient of e_x op e_m or of e_m op e_x
+        actions[left] = maps_from_terms((n, n, n), ((1, "xmk->xkm", (op,)),), t)
+        if right != left:
+            actions[right] = maps_from_terms((n, n, n), ((sign, "mxk->xkm", (op,)),), t)
     return RepresentationPresentation(n, n, actions, a.alpha)
 
 
@@ -231,10 +241,8 @@ def semidirect_product(a, rep, class_name):
     """
     class_name = rep_class(class_name)
     _check_shapes(a, rep)
-    gate = check_rep(a, rep, class_name)
-    if not gate.passed:
-        raise PreconditionError("representation fails the %s module axioms"
-                                % class_name, gate)
+    require_passed(check_rep(a, rep, class_name),
+                   "representation fails the %s module axioms" % class_name)
     from homstruct.matched_pairs import build_double, matched_pair_from_representation
     out = build_double(matched_pair_from_representation(a, rep, class_name),
                        class_name, check_actions=False)
@@ -298,9 +306,8 @@ def bimodule_from_morphism(a, b, f, class_name="hom-pre-lie-poisson"):
     class_name = rep_class(class_name)
     a.require_bound()
     b.require_bound()
-    gate = check_morphism(a, b, f, op_names=CLASS_OPS[class_name])
-    if not gate.passed:
-        raise PreconditionError("f is not a morphism", gate)
+    require_passed(check_morphism(a, b, f, op_names=CLASS_OPS[class_name]),
+                   "f is not a morphism")
     reg = regular_representation(b, class_name)
     n, p = a.dim, b.dim
     t = {"f": int_tensor(f)}
@@ -309,8 +316,6 @@ def bimodule_from_morphism(a, b, f, class_name="hom-pre-lie-poisson"):
     actions = {name: maps_from_terms((n, p, p), ((1, "rx,rkm->xkm", ("f", name)),), t)
                for name in reg.actions}
     rep = RepresentationPresentation(n, p, actions, b.alpha)
-    gate = check_rep(a, rep, class_name)
-    if not gate.passed:
-        raise PreconditionError(
-            "the pulled-back bimodule fails the %s module axioms" % class_name, gate)
+    require_passed(check_rep(a, rep, class_name),
+                   "the pulled-back bimodule fails the %s module axioms" % class_name)
     return rep

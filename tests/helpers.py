@@ -11,7 +11,7 @@ from homstruct.axioms import (
     check_morphism,
     resolve_class,
 )
-from homstruct.constructions import _assert_closure, _require
+from homstruct.constructions import _assert_closure
 from homstruct.core import (
     ONE,
     ZERO,
@@ -27,6 +27,7 @@ from homstruct.core import (
     block_diag,
     eval_bilinear,
     require_bound,
+    require_passed as _require,
 )
 from homstruct.duality import tensor_map
 from homstruct.operators import check_o_operator, check_rota_baxter

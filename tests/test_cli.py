@@ -338,6 +338,9 @@ _REP1 = {"algebra_dim": 1, "module_dim": 1,
     ({}, {"module_dim": True}, ""),
     ({}, {"params": ["1x"], "beta": [["1x"]]}, "1x=1"),
     ({}, {"params": ["t", "t"], "beta": [["t"]]}, "t=1"),
+    ({"dim": 2, "maps": {"alpha": [["1"]]}}, {}, ""),
+    ({}, {"actions": {"s": [[["0", "0"]]], "rho": [[["0"]]]}}, ""),
+    ({}, {"beta": [[]]}, ""),
 ])
 def test_malformed_headers_are_format_errors(tmp_path, capsys, alg_changes,
                                              rep_changes, params):

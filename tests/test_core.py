@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from homstruct.core import (
     AlgebraPresentation,
@@ -131,6 +131,87 @@ def test_parse_algebra_errors():
         parse_algebra('{"dim": 1, "ops": {"dot": [{"i": 0, "j": 0, "k": 3, "c": "1"}]}}')
     with pytest.raises(FormatError):
         parse_algebra("not json")
+    # a matrix of the wrong shape, an empty row and a ragged matrix
+    for alpha, message in (([["1"]], "map 'alpha': expected 2x2 matrix, got 1x1"),
+                           ([[]], "matrix shape must be positive"),
+                           ([["1", "0"], ["0"]], "matrix shape mismatch")):
+        with pytest.raises(FormatError, match=message):
+            parse_algebra(json.dumps({"dim": 2, "maps": {"alpha": alpha}}))
+
+
+def test_parse_representation_errors():
+    rep = {"algebra_dim": 1, "module_dim": 2, "actions": {"s": [[["0", "0"], ["0", "0"]]]},
+           "beta": [["1", "0"], ["0", "1"]]}
+    for changes, message in (({"actions": {"s": [[["0", "0"]]]}},
+                              "action 's'\\[0\\]: expected 2x2 matrix, got 1x2"),
+                             ({"beta": [[]]}, "matrix shape must be positive")):
+        with pytest.raises(FormatError, match=message):
+            parse_representation(json.dumps(dict(rep, **changes)))
+
+
+# coefficient tokens, mostly valid under params ("t", "u")
+_TOKENS = st.sampled_from(["0", "1", "-1/2", "3/4", "t", "-t", "u", "x", "1/0", 1])
+_DIM = st.one_of(st.integers(1, 3), st.sampled_from([0, 65, True, "2", None]))
+_PARAMS = st.one_of(st.lists(st.sampled_from(["t", "u"]), max_size=2, unique=True),
+                    st.sampled_from([["t", "t"], ["1x"], "t"]))
+
+
+@st.composite
+def _matrix(draw, n):
+    """Mostly an n x n matrix; else one of up to 3 x 3, possibly ragged."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.lists(_TOKENS, min_size=n, max_size=n), min_size=n, max_size=n))
+    return draw(st.lists(st.lists(_TOKENS, max_size=3), max_size=3))
+
+
+@st.composite
+def _algebra_docs(draw):
+    dim = draw(_DIM)
+    n = dim if isinstance(dim, int) and 0 < dim < 4 else 2
+    index = st.one_of(st.integers(0, n - 1), st.sampled_from([-1, n, False]))
+    entry = st.fixed_dictionaries({"i": index, "j": index, "k": index, "c": _TOKENS})
+    return draw(st.fixed_dictionaries({"dim": st.just(dim)}, optional={
+        "params": _PARAMS,
+        "basis": st.lists(st.sampled_from(["e1", "e2", "e3", "x"]), max_size=3),
+        "ops": st.dictionaries(st.sampled_from(["dot", "bracket"]),
+                               st.lists(entry, max_size=3), max_size=2),
+        "maps": st.dictionaries(st.sampled_from(["alpha", "D"]), _matrix(n), max_size=2),
+        "extra": st.just({})}))
+
+
+@st.composite
+def _representation_docs(draw):
+    adim, mdim = draw(_DIM), draw(_DIM)
+    n = adim if isinstance(adim, int) and 0 < adim < 4 else 2
+    p = mdim if isinstance(mdim, int) and 0 < mdim < 4 else 2
+    family = st.lists(_matrix(p), min_size=n, max_size=n) | st.lists(_matrix(p), max_size=3)
+    header = {"algebra_dim": st.just(adim), "module_dim": st.just(mdim)}
+    return draw(st.fixed_dictionaries(header, optional={
+        "params": _PARAMS,
+        "actions": st.dictionaries(st.sampled_from(["s", "rho"]), family, max_size=2),
+        "beta": _matrix(p)}))
+
+
+def test_parsers_raise_format_error_or_round_trip():
+    """Every generated document either raises FormatError or parses to a
+    presentation that serializes and parses back to an equal one; both
+    outcomes occur for both parsers."""
+    outcomes = set()
+    for parse, serialize, docs in ((parse_algebra, serialize_algebra, _algebra_docs()),
+                                   (parse_representation, serialize_representation,
+                                    _representation_docs())):
+        @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+        @given(docs)
+        def run(doc):
+            try:
+                p = parse(json.dumps(doc))
+            except FormatError:
+                outcomes.add((parse, "error"))
+                return
+            assert parse(serialize(p)) == p
+            outcomes.add((parse, "parsed"))
+        run()
+    assert len(outcomes) == 4, outcomes
 
 
 def test_bilinear_from_table():

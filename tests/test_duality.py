@@ -176,10 +176,16 @@ def test_equivalence_oneprod_dual_agrees_failing():
 
 
 def test_equivalence_abelian_agrees_passing():
-    a = _abelian()
-    r = equivalence_report(a, trivial_dual(a))
-    assert r["verdict"] is True
-    assert r["bialgebra"].passed and r["matched_pair"].passed and r["manin"].passed
+    # the abelian algebra, and the dot-only algebra e1.e1 = e1,
+    # e1.e2 = e2.e1 = e2 with alpha = id and a zero bracket
+    dot_only = AlgebraPresentation(
+        2, {"dot": BilinearMap(2, ((0, 0, 0, F(1)), (0, 1, 1, F(1)), (1, 0, 1, F(1)))),
+            "bracket": BilinearMap(2, ())},
+        {"alpha": LinearMap.identity(2)})
+    for a in (_abelian(), dot_only):
+        r = equivalence_report(a, trivial_dual(a))
+        assert r["verdict"] is True
+        assert r["bialgebra"].passed and r["matched_pair"].passed and r["manin"].passed
 
 
 def test_build_double_dual_gates_inputs():

@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 
 from homstruct import catalog
-from homstruct.axioms import CLASS_OPS, check_class, check_multiplicative
+from homstruct.axioms import (
+    CLASS_FAMILIES,
+    CLASS_OPS,
+    IDENTITIES,
+    check_class,
+    check_multiplicative,
+)
 from homstruct.core import (
     AlgebraPresentation,
     LinearMap,
@@ -18,6 +24,9 @@ from homstruct.matched_pairs import (
     matched_pair_from_representation,
 )
 from homstruct.representations import (
+    CROSS_ACTIONS,
+    MODULE_AXIOMS,
+    REP_FAMILIES,
     REP_OPS,
     ConstructionError,
     PreconditionError,
@@ -362,3 +371,16 @@ def test_classes_without_module_axioms_raise_precondition():
                                match="class %s has no module axioms \\(classes with module "
                                      "axioms: %s\\)" % (cls, ", ".join(REP_OPS))):
                 call(cls)
+
+
+def test_module_axioms_are_derived_from_each_class_identity():
+    """A class's derived module axioms name exactly its own arity-3
+    identities, so a class identity added without its module axioms fails."""
+    for cls, (_, idents) in REP_FAMILIES.items():
+        derived = {MODULE_AXIOMS[ident][0] for ident in idents if ident in MODULE_AXIOMS}
+        own = {ident for ident in CLASS_FAMILIES[cls][1] if IDENTITIES[ident][0] == 3}
+        assert derived == own, cls
+    assert set(MODULE_AXIOMS) <= {ident for _, idents in REP_FAMILIES.values()
+                                  for ident in idents}
+    assert all(sorted(letters) == ["i", "j", "v"] for _, letters, _ in MODULE_AXIOMS.values())
+    assert {op for ops in CLASS_OPS.values() for op in ops} <= set(CROSS_ACTIONS)
