@@ -8,14 +8,14 @@ The class identities are data (IDENTITIES), evaluated on integer tables: each
 op, and alpha, is scaled by the lcm of its denominators.  All terms of one
 identity use the same multiset of ops and the same number of alphas, so the
 integer residual is the rational residual times one positive scale and its
-zero test is exact.  Witness residuals are divided back into Fractions.
+zero test is exact.  The tables hand over the integer residuals and that
+scale; core.run_identity_families divides only the kept witnesses back into
+Fractions.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from operator import itemgetter
 
 from homstruct.core import (
     CheckReport,
@@ -105,16 +105,34 @@ def resolve_class(name):
     return name
 
 
-class _Tables:
-    """Integer tables of one bound presentation, shared by one check's
-    families and by its sub-reports.
+# the largest sum of |c| over the terms of one IDENTITIES row (4)
+MAX_COEFFICIENT_SUM = max(sum(abs(term[0]) for term in terms)
+                          for _, terms in IDENTITIES.values())
 
-    ops[name][i][j] is op(e_i, e_j), evaluated by eval_bilinear, times
-    scales[name]; alpha[x] is a(e_x) times alpha_scale.  All tables are built
-    here, in the order of op_names, so a missing op is reported before any
-    identity runs.  A composite class check builds one _Tables for its own
-    ops and passes it to its sub-checkers (the `_tables` argument), whose
-    ops it contains.
+
+class _Tables:
+    """Integer tables of one bound presentation, packed into lanes, shared by
+    one check's families and by its sub-reports.
+
+    Each op, read cell by cell through eval_bilinear, is scaled by the lcm of
+    its denominators (scales[name]), and alpha by alpha_scale.  A vector
+    (v_0, ..., v_{n-1}) of integers is packed into the one int
+    sum_o v_o << (lane * o).  Packing is linear, so a sum of integer
+    multiples of packed vectors is the packed sum, and it unpacks exactly
+    (signs included) while every |v_o| < 2 ** (lane - 1).  A coordinate of a
+    binary term is at most max|op|, and one of a ternary term
+    c outer(a(e_p), inner(e_q, e_r)) sums n ** 2 products (over the inner
+    coordinate b and the twist coordinate x) of two op entries and one
+    alpha entry.  So every residual coordinate of an identity is at most
+
+        MAX_COEFFICIENT_SUM * max(max|op|, n ** 2 * max|op| ** 2 * max|alpha|)
+
+    over the scaled entries, and lane is that bound's bit_length() + 1.
+
+    All tables are built here, in the order of op_names, so a missing op is
+    reported before any identity runs.  A composite class check builds one
+    _Tables for its own ops and passes it to its sub-checkers (the `_tables`
+    argument), whose ops it contains.
     """
 
     def __init__(self, a, op_names):
@@ -126,49 +144,65 @@ class _Tables:
                                  % (f.rows, f.cols, n, n))
         t = int_tensor(f)
         self.alpha, self.alpha_scale = [list(col) for col in zip(*t.dense())], t.scale
+        ops = {name: a.op(name) for name in op_names}
+        self.scales = {name: math.lcm(1, *(c.denominator for *_, c in op.entries))
+                       for name, op in ops.items()}
+        top = max((abs(c.numerator) * (self.scales[name] // c.denominator)
+                   for name, op in ops.items() for *_, c in op.entries), default=0)
+        twist = max(map(abs, t.entries.values()), default=0)
+        bound = MAX_COEFFICIENT_SUM * max(top, n * n * top * top * twist)
+        lane = self.lane = bound.bit_length() + 1
+        self._shifts = [lane * o for o in range(n)]
+        self._mask, self._half = (1 << lane) - 1, 1 << (lane - 1)
+        # every lane raised by half, so that no negative lane borrows from the next
+        self._offset = sum(self._half << shift for shift in self._shifts)
         e = [[int(b == i) for i in range(n)] for b in range(n)]
-        self.ops, self.scales = {}, {}
-        for name in op_names:
-            op = a.op(name)
-            s = self.scales[name] = math.lcm(1, *(c.denominator for *_, c in op.entries))
-            self.ops[name] = [[[v.numerator * (s // v.denominator)
-                                for v in eval_bilinear(op, x, y)] for y in e] for x in e]
-        self._nonzero = {}
+        self.packed, self._nonzero = {}, {}
+        for name, op in ops.items():
+            s = self.scales[name]
+            packed, cells = self.packed[name], self._nonzero[name] = [], []
+            for i in range(n):
+                packed.append([])
+                for j in range(n):
+                    pairs = [(b, v.numerator * (s // v.denominator))
+                             for b, v in enumerate(eval_bilinear(op, e[i], e[j])) if v]
+                    packed[i].append(sum(v << self._shifts[b] for b, v in pairs))
+                    if pairs:
+                        cells.append((i, j, pairs))
         self._twisted = {}
 
     def nonzero(self, name):
         """(i, j, pairs) for each op(e_i, e_j) != 0, pairs its (b, coefficient)
         pairs with coefficient != 0."""
-        if name not in self._nonzero:
-            self._nonzero[name] = [
-                (i, j, pairs) for i, row in enumerate(self.ops[name])
-                for j, vec in enumerate(row)
-                for pairs in [[(b, v) for b, v in enumerate(vec) if v]] if pairs]
         return self._nonzero[name]
 
     def twisted(self, name, side):
-        """M[x][b]: the (o, coefficient) pairs with coefficient != 0 of
-        op(a(e_x), e_b) for side "L", of op(e_b, a(e_x)) for side "R"."""
+        """M[x][b]: op(a(e_x), e_b) for side "L", op(e_b, a(e_x)) for side "R",
+        packed."""
         key = (name, side)
         if key not in self._twisted:
-            n, t = self.dim, self.ops[name]
-            out = []
-            for col in self.alpha:
-                m = [[0] * n for _ in range(n)]
-                for x, c in enumerate(col):
-                    if c:
-                        for b in range(n):
-                            v = t[x][b] if side == "L" else t[b][x]
-                            m[b] = [u + c * w for u, w in zip(m[b], v)]
-                out.append([[(o, w) for o, w in enumerate(vec) if w] for vec in m])
-            self._twisted[key] = out
+            p, n = self.packed[name], self.dim
+            if side == "R":
+                p = list(zip(*p))
+            self._twisted[key] = [[sum(c * p[x][b] for x, c in enumerate(col) if c)
+                                   for b in range(n)] for col in self.alpha]
         return self._twisted[key]
+
+    def unpack(self, v):
+        """The n signed coordinates of a packed vector."""
+        v += self._offset
+        mask, half = self._mask, self._half
+        return [(v >> shift & mask) - half for shift in self._shifts]
 
     def family(self, ident):
         """The (identity id, arity, table fn) triple of one IDENTITIES row.
 
-        The table is a sparse join: a term only reaches the tuples on which
-        its inner product (the op itself, for a binary row) is nonzero.
+        table() returns (scale, rows), each row the integer residual times
+        scale.  It is a sparse join into one packed accumulator per basis
+        tuple: a binary term adds its op's nonzero cells, and a ternary term
+        adds, for each nonzero inner cell (x_q, x_r) with coordinate v at b,
+        c * v * M[x_p][b] for each nonzero twisted row M[x_p][b].  Only the
+        nonzero accumulators are unpacked.
         """
         arity, terms = IDENTITIES[ident]
         n = self.dim
@@ -177,32 +211,30 @@ class _Tables:
         else:
             _, outer, inner = terms[0][:3]
             scale = self.scales[outer] * self.scales[inner] * self.alpha_scale
+        strides = [n ** (arity - 1 - k) for k in range(arity)]
 
         def table():
-            acc = {}
+            acc = [0] * n ** arity
             for term in terms:
-                c, slots = term[0], term[-arity:]
-                place = itemgetter(*map(slots.index, range(arity)))
+                c = term[0]
+                # the flat-index stride of each argument, by its tuple position
+                st = [strides[slot] for slot in term[-arity:]]
                 if arity == 2:
-                    for x, y, pairs in self.nonzero(term[1]):
-                        res = acc.setdefault(place((x, y)), [0] * n)
-                        for o, v in pairs:
-                            res[o] += c * v
+                    packed = self.packed[term[1]]
+                    for x, y, _ in self.nonzero(term[1]):
+                        acc[x * st[0] + y * st[1]] += c * packed[x][y]
                     continue
                 m = self.twisted(term[1], term[3])
+                rows = [[(xp * st[0], mx[b]) for xp, mx in enumerate(m) if mx[b]]
+                        for b in range(n)]
                 for xq, xr, pairs in self.nonzero(term[2]):
-                    pairs = [(b, c * v) for b, v in pairs]
-                    for xp, mx in enumerate(m):
-                        res = None  # allocated once some twisted row is nonzero
-                        for b, cv in pairs:
-                            row = mx[b]
-                            if row:
-                                if res is None:
-                                    res = acc.setdefault(place((xp, xq, xr)), [0] * n)
-                                for o, w in row:
-                                    res[o] += cv * w
-            return {tup: tuple(Fraction(x, scale) for x in res)
-                    for tup, res in acc.items() if any(res)}
+                    base = xq * st[1] + xr * st[2]
+                    for b, v in pairs:
+                        cv = c * v
+                        for off, w in rows[b]:
+                            acc[base + off] += cv * w
+            return scale, {tuple(idx // stride % n for stride in strides): self.unpack(v)
+                           for idx, v in enumerate(acc) if v}
         return ident, arity, table
 
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter, mul
 
-RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?$")
-NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -68,7 +68,7 @@ def parse_coefficient(s, params=()):
     """Parse a coefficient token: rational string, parameter name or -name."""
     if not isinstance(s, str):
         raise FormatError("coefficient must be a string, got %r" % (s,))
-    if RATIONAL_RE.match(s):
+    if RATIONAL_RE.fullmatch(s):
         return Fraction(s)
     if s in params:
         return s
@@ -530,24 +530,28 @@ def run_identity_families(dim, families, max_witnesses=32, sub_reports=None, not
     """Evaluate each family's residual table once; collect sorted witnesses.
 
     families: iterable of (identity_id, arity, table) where table() returns
-    {basis index tuple: residual coefficient vector} for the tuples whose
-    residual may be nonzero; the identity holds on every tuple it leaves out,
-    and an all-zero residual is not a witness.  Each family counts all
-    dim ** arity basis tuples as checked.  At most max_witnesses (>= 0)
-    witnesses are kept.
+    (scale, rows): rows maps a basis index tuple to its residual coefficient
+    vector times the positive scale, for the tuples whose residual may be
+    nonzero; the identity holds on every tuple it leaves out, and an all-zero
+    residual is not a witness.  Each family counts all dim ** arity basis
+    tuples as checked.  The failing tuples are counted and sorted as they
+    come; only the at most max_witnesses (>= 0) kept are divided by their
+    scale into Fraction residuals.
     """
     if max_witnesses < 0:
         raise ValueError("max_witnesses must be >= 0, got %d" % max_witnesses)
-    witnesses = []
+    failing = []
     checked = 0
     for (ident, arity, table) in families:
         checked += dim ** arity
-        witnesses += [(ident, tup, tuple(res)) for tup, res in table().items() if any(res)]
-    witnesses.sort(key=lambda w: (w[0], w[1]))
+        scale, rows = table()
+        failing += [(ident, tup, scale, res) for tup, res in rows.items() if any(res)]
+    failing.sort(key=itemgetter(0, 1))
     return CheckReport(
-        witnesses=witnesses[:max_witnesses],
+        witnesses=[(ident, tup, tuple(Fraction(x, scale) for x in res))
+                   for ident, tup, scale, res in failing[:max_witnesses]],
         checked=checked,
-        failures=len(witnesses),
+        failures=len(failing),
         sub_reports=dict(sub_reports or {}),
         notes=tuple(notes))
 
@@ -602,7 +606,8 @@ def contract(shape, terms, tensors):
     integer sum is L times the rational one.  A spec that does not fit its
     tensors' shapes or the output shape raises DimensionError.
     """
-    return _exact_sum(_compile(shape, terms, tensors))
+    scale, sums = _exact_sum(_compile(shape, terms, tensors))
+    return {idx: Fraction(v, scale) for idx, v in sums.items()}
 
 
 def _compile(shape, terms, tensors):
@@ -624,13 +629,15 @@ def _compile(shape, terms, tensors):
 
 
 def _exact_sum(compiled):
+    """(L, {index: integer sum}), nonzero entries only: the sum is L times
+    the rational one."""
     scale = math.lcm(*(term[1] for term in compiled))
     acc = {}
     for c, s, ins, out, operands in compiled:
         k = c * (scale // s)
         for idx, v in _contract(ins, out, operands).items():
             acc[idx] = acc.get(idx, 0) + k * v
-    return {idx: Fraction(v, scale) for idx, v in acc.items() if v}
+    return scale, {idx: v for idx, v in acc.items() if v}
 
 
 def bilinear_from_terms(dim, terms, tensors):
@@ -659,8 +666,9 @@ def contraction_family(ident, row, tensors, dim):
 
     The terms are contract's, with i, j, k, l the basis-tuple positions and
     the other output letters the residual's coordinates in row-major order.
-    table() is contract's exact sum grouped by basis tuple, nonzero tuples
-    only, so its zero test is exact.  Shapes are checked here.
+    table() is (L, rows): rows is contract's integer sum, L times the rational
+    one, grouped by basis tuple, nonzero tuples only, so its zero test is
+    exact.  Shapes are checked here.
     """
     arity, out_shape, terms = row
     positions = TUPLE_LETTERS[:arity]
@@ -679,10 +687,11 @@ def contraction_family(ident, row, tensors, dim):
     size = math.prod(out_shape)
 
     def table():
+        scale, sums = _exact_sum(compiled)
         out = {}
-        for idx, v in _exact_sum(compiled).items():
-            out.setdefault(idx[:arity], [ZERO] * size)[sum(map(mul, idx[arity:], strides))] = v
-        return out
+        for idx, v in sums.items():
+            out.setdefault(idx[:arity], [0] * size)[sum(map(mul, idx[arity:], strides))] = v
+        return scale, out
 
     return ident, arity, table
 
@@ -852,7 +861,7 @@ def _params(doc):
     if not isinstance(params, list) or not all(isinstance(n, str) for n in params):
         raise FormatError('"params" must be an array of names')
     for name in params:
-        if not NAME_RE.match(name):
+        if not NAME_RE.fullmatch(name):
             raise FormatError("bad parameter name %r" % name)
     if len(set(params)) != len(params):
         raise FormatError("duplicate parameter name in %r" % (params,))
@@ -927,7 +936,12 @@ def parse_form(text):
 
 
 def serialize_form(form):
-    doc = {"dim": form.dim, "B": _matrix_out(form.B)}
+    """The form's document; "params" lists the parameters its matrix uses."""
+    doc = {"dim": form.dim}
+    params = sorted({c.lstrip("-") for row in form.B.m for c in row if isinstance(c, str)})
+    if params:
+        doc["params"] = params
+    doc["B"] = _matrix_out(form.B)
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -56,15 +56,15 @@ def _tuples(dim, arity):
 
 
 def per_tuple(dim, arity, fn):
-    """The table fn of a per-tuple closure: {tuple: fn(*tuple)} on the basis
-    tuples whose residual is nonzero."""
+    """The table fn of a per-tuple closure: scale 1 and {tuple: fn(*tuple)}
+    on the basis tuples whose residual is nonzero."""
     def table():
         out = {}
         for tup in _tuples(dim, arity):
             res = fn(*tup)
             if not vec_is_zero(res):
                 out[tup] = res
-        return out
+        return 1, out
     return table
 
 

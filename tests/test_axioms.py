@@ -234,6 +234,66 @@ def test_sparse_join_matches_fraction_closures_at_dim_8():
     assert verdicts == {True, False} and skips == {True}
 
 
+def _huge(rng):
+    """A rational of either sign with a numerator up to 10**40."""
+    return F(rng.choice((-1, 1)) * rng.randint(1, 10 ** 40), rng.choice((1, 2, 3, 7, 12)))
+
+
+def _at_lane_bound(n, m, t):
+    """An algebra whose transposed-leibniz residual meets _Tables' lane bound.
+
+    Every product of basis vectors is m u for dot and star and -m u for the
+    bracket, u = e_1 + ... + e_n, and alpha(e_1) = -t u, alpha(e_p) = t u
+    for p > 1.  At (x, y, z) = (e_p, e_q, e_1) with p, q > 1 each of the
+    three terms of 2 a(z).{x,y} - {z.x, a(y)} - {a(x), z.y} is a positive
+    multiple of n**2 m**2 t u, so every coordinate is 4 n**2 m**2 t; at
+    (e_1, e_1, e_q) it is the negative of that."""
+    u = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+    ops = {name: BilinearMap(n, tuple(idx + (c,) for idx in u))
+           for name, c in (("dot", m), ("star", m), ("bracket", -m))}
+    alpha = LinearMap.from_rows([[-t] + [t] * (n - 1)] * n)
+    return AlgebraPresentation(n, ops, {"alpha": alpha})
+
+
+def test_packed_lanes_match_fraction_closures_at_the_lane_bound():
+    """Dense algebras with numerators up to 10**40, mixed signs and
+    non-integer ops and alpha, against the Fraction closures: random ones
+    at dims 2-5, and ones at dims 2-3 whose largest residual coordinate is
+    the lane bound itself, so a lane one bit narrower cannot hold it.  The
+    closures cost seconds at dim 5, so there only transposed-hom-poisson
+    (with its two sub-reports) is checked, and each closure report is made
+    once, at the largest cap (run_identity_families sorts, then cuts)."""
+    T = "transposed-hom-poisson"
+    rng = random.Random(20261018)
+    cases = []
+    for n in (2, 3, 4, 5):
+        ops = {name: BilinearMap(n, tuple(
+            (i, j, k, _huge(rng)) for i in range(n) for j in range(n) for k in range(n)))
+            for name in ("dot", "bracket", "star")}
+        alpha = LinearMap.from_rows([[_huge(rng) for _ in range(n)] for _ in range(n)])
+        cases.append((AlgebraPresentation(n, ops, {"alpha": alpha}),
+                      CLASS_OPS if n < 5 else (T,), False))
+    top, twist = 10 ** 40 + 1, 3 ** 80
+    cases += [(_at_lane_bound(n, F(top, 7), F(twist, 2)), CLASS_OPS, True) for n in (2, 3)]
+    limits = set()
+    for a, classes, at_bound in cases:
+        for cls in classes:
+            oracle = closure_check_class(a, cls, 1000)
+            assert not oracle.passed
+            for mw in (0, 3, 1000):
+                mine, want = check_class(a, cls, mw), _capped(oracle, mw)
+                assert (mine.passed, _flat(mine), str(mine)) == \
+                    (want.passed, _flat(want), str(want)), (a.dim, cls, mw)
+            if at_bound and cls == T:
+                # the integer residual is the rational one times the scales 7 * 7 * 2
+                largest = max(int(abs(c) * 98) for w in oracle.witnesses
+                              if w[0] == "transposed-leibniz" for c in w[2])
+                assert largest == 4 * a.dim ** 2 * top * top * twist
+                assert largest.bit_length() == _Tables(a, CLASS_OPS[T]).lane - 1
+                limits.add(a.dim)
+    assert limits == {2, 3}
+
+
 def test_check_errors_match_fraction_closures():
     def raised(fn, *args):
         with pytest.raises((UnboundParameterError, MissingOperationError)) as exc:

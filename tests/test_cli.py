@@ -341,6 +341,8 @@ _REP1 = {"algebra_dim": 1, "module_dim": 1,
     ({"dim": 2, "maps": {"alpha": [["1"]]}}, {}, ""),
     ({}, {"actions": {"s": [[["0", "0"]]], "rho": [[["0"]]]}}, ""),
     ({}, {"beta": [[]]}, ""),
+    ({"params": ["t\n"], "maps": {"alpha": [["t\n"]]}}, {}, ""),
+    ({"maps": {"alpha": [["1\n"]]}}, {}, ""),
 ])
 def test_malformed_headers_are_format_errors(tmp_path, capsys, alg_changes,
                                              rep_changes, params):

@@ -346,8 +346,9 @@ def test_contraction_family_rows():
     # sum_{a,b,c} g[a][i] g[b][c] g[a][b]
     want = [sum(g.dense()[a][i] * g.dense()[b][c] * g.dense()[a][b]
                 for a in range(2) for b in range(2) for c in range(2)) for i in range(2)]
-    table = fn()
-    assert [list(table.get((i,), [0])) for i in range(2)] == [[F(w)] for w in want]
+    scale, table = fn()
+    assert [[F(x, scale) for x in table.get((i,), [0])] for i in range(2)] == \
+        [[F(w)] for w in want]
     # one spec over operands of other shapes and sparsity: a contraction plan
     # is shared by every use of its spec, so it may depend on the letters only
     rng = random.Random(11)
@@ -369,14 +370,15 @@ def test_contraction_family_rows():
              (("op", (n, n, n)), ("act", (n, p, p)), ("beta", (p, p)))}
         _, _, fn = contraction_family("act(op(x, y)) beta", (2, (p, p), (
             (1, "ijx,xuv,vw->ijuw", ("op", "act", "beta")),)), t, n)
-        table = fn()
+        scale, table = fn()
         for i in range(n):
             for j in range(n):
                 want = [sum(dense["op"].get((i, j, x), 0) * dense["act"].get((x, u, v), 0)
                             * dense["beta"].get((v, w), 0)
                             for x in range(n) for v in range(p))
                         for u in range(p) for w in range(p)]
-                assert list(table.get((i, j), [0] * p * p)) == want, (n, p, i, j)
+                assert [F(x, scale) for x in table.get((i, j), [0] * p * p)] == want, \
+                    (n, p, i, j)
     with pytest.raises(DimensionError):
         contraction_family("bad", (2, (2,), ((1, "ijr,or->ijo", ("op", "w")),)),
                            {"op": op, "w": int_tensor(LinearMap.zero(2, 3))}, 2)

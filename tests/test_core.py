@@ -16,8 +16,12 @@ from homstruct.core import (
     eval_bilinear,
     parse_algebra,
     parse_coefficient,
+    parse_form,
+    parse_o_operator,
     parse_representation,
     serialize_algebra,
+    serialize_form,
+    serialize_o_operator,
     serialize_representation,
     substitute_params,
 )
@@ -131,6 +135,12 @@ def test_parse_algebra_errors():
         parse_algebra('{"dim": 1, "ops": {"dot": [{"i": 0, "j": 0, "k": 3, "c": "1"}]}}')
     with pytest.raises(FormatError):
         parse_algebra("not json")
+    # a trailing newline is part of neither a name nor a rational
+    with pytest.raises(FormatError, match="bad parameter name"):
+        parse_algebra(json.dumps({"dim": 1, "params": ["t\n"], "ops": {"dot": [
+            {"i": 0, "j": 0, "k": 0, "c": "t\n"}]}, "maps": {"alpha": [["1\n"]]}}))
+    with pytest.raises(FormatError, match="bad coefficient"):
+        parse_algebra(json.dumps({"dim": 1, "maps": {"alpha": [["1\n"]]}}))
     # a matrix of the wrong shape, an empty row and a ragged matrix
     for alpha, message in (([["1"]], "map 'alpha': expected 2x2 matrix, got 1x1"),
                            ([[]], "matrix shape must be positive"),
@@ -149,11 +159,13 @@ def test_parse_representation_errors():
             parse_representation(json.dumps(dict(rep, **changes)))
 
 
-# coefficient tokens, mostly valid under params ("t", "u")
-_TOKENS = st.sampled_from(["0", "1", "-1/2", "3/4", "t", "-t", "u", "x", "1/0", 1])
+# coefficient tokens, mostly valid under params ("t", "u"); the only strings
+# with a newline are these tokens and parameter names, and none may parse
+_TOKENS = st.sampled_from(["0", "1", "-1/2", "3/4", "t", "-t", "u", "x", "1/0", 1,
+                          "1\n", "t\n"])
 _DIM = st.one_of(st.integers(1, 3), st.sampled_from([0, 65, True, "2", None]))
 _PARAMS = st.one_of(st.lists(st.sampled_from(["t", "u"]), max_size=2, unique=True),
-                    st.sampled_from([["t", "t"], ["1x"], "t"]))
+                    st.sampled_from([["t", "t"], ["1x"], "t", ["t\n"]]))
 
 
 @st.composite
@@ -192,26 +204,50 @@ def _representation_docs(draw):
         "beta": _matrix(p)}))
 
 
+@st.composite
+def _form_docs(draw):
+    dim = draw(_DIM)
+    n = dim if isinstance(dim, int) and 0 < dim < 4 else 2
+    return draw(st.fixed_dictionaries({"dim": st.just(dim)}, optional={
+        "params": _PARAMS,
+        "basis": st.lists(st.sampled_from(["e1", "e2", "x"]), max_size=2),
+        "B": _matrix(n)}))
+
+
+_O_OPERATOR_DOCS = st.fixed_dictionaries({}, optional={
+    "T": _matrix(2), "params": _PARAMS})
+
+
 def test_parsers_raise_format_error_or_round_trip():
     """Every generated document either raises FormatError or parses to a
-    presentation that serializes and parses back to an equal one; both
-    outcomes occur for both parsers."""
+    presentation that serializes and parses back to an equal one, and no
+    document with a newline in a token or name parses; both outcomes occur
+    for every parser."""
     outcomes = set()
     for parse, serialize, docs in ((parse_algebra, serialize_algebra, _algebra_docs()),
                                    (parse_representation, serialize_representation,
-                                    _representation_docs())):
+                                    _representation_docs()),
+                                   (parse_form, serialize_form, _form_docs()),
+                                   (parse_o_operator, serialize_o_operator,
+                                    _O_OPERATOR_DOCS)):
         @settings(max_examples=300, derandomize=True, deadline=None, database=None)
         @given(docs)
         def run(doc):
+            text = json.dumps(doc)
             try:
-                p = parse(json.dumps(doc))
+                p = parse(text)
             except FormatError:
                 outcomes.add((parse, "error"))
                 return
+            assert "\\n" not in text
             assert parse(serialize(p)) == p
             outcomes.add((parse, "parsed"))
         run()
-    assert len(outcomes) == 4, outcomes
+    assert len(outcomes) == 8, outcomes
+    # a parametric form keeps its parameters through serialize_form
+    form = parse_form(json.dumps({"dim": 2, "params": ["t", "u"],
+                                  "B": [["-t", "0"], ["1", "t"]]}))
+    assert parse_form(serialize_form(form)) == form
 
 
 def test_bilinear_from_table():

@@ -1,13 +1,13 @@
 """The family protocol of core.run_identity_families: a family is
-(identity id, arity, table fn), and table() gives the residuals of the
-basis tuples on which the identity may fail."""
+(identity id, arity, table fn), and table() gives (scale, rows), rows the
+integer residuals times scale of the basis tuples on which the identity may
+fail."""
 
 from fractions import Fraction
 
 from homstruct import axioms, catalog, core, representations
 from homstruct.axioms import CLASS_FAMILIES, check_class
 from homstruct.core import (
-    ZERO,
     BilinearMap,
     contraction_family,
     int_tensor,
@@ -71,10 +71,10 @@ def test_empty_tables_count_every_tuple():
     families = [
         contraction_family("scalar", (3, (), ((1, "ijk->ijk", ("z",)),)), zero, 3),
         contraction_family("vector", (2, (3,), ((1, "ijo->ijo", ("z",)),)), zero, 3),
-        ("none", 4, dict),
-        ("constant", 0, dict),
+        ("none", 4, lambda: (1, {})),
+        ("constant", 0, lambda: (1, {})),
     ]
-    assert [fn() for _, _, fn in families] == [{}, {}, {}, {}]
+    assert [fn() for _, _, fn in families] == [(1, {})] * 4
     report = run_identity_families(3, families)
     assert (report.checked, report.failures, report.witnesses) == (27 + 9 + 81 + 1, 0, [])
     assert report.passed
@@ -82,7 +82,7 @@ def test_empty_tables_count_every_tuple():
 
 def test_zero_residuals_are_not_witnesses():
     def table():
-        return {(0, 1): (ZERO, ZERO), (1, 0): [F(0), F(-1, 2)], (1, 1): [0, 0]}
+        return 2, {(0, 1): (0, 0), (1, 0): [0, -1], (1, 1): [0, 0]}
     # a row whose two terms cancel leaves its table empty
     t = {"op": int_tensor(catalog.get("TP2").op("dot"))}
     cancel = contraction_family("cancel", (2, (2,), (
@@ -91,3 +91,20 @@ def test_zero_residuals_are_not_witnesses():
         report = run_identity_families(2, [("z", 2, table), cancel], mw)
         assert (report.checked, report.failures) == (8, 1)
         assert report.witnesses == [("z", (1, 0), (F(0), F(-1, 2)))][:mw]
+
+
+def test_only_kept_witnesses_are_divided():
+    """A table of 1,000 failing integer rows, handed over unsorted: every one
+    is counted, and only the kept ones, the first after sorting, are divided
+    by the table's scale.  The other rows start with None, which no Fraction
+    accepts, so dividing any of them would raise."""
+    tuples = [(i // 100, i // 10 % 10, i % 10) for i in reversed(range(1000))]
+    rows = {tup: [None, 7, 0] for tup in tuples}
+    kept = sorted(tuples)[:3]
+    for i, tup in enumerate(kept):
+        rows[tup] = [i - 500, 7, 0]
+    report = run_identity_families(10, [("big", 3, lambda: (6, rows))], 3)
+    assert (report.checked, report.failures) == (1000, 1000)
+    assert report.witnesses == [("big", tup, tuple(F(x, 6) for x in rows[tup]))
+                                for tup in kept]
+    assert report.witnesses[0] == ("big", (0, 0, 0), (F(-250, 3), F(7, 6), F(0)))
