@@ -114,16 +114,17 @@ class _Tables:
     """Integer tables of one bound presentation, packed into lanes, shared by
     one check's families and by its sub-reports.
 
-    Each op, read cell by cell through eval_bilinear, is scaled by the lcm of
-    its denominators (scales[name]), and alpha by alpha_scale.  A vector
-    (v_0, ..., v_{n-1}) of integers is packed into the one int
-    sum_o v_o << (lane * o).  Packing is linear, so a sum of integer
-    multiples of packed vectors is the packed sum, and it unpacks exactly
-    (signs included) while every |v_o| < 2 ** (lane - 1).  A coordinate of a
-    binary term is at most max|op|, and one of a ternary term
-    c outer(a(e_p), inner(e_q, e_r)) sums n ** 2 products (over the inner
-    coordinate b and the twist coordinate x) of two op entries and one
-    alpha entry.  So every residual coordinate of an identity is at most
+    Each op is read through n ** 2 eval_bilinear calls, one per pair of
+    basis vectors, each walking at most one row of the op's index.  It is
+    scaled by the lcm of its denominators (scales[name]), and alpha by
+    alpha_scale.  A vector (v_0, ..., v_{n-1}) of integers is packed into
+    the one int sum_o v_o << (lane * o).  Packing is linear, so a sum of
+    integer multiples of packed vectors is the packed sum, and it unpacks
+    exactly (signs included) while every |v_o| < 2 ** (lane - 1).  A
+    coordinate of a binary term is at most max|op|, and one of a ternary
+    term c outer(a(e_p), inner(e_q, e_r)) sums n ** 2 products (over the
+    inner coordinate b and the twist coordinate x) of two op entries and
+    one alpha entry.  So every residual coordinate of an identity is at most
 
         MAX_COEFFICIENT_SUM * max(max|op|, n ** 2 * max|op| ** 2 * max|alpha|)
 
@@ -143,7 +144,9 @@ class _Tables:
             raise DimensionError("map 'alpha' is %dx%d, expected %dx%d"
                                  % (f.rows, f.cols, n, n))
         t = int_tensor(f)
-        self.alpha, self.alpha_scale = [list(col) for col in zip(*t.dense())], t.scale
+        # the nonzero (x, alpha[x][p]) of each column p
+        self.alpha = [[(x, c) for x, c in enumerate(col) if c] for col in zip(*t.dense())]
+        self.alpha_scale = t.scale
         ops = {name: a.op(name) for name in op_names}
         self.scales = {name: math.lcm(1, *(c.denominator for *_, c in op.entries))
                        for name, op in ops.items()}
@@ -178,14 +181,14 @@ class _Tables:
 
     def twisted(self, name, side):
         """M[x][b]: op(a(e_x), e_b) for side "L", op(e_b, a(e_x)) for side "R",
-        packed."""
+        packed; each a sum over the nonzero entries of alpha's column x."""
         key = (name, side)
         if key not in self._twisted:
             p, n = self.packed[name], self.dim
             if side == "R":
                 p = list(zip(*p))
-            self._twisted[key] = [[sum(c * p[x][b] for x, c in enumerate(col) if c)
-                                   for b in range(n)] for col in self.alpha]
+            self._twisted[key] = [[sum(c * p[x][b] for x, c in col) for b in range(n)]
+                                  for col in self.alpha]
         return self._twisted[key]
 
     def unpack(self, v):

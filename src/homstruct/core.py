@@ -111,7 +111,12 @@ def basis_vec(n, i):
 
 @dataclass(frozen=True)
 class BilinearMap:
-    """Sparse rank-3 structure-constant tensor on a dim-dimensional space."""
+    """Sparse rank-3 structure-constant tensor on a dim-dimensional space.
+
+    Besides the sorted entries, construction builds the row index that
+    eval_bilinear walks: rows[i] = {j: [(k, c), ...]} in entry order, for
+    each i with an entry.  It is a plain attribute, not a field, so ==, hash
+    and repr see only dim and entries."""
 
     dim: int
     entries: tuple = ()
@@ -128,11 +133,22 @@ class BilinearMap:
             if (i, j, k) in seen:
                 raise FormatError("duplicate entry for (%d,%d,%d)" % (i, j, k))
             seen.add((i, j, k))
-            if isinstance(c, Fraction) and c == 0:
+            if isinstance(c, Fraction) and not c:
                 continue
             cleaned.append((i, j, k, c))
-        cleaned.sort(key=lambda e: (e[0], e[1], e[2]))
+        # the (i, j, k) are distinct, so the sort never compares coefficients
+        cleaned.sort()
         object.__setattr__(self, "entries", tuple(cleaned))
+        rows, last_i, last_j = {}, None, None
+        for (i, j, k, c) in cleaned:
+            if i != last_i:
+                row = rows[i] = {}
+                last_i, last_j = i, None
+            if j != last_j:
+                cells = row[j] = []
+                last_j = j
+            cells.append((k, c))
+        object.__setattr__(self, "rows", rows)
 
     @property
     def is_zero(self):
@@ -143,14 +159,35 @@ class BilinearMap:
 
 
 def eval_bilinear(op, x, y):
-    """Evaluate op at coefficient vectors x, y (bilinear extension)."""
-    if len(x) != op.dim or len(y) != op.dim:
-        raise DimensionError("vector length does not match op dim %d" % op.dim)
-    res = [ZERO] * op.dim
-    for (i, j, k, c) in op.entries:
-        t = x[i] * y[j]
-        if t:
-            res[k] += t * require_bound(c)
+    """Evaluate op at coefficient vectors x, y (bilinear extension).
+
+    Only the rows i with an entry and x_i != 0 are walked, and in them only
+    the cells with y_j != 0 are read: a call costs the op's nonempty rows,
+    the distinct j of the rows it walks and the cells it hits, never more
+    than the op's entries; at a pair of basis vectors, one row.  A factor
+    x_i y_j of 1 multiplies nothing, and each coordinate's first term is
+    stored as it is."""
+    n = op.dim
+    if len(x) != n or len(y) != n:
+        raise DimensionError("vector length does not match op dim %d" % n)
+    res = [ZERO] * n
+    for i, row in op.rows.items():
+        xi = x[i]
+        if not xi:
+            continue
+        for j, cells in row.items():
+            yj = y[j]
+            if not yj:
+                continue
+            t = xi * yj
+            for k, c in cells:
+                if not isinstance(c, Fraction):
+                    require_bound(c)
+                term = c if t == 1 else t * c
+                # ZERO marks a coordinate with no term yet: no cell is 0,
+                # and a sum is a new Fraction
+                v = res[k]
+                res[k] = term if v is ZERO else v + term
     return tuple(res)
 
 
@@ -972,6 +1009,11 @@ def parse_comultiplications(text):
 
 
 def serialize_comultiplications(dim, coops):
-    doc = {"dim": dim,
-           "coops": {name: _entries_out(sorted(coops[name])) for name in sorted(coops)}}
+    """The coops' document; "params" lists the parameters their entries use."""
+    doc = {"dim": dim}
+    params = sorted({c.lstrip("-") for entries in coops.values()
+                     for *_, c in entries if isinstance(c, str)})
+    if params:
+        doc["params"] = params
+    doc["coops"] = {name: _entries_out(sorted(coops[name])) for name in sorted(coops)}
     return json.dumps(doc, indent=2) + "\n"

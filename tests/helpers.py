@@ -25,7 +25,6 @@ from homstruct.core import (
     RepresentationPresentation,
     basis_vec,
     block_diag,
-    eval_bilinear,
     require_bound,
     require_passed as _require,
 )
@@ -34,6 +33,19 @@ from homstruct.operators import check_o_operator, check_rota_baxter
 from homstruct.representations import REP_OPS, check_rep
 
 F = Fraction
+
+
+def eval_bilinear_scan(op, x, y):
+    """op(x, y) by a scan of every entry: the oracles' evaluator, kept apart
+    from core.eval_bilinear, which walks the op's row index."""
+    if len(x) != op.dim or len(y) != op.dim:
+        raise DimensionError("vector length does not match op dim %d" % op.dim)
+    res = [ZERO] * op.dim
+    for (i, j, k, c) in op.entries:
+        t = x[i] * y[j]
+        if t:
+            res[k] += t * require_bound(c)
+    return tuple(res)
 
 
 # ---------------------------------------------------------------------------
@@ -146,31 +158,31 @@ def _residuals(a, class_name, x, y, z):
     res = []
     if class_name in ("comm-hom-assoc", "hom-poisson", "transposed-hom-poisson",
                       "hom-pre-lie-poisson"):
-        d = lambda u, v: eval_bilinear(a.op("dot"), u, v)
+        d = lambda u, v: eval_bilinear_scan(a.op("dot"), u, v)
         res.append(vec_sub(d(x, y), d(y, x)))
         res.append(vec_sub(d(d(x, y), al(z)), d(al(x), d(y, z))))
     if class_name in ("hom-lie", "hom-poisson", "transposed-hom-poisson"):
-        b = lambda u, v: eval_bilinear(a.op("bracket"), u, v)
+        b = lambda u, v: eval_bilinear_scan(a.op("bracket"), u, v)
         res.append(vec_add(b(x, y), b(y, x)))
         res.append(vec_add(vec_add(b(al(x), b(y, z)), b(al(y), b(z, x))),
                            b(al(z), b(x, y))))
     if class_name == "hom-poisson":
-        d = lambda u, v: eval_bilinear(a.op("dot"), u, v)
-        b = lambda u, v: eval_bilinear(a.op("bracket"), u, v)
+        d = lambda u, v: eval_bilinear_scan(a.op("dot"), u, v)
+        b = lambda u, v: eval_bilinear_scan(a.op("bracket"), u, v)
         res.append(vec_sub(b(al(x), d(y, z)),
                            vec_add(d(al(y), b(x, z)), d(al(z), b(x, y)))))
     if class_name == "transposed-hom-poisson":
-        d = lambda u, v: eval_bilinear(a.op("dot"), u, v)
-        b = lambda u, v: eval_bilinear(a.op("bracket"), u, v)
+        d = lambda u, v: eval_bilinear_scan(a.op("dot"), u, v)
+        b = lambda u, v: eval_bilinear_scan(a.op("bracket"), u, v)
         res.append(vec_sub(vec_scale(2, d(al(z), b(x, y))),
                            vec_add(b(d(z, x), al(y)), b(al(x), d(z, y)))))
     if class_name in ("hom-pre-lie", "hom-pre-lie-poisson"):
-        s = lambda u, v: eval_bilinear(a.op("star"), u, v)
+        s = lambda u, v: eval_bilinear_scan(a.op("star"), u, v)
         aso = lambda u, v, w: vec_sub(s(s(u, v), al(w)), s(al(u), s(v, w)))
         res.append(vec_sub(aso(x, y, z), aso(y, x, z)))
     if class_name == "hom-pre-lie-poisson":
-        d = lambda u, v: eval_bilinear(a.op("dot"), u, v)
-        s = lambda u, v: eval_bilinear(a.op("star"), u, v)
+        d = lambda u, v: eval_bilinear_scan(a.op("dot"), u, v)
+        s = lambda u, v: eval_bilinear_scan(a.op("star"), u, v)
         res.append(vec_sub(s(d(x, y), al(z)), d(al(x), s(y, z))))
         res.append(vec_sub(vec_sub(d(s(x, y), al(z)), d(s(y, x), al(z))),
                            vec_sub(s(al(x), d(y, z)), s(al(y), d(x, z)))))
@@ -226,12 +238,12 @@ def _closure_comm_hom_assoc(a, max_witnesses):
     e, av, (dot,) = _closure_ctx(a, "dot")
     fams = [
         ("commutative", 2,
-         lambda i, j: vec_sub(eval_bilinear(dot, e[i], e[j]),
-                              eval_bilinear(dot, e[j], e[i]))),
+         lambda i, j: vec_sub(eval_bilinear_scan(dot, e[i], e[j]),
+                              eval_bilinear_scan(dot, e[j], e[i]))),
         ("hom-associative", 3,
          lambda i, j, k: vec_sub(
-             eval_bilinear(dot, eval_bilinear(dot, e[i], e[j]), av[k]),
-             eval_bilinear(dot, av[i], eval_bilinear(dot, e[j], e[k])))),
+             eval_bilinear_scan(dot, eval_bilinear_scan(dot, e[i], e[j]), av[k]),
+             eval_bilinear_scan(dot, av[i], eval_bilinear_scan(dot, e[j], e[k])))),
     ]
     return run_identity_families(a.dim, fams, max_witnesses)
 
@@ -240,14 +252,14 @@ def _closure_hom_lie(a, max_witnesses):
     e, av, (br,) = _closure_ctx(a, "bracket")
     fams = [
         ("skew-symmetry", 2,
-         lambda i, j: vec_add(eval_bilinear(br, e[i], e[j]),
-                              eval_bilinear(br, e[j], e[i]))),
+         lambda i, j: vec_add(eval_bilinear_scan(br, e[i], e[j]),
+                              eval_bilinear_scan(br, e[j], e[i]))),
         ("hom-jacobi", 3,
          lambda i, j, k: vec_add(
-             eval_bilinear(br, av[i], eval_bilinear(br, e[j], e[k])),
+             eval_bilinear_scan(br, av[i], eval_bilinear_scan(br, e[j], e[k])),
              vec_add(
-                 eval_bilinear(br, av[j], eval_bilinear(br, e[k], e[i])),
-                 eval_bilinear(br, av[k], eval_bilinear(br, e[i], e[j]))))),
+                 eval_bilinear_scan(br, av[j], eval_bilinear_scan(br, e[k], e[i])),
+                 eval_bilinear_scan(br, av[k], eval_bilinear_scan(br, e[i], e[j]))))),
     ]
     return run_identity_families(a.dim, fams, max_witnesses)
 
@@ -257,10 +269,10 @@ def _closure_hom_poisson(a, max_witnesses):
     fams = [
         ("poisson-leibniz", 3,
          lambda i, j, k: vec_sub(
-             eval_bilinear(br, av[i], eval_bilinear(dot, e[j], e[k])),
+             eval_bilinear_scan(br, av[i], eval_bilinear_scan(dot, e[j], e[k])),
              vec_add(
-                 eval_bilinear(dot, av[j], eval_bilinear(br, e[i], e[k])),
-                 eval_bilinear(dot, av[k], eval_bilinear(br, e[i], e[j]))))),
+                 eval_bilinear_scan(dot, av[j], eval_bilinear_scan(br, e[i], e[k])),
+                 eval_bilinear_scan(dot, av[k], eval_bilinear_scan(br, e[i], e[j]))))),
     ]
     return run_identity_families(
         a.dim, fams, max_witnesses,
@@ -273,10 +285,11 @@ def _closure_transposed_hom_poisson(a, max_witnesses):
     fams = [
         ("transposed-leibniz", 3,
          lambda i, j, k: vec_sub(
-             vec_scale(2, eval_bilinear(dot, av[k], eval_bilinear(br, e[i], e[j]))),
+             vec_scale(2, eval_bilinear_scan(dot, av[k],
+                                             eval_bilinear_scan(br, e[i], e[j]))),
              vec_add(
-                 eval_bilinear(br, eval_bilinear(dot, e[k], e[i]), av[j]),
-                 eval_bilinear(br, av[i], eval_bilinear(dot, e[k], e[j]))))),
+                 eval_bilinear_scan(br, eval_bilinear_scan(dot, e[k], e[i]), av[j]),
+                 eval_bilinear_scan(br, av[i], eval_bilinear_scan(dot, e[k], e[j]))))),
     ]
     return run_identity_families(
         a.dim, fams, max_witnesses,
@@ -289,8 +302,8 @@ def _closure_hom_pre_lie(a, max_witnesses):
 
     def assoc(i, j, k):
         return vec_sub(
-            eval_bilinear(st, eval_bilinear(st, e[i], e[j]), av[k]),
-            eval_bilinear(st, av[i], eval_bilinear(st, e[j], e[k])))
+            eval_bilinear_scan(st, eval_bilinear_scan(st, e[i], e[j]), av[k]),
+            eval_bilinear_scan(st, av[i], eval_bilinear_scan(st, e[j], e[k])))
 
     fams = [("hom-pre-lie", 3, lambda i, j, k: vec_sub(assoc(i, j, k), assoc(j, i, k)))]
     return run_identity_families(a.dim, fams, max_witnesses)
@@ -301,14 +314,15 @@ def _closure_hom_pre_lie_poisson(a, max_witnesses):
     fams = [
         ("pre-poisson-1", 3,
          lambda i, j, k: vec_sub(
-             eval_bilinear(st, eval_bilinear(dot, e[i], e[j]), av[k]),
-             eval_bilinear(dot, av[i], eval_bilinear(st, e[j], e[k])))),
+             eval_bilinear_scan(st, eval_bilinear_scan(dot, e[i], e[j]), av[k]),
+             eval_bilinear_scan(dot, av[i], eval_bilinear_scan(st, e[j], e[k])))),
         ("pre-poisson-2", 3,
          lambda i, j, k: vec_sub(
-             vec_sub(eval_bilinear(dot, eval_bilinear(st, e[i], e[j]), av[k]),
-                     eval_bilinear(dot, eval_bilinear(st, e[j], e[i]), av[k])),
-             vec_sub(eval_bilinear(st, av[i], eval_bilinear(dot, e[j], e[k])),
-                     eval_bilinear(st, av[j], eval_bilinear(dot, e[i], e[k]))))),
+             vec_sub(eval_bilinear_scan(dot, eval_bilinear_scan(st, e[i], e[j]), av[k]),
+                     eval_bilinear_scan(dot, eval_bilinear_scan(st, e[j], e[i]), av[k])),
+             vec_sub(eval_bilinear_scan(st, av[i], eval_bilinear_scan(dot, e[j], e[k])),
+                     eval_bilinear_scan(st, av[j],
+                                        eval_bilinear_scan(dot, e[i], e[k]))))),
     ]
     return run_identity_families(
         a.dim, fams, max_witnesses,
@@ -339,10 +353,10 @@ def closure_cyclic_sum(a, max_witnesses=32):
 def _cyclic_sum(e, av, dot, br):
     return ("cyclic-sum", 3,
             lambda i, j, k: vec_add(
-                eval_bilinear(dot, av[i], eval_bilinear(br, e[j], e[k])),
+                eval_bilinear_scan(dot, av[i], eval_bilinear_scan(br, e[j], e[k])),
                 vec_add(
-                    eval_bilinear(dot, av[j], eval_bilinear(br, e[k], e[i])),
-                    eval_bilinear(dot, av[k], eval_bilinear(br, e[i], e[j])))))
+                    eval_bilinear_scan(dot, av[j], eval_bilinear_scan(br, e[k], e[i])),
+                    eval_bilinear_scan(dot, av[k], eval_bilinear_scan(br, e[i], e[j])))))
 
 
 def closure_annihilation(a, max_witnesses=32):
@@ -350,9 +364,11 @@ def closure_annihilation(a, max_witnesses=32):
     e, av, (dot, br) = _closure_ctx(a, "dot", "bracket")
     fams = [
         ("dot-bracket-vanishes", 3,
-         lambda i, j, k: eval_bilinear(dot, av[i], eval_bilinear(br, e[j], e[k]))),
+         lambda i, j, k: eval_bilinear_scan(dot, av[i],
+                                            eval_bilinear_scan(br, e[j], e[k]))),
         ("bracket-dot-vanishes", 3,
-         lambda i, j, k: eval_bilinear(br, eval_bilinear(dot, e[i], e[j]), av[k])),
+         lambda i, j, k: eval_bilinear_scan(br, eval_bilinear_scan(dot, e[i], e[j]),
+                                            av[k])),
     ]
     return run_identity_families(a.dim, fams, max_witnesses)
 
@@ -393,7 +409,7 @@ def check_rep_comm_assoc(a, rep, max_witnesses=32):
     beta = rep.beta
     fams = [
         ("assoc-action", 2,
-         lambda i, j: s("s", eval_bilinear(dot, e[i], e[j])) @ beta
+         lambda i, j: s("s", eval_bilinear_scan(dot, e[i], e[j])) @ beta
                       - s("s", av[i]) @ s("s", e[j])),
         ("twist-intertwine:s", 1,
          lambda i: beta @ s("s", e[i]) - s("s", av[i]) @ beta),
@@ -412,7 +428,7 @@ def check_rep_hom_lie(a, rep, max_witnesses=32):
     beta = rep.beta
     fams = [
         ("bracket-action", 2,
-         lambda i, j: rho("rho", eval_bilinear(br, e[i], e[j])) @ beta
+         lambda i, j: rho("rho", eval_bilinear_scan(br, e[i], e[j])) @ beta
                       - (rho("rho", av[i]) @ rho("rho", e[j])
                          - rho("rho", av[j]) @ rho("rho", e[i]))),
         ("twist-intertwine:rho", 1,
@@ -433,12 +449,12 @@ def check_rep_transposed(a, rep, max_witnesses=32):
     beta = rep.beta
     fams = [
         ("mixed-1", 2,
-         lambda i, j: of("s", eval_bilinear(br, e[i], e[j])).scale(2) @ beta
+         lambda i, j: of("s", eval_bilinear_scan(br, e[i], e[j])).scale(2) @ beta
                       - (of("rho", av[i]) @ of("s", e[j])
                          - of("rho", av[j]) @ of("s", e[i]))),
         ("mixed-2", 2,
          lambda i, j: (of("s", av[i]) @ of("rho", e[j])).scale(2)
-                      - (of("rho", eval_bilinear(dot, e[i], e[j])) @ beta
+                      - (of("rho", eval_bilinear_scan(dot, e[i], e[j])) @ beta
                          + of("rho", av[j]) @ of("s", e[i]))),
     ]
     return _mat_families(
@@ -459,7 +475,8 @@ def check_rep_pre_lie(a, rep, max_witnesses=32):
     beta = rep.beta
 
     def br(i, j):
-        return vec_sub(eval_bilinear(st, e[i], e[j]), eval_bilinear(st, e[j], e[i]))
+        return vec_sub(eval_bilinear_scan(st, e[i], e[j]),
+                       eval_bilinear_scan(st, e[j], e[i]))
 
     def rho(x):
         return of("l", x) - of("r", x)
@@ -472,7 +489,7 @@ def check_rep_pre_lie(a, rep, max_witnesses=32):
         ("right-action", 2,
          lambda i, j: of("r", av[j]) @ rho(e[i])
                       - (of("l", av[i]) @ of("r", e[j])
-                         - of("r", eval_bilinear(st, e[i], e[j])) @ beta)),
+                         - of("r", eval_bilinear_scan(st, e[i], e[j])) @ beta)),
         ("twist-intertwine:l", 1,
          lambda i: beta @ of("l", e[i]) - of("l", av[i]) @ beta),
         ("twist-intertwine:r", 1,
@@ -496,18 +513,19 @@ def check_rep_pre_lie_poisson(a, rep, max_witnesses=32):
     beta = rep.beta
 
     def br(i, j):
-        return vec_sub(eval_bilinear(st, e[i], e[j]), eval_bilinear(st, e[j], e[i]))
+        return vec_sub(eval_bilinear_scan(st, e[i], e[j]),
+                       eval_bilinear_scan(st, e[j], e[i]))
 
     def rho(x):
         return of("l", x) - of("r", x)
 
     fams = [
         ("compat-1", 2,
-         lambda i, j: of("l", eval_bilinear(dot, e[i], e[j])) @ beta
+         lambda i, j: of("l", eval_bilinear_scan(dot, e[i], e[j])) @ beta
                       - of("s", av[i]) @ of("l", e[j])),
         ("compat-2", 2,
          lambda i, j: of("r", av[j]) @ of("s", e[i])
-                      - of("s", eval_bilinear(st, e[i], e[j])) @ beta),
+                      - of("s", eval_bilinear_scan(st, e[i], e[j])) @ beta),
         ("compat-3", 2,
          lambda i, j: of("r", av[j]) @ of("s", e[i]) - of("s", av[i]) @ of("r", e[j])),
         ("compat-4", 2,
@@ -517,7 +535,7 @@ def check_rep_pre_lie_poisson(a, rep, max_witnesses=32):
         ("compat-5", 2,
          lambda i, j: of("s", av[j]) @ rho(e[i])
                       - (of("l", av[i]) @ of("s", e[j])
-                         - of("r", eval_bilinear(dot, e[i], e[j])) @ beta)),
+                         - of("r", eval_bilinear_scan(dot, e[i], e[j])) @ beta)),
     ]
     return _mat_families(
         n, fams, max_witnesses,
@@ -545,12 +563,12 @@ def closure_dual_hypotheses(a, rep, max_witnesses=32):
     beta = rep.beta
     fams = [
         ("hyp-mixed-1", 2,
-         lambda i, j: of("s", eval_bilinear(br, e[i], e[j])).scale(2) @ beta
+         lambda i, j: of("s", eval_bilinear_scan(br, e[i], e[j])).scale(2) @ beta
                       - (of("s", e[j]) @ of("rho", av[i])
                          - of("s", e[i]) @ of("rho", av[j]))),
         ("hyp-mixed-2", 2,
          lambda i, j: (of("rho", e[j]) @ of("s", av[i])).scale(2)
-                      - (of("rho", eval_bilinear(dot, e[i], e[j])) @ beta
+                      - (of("rho", eval_bilinear_scan(dot, e[i], e[j])) @ beta
                          + of("s", e[i]) @ of("rho", av[j]))),
         ("hyp-strict-commute:s", 1,
          lambda i: beta @ of("s", e[i]) - of("s", e[i]) @ beta),
@@ -584,8 +602,8 @@ def closure_check_multiplicative(a, op_name="all", max_witnesses=32):
         fams.append((
             "multiplicative:%s" % name, 2,
             lambda i, j, op=op: vec_sub(
-                apply_map(alpha, eval_bilinear(op, e[i], e[j])),
-                eval_bilinear(op, av[i], av[j]))))
+                apply_map(alpha, eval_bilinear_scan(op, e[i], e[j])),
+                eval_bilinear_scan(op, av[i], av[j]))))
     return run_identity_families(a.dim, fams, max_witnesses)
 
 
@@ -601,9 +619,9 @@ def closure_check_derivation(a, op_name, d, commuting_with_alpha=True, max_witne
     fams = [
         ("leibniz:%s" % op_name, 2,
          lambda i, j: vec_sub(
-             apply_map(d, eval_bilinear(op, e[i], e[j])),
-             vec_add(eval_bilinear(op, apply_map(d, e[i]), e[j]),
-                     eval_bilinear(op, e[i], apply_map(d, e[j]))))),
+             apply_map(d, eval_bilinear_scan(op, e[i], e[j])),
+             vec_add(eval_bilinear_scan(op, apply_map(d, e[i]), e[j]),
+                     eval_bilinear_scan(op, e[i], apply_map(d, e[j]))))),
     ]
     if commuting_with_alpha:
         alpha = a.alpha
@@ -630,8 +648,8 @@ def closure_check_morphism(a, b, f, op_names=None, max_witnesses=32):
         fams.append((
             "morphism:%s" % name, 2,
             lambda i, j, op_a=op_a, op_b=op_b: vec_sub(
-                apply_map(f, eval_bilinear(op_a, e[i], e[j])),
-                eval_bilinear(op_b, apply_map(f, e[i]), apply_map(f, e[j])))))
+                apply_map(f, eval_bilinear_scan(op_a, e[i], e[j])),
+                eval_bilinear_scan(op_b, apply_map(f, e[i]), apply_map(f, e[j])))))
     fams.append((
         "intertwines-twists", 1,
         lambda i: vec_sub(apply_map(f, apply_map(a.alpha, e[i])),
@@ -654,12 +672,12 @@ def closure_transposed_consequences(a, max_witnesses=32):
             "four-variable", 4,
             lambda i, j, k, l: vec_sub(
                 vec_add(
-                    eval_bilinear(br, eval_bilinear(dot, e[i], e[k]),
-                                  eval_bilinear(dot, e[j], e[l])),
-                    eval_bilinear(br, eval_bilinear(dot, e[i], e[l]),
-                                  eval_bilinear(dot, e[j], e[k]))),
-                vec_scale(2, eval_bilinear(dot, eval_bilinear(dot, e[k], e[l]),
-                                           eval_bilinear(br, e[i], e[j]))))))
+                    eval_bilinear_scan(br, eval_bilinear_scan(dot, e[i], e[k]),
+                                  eval_bilinear_scan(dot, e[j], e[l])),
+                    eval_bilinear_scan(br, eval_bilinear_scan(dot, e[i], e[l]),
+                                  eval_bilinear_scan(dot, e[j], e[k]))),
+                vec_scale(2, eval_bilinear_scan(dot, eval_bilinear_scan(dot, e[k], e[l]),
+                                           eval_bilinear_scan(br, e[i], e[j]))))))
     else:
         notes.append("four-variable identity skipped: twist is not the identity")
     return run_identity_families(a.dim, fams, max_witnesses, notes=notes)
@@ -679,8 +697,8 @@ def closure_check_invariant_form(a, form, max_witnesses=32):
         fams.append((
             "invariance:%s" % name, 3,
             lambda i, j, k, op=op: (
-                form.value(eval_bilinear(op, e[i], e[j]), al[k])
-                - form.value(al[i], eval_bilinear(op, e[j], e[k])),)))
+                form.value(eval_bilinear_scan(op, e[i], e[j]), al[k])
+                - form.value(al[i], eval_bilinear_scan(op, e[j], e[k])),)))
     return run_identity_families(n, fams, max_witnesses)
 
 
@@ -697,8 +715,8 @@ def closure_block_closure_report(double, a, a_star, max_witnesses=32):
             fams.append((
                 "block-%s:%s" % (tag, name), 2,
                 lambda i, j, op=double.op(name), sub=alg.op(name), off=off: vec_sub(
-                    eval_bilinear(op, e[off + i], e[off + j]),
-                    (0,) * off + tuple(eval_bilinear(sub, f[i], f[j]))
+                    eval_bilinear_scan(op, e[off + i], e[off + j]),
+                    (0,) * off + tuple(eval_bilinear_scan(sub, f[i], f[j]))
                     + (0,) * (n - off))))
     return run_identity_families(n, fams, max_witnesses)
 
@@ -782,7 +800,7 @@ def closure_bialgebra_families(a, coops, max_witnesses=32):
         return _coop_apply(n, Dd, x)
 
     def cocycle(i, j):
-        lhs = delta(eval_bilinear(a.op("bracket"), e[i], e[j]))
+        lhs = delta(eval_bilinear_scan(a.op("bracket"), e[i], e[j]))
         rhs = vec_sub(
             apply_map(tensor_map(ada(e[i]), alpha)
                       + tensor_map(alpha, ada(e[i])), delta(e[j])),
@@ -791,7 +809,7 @@ def closure_bialgebra_families(a, coops, max_witnesses=32):
         return vec_sub(lhs, rhs)
 
     def infinitesimal(i, j):
-        lhs = Delta(eval_bilinear(a.op("dot"), e[i], e[j]))
+        lhs = Delta(eval_bilinear_scan(a.op("dot"), e[i], e[j]))
         rhs = vec_add(
             apply_map(tensor_map(Sa(al[i]), alpha), Delta(e[j])),
             apply_map(tensor_map(alpha, Sa(al[j])), Delta(e[i])))
@@ -807,7 +825,7 @@ def closure_bialgebra_families(a, coops, max_witnesses=32):
         return vec_sub(left, vec_add(r1, r2))
 
     def mixed1(i, j):
-        lhs = delta(eval_bilinear(a.op("dot"), e[i], e[j]))
+        lhs = delta(eval_bilinear_scan(a.op("dot"), e[i], e[j]))
         rhs = vec_sub(
             vec_add(apply_map(tensor_map(Sa(al[j]), alpha), delta(e[i])),
                     apply_map(tensor_map(Sa(al[i]), alpha), delta(e[j]))),
@@ -816,7 +834,7 @@ def closure_bialgebra_families(a, coops, max_witnesses=32):
         return vec_sub(lhs, rhs)
 
     def mixed2(i, j):
-        lhs = Delta(eval_bilinear(a.op("bracket"), e[i], e[j]))
+        lhs = Delta(eval_bilinear_scan(a.op("bracket"), e[i], e[j]))
         rhs = vec_add(
             apply_map(tensor_map(ada(al[i]), alpha)
                       + tensor_map(alpha, ada(al[i])), Delta(e[j])),
@@ -849,13 +867,13 @@ def closure_o_operator_families(a, rep, T, class_name, max_witnesses=32):
     if class_name in ("comm-hom-assoc", "transposed-hom-poisson"):
         dot = a.op("dot")
         fams.append(("o-equation:dot", 2, lambda i, j: vec_sub(
-            eval_bilinear(dot, Tu[i], Tu[j]),
+            eval_bilinear_scan(dot, Tu[i], Tu[j]),
             apply_map(T, vec_add(apply_map(rep.of("s", Tu[i]), u[j]),
                                  apply_map(rep.of("s", Tu[j]), u[i]))))))
     if class_name in ("hom-lie", "transposed-hom-poisson"):
         br = a.op("bracket")
         fams.append(("o-equation:bracket", 2, lambda i, j: vec_sub(
-            eval_bilinear(br, Tu[i], Tu[j]),
+            eval_bilinear_scan(br, Tu[i], Tu[j]),
             apply_map(T, vec_sub(apply_map(rep.of("rho", Tu[i]), u[j]),
                                  apply_map(rep.of("rho", Tu[j]), u[i]))))))
     return run_identity_families(p, fams, max_witnesses)
@@ -872,14 +890,14 @@ def closure_o_morphism_families(a, rep, T, induced, max_witnesses=32):
     if "dot" in induced.ops:
         ind_dot, dot = induced.op("dot"), a.op("dot")
         fams.append(("morphism:dot", 2, lambda i, j: vec_sub(
-            apply_map(T, eval_bilinear(ind_dot, u[i], u[j])),
-            eval_bilinear(dot, Tu[i], Tu[j]))))
+            apply_map(T, eval_bilinear_scan(ind_dot, u[i], u[j])),
+            eval_bilinear_scan(dot, Tu[i], Tu[j]))))
     if "star" in induced.ops and "bracket" in a.ops:
         st, br = induced.op("star"), a.op("bracket")
         fams.append(("morphism:commutator", 2, lambda i, j: vec_sub(
-            apply_map(T, vec_sub(eval_bilinear(st, u[i], u[j]),
-                                 eval_bilinear(st, u[j], u[i]))),
-            eval_bilinear(br, Tu[i], Tu[j]))))
+            apply_map(T, vec_sub(eval_bilinear_scan(st, u[i], u[j]),
+                                 eval_bilinear_scan(st, u[j], u[i]))),
+            eval_bilinear_scan(br, Tu[i], Tu[j]))))
     return run_identity_families(p, fams, max_witnesses)
 
 
@@ -946,7 +964,8 @@ def transported(a):
     Pi = P.inverse()
     e = [Pi.column(i) for i in range(a.dim)]
     ops = {name: bilinear_from_table(
-               a.dim, lambda i, j, op=op: apply_map(P, eval_bilinear(op, e[i], e[j])))
+               a.dim,
+               lambda i, j, op=op: apply_map(P, eval_bilinear_scan(op, e[i], e[j])))
            for name, op in a.ops.items()}
     return AlgebraPresentation(a.dim, ops, {"alpha": P @ a.alpha @ Pi}, a.basis)
 
@@ -964,7 +983,7 @@ def closure_compose_ops(a, g, op_names=None):
     for name in names:
         op = a.op(name)
         out[name] = bilinear_from_table(
-            a.dim, lambda i, j, op=op: apply_map(g, eval_bilinear(op, e[i], e[j])))
+            a.dim, lambda i, j, op=op: apply_map(g, eval_bilinear_scan(op, e[i], e[j])))
     return out
 
 
@@ -981,7 +1000,7 @@ def closure_alpha_h_twist(a, h):
     dot = a.op("dot")
     h = tuple(Fraction(c) for c in h)
     alpha_h = LinearMap.from_columns(
-        [eval_bilinear(dot, h, basis_vec(a.dim, j)) for j in range(a.dim)])
+        [eval_bilinear_scan(dot, h, basis_vec(a.dim, j)) for j in range(a.dim)])
     maps = dict(a.maps)
     maps["alpha"] = alpha_h
     out = AlgebraPresentation(a.dim, dict(a.ops), maps, a.basis)
@@ -1003,8 +1022,8 @@ def closure_bracket_from_derivation(a, d):
     e = [basis_vec(a.dim, i) for i in range(a.dim)]
     bracket = bilinear_from_table(
         a.dim,
-        lambda i, j: vec_sub(eval_bilinear(dot, e[i], apply_map(d, e[j])),
-                             eval_bilinear(dot, apply_map(d, e[i]), e[j])))
+        lambda i, j: vec_sub(eval_bilinear_scan(dot, e[i], apply_map(d, e[j])),
+                             eval_bilinear_scan(dot, apply_map(d, e[i]), e[j])))
     out = AlgebraPresentation(a.dim, {"dot": dot, "bracket": bracket},
                               dict(a.maps), a.basis)
     return _assert_closure(out, "transposed-hom-poisson", "bracket_from_derivation")
@@ -1029,8 +1048,8 @@ def closure_bracket_from_two_derivations(a, d1, d2):
     bracket = bilinear_from_table(
         a.dim,
         lambda i, j: vec_sub(
-            eval_bilinear(dot, apply_map(d1, e[i]), apply_map(d2, e[j])),
-            eval_bilinear(dot, apply_map(d1, e[j]), apply_map(d2, e[i]))))
+            eval_bilinear_scan(dot, apply_map(d1, e[i]), apply_map(d2, e[j])),
+            eval_bilinear_scan(dot, apply_map(d1, e[j]), apply_map(d2, e[i]))))
     out = AlgebraPresentation(a.dim, {"dot": dot, "bracket": bracket},
                               dict(a.maps), a.basis)
     return _assert_closure(out, "hom-poisson", "bracket_from_two_derivations")
@@ -1064,8 +1083,8 @@ def closure_tensor_product(a1, a2, class_name):
         def fn(I, J):
             i1, i2 = divmod(I, n2)
             j1, j2 = divmod(J, n2)
-            return kron_vec(eval_bilinear(p1, e1[i1], e1[j1]),
-                            eval_bilinear(p2, e2[i2], e2[j2]))
+            return kron_vec(eval_bilinear_scan(p1, e1[i1], e1[j1]),
+                            eval_bilinear_scan(p2, e2[i2], e2[j2]))
         return fn
 
     def add_fns(f, g):
@@ -1104,8 +1123,8 @@ def closure_sub_adjacent(a):
     e = [basis_vec(a.dim, i) for i in range(a.dim)]
     bracket = bilinear_from_table(
         a.dim,
-        lambda i, j: vec_sub(eval_bilinear(st, e[i], e[j]),
-                             eval_bilinear(st, e[j], e[i])))
+        lambda i, j: vec_sub(eval_bilinear_scan(st, e[i], e[j]),
+                             eval_bilinear_scan(st, e[j], e[i])))
     ops = {"bracket": bracket}
     if has_dot:
         ops["dot"] = a.op("dot")
@@ -1121,9 +1140,9 @@ def closure_action_matrices(a, op, side="left"):
     out = []
     for i in range(n):
         if side == "left":
-            cols = [eval_bilinear(op, e[i], e[m]) for m in range(n)]
+            cols = [eval_bilinear_scan(op, e[i], e[m]) for m in range(n)]
         else:
-            cols = [eval_bilinear(op, e[m], e[i]) for m in range(n)]
+            cols = [eval_bilinear_scan(op, e[m], e[i]) for m in range(n)]
         out.append(LinearMap.from_columns(cols))
     return tuple(out)
 
@@ -1232,9 +1251,9 @@ def closure_build_double(mp, class_name, check_actions=True):
 
         def fn(I, J):
             if I < n and J < n:
-                return lift_a(eval_bilinear(op_a, ea[I], ea[J]))
+                return lift_a(eval_bilinear_scan(op_a, ea[I], ea[J]))
             if I >= n and J >= n:
-                return lift_b(eval_bilinear(op_b, eb[I - n], eb[J - n]))
+                return lift_b(eval_bilinear_scan(op_b, eb[I - n], eb[J - n]))
             if I < n:  # x op b = s_A(x)b (+/-) s_B(b)x
                 part_b = fwd[I].column(J - n)
                 part_a = bwd[J - n].column(I)
@@ -1256,9 +1275,9 @@ def closure_build_double(mp, class_name, check_actions=True):
 
         def fn(I, J):
             if I < n and J < n:
-                return lift_a(eval_bilinear(op_a, ea[I], ea[J]))
+                return lift_a(eval_bilinear_scan(op_a, ea[I], ea[J]))
             if I >= n and J >= n:
-                return lift_b(eval_bilinear(op_b, eb[I - n], eb[J - n]))
+                return lift_b(eval_bilinear_scan(op_b, eb[I - n], eb[J - n]))
             if I < n:  # x * b = l_A(x)b + r_B(b)x
                 return vec_add(lift_b(l_ab[I].column(J - n)),
                                lift_a(r_ba[J - n].column(I)))
@@ -1343,7 +1362,7 @@ def closure_compatible_pre_lie_from_invertible(a, rep, T, max_witnesses=32):
             "compatible structure failed the pre-Lie Poisson checker; "
             "first witnesses %r" % (verdict.all_witnesses()[:4],))
     commutator = bilinear_from_table(n, lambda i, j: vec_sub(
-        eval_bilinear(star, e[i], e[j]), eval_bilinear(star, e[j], e[i])))
+        eval_bilinear_scan(star, e[i], e[j]), eval_bilinear_scan(star, e[j], e[i])))
     if dot != a.op("dot") or commutator != a.op("bracket"):
         raise ConstructionError(
             "sub-adjacent structure does not reproduce the input tables")
@@ -1364,14 +1383,14 @@ def closure_rota_baxter_induced(a, R, max_witnesses=32):
     e = [basis_vec(n, i) for i in range(n)]
     dot_a, br = a.op("dot"), a.op("bracket")
     dot = bilinear_from_table(n, lambda i, j: vec_add(
-        eval_bilinear(dot_a, apply_map(R, e[i]), e[j]),
-        eval_bilinear(dot_a, e[i], apply_map(R, e[j]))))
+        eval_bilinear_scan(dot_a, apply_map(R, e[i]), e[j]),
+        eval_bilinear_scan(dot_a, e[i], apply_map(R, e[j]))))
     star = bilinear_from_table(
-        n, lambda i, j: eval_bilinear(br, apply_map(R, e[i]), e[j]))
+        n, lambda i, j: eval_bilinear_scan(br, apply_map(R, e[i]), e[j]))
     out = AlgebraPresentation(n, {"dot": dot, "star": star},
                               {"alpha": a.alpha}, a.basis)
     bracket = bilinear_from_table(n, lambda i, j: vec_sub(
-        eval_bilinear(star, e[i], e[j]), eval_bilinear(star, e[j], e[i])))
+        eval_bilinear_scan(star, e[i], e[j]), eval_bilinear_scan(star, e[j], e[i])))
     sub = AlgebraPresentation(n, {"dot": dot, "bracket": bracket},
                               {"alpha": a.alpha}, a.basis)
     verdict = check_class(sub, "transposed-hom-poisson")
@@ -1438,13 +1457,13 @@ def fraction_nullspace_basis(rows, width):
 
 def fraction_derivation_space(a, op_name, commuting_with="alpha"):
     """Basis of the space of derivations of the named op, on Fraction rows
-    read through eval_bilinear, each basis element checked on its own."""
+    read through eval_bilinear_scan, each basis element checked on its own."""
     if op_name not in a.ops:
         raise MissingOperationError("op %r is missing" % op_name)
     a.require_bound()
     n = a.dim
     op = a.op(op_name)
-    c = [[eval_bilinear(op, basis_vec(n, i), basis_vec(n, j))
+    c = [[eval_bilinear_scan(op, basis_vec(n, i), basis_vec(n, j))
           for j in range(n)] for i in range(n)]
     width = n * n  # unknown D[r][col] at index r*n + col
     rows = []

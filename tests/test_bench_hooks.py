@@ -59,3 +59,23 @@ def test_tracer_times_each_class_family(monkeypatch):
                   "transposed-leibniz"):
         assert ident in tracer.family_s, ident
     assert tracer.counts["tuples"] > 0
+
+
+def test_tracer_counts_n_squared_eval_bilinear_calls_per_op(monkeypatch):
+    """_Tables reads each op through n ** 2 eval_bilinear calls, one per pair
+    of basis vectors, and the tracer's eval_bilinear counters are built on
+    that: a check of TP2 reads dot and bracket once each.  A call made only
+    to keep the counter above 0 would show here."""
+    from homstruct import axioms, catalog
+
+    tracing = _load(monkeypatch, "tracing")
+    tracer = tracing.Tracer()
+    tracer.install()
+    a = catalog.get("TP2")
+    try:
+        assert axioms.check_class(a, "transposed-hom-poisson").passed
+    finally:
+        tracer.uninstall()
+    n, ops = a.dim, [a.op("dot"), a.op("bracket")]
+    assert tracer.counts["eval_bilinear_calls"] == len(ops) * n * n == 8
+    assert tracer.counts["entries_visited"] == n * n * sum(len(op.entries) for op in ops)

@@ -493,6 +493,16 @@ def test_catalog_serializations_still_parse():
     coops = comultiplications_from_dual_algebra(trivial_dual(a))
     text = serialize_comultiplications(2, coops)
     assert serialize_comultiplications(*parse_comultiplications(text)) == text
+    assert '"params"' not in text
+    # a parametric file keeps the parameters its entries use
+    for params, c in ((["t"], "t"), (["t", "u"], "-u")):
+        doc = {"dim": 1, "params": params,
+               "coops": {"dot": [{"i": 0, "j": 0, "k": 0, "c": c}]}}
+        parsed = parse_comultiplications(json.dumps(doc))
+        text = serialize_comultiplications(*parsed)
+        assert parse_comultiplications(text) == parsed == (1, {"dot": ((0, 0, 0, c),)})
+        assert json.loads(text)["params"] == [c.lstrip("-")]
+        assert serialize_comultiplications(*parse_comultiplications(text)) == text
     text = serialize_o_operator(LinearMap.identity(2))
     assert serialize_o_operator(parse_o_operator(text)) == text
     text = serialize_form(BilinearFormPresentation(2, LinearMap.identity(2)))

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,17 +18,19 @@ from homstruct.core import (
     eval_bilinear,
     parse_algebra,
     parse_coefficient,
+    parse_comultiplications,
     parse_form,
     parse_o_operator,
     parse_representation,
     serialize_algebra,
+    serialize_comultiplications,
     serialize_form,
     serialize_o_operator,
     serialize_representation,
     substitute_params,
 )
 
-from helpers import apply_map, bilinear_from_table
+from helpers import apply_map, bilinear_from_table, eval_bilinear_scan
 
 F = Fraction
 
@@ -58,6 +62,70 @@ def test_eval_bilinear_bilinearity():
     lhs = eval_bilinear(op, tuple(2 * c for c in x), y)
     rhs = tuple(2 * c for c in eval_bilinear(op, x, y))
     assert lhs == rhs
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type and args of the error it raised."""
+    try:
+        return fn(*args)
+    except (DimensionError, UnboundParameterError) as exc:
+        return type(exc), exc.args
+
+
+def test_eval_bilinear_matches_the_scan():
+    """eval_bilinear walks the op's row index; the oracles' full scan must
+    give the same Fractions, or the same error, on sparse and dense ops at
+    dims 1-6, at basis, sparse and dense vectors with int and Fraction
+    coordinates, some of them terms that cancel to 0.  The index is no
+    field: maps made from the same entries in another order are equal,
+    hash equal and print the same."""
+    assert [f.name for f in dataclasses.fields(BilinearMap)] == ["dim", "entries"]
+    rng = random.Random(20261018)
+    coefficient = lambda: F(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3]))
+    checked = 0
+    for n in range(1, 7):
+        for density in (0.15, 1.0):
+            entries = tuple((i, j, k, coefficient()) for i in range(n) for j in range(n)
+                            for k in range(n) if rng.random() < density)
+            op, shuffled = BilinearMap(n, entries), BilinearMap(n, entries[::-1])
+            assert op == shuffled and hash(op) == hash(shuffled)
+            assert repr(op) == repr(shuffled) and "rows" not in repr(op)
+            vectors = [tuple(int(b == i) for i in range(n)) for b in range(n)]
+            vectors += [basis_vec(n, b) for b in range(n)]
+            vectors += [tuple(rng.choice([0, 0, 0, 1, -2]) for _ in range(n)),
+                        tuple(rng.choice([0, F(1, 2), F(-3)]) for _ in range(n)),
+                        tuple(coefficient() for _ in range(n)),
+                        tuple(rng.randint(-4, 4) for _ in range(n)),
+                        (0,) * n]
+            for x in vectors:
+                for y in vectors:
+                    got = eval_bilinear(op, x, y)
+                    assert got == eval_bilinear_scan(op, x, y), (n, op, x, y)
+                    assert eval_bilinear(shuffled, x, y) == got
+                    assert len(got) == n and all(type(c) is Fraction for c in got)
+                    checked += 1
+    assert checked > 1000
+    # op(e_0 + e_1, e_0 + e_1)_0 = 1 - 1 and op(e_0, 2 e_1 - e_0)_1 = 2 * 1/2 - 1
+    op = BilinearMap(2, ((0, 0, 0, F(1)), (1, 1, 0, F(-1)), (0, 0, 1, F(1)),
+                         (0, 1, 1, F(1, 2))))
+    for x, y, want in (((1, 1), (1, 1), (F(0), F(3, 2))),
+                       ((1, 0), (-1, 2), (F(-1), F(0))),
+                       ((F(1), 0), (F(-1), F(2)), (F(-1), F(0)))):
+        assert eval_bilinear(op, x, y) == eval_bilinear_scan(op, x, y) == want
+        assert all(type(c) is Fraction for c in eval_bilinear(op, x, y))
+    # an unbound cell raises exactly when x_i y_j != 0 reaches it
+    op = BilinearMap(3, ((0, 0, 0, F(1)), (1, 2, 0, "t"), (1, 2, 2, "-u"),
+                         (2, 1, 1, F(2))))
+    vectors = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (0, 1, F(1, 2)),
+               (1, 0, 1), (0, 2), (1, 0, 0, 0)]
+    raised = set()
+    for x in vectors:
+        for y in vectors:
+            got = _outcome(eval_bilinear, op, x, y)
+            assert got == _outcome(eval_bilinear_scan, op, x, y), (x, y)
+            if isinstance(got, tuple) and isinstance(got[0], type):
+                raised.add(got[0])
+    assert raised == {DimensionError, UnboundParameterError}
 
 
 def test_linear_map_algebra():
@@ -218,6 +286,20 @@ _O_OPERATOR_DOCS = st.fixed_dictionaries({}, optional={
     "T": _matrix(2), "params": _PARAMS})
 
 
+@st.composite
+def _comultiplication_docs(draw):
+    dim = draw(_DIM)
+    n = dim if isinstance(dim, int) and 0 < dim < 4 else 2
+    index = st.one_of(st.integers(0, n - 1), st.sampled_from([-1, n, False]))
+    entry = st.fixed_dictionaries({"i": index, "j": index, "k": index, "c": _TOKENS})
+    return draw(st.fixed_dictionaries({"dim": st.just(dim)}, optional={
+        "params": _PARAMS,
+        "basis": st.lists(st.sampled_from(["e1", "e2", "x"]), max_size=2),
+        "coops": st.dictionaries(st.sampled_from(["dot", "bracket"]),
+                                 st.lists(entry, max_size=3), max_size=2),
+        "extra": st.just({})}))
+
+
 def test_parsers_raise_format_error_or_round_trip():
     """Every generated document either raises FormatError or parses to a
     presentation that serializes and parses back to an equal one, and no
@@ -229,7 +311,10 @@ def test_parsers_raise_format_error_or_round_trip():
                                     _representation_docs()),
                                    (parse_form, serialize_form, _form_docs()),
                                    (parse_o_operator, serialize_o_operator,
-                                    _O_OPERATOR_DOCS)):
+                                    _O_OPERATOR_DOCS),
+                                   (parse_comultiplications,
+                                    lambda p: serialize_comultiplications(*p),
+                                    _comultiplication_docs())):
         @settings(max_examples=300, derandomize=True, deadline=None, database=None)
         @given(docs)
         def run(doc):
@@ -243,7 +328,7 @@ def test_parsers_raise_format_error_or_round_trip():
             assert parse(serialize(p)) == p
             outcomes.add((parse, "parsed"))
         run()
-    assert len(outcomes) == 8, outcomes
+    assert len(outcomes) == 10, outcomes
     # a parametric form keeps its parameters through serialize_form
     form = parse_form(json.dumps({"dim": 2, "params": ["t", "u"],
                                   "B": [["-t", "0"], ["1", "t"]]}))
