@@ -21,6 +21,7 @@ from homstruct.core import (
     CheckReport,
     DimensionError,
     MissingOperationError,
+    ZERO,
     contraction_family,
     eval_bilinear,
     int_tensor,
@@ -114,8 +115,9 @@ class _Tables:
     """Integer tables of one bound presentation, packed into lanes, shared by
     one check's families and by its sub-reports.
 
-    Each op is read through n ** 2 eval_bilinear calls, one per pair of
-    basis vectors, each walking at most one row of the op's index.  It is
+    Each op is read through one eval_bilinear call per nonempty cell
+    (i, j), at the pair of basis vectors (e_i, e_j); the op's row index says
+    which cells exist, and empty cells stay 0 without a call.  It is
     scaled by the lcm of its denominators (scales[name]), and alpha by
     alpha_scale.  A vector (v_0, ..., v_{n-1}) of integers is packed into
     the one int sum_o v_o << (lane * o).  Packing is linear, so a sum of
@@ -144,8 +146,8 @@ class _Tables:
             raise DimensionError("map 'alpha' is %dx%d, expected %dx%d"
                                  % (f.rows, f.cols, n, n))
         t = int_tensor(f)
-        # the nonzero (x, alpha[x][p]) of each column p
-        self.alpha = [[(x, c) for x, c in enumerate(col) if c] for col in zip(*t.dense())]
+        # the nonzero (p, alpha[x][p]) of each row x: alpha(e_p) has e_x coefficient c
+        self.alpha = [[(p, c) for p, c in enumerate(row) if c] for row in t.dense()]
         self.alpha_scale = t.scale
         ops = {name: a.op(name) for name in op_names}
         self.scales = {name: math.lcm(1, *(c.denominator for *_, c in op.entries))
@@ -155,40 +157,47 @@ class _Tables:
         twist = max(map(abs, t.entries.values()), default=0)
         bound = MAX_COEFFICIENT_SUM * max(top, n * n * top * top * twist)
         lane = self.lane = bound.bit_length() + 1
-        self._shifts = [lane * o for o in range(n)]
+        shifts = self._shifts = [lane * o for o in range(n)]
         self._mask, self._half = (1 << lane) - 1, 1 << (lane - 1)
         # every lane raised by half, so that no negative lane borrows from the next
-        self._offset = sum(self._half << shift for shift in self._shifts)
+        self._offset = sum(self._half << shift for shift in shifts)
         e = [[int(b == i) for i in range(n)] for b in range(n)]
         self.packed, self._nonzero = {}, {}
         for name, op in ops.items():
             s = self.scales[name]
-            packed, cells = self.packed[name], self._nonzero[name] = [], []
-            for i in range(n):
-                packed.append([])
-                for j in range(n):
+            packed = self.packed[name] = [[0] * n for _ in range(n)]
+            cells = self._nonzero[name] = []
+            # the index lists the nonempty cells in sorted (i, j) order
+            for i, row in op.rows.items():
+                for j in row:
+                    # a coordinate the call left untouched is ZERO itself
                     pairs = [(b, v.numerator * (s // v.denominator))
-                             for b, v in enumerate(eval_bilinear(op, e[i], e[j])) if v]
-                    packed[i].append(sum(v << self._shifts[b] for b, v in pairs))
-                    if pairs:
-                        cells.append((i, j, pairs))
+                             for b, v in enumerate(eval_bilinear(op, e[i], e[j]))
+                             if v is not ZERO and v]
+                    packed[i][j] = sum(v << shifts[b] for b, v in pairs)
+                    cells.append((i, j, pairs))
         self._twisted = {}
 
     def nonzero(self, name):
-        """(i, j, pairs) for each op(e_i, e_j) != 0, pairs its (b, coefficient)
-        pairs with coefficient != 0."""
+        """(i, j, pairs) for each op(e_i, e_j) != 0, row-major, pairs its
+        (b, coefficient) pairs with coefficient != 0."""
         return self._nonzero[name]
 
     def twisted(self, name, side):
-        """M[x][b]: op(a(e_x), e_b) for side "L", op(e_b, a(e_x)) for side "R",
-        packed; each a sum over the nonzero entries of alpha's column x."""
+        """For each b, the (x, M[x][b]) with M[x][b] != 0, where M[x][b] is
+        op(a(e_x), e_b) for side "L" and op(e_b, a(e_x)) for side "R",
+        packed: each a sum over the op's nonzero cells and the nonzero
+        entries of alpha's rows."""
         key = (name, side)
         if key not in self._twisted:
-            p, n = self.packed[name], self.dim
-            if side == "R":
-                p = list(zip(*p))
-            self._twisted[key] = [[sum(c * p[x][b] for x, c in col) for b in range(n)]
-                                  for col in self.alpha]
+            packed = self.packed[name]
+            m = [{} for _ in range(self.dim)]
+            for i, j, _ in self._nonzero[name]:
+                y, b = (i, j) if side == "L" else (j, i)
+                w, col = packed[i][j], m[b]
+                for x, c in self.alpha[y]:
+                    col[x] = col.get(x, 0) + c * w
+            self._twisted[key] = [[(x, w) for x, w in col.items() if w] for col in m]
         return self._twisted[key]
 
     def unpack(self, v):
@@ -204,8 +213,9 @@ class _Tables:
         scale.  It is a sparse join into one packed accumulator per basis
         tuple: a binary term adds its op's nonzero cells, and a ternary term
         adds, for each nonzero inner cell (x_q, x_r) with coordinate v at b,
-        c * v * M[x_p][b] for each nonzero twisted row M[x_p][b].  Only the
-        nonzero accumulators are unpacked.
+        c * v * M[x_p][b] for each (x_p, M[x_p][b]) of twisted row b, which
+        lists only the nonzero ones.  Only the nonzero accumulators are
+        unpacked.
         """
         arity, terms = IDENTITIES[ident]
         n = self.dim
@@ -227,9 +237,8 @@ class _Tables:
                     for x, y, _ in self.nonzero(term[1]):
                         acc[x * st[0] + y * st[1]] += c * packed[x][y]
                     continue
-                m = self.twisted(term[1], term[3])
-                rows = [[(xp * st[0], mx[b]) for xp, mx in enumerate(m) if mx[b]]
-                        for b in range(n)]
+                rows = [[(xp * st[0], w) for xp, w in row]
+                        for row in self.twisted(term[1], term[3])]
                 for xq, xr, pairs in self.nonzero(term[2]):
                     base = xq * st[1] + xr * st[2]
                     for b, v in pairs:

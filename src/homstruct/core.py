@@ -601,11 +601,14 @@ class IntTensor:
     of each nonzero coefficient to it times scale, the lcm of the denominators."""
 
     def __init__(self, shape, entries):
-        entries = [(e[:-1], require_bound(e[-1])) for e in entries]
         self.shape = tuple(shape)
-        self.scale = math.lcm(1, *(c.denominator for _, c in entries))
-        self.entries = {tuple(idx): c.numerator * (self.scale // c.denominator)
-                        for idx, c in entries if c}
+        nonzero = []
+        for e in entries:
+            c = e[-1]
+            if c is not ZERO and require_bound(c):
+                nonzero.append((tuple(e[:-1]), c.numerator, c.denominator))
+        self.scale = math.lcm(1, *(d for _, _, d in nonzero))
+        self.entries = {idx: v * (self.scale // d) for idx, v, d in nonzero}
 
     def dense(self):
         """The tensor as nested int lists."""
@@ -647,20 +650,39 @@ def contract(shape, terms, tensors):
     return {idx: Fraction(v, scale) for idx, v in sums.items()}
 
 
+@functools.cache
+def _spec(spec):
+    """(ins, out, ranks, first, later) of a contraction spec, built once per
+    spec string: the operand letters as a tuple, the output letters, the
+    number of letters of the output and of each operand, and two getters
+    over the output and operand shapes laid end to end.  For each letter
+    used again, first picks the size at its first use and later the size at
+    the reuse, so the shapes fit the spec when the ranks match and the two
+    picks are equal."""
+    ins, out = spec.split("->")
+    ins = tuple(ins.split(","))
+    slots, first, later = {}, [], []
+    for pos, x in enumerate(out + "".join(ins)):
+        if x in slots:
+            first.append(slots[x])
+            later.append(pos)
+        else:
+            slots[x] = pos
+    return ins, out, (len(out),) + tuple(map(len, ins)), _getter(first), _getter(later)
+
+
 def _compile(shape, terms, tensors):
     """The terms as (c, s_t, operand letters, output letters, operand entries),
     their shapes checked."""
     compiled = []
     for c, spec, names in terms:
-        ins, out = spec.split("->")
-        ins, ts = ins.split(","), [tensors[name] for name in names]
-        sizes = dict(zip(out, shape))
-        if len(out) != len(shape) or any(
-                len(letters) != len(t.shape) or any(
-                    sizes.setdefault(x, size) != size for x, size in zip(letters, t.shape))
-                for letters, t in zip(ins, ts)):
+        ins, out, ranks, first, later = _spec(spec)
+        ts = [tensors[name] for name in names]
+        shapes = [tuple(shape)] + [t.shape for t in ts]
+        sizes = sum(shapes, ())
+        if tuple(map(len, shapes)) != ranks or first(sizes) != later(sizes):
             raise DimensionError("%r does not fit shapes %r with output shape %r"
-                                 % (spec, [t.shape for t in ts], tuple(shape)))
+                                 % (spec, shapes[1:], tuple(shape)))
         compiled.append((c, math.prod(t.scale for t in ts), ins, out, [t.entries for t in ts]))
     return compiled
 
@@ -708,14 +730,12 @@ def contraction_family(ident, row, tensors, dim):
     exact.  Shapes are checked here.
     """
     arity, out_shape, terms = row
-    positions = TUPLE_LETTERS[:arity]
     canonical = []
     for c, spec, names in terms:
-        ins, out = spec.split("->")
-        coords = "".join(x for x in out if x not in TUPLE_LETTERS)
-        if sorted(set(out) - set(coords)) != list(positions):
+        canon = _canonical(spec, arity)
+        if canon is None:
             raise DimensionError("%s: %r does not give shape %r" % (ident, spec, out_shape))
-        canonical.append((c, "%s->%s%s" % (ins, positions, coords), names))
+        canonical.append((c, canon, names))
     try:
         compiled = _compile((dim,) * arity + tuple(out_shape), canonical, tensors)
     except DimensionError as exc:
@@ -731,6 +751,18 @@ def contraction_family(ident, row, tensors, dim):
         return scale, out
 
     return ident, arity, table
+
+
+@functools.cache
+def _canonical(spec, arity):
+    """spec with the basis-tuple letters (the first arity of TUPLE_LETTERS)
+    first in its output, or None unless its output has exactly those."""
+    ins, out = spec.split("->")
+    positions = TUPLE_LETTERS[:arity]
+    coords = "".join(x for x in out if x not in TUPLE_LETTERS)
+    if sorted(set(out) - set(coords)) != list(positions):
+        return None
+    return "%s->%s%s" % (ins, positions, coords)
 
 
 def _getter(positions):
@@ -770,7 +802,7 @@ def _plan(ins, out):
 
 def _contract(ins, out, operands):
     """The sparse contraction of the operand dicts, as out-index -> int."""
-    steps, final = _plan(tuple(ins), out)
+    steps, final = _plan(ins, out)
     acc = {(): 1}
     for p, key_b, ext_b, key_a, head_a in steps:
         groups = {}
@@ -782,7 +814,8 @@ def _contract(ins, out, operands):
             if group:
                 h = head_a(idx)
                 for e, w in group:
-                    nxt[h + e] = nxt.get(h + e, 0) + v * w
+                    k = h + e
+                    nxt[k] = nxt.get(k, 0) + v * w
         acc = nxt
     return {final(idx): v for idx, v in acc.items()}
 
@@ -998,13 +1031,19 @@ def parse_comultiplications(text):
     """Parse comultiplication entries stored under the "coops" key.
 
     Returns (dim, {name: entries}) with entry (i, j, k, c) meaning the image
-    of e_i has e_j (x) e_k coefficient c.
+    of e_i has e_j (x) e_k coefficient c.  An (i, j, k) listed twice in one
+    coop is a FormatError, as in a BilinearMap.
     """
     doc = _load(text, ("dim", "params", "basis", "coops"))
     dim, _, params = _common_header(doc)
     coops = {}
     for name, raw in _object(doc, "coops").items():
-        coops[name] = tuple(_entries_in(raw, dim, params, "coop %r" % name))
+        entries = coops[name] = tuple(_entries_in(raw, dim, params, "coop %r" % name))
+        seen = set()
+        for i, j, k, _ in entries:
+            if (i, j, k) in seen:
+                raise FormatError("duplicate entry for (%d,%d,%d)" % (i, j, k))
+            seen.add((i, j, k))
     return dim, coops
 
 

@@ -222,9 +222,11 @@ def test_sparse_join_matches_fraction_closures_at_dim_8():
         assert a.dim == 8
         for cls in classes:
             tables = _Tables(a, CLASS_OPS[cls])
+            # a twisted row lists only its nonzero (x, M[x][b]); one shorter
+            # than dim is a skipped entry
             skips.add(any(len(tables.nonzero(op)) < 64 for op in CLASS_OPS[cls])
-                      and any(not row for op in CLASS_OPS[cls] for side in "LR"
-                              for m in tables.twisted(op, side) for row in m))
+                      and any(len(row) < a.dim for op in CLASS_OPS[cls] for side in "LR"
+                              for row in tables.twisted(op, side)))
             oracle = closure_check_class(a, cls, 1000)
             for mw in (0, 3, 1000):
                 mine, want = check_class(a, cls, mw), _capped(oracle, mw)
@@ -232,6 +234,90 @@ def test_sparse_join_matches_fraction_closures_at_dim_8():
                     (want.passed, _flat(want), str(want)), (cls, mw)
             verdicts.add(oracle.passed)
     assert verdicts == {True, False} and skips == {True}
+
+
+# which cells (i, j) of a dim-n op may be nonempty
+_CELL_SHAPES = {
+    "empty rows": lambda n, cell: lambda i, j: i % 2 == 0,
+    "empty columns": lambda n, cell: lambda i, j: j != n - 1,
+    "single cell": lambda n, cell: lambda i, j: (i, j) == cell,
+    "no cell": lambda n, cell: lambda i, j: False,
+}
+# alpha[x][p], the e_x coefficient of alpha(e_p)
+_ALPHA_SHAPES = {
+    "zero": lambda n, rng: lambda x, p: F(0),
+    "permutation": lambda n, rng: lambda x, p: F(int(x == (p + 1) % n)),
+    "zero column": lambda n, rng: lambda x, p: F(0) if p == n // 2 else _small(rng),
+}
+
+
+def _small(rng):
+    """A nonzero rational of either sign."""
+    return F(rng.choice((-3, -2, -1, 1, 2, 5)), rng.choice((1, 1, 2, 3)))
+
+
+def _sparse_algebra(rng, n, cell_shape, alpha_shape):
+    """dot, bracket and star on dim n, the k-th with the cells that the
+    (start + k)-th cell shape allows, each present with probability 1/2 and
+    holding one or two coordinates (always, for a single cell)."""
+    shapes = list(_CELL_SHAPES)
+    start = shapes.index(cell_shape)
+    ops = {}
+    for k, name in enumerate(("dot", "bracket", "star")):
+        shape = shapes[(start + k) % len(shapes)]
+        allowed = _CELL_SHAPES[shape](n, (rng.randrange(n), rng.randrange(n)))
+        entries = []
+        for i in range(n):
+            for j in range(n):
+                if allowed(i, j) and (shape == "single cell" or rng.random() < 0.5):
+                    for c in sorted(rng.sample(range(n), min(n, rng.choice((1, 2))))):
+                        entries.append((i, j, c, _small(rng)))
+        ops[name] = BilinearMap(n, tuple(entries))
+    alpha = _ALPHA_SHAPES[alpha_shape](n, rng)
+    return AlgebraPresentation(n, ops, {"alpha": LinearMap.from_rows(
+        [[alpha(x, p) for p in range(n)] for x in range(n)])})
+
+
+def test_nonempty_cell_reads_match_fraction_closures(monkeypatch):
+    """_Tables reads only the nonempty op cells and sums twisted rows over
+    them; the reports, with every witness's str, must be the Fraction
+    closures' at dims 1-6, for ops with empty rows, empty columns, a single
+    cell or no cell, and an alpha that is zero, a permutation or has a zero
+    column.  A standalone check makes exactly one eval_bilinear call per
+    nonempty cell of its class's ops, so none for an op with no cell.  The
+    closures are slow at dims 5-6, so there each algebra is checked for one
+    of the three composite classes in turn, which carry every family in
+    their sub-reports; each closure report is made once, at the largest cap
+    (run_identity_families sorts, then cuts)."""
+    calls = []
+
+    def counting(op, x, y):
+        calls.append(op)
+        return eval_bilinear(op, x, y)
+
+    monkeypatch.setattr(axioms, "eval_bilinear", counting)
+    rng = random.Random(20261019)
+    composites = ("hom-poisson", "transposed-hom-poisson", "hom-pre-lie-poisson")
+    verdicts, no_call = set(), set()
+    for n in range(1, 7):
+        for count, (alpha_shape, cell_shape) in enumerate(
+                (x, y) for x in _ALPHA_SHAPES for y in _CELL_SHAPES):
+            a = _sparse_algebra(rng, n, cell_shape, alpha_shape)
+            for cls in CLASS_OPS if n < 5 else composites[count % 3:count % 3 + 1]:
+                oracle = closure_check_class(a, cls, 32)
+                for mw in (0, 3, 32):
+                    calls.clear()
+                    mine, want = check_class(a, cls, mw), _capped(oracle, mw)
+                    assert (mine.passed, _flat(mine), str(mine)) == \
+                        (want.passed, _flat(want), str(want)), \
+                        (n, alpha_shape, cell_shape, cls, mw)
+                    ops = [a.op(name) for name in CLASS_OPS[cls]]
+                    assert len(calls) == sum(len(row) for op in ops
+                                             for row in op.rows.values())
+                    no_call |= {name for name in CLASS_OPS[cls]
+                                if a.op(name).is_zero and a.op(name) not in calls}
+                verdicts.add(oracle.passed)
+    assert verdicts == {True, False} and no_call == {"dot", "bracket", "star"}
 
 
 def _huge(rng):
@@ -363,19 +449,21 @@ def test_identity_terms_are_homogeneous():
 
 
 def test_composite_check_builds_each_table_once(monkeypatch):
-    """One composite check reads each op table once: 2 n^2 eval_bilinear
-    calls for dot and bracket, which its sub-reports reuse."""
+    """One composite check reads each op table once: one eval_bilinear call
+    per nonempty cell of dot and of bracket, which its sub-reports reuse."""
     calls = []
 
     def counting(op, x, y):
-        calls.append(op)
+        calls.append((op, x.index(1), y.index(1)))
         return eval_bilinear(op, x, y)
 
     monkeypatch.setattr(axioms, "eval_bilinear", counting)
     a = catalog.get("TP2")
     assert check_class(a, "transposed-hom-poisson").passed
-    assert len(calls) == 2 * a.dim ** 2 > 0
-    assert calls.count(a.op("dot")) == calls.count(a.op("bracket")) == a.dim ** 2
+    dot, bracket = a.op("dot"), a.op("bracket")
+    cells = [(op, i, j) for op in (dot, bracket) for i, row in op.rows.items() for j in row]
+    assert calls == cells
+    assert len(calls) == 3 + 2 == 5
 
 
 def test_composite_sub_reports_equal_standalone_checks():

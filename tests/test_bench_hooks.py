@@ -61,11 +61,12 @@ def test_tracer_times_each_class_family(monkeypatch):
     assert tracer.counts["tuples"] > 0
 
 
-def test_tracer_counts_n_squared_eval_bilinear_calls_per_op(monkeypatch):
-    """_Tables reads each op through n ** 2 eval_bilinear calls, one per pair
-    of basis vectors, and the tracer's eval_bilinear counters are built on
-    that: a check of TP2 reads dot and bracket once each.  A call made only
-    to keep the counter above 0 would show here."""
+def test_tracer_counts_one_eval_bilinear_call_per_nonempty_cell(monkeypatch):
+    """_Tables reads each op through one eval_bilinear call per nonempty
+    cell, and the tracer's eval_bilinear counters are built on that: a check
+    of TP2 reads dot (3 cells of 3 entries) and bracket (2 cells of 2
+    entries) once each.  A call made only to keep the counter above 0 would
+    show here."""
     from homstruct import axioms, catalog
 
     tracing = _load(monkeypatch, "tracing")
@@ -76,6 +77,9 @@ def test_tracer_counts_n_squared_eval_bilinear_calls_per_op(monkeypatch):
         assert axioms.check_class(a, "transposed-hom-poisson").passed
     finally:
         tracer.uninstall()
-    n, ops = a.dim, [a.op("dot"), a.op("bracket")]
-    assert tracer.counts["eval_bilinear_calls"] == len(ops) * n * n == 8
-    assert tracer.counts["entries_visited"] == n * n * sum(len(op.entries) for op in ops)
+    ops = [a.op("dot"), a.op("bracket")]
+    cells = [sum(map(len, op.rows.values())) for op in ops]
+    assert cells == [3, 2]
+    assert tracer.counts["eval_bilinear_calls"] == sum(cells) == 5
+    assert tracer.counts["entries_visited"] == sum(
+        c * len(op.entries) for c, op in zip(cells, ops)) == 3 * 3 + 2 * 2 == 13

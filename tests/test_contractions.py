@@ -27,6 +27,7 @@ from homstruct.core import (
     PreconditionError,
     RepresentationPresentation,
     UnboundParameterError,
+    contract,
     contraction_family,
     int_tensor,
     run_identity_families,
@@ -379,10 +380,25 @@ def test_contraction_family_rows():
                         for u in range(p) for w in range(p)]
                 assert [F(x, scale) for x in table.get((i, j), [0] * p * p)] == want, \
                     (n, p, i, j)
-    with pytest.raises(DimensionError):
-        contraction_family("bad", (2, (2,), ((1, "ijr,or->ijo", ("op", "w")),)),
-                           {"op": op, "w": int_tensor(LinearMap.zero(2, 3))}, 2)
-    with pytest.raises(DimensionError):
-        contraction_family("bad", (2, (3,), ((1, "ijo->ijo", ("op",)),)), t, 2)
-    with pytest.raises(UnboundParameterError):
-        IntTensor((1,), [(0, "t")])
+    # the error texts: a spec is parsed once, but its shapes are checked
+    # on every call; the first unbound coefficient is named
+    w = int_tensor(LinearMap.zero(2, 3))
+    for row, tensors, message in (
+            ((2, (2,), ((1, "ijr,or->ijo", ("op", "w")),)), {"op": op, "w": w},
+             "bad: 'ijr,or->ijo' does not fit shapes [(2, 2, 2), (2, 3)]"
+             " with output shape (2, 2, 2)"),
+            ((2, (3,), ((1, "ijo->ijo", ("op",)),)), {"op": op},
+             "bad: 'ijo->ijo' does not fit shapes [(2, 2, 2)] with output shape (2, 2, 3)"),
+            ((2, (2,), ((1, "ijro->ijo", ("op",)),)), {"op": op},
+             "bad: 'ijro->ijo' does not fit shapes [(2, 2, 2)] with output shape (2, 2, 2)"),
+            ((2, (2,), ((1, "ikr->iko", ("op",)),)), {"op": op},
+             "bad: 'ikr->iko' does not give shape (2,)")):
+        with pytest.raises(DimensionError) as exc:
+            contraction_family("bad", row, tensors, 2)
+        assert str(exc.value) == message
+    with pytest.raises(DimensionError) as exc:
+        contract((2, 2), ((1, "ijo->ijo", ("op",)),), {"op": op})
+    assert str(exc.value) == "'ijo->ijo' does not fit shapes [(2, 2, 2)] with output shape (2, 2)"
+    with pytest.raises(UnboundParameterError) as exc:
+        IntTensor((3,), [(0, F(0)), (1, "t"), (2, "-u")])
+    assert str(exc.value) == "unbound parameter 't' in coefficient"

@@ -227,6 +227,24 @@ def test_parse_representation_errors():
             parse_representation(json.dumps(dict(rep, **changes)))
 
 
+def test_parse_comultiplications_rejects_duplicate_entries():
+    """A coop that lists one (i, j, k) twice is a FormatError with
+    BilinearMap's text, whether the two coefficients are a parameter and a
+    rational (whose sort would raise TypeError in the serializer) or two
+    rationals (which would serialize as two entries)."""
+    for first, second in (("t", "1"), ("1/2", "3")):
+        doc = {"dim": 2, "params": ["t"], "coops": {"dot": [
+            {"i": 0, "j": 1, "k": 1, "c": "1"},
+            {"i": 1, "j": 0, "k": 1, "c": first},
+            {"i": 1, "j": 0, "k": 1, "c": second}]}}
+        with pytest.raises(FormatError) as exc:
+            parse_comultiplications(json.dumps(doc))
+        assert str(exc.value) == "duplicate entry for (1,0,1)"
+        with pytest.raises(FormatError) as exc:
+            BilinearMap(2, ((1, 0, 1, F(1)), (1, 0, 1, F(3))))
+        assert str(exc.value) == "duplicate entry for (1,0,1)"
+
+
 # coefficient tokens, mostly valid under params ("t", "u"); the only strings
 # with a newline are these tokens and parameter names, and none may parse
 _TOKENS = st.sampled_from(["0", "1", "-1/2", "3/4", "t", "-t", "u", "x", "1/0", 1,
