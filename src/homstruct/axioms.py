@@ -152,8 +152,18 @@ class _Tables:
         ops = {name: a.op(name) for name in op_names}
         self.scales = {name: math.lcm(1, *(c.denominator for *_, c in op.entries))
                        for name, op in ops.items()}
-        top = max((abs(c.numerator) * (self.scales[name] // c.denominator)
-                   for name, op in ops.items() for *_, c in op.entries), default=0)
+        e = [[int(b == i) for i in range(n)] for b in range(n)]
+        self._nonzero = {}
+        for name, op in ops.items():
+            s = self.scales[name]
+            # the index lists the nonempty cells in sorted (i, j) order, and a
+            # coordinate the call left untouched is ZERO itself
+            self._nonzero[name] = [(i, j, [(b, v.numerator * (s // v.denominator))
+                                           for b, v in enumerate(eval_bilinear(op, e[i], e[j]))
+                                           if v is not ZERO and v])
+                                   for i, row in op.rows.items() for j in row]
+        top = max((abs(v) for cells in self._nonzero.values() for *_, pairs in cells
+                   for _, v in pairs), default=0)
         twist = max(map(abs, t.entries.values()), default=0)
         bound = MAX_COEFFICIENT_SUM * max(top, n * n * top * top * twist)
         lane = self.lane = bound.bit_length() + 1
@@ -161,21 +171,11 @@ class _Tables:
         self._mask, self._half = (1 << lane) - 1, 1 << (lane - 1)
         # every lane raised by half, so that no negative lane borrows from the next
         self._offset = sum(self._half << shift for shift in shifts)
-        e = [[int(b == i) for i in range(n)] for b in range(n)]
-        self.packed, self._nonzero = {}, {}
-        for name, op in ops.items():
-            s = self.scales[name]
+        self.packed = {}
+        for name, cells in self._nonzero.items():
             packed = self.packed[name] = [[0] * n for _ in range(n)]
-            cells = self._nonzero[name] = []
-            # the index lists the nonempty cells in sorted (i, j) order
-            for i, row in op.rows.items():
-                for j in row:
-                    # a coordinate the call left untouched is ZERO itself
-                    pairs = [(b, v.numerator * (s // v.denominator))
-                             for b, v in enumerate(eval_bilinear(op, e[i], e[j]))
-                             if v is not ZERO and v]
-                    packed[i][j] = sum(v << shifts[b] for b, v in pairs)
-                    cells.append((i, j, pairs))
+            for i, j, pairs in cells:
+                packed[i][j] = sum(v << shifts[b] for b, v in pairs)
         self._twisted = {}
 
     def nonzero(self, name):
@@ -339,18 +339,28 @@ def check_derivation(a, op_name, d, commuting_with_alpha=True, max_witnesses=32)
     d.require_bound()
     if d.rows != a.dim or d.cols != a.dim:
         raise ValueError("derivation matrix must be dim-square")
-    n = a.dim
-    t = {"op": int_tensor(a.op(op_name)), "D": int_tensor(d)}
-    fams = [contraction_family("leibniz:%s" % op_name, (2, (n,), (
-        (1, "ijr,or->ijo", ("op", "D")),
-        (-1, "ri,rjo->ijo", ("D", "op")),
-        (-1, "rj,iro->ijo", ("D", "op")))), t, n)]
+    t = {"op": int_tensor(a.op(op_name)), "D": int_tensor((d,))}
     if commuting_with_alpha:
-        t["alpha"] = int_tensor(a.alpha)
-        fams.append(contraction_family("commutes-with-twist", (1, (n,), (
-            (1, "ri,or->io", ("D", "alpha")),
-            (-1, "ri,or->io", ("alpha", "D")))), t, n))
-    return run_identity_families(n, fams, max_witnesses)
+        t["g"] = int_tensor(a.alpha)
+    return run_identity_families(a.dim, _derivation_families(op_name, t, a.dim),
+                                 max_witnesses)
+
+
+def _derivation_families(op_name, t, n):
+    """The leibniz:<op> family of D(x op y) - D(x) op y - x op D(y) and, when
+    t has a map "g", the commutes-with-twist family g D - D g, over the
+    integer tensors t["op"] and t["D"], a family of k matrices D_b: the
+    residual coordinate (b, o) is D_b's coordinate o."""
+    k = t["D"].shape[0]
+    fams = [contraction_family("leibniz:%s" % op_name, (2, (k, n), (
+        (1, "ijr,bor->ijbo", ("op", "D")),
+        (-1, "bri,rjo->ijbo", ("D", "op")),
+        (-1, "brj,iro->ijbo", ("D", "op")))), t, n)]
+    if "g" in t:
+        fams.append(contraction_family("commutes-with-twist", (1, (k, n), (
+            (1, "bri,or->ibo", ("D", "g")),
+            (-1, "ri,bor->ibo", ("g", "D")))), t, n))
+    return fams
 
 
 def check_morphism(a, b, f, op_names=None, max_witnesses=32):

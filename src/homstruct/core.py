@@ -747,7 +747,11 @@ def contraction_family(ident, row, tensors, dim):
         scale, sums = _exact_sum(compiled)
         out = {}
         for idx, v in sums.items():
-            out.setdefault(idx[:arity], [0] * size)[sum(map(mul, idx[arity:], strides))] = v
+            key = idx[:arity]
+            vec = out.get(key)
+            if vec is None:
+                vec = out[key] = [0] * size
+            vec[sum(map(mul, idx[arity:], strides))] = v
         return scale, out
 
     return ident, arity, table
@@ -776,7 +780,8 @@ def _getter(positions):
 @functools.cache
 def _plan(ins, out):
     """The steps of a contraction of operands with letters ins (a tuple) into
-    out: (operand, key_b, ext_b, key_a, head_a) per step, and the final getter.
+    out: (operand, key_b, ext_b, key_a, head_a) per step, and the final getter
+    (None when the last step's letters are already out).
 
     Operands are taken pairwise, each next one sharing an index with the
     running result if any remaining one does, which avoids outer products.
@@ -797,13 +802,18 @@ def _plan(ins, out):
         key_a, head_a = (_getter([letters.index(x) for x in xs]) for xs in (shared, head))
         steps.append((p, key_b, ext_b, key_a, head_a))
         letters = "".join(head + new)
-    return tuple(steps), _getter([letters.index(x) for x in out])
+    return tuple(steps), None if letters == out else _getter([letters.index(x) for x in out])
 
 
 def _contract(ins, out, operands):
     """The sparse contraction of the operand dicts, as out-index -> int."""
     steps, final = _plan(ins, out)
-    acc = {(): 1}
+    (p, _, ext_b, _, _), *steps = steps
+    # the first operand shares no letter with the empty running result
+    acc = {}
+    for idx, w in operands[p].items():
+        k = ext_b(idx)
+        acc[k] = acc.get(k, 0) + w
     for p, key_b, ext_b, key_a, head_a in steps:
         groups = {}
         for idx, w in operands[p].items():
@@ -817,7 +827,7 @@ def _contract(ins, out, operands):
                     k = h + e
                     nxt[k] = nxt.get(k, 0) + v * w
         acc = nxt
-    return {final(idx): v for idx, v in acc.items()}
+    return acc if final is None else {final(idx): v for idx, v in acc.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -826,28 +836,24 @@ def _contract(ins, out, operands):
 def substitute_params(p, binding):
     """Return a parameter-free copy of an algebra or representation presentation."""
     binding = {k: Fraction(v) for k, v in binding.items()}
-    if isinstance(p, AlgebraPresentation):
-        missing = [name for name in p.params if name not in binding]
-        if missing:
-            raise UnboundParameterError("missing bindings for %r" % (missing,))
-        ops = {name: BilinearMap(op.dim, tuple(
-                   (i, j, k, substitute_coefficient(c, binding))
-                   for (i, j, k, c) in op.entries))
-               for name, op in p.ops.items()}
-        maps = {name: LinearMap.from_rows(
-                    [[substitute_coefficient(c, binding) for c in row] for row in f.m])
-                for name, f in p.maps.items()}
-        return AlgebraPresentation(p.dim, ops, maps, p.basis, ())
+    if not isinstance(p, (AlgebraPresentation, RepresentationPresentation)):
+        raise TypeError("cannot substitute into %r" % type(p).__name__)
+    missing = [name for name in p.params if name not in binding]
+    if missing:
+        raise UnboundParameterError("missing bindings for %r" % (missing,))
+
+    def sub(f):
+        return LinearMap.from_rows([[substitute_coefficient(c, binding) for c in row]
+                                    for row in f.m])
     if isinstance(p, RepresentationPresentation):
-        missing = [name for name in p.params if name not in binding]
-        if missing:
-            raise UnboundParameterError("missing bindings for %r" % (missing,))
-        sub = lambda f: LinearMap.from_rows(
-            [[substitute_coefficient(c, binding) for c in row] for row in f.m])
-        actions = {name: tuple(sub(mat) for mat in fam) for name, fam in p.actions.items()}
+        actions = {name: tuple(map(sub, fam)) for name, fam in p.actions.items()}
         return RepresentationPresentation(
             p.algebra_dim, p.module_dim, actions, sub(p.beta), ())
-    raise TypeError("cannot substitute into %r" % type(p).__name__)
+    ops = {name: BilinearMap(op.dim, tuple(
+               (i, j, k, substitute_coefficient(c, binding)) for (i, j, k, c) in op.entries))
+           for name, op in p.ops.items()}
+    maps = {name: sub(f) for name, f in p.maps.items()}
+    return AlgebraPresentation(p.dim, ops, maps, p.basis, ())
 
 
 # ---------------------------------------------------------------------------

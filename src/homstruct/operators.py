@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from homstruct.axioms import (
     CLASS_OPS,
+    _derivation_families,
     _morphism_families,
     check_class,
     check_morphism,
@@ -17,11 +18,11 @@ from homstruct.core import (
     AlgebraPresentation,
     ConstructionError,
     DimensionError,
+    IntTensor,
     LinearMap,
     MissingOperationError,
     PreconditionError,
     bilinear_from_terms,
-    contract,
     contraction_family,
     fraction_free_rref,
     int_tensor,
@@ -250,61 +251,34 @@ def _distinct_rows(rows):
 def derivation_space(a, op_name, commuting_with="alpha"):
     """Basis of the space of derivations of the named op.
 
-    Solves the Leibniz system D(e_i op e_j) = D(e_i) op e_j + e_i op D(e_j)
-    over the n^2 matrix unknowns, together with g D = D g for the map g that
-    `commuting_with` names (pass None to drop the constraint).  The system
-    is built on the integer tables of the op and of g (each scaled by the
-    lcm of its denominators, which leaves the solutions unchanged), with
-    zero and repeated rows dropped, and solved by nullspace_basis.  Returns
-    a deterministic reduced-echelon list of LinearMaps, all of which are
-    checked in one contraction over the stacked basis.
+    The system is check_derivation's leibniz:<op> rows, together with the
+    commutes-with-twist rows g D - D g for the map g that `commuting_with`
+    names (pass None to drop them), evaluated at the n^2 unit matrices
+    E_b, b = r*n + col: equation o of a row's residual has coefficient
+    vec[b*n + o] on the unknown D[r][col].  Zero and repeated equations are
+    dropped and the rest solved by nullspace_basis.  Returns a
+    deterministic reduced-echelon list of LinearMaps, and raises
+    ConstructionError unless the same rows vanish on all of it.
     """
     if op_name not in a.ops:
         raise MissingOperationError("op %r is missing" % op_name)
     a.require_bound()
     n = a.dim
     t = {"op": int_tensor(a.op(op_name))}
-    c = t["op"].dense()
-    width = n * n  # unknown D[r][col] at index r*n + col
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                row = [0] * width
-                # D(e_i op e_j)_k
-                row[k * n:(k + 1) * n] = c[i][j]
-                # -(D(e_i) op e_j)_k - (e_i op D(e_j))_k
-                for r in range(n):
-                    row[r * n + i] -= c[r][j][k]
-                    row[r * n + j] -= c[i][r][k]
-                rows.append(row)
     if commuting_with is not None:
-        f = a.map(commuting_with)
-        if (f.rows, f.cols) != (n, n):
+        g = a.map(commuting_with)
+        if (g.rows, g.cols) != (n, n):
             raise DimensionError("map %r is %dx%d, expected %dx%d"
-                                 % (commuting_with, f.rows, f.cols, n, n))
-        t["g"] = int_tensor(f)
-        g = t["g"].dense()
-        for r in range(n):
-            for col in range(n):
-                row = [0] * width
-                # (g D - D g)[r][col]
-                for m in range(n):
-                    row[m * n + col] += g[r][m]
-                    row[r * n + m] -= g[m][col]
-                rows.append(row)
+                                 % (commuting_with, g.rows, g.cols, n, n))
+        t["g"] = int_tensor(g)
+    width = n * n
+    t["D"] = IntTensor((width, n, n), ((b, b // n, b % n, ONE) for b in range(width)))
+    rows = [vec[o::n] for _, _, table in _derivation_families(op_name, t, n)
+            for vec in table()[1].values() for o in range(n)]
     out = [LinearMap.from_rows([v[r * n:(r + 1) * n] for r in range(n)])
            for v in nullspace_basis(_distinct_rows(rows), width)]
     if out:
-        k, t["D"] = len(out), int_tensor(out)
-        wrong = contract((k, n, n, n), (
-            (1, "ijr,bor->bijo", ("op", "D")),
-            (-1, "bri,rjo->bijo", ("D", "op")),
-            (-1, "brj,iro->bijo", ("D", "op"))), t)
-        if commuting_with is not None:
-            wrong = wrong or contract((k, n, n), (
-                (1, "or,bri->bio", ("g", "D")),
-                (-1, "bor,ri->bio", ("D", "g"))), t)
-        if wrong:
+        t["D"] = int_tensor(out)
+        if any(table()[1] for _, _, table in _derivation_families(op_name, t, n)):
             raise ConstructionError("solver returned a non-derivation")
     return out

@@ -34,6 +34,7 @@ from homstruct.core import (
     contraction_family,
     int_tensor,
     maps_from_terms,
+    require_closure,
     require_passed,
     run_identity_families,
 )
@@ -237,7 +238,8 @@ def semidirect_product(a, rep, class_name):
     Twist is alpha (+) beta.  This is the double of the matched pair with a
     zero opposite algebra and zero reverse actions.  The representation must
     pass the class's module axioms and the result is re-checked against the
-    class.
+    class; when that fails because a itself is not in the class,
+    PreconditionError.
     """
     class_name = rep_class(class_name)
     _check_shapes(a, rep)
@@ -248,9 +250,9 @@ def semidirect_product(a, rep, class_name):
                        class_name, check_actions=False)
     check = check_class(out, class_name)
     if not check.passed:
-        raise ConstructionError(
-            "semidirect_product: output failed the %s checker; witnesses %r"
-            % (class_name, check.all_witnesses()[:4]))
+        # a is a subalgebra of the output, so a's own failure comes first
+        require_passed(check_class(a, class_name), "input is not in class %s" % class_name)
+        require_closure(check, "semidirect_product: output failed the %s checker" % class_name)
     return out
 
 

@@ -2,11 +2,18 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homstruct import catalog
 from homstruct.cli import main
 from homstruct.core import (
+    AlgebraPresentation,
+    BilinearMap,
+    FormatError,
     LinearMap,
+    RepresentationPresentation,
+    parse_algebra,
+    parse_representation,
     serialize_algebra,
     serialize_comultiplications,
     serialize_o_operator,
@@ -14,6 +21,8 @@ from homstruct.core import (
 )
 from homstruct.duality import comultiplications_from_dual_algebra, trivial_dual
 from homstruct.representations import regular_representation
+
+from test_core import _algebra_docs, _representation_docs
 
 F = Fraction
 
@@ -168,6 +177,25 @@ def test_semidirect_and_checkrep(thp2_file, thp2_reg_file, tmp_path):
     assert main(["semidirect", thp2_file, thp2_reg_file, "--class",
                  "transposed-hom-poisson", "-o", str(out)]) == PASS
     assert main(["check", str(out), "--class", "transposed-hom-poisson"]) == PASS
+
+
+def test_semidirect_of_algebra_outside_the_class_exits_3(tmp_path, capsys):
+    # CA2a's dot and alpha with {e1,e2} = e1, and the zero module: the module
+    # axioms hold, but the algebra is not transposed Hom-Poisson
+    ca = catalog.get("CA2a")
+    bracket = BilinearMap(2, ((0, 1, 0, F(1)), (1, 0, 0, F(-1))))
+    alg = tmp_path / "bad.json"
+    alg.write_text(serialize_algebra(AlgebraPresentation(
+        2, {"dot": ca.op("dot"), "bracket": bracket}, {"alpha": ca.alpha})))
+    zero = (LinearMap.zero(1), LinearMap.zero(1))
+    rep = tmp_path / "zero.json"
+    rep.write_text(serialize_representation(RepresentationPresentation(
+        2, 1, {"s": zero, "rho": zero}, LinearMap.identity(1))))
+    argv = ["semidirect", str(alg), str(rep), "--class", "transposed-hom-poisson"]
+    assert main(["checkrep"] + argv[1:]) == PASS
+    assert main(argv) == PRECONDITION
+    assert capsys.readouterr().err == (
+        "precondition failed: input is not in class transposed-hom-poisson\n")
 
 
 def test_dualrep(thp2_file, thp2_reg_file, tmp_path):
@@ -507,3 +535,58 @@ def test_catalog_serializations_still_parse():
     assert serialize_o_operator(parse_o_operator(text)) == text
     text = serialize_form(BilinearFormPresentation(2, LinearMap.identity(2)))
     assert serialize_form(parse_form(text)) == text
+
+
+@st.composite
+def _checkable_algebra_docs(draw):
+    """Well-formed algebra documents at dims 1-3 (a repeated (i, j, k) aside),
+    so that check mostly reaches a verdict."""
+    n = draw(st.integers(1, 3))
+    coefficient = st.sampled_from(["0", "1", "-1", "1/2", "-3/4", "2"])
+    index = st.integers(0, n - 1)
+    entry = st.fixed_dictionaries({"i": index, "j": index, "k": index, "c": coefficient})
+    square = st.lists(st.lists(coefficient, min_size=n, max_size=n), min_size=n, max_size=n)
+    return {"dim": n,
+            "ops": draw(st.dictionaries(st.sampled_from(["dot", "bracket", "star"]),
+                                        st.lists(entry, max_size=4), min_size=1)),
+            "maps": {"alpha": draw(square)}}
+
+
+def test_generated_documents_reach_an_exit_code(tmp_path, capsys):
+    """check on generated algebra documents and checkrep on generated
+    representation documents never raise and end in exit 0-3; a document
+    the parser rejects with FormatError ends in exit 2 with an input error.
+    Rejected and parsed documents occur for both commands, and check both
+    passes and fails."""
+    alg = tmp_path / "alg.json"
+    alg.write_text(serialize_algebra(catalog.get("THP2", {"lam": F(1)})))
+    doc_file = tmp_path / "doc.json"
+    classes = st.sampled_from(["comm-hom-assoc", "hom-lie", "transposed-hom-poisson",
+                               "hom-pre-lie"])
+    params = st.sampled_from(["", "t=1", "t=1/2,u=-3"])
+    outcomes = set()
+    for command, parse, docs, files in (
+            ("check", parse_algebra, _algebra_docs(), [str(doc_file)]),
+            ("check", parse_algebra, _checkable_algebra_docs(), [str(doc_file)]),
+            ("checkrep", parse_representation, _representation_docs(),
+             [str(alg), str(doc_file)])):
+        @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+        @given(docs, classes, params)
+        def run(doc, cls, binding):
+            text = json.dumps(doc)
+            doc_file.write_text(text)
+            capsys.readouterr()
+            code = main([command] + files + ["--class", cls, "--params", binding])
+            assert code in (PASS, FAIL, USAGE, PRECONDITION)
+            try:
+                parse(text)
+            except FormatError:
+                assert code == USAGE
+                assert capsys.readouterr().err.startswith("input error: ")
+                outcomes.add((command, "rejected"))
+            else:
+                outcomes.add((command, "parsed"))
+                outcomes.add((command, code))
+        run()
+    assert {("check", "rejected"), ("check", "parsed"), ("check", PASS), ("check", FAIL),
+            ("checkrep", "rejected"), ("checkrep", "parsed")} <= outcomes, outcomes

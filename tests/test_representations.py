@@ -13,6 +13,7 @@ from homstruct.axioms import (
 )
 from homstruct.core import (
     AlgebraPresentation,
+    BilinearMap,
     LinearMap,
     MissingOperationError,
     RepresentationPresentation,
@@ -113,6 +114,21 @@ def test_semidirect_rejects_bad_module():
     }, LinearMap.identity(1))
     with pytest.raises(PreconditionError):
         semidirect_product(a, bad, "transposed-hom-poisson")
+
+
+def test_semidirect_rejects_algebra_outside_the_class():
+    # CA2a's dot and alpha with {e1,e2} = e1: a Hom-Lie bracket that fails
+    # the transposed Leibniz rule; the zero module passes its axioms
+    ca = catalog.get("CA2a")
+    bracket = BilinearMap(2, ((0, 1, 0, F(1)), (1, 0, 0, F(-1))))
+    a = AlgebraPresentation(2, {"dot": ca.op("dot"), "bracket": bracket}, {"alpha": ca.alpha})
+    zero = (LinearMap.zero(1), LinearMap.zero(1))
+    rep = RepresentationPresentation(2, 1, {"s": zero, "rho": zero}, LinearMap.identity(1))
+    cls = "transposed-hom-poisson"
+    assert check_rep(a, rep, cls).passed and not check_class(a, cls).passed
+    with pytest.raises(PreconditionError, match="input is not in class %s" % cls) as exc:
+        semidirect_product(a, rep, cls)
+    assert exc.value.report == check_class(a, cls)
 
 
 def test_dual_representation_regular_hypotheses():
