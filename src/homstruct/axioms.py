@@ -19,6 +19,7 @@ import math
 
 from homstruct.core import (
     CheckReport,
+    ConstructionError,
     DimensionError,
     MissingOperationError,
     ZERO,
@@ -406,7 +407,8 @@ def check_poisson_intersection(a, max_witnesses=32):
     classes, and the annihilation conditions a(x).{y,z} = 0 and
     {x.y, a(z)} = 0.  When the shared relations hold (commutative
     Hom-associative dot and Hom-Lie bracket), joint membership and
-    annihilation are equivalent; that biconditional is asserted.
+    annihilation are equivalent; a violation of that biconditional raises
+    ConstructionError.
     """
     t = _Tables(a, ("dot", "bracket"))
     annihilation = run_identity_families(
@@ -419,8 +421,9 @@ def check_poisson_intersection(a, max_witnesses=32):
     notes = ["annihilation: %s" % ("pass" if annihilation.passed else "fail")]
     if shared:
         both = hp.passed and tp.passed
-        assert both == annihilation.passed, \
-            "intersection biconditional violated on valid shared relations"
+        if both != annihilation.passed:
+            raise ConstructionError(
+                "intersection biconditional violated on valid shared relations")
         notes.append("biconditional verified under the shared relations")
     else:
         notes.append("shared relations fail; biconditional not applicable")

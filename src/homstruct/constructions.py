@@ -2,7 +2,9 @@
 
 Every builder checks its hypotheses first (raising PreconditionError with the
 failing report) and re-checks its output against the target class checker
-(raising ConstructionError if the guaranteed closure fails).
+(raising ConstructionError if the guaranteed closure fails).  The twists do
+not gate on the input's class: when their output fails, an input outside
+the class raises PreconditionError.
 """
 
 from __future__ import annotations
@@ -38,6 +40,19 @@ def _assert_closure(a, class_name, what):
     return a
 
 
+def _twist(a, g, alpha, class_name, what):
+    """a with each class op replaced by g o op and twist alpha.  Its closure
+    is guaranteed only for a in the class, so when the output fails, an
+    input outside the class raises PreconditionError first."""
+    out = AlgebraPresentation(a.dim, _compose_ops(a, g, list(CLASS_OPS[class_name])),
+                              dict(a.maps, alpha=alpha), a.basis)
+    check = check_class(out, class_name)
+    if not check.passed:
+        require_passed(check_class(a, class_name), "input is not in class %s" % class_name)
+        require_closure(check, "%s: output failed the %s checker" % (what, class_name))
+    return out
+
+
 def _compose_ops(a, g, op_names):
     """Replace each op by g o op."""
     t = {"g": int_tensor(g)}
@@ -57,11 +72,7 @@ def yau_twist(a, g, class_name):
         raise PreconditionError("yau_twist requires the identity twist on input")
     require_passed(check_morphism(a, a, g, op_names=CLASS_OPS[class_name]),
                    "g is not a morphism of the input algebra")
-    ops = _compose_ops(a, g, list(CLASS_OPS[class_name]))
-    maps = dict(a.maps)
-    maps["alpha"] = g
-    out = AlgebraPresentation(a.dim, ops, maps, a.basis)
-    return _assert_closure(out, class_name, "yau_twist")
+    return _twist(a, g, g, class_name, "yau_twist")
 
 
 def compose_twist(a, g, class_name):
@@ -75,11 +86,7 @@ def compose_twist(a, g, class_name):
                    "g is not a morphism of the input algebra")
     if g @ a.alpha != a.alpha @ g:
         raise PreconditionError("g does not commute with the twist")
-    ops = _compose_ops(a, g, list(CLASS_OPS[class_name]))
-    maps = dict(a.maps)
-    maps["alpha"] = a.alpha @ g
-    out = AlgebraPresentation(a.dim, ops, maps, a.basis)
-    return _assert_closure(out, class_name, "compose_twist")
+    return _twist(a, g, a.alpha @ g, class_name, "compose_twist")
 
 
 def derived_algebra(a, n, class_name, kind=1):
@@ -97,12 +104,7 @@ def derived_algebra(a, n, class_name, kind=1):
     require_passed(check_multiplicative(a),
                    "twist is not multiplicative for the algebra's ops")
     p = n if kind == 1 else 2 ** n - 1
-    g = a.alpha.power(p)
-    ops = _compose_ops(a, g, list(CLASS_OPS[class_name]))
-    maps = dict(a.maps)
-    maps["alpha"] = a.alpha.power(p + 1)
-    out = AlgebraPresentation(a.dim, ops, maps, a.basis)
-    return _assert_closure(out, class_name, "derived_algebra")
+    return _twist(a, a.alpha.power(p), a.alpha.power(p + 1), class_name, "derived_algebra")
 
 
 def alpha_h_twist(a, h):

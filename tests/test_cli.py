@@ -91,6 +91,19 @@ def test_twist_derived(thp2_file, tmp_path):
     assert main(["check", str(out), "--class", "transposed-hom-poisson"]) == PASS
 
 
+def test_twist_of_algebra_outside_the_class_exits_3(tmp_path, capsys):
+    # THP2 at lam = 1 with the identity twist is not Hom-Poisson; the
+    # identity is a morphism, so only the input's class fails
+    a = catalog.get("THP2", {"lam": F(1)})
+    alg = tmp_path / "untwisted.json"
+    alg.write_text(serialize_algebra(AlgebraPresentation(
+        2, a.ops, dict(a.maps, alpha=LinearMap.identity(2)), a.basis)))
+    assert main(["check", str(alg), "--class", "hom-poisson"]) == FAIL
+    capsys.readouterr()
+    assert main(["twist", str(alg), "--yau", "alpha", "--class", "hom-poisson"]) == PRECONDITION
+    assert capsys.readouterr().err == "precondition failed: input is not in class hom-poisson\n"
+
+
 @pytest.mark.parametrize("vec", ["1/0*e1", "e1-1/0*e2", "1/0,1"])
 def test_twist_alpha_h_division_by_zero_is_a_usage_error(thp2_file, capsys, vec):
     assert main(["twist", thp2_file, "--alpha-h", vec]) == USAGE

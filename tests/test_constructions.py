@@ -17,7 +17,7 @@ from homstruct.constructions import (
     twisting_report,
     yau_twist,
 )
-from homstruct.core import LinearMap, basis_vec
+from homstruct.core import AlgebraPresentation, LinearMap, basis_vec
 from homstruct.operators import derivation_space
 
 from helpers import bound_fixtures
@@ -46,6 +46,23 @@ def test_yau_twist():
     # a non-morphism must be rejected before any product is built
     with pytest.raises(PreconditionError):
         yau_twist(a, LinearMap.diagonal([F(1), F(2)]), "transposed-hom-poisson")
+
+
+def test_twist_builders_reject_input_outside_the_class():
+    # THP2 at lam = 1, twisted and untwisted, is not Hom-Poisson; the identity
+    # is a morphism commuting with its multiplicative twist, so only the
+    # class of the input is left to fail
+    a = catalog.get("THP2", {"lam": F(1)})
+    one = LinearMap.identity(2)
+    untwisted = AlgebraPresentation(2, a.ops, dict(a.maps, alpha=one), a.basis)
+    cls = "hom-poisson"
+    for build, alg in ((lambda: yau_twist(untwisted, one, cls), untwisted),
+                       (lambda: compose_twist(a, one, cls), a),
+                       (lambda: derived_algebra(a, 1, cls), a),
+                       (lambda: derived_algebra(a, 2, cls, kind=2), a)):
+        with pytest.raises(PreconditionError, match="^input is not in class %s$" % cls) as exc:
+            build()
+        assert exc.value.report == check_class(alg, cls)
 
 
 def test_compose_twist_with_alpha():

@@ -1,10 +1,14 @@
+import ast
 import dataclasses
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import homstruct
 
 from homstruct.core import (
     AlgebraPresentation,
@@ -358,3 +362,12 @@ def test_bilinear_from_table():
         2, lambda i, j: basis_vec(2, 0) if i == j else (F(0), F(0)))
     assert eval_bilinear(op, basis_vec(2, 1), basis_vec(2, 1)) == (F(1), F(0))
     assert eval_bilinear(op, basis_vec(2, 0), basis_vec(2, 1)) == (F(0), F(0))
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so a check the library relies on
+    # must raise instead
+    paths = sorted(Path(homstruct.__file__).parent.glob("*.py"))
+    assert paths
+    assert [(path.name, node.lineno) for path in paths
+            for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)] == []

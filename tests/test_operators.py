@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,12 @@ import sympy
 from homstruct import catalog, operators
 from homstruct.axioms import check_class, check_derivation
 from homstruct.constructions import sub_adjacent
-from homstruct.core import LinearMap, RepresentationPresentation
+from homstruct.core import (
+    AlgebraPresentation,
+    BilinearMap,
+    LinearMap,
+    RepresentationPresentation,
+)
 from homstruct.operators import (
     ConstructionError,
     PreconditionError,
@@ -21,7 +27,7 @@ from homstruct.operators import (
 )
 from homstruct.representations import regular_representation
 
-from helpers import bound_fixtures
+from helpers import bound_fixtures, rand_fraction, rand_matrix
 
 F = Fraction
 
@@ -83,14 +89,50 @@ def test_o_operator_is_morphism():
     assert o_operator_is_morphism(a, rep, LinearMap.identity(2)).passed
 
 
+def _invertible_o_operator(rng, n):
+    """(a, rep, T) with T a random invertible O-operator and a's products
+    nonzero.  Two products o and * send each pair of the first n-1 basis
+    vectors to a random multiple of the last one, and vanish otherwise, so
+    every product of two products is zero; alpha = diag(lam, ..., lam, lam^2)
+    is multiplicative for both.  Then a's dot x o y + y o x and bracket
+    x * y - y * x, and the left multiplications of o and * (s and rho) with
+    beta = alpha, are a module with the identity as an O-operator.  rep is
+    that module carried to V along T, so that T is an O-operator of it."""
+    last, lam = n - 1, rand_fraction(rng)
+    o, st = ([[rand_fraction(rng) for _ in range(last)] for _ in range(last)] for _ in range(2))
+    a = AlgebraPresentation(n, {
+        name: BilinearMap(n, tuple((i, j, last, f(i, j)) for i in range(last)
+                                   for j in range(last)))
+        for name, f in (("dot", lambda i, j: o[i][j] + o[j][i]),
+                        ("bracket", lambda i, j: st[i][j] - st[j][i]))},
+        {"alpha": LinearMap.diagonal([lam] * last + [lam * lam])})
+    T = rand_matrix(rng, n)
+    while T.det() == 0:
+        T = rand_matrix(rng, n)
+    Ti = T.inverse()
+    # T^-1 L(e_x) T, where L(e_x) e_y = m[x][y] e_last
+    actions = {act: tuple(Ti @ LinearMap.from_rows(
+                   [[m[x][y] if k == last and x < last and y < last else F(0)
+                     for y in range(n)] for k in range(n)]) @ T for x in range(n))
+               for act, m in (("s", o), ("rho", st))}
+    return a, RepresentationPresentation(n, n, actions, Ti @ a.alpha @ T), T
+
+
 def test_invertible_corollary_reproduces_tables():
+    # compatible_pre_lie_from_invertible does not check this: at T^-1 x and
+    # T^-1 y the output's sub-adjacent products are the gate's o-equation rows
     a = _zero_transposed()
     rep = _regular(a)
-    for T in (LinearMap.identity(2), LinearMap.diagonal([F(2), F(-3)])):
+    cases = [(a, rep, T) for T in (LinearMap.identity(2), LinearMap.diagonal([F(2), F(-3)]))]
+    rng = random.Random(16)
+    cases += [_invertible_o_operator(rng, n) for n in (2, 3, 4) for _ in range(5)]
+    for a, rep, T in cases:
+        assert check_o_operator(a, rep, T, "transposed-hom-poisson").passed
         pre = compatible_pre_lie_from_invertible(a, rep, T)
         sub = sub_adjacent(pre)
         assert sub.op("dot").entries == a.op("dot").entries
         assert sub.op("bracket").entries == a.op("bracket").entries
+    assert sum(bool(a.op("dot").entries and a.op("bracket").entries) for a, _, _ in cases) > 8
 
 
 def test_scalar_invariance():

@@ -23,6 +23,7 @@ from homstruct.matched_pairs import (
     build_double,
     check_matched_pair,
     matched_pair_from_representation,
+    zero_representation,
 )
 from homstruct.representations import (
     CROSS_ACTIONS,
@@ -43,7 +44,9 @@ from helpers import (
     bound_fixtures,
     closure_check_rep,
     closure_dual_hypotheses,
+    perturbed_fixtures,
     rand_algebra,
+    rand_matrix,
     rand_rep,
 )
 
@@ -129,6 +132,33 @@ def test_semidirect_rejects_algebra_outside_the_class():
     with pytest.raises(PreconditionError, match="input is not in class %s" % cls) as exc:
         semidirect_product(a, rep, cls)
     assert exc.value.report == check_class(a, cls)
+
+
+def test_semidirect_output_is_in_the_class_exactly_when_its_gates_pass():
+    # semidirect_product does not check its output: it is in the class
+    # whenever the module axioms and a's class identities hold
+    rng = random.Random(17)
+    algebras = [a for _, _, a, _ in bound_fixtures()]
+    algebras += [a for _, a, _ in perturbed_fixtures()]
+    algebras += [rand_algebra(rng, n, CLASS_OPS[cls]) for n in (1, 2, 3) for cls in REP_OPS]
+    outcomes = set()
+    for a in algebras:
+        for cls in [cls for cls in REP_OPS if set(CLASS_OPS[cls]) <= set(a.ops)]:
+            p = rng.randint(1, 2)
+            for rep in (regular_representation(a, cls),
+                        zero_representation(a.dim, p, rand_matrix(rng, p), REP_OPS[cls])):
+                rep_ok, a_ok = check_rep(a, rep, cls).passed, check_class(a, cls).passed
+                try:
+                    out = semidirect_product(a, rep, cls)
+                except PreconditionError as exc:
+                    outcomes.add("rejected")
+                    assert str(exc) == ("input is not in class %s" % cls if rep_ok else
+                                        "representation fails the %s module axioms" % cls)
+                    assert not (rep_ok and a_ok)
+                else:
+                    outcomes.add("built")
+                    assert rep_ok and a_ok and check_class(out, cls).passed
+    assert outcomes == {"built", "rejected"}
 
 
 def test_dual_representation_regular_hypotheses():
