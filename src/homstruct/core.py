@@ -32,6 +32,12 @@ ONE = Fraction(1)
 # entry is read; at 64 an op's table has 262,144 cells.
 MAX_DIM = 64
 
+# The largest power of alpha a derived algebra may take as its twist.  Kind 2
+# of derived level n takes alpha^(2^n), whose entries can grow with the
+# exponent, so without a bound a small --derived value would already ask for
+# numbers too large to hold.
+MAX_TWIST_EXPONENT = 1024
+
 
 class FormatError(ValueError):
     """A document does not conform to the interchange format."""
@@ -292,11 +298,16 @@ class LinearMap:
         return LinearMap.from_rows([[s * require_bound(c) for c in row] for row in self.m])
 
     def power(self, n):
+        """self^n by repeated squaring, about 2 log2(n) products."""
         if not self.is_square:
             raise DimensionError("power of a non-square map")
-        out = LinearMap.identity(self.rows)
-        for _ in range(n):
-            out = out @ self
+        out, base = LinearMap.identity(self.rows), self
+        while n > 0:
+            if n & 1:
+                out = out @ base
+            n >>= 1
+            if n:
+                base = base @ base
         return out
 
     def det(self):
@@ -554,13 +565,6 @@ def require_passed(report, message):
     """A hypothesis gate: PreconditionError(message, report) unless it passed."""
     if not report.passed:
         raise PreconditionError(message, report)
-
-
-def require_closure(report, message):
-    """The check of an output whose closure a theorem guarantees:
-    ConstructionError naming the first witnesses unless it passed."""
-    if not report.passed:
-        raise ConstructionError("%s; first witnesses %r" % (message, report.all_witnesses()[:4]))
 
 
 def run_identity_families(dim, families, max_witnesses=32, sub_reports=None, notes=()):

@@ -11,7 +11,6 @@ from homstruct.axioms import (
     check_morphism,
     resolve_class,
 )
-from homstruct.constructions import _assert_closure
 from homstruct.core import (
     ONE,
     ZERO,
@@ -974,6 +973,17 @@ def transported(a):
 # reference builders: each builder's products as per-basis-pair closures
 # over Fraction vectors, the evaluation its contraction terms replaced.  The
 # differential tests require equal outputs (and equal errors) from both.
+
+
+def _assert_closure(a, class_name, what):
+    """The output check the reference builders keep: ConstructionError
+    unless a passes the class checker."""
+    report = check_class(a, class_name)
+    if not report.passed:
+        raise ConstructionError("%s: output failed the %s checker; first witnesses %r"
+                                % (what, class_name, report.all_witnesses()[:4]))
+    return a
+
 
 def closure_compose_ops(a, g, op_names=None):
     """Replace each op by g o op."""

@@ -77,7 +77,11 @@ from helpers import (
 
 F = Fraction
 # the outcomes each differential case set must reach: a returned output
-# and a failed gate (a ConstructionError may occur as well, equal on both)
+# and a failed gate.  The builders that do not check their output again
+# (alpha_h_twist, the two derivation brackets, sub_adjacent, tensor_product,
+# induced_products, compatible_pre_lie_from_invertible, rota_baxter_induced)
+# reach exactly these two: a ConstructionError from their reference builder
+# would mean an output outside the class.
 BOTH = {"output", "PreconditionError"}
 
 
@@ -172,25 +176,25 @@ def test_constructions_match_closures():
     transposed = _with(("dot", "bracket"))
     cases = [(b, h) for a in transposed for b in (a, _untwisted(a))
              for h in [basis_vec(b.dim, i) for i in range(b.dim)] + [rand_vec(rng, b.dim)]]
-    assert _compare(alpha_h_twist, closure_alpha_h_twist, cases) >= BOTH
+    assert _compare(alpha_h_twist, closure_alpha_h_twist, cases) == BOTH
 
     cases, pairs = [], []
     for a in _with(("dot",)):
         ds = derivation_space(a, "dot")[:2] + [rand_matrix(rng, a.dim)]
         cases += [(a, d) for d in ds]
         pairs += [(a, d1, d2) for d1 in ds for d2 in ds]
-    assert _compare(bracket_from_derivation, closure_bracket_from_derivation, cases) >= BOTH
+    assert _compare(bracket_from_derivation, closure_bracket_from_derivation, cases) == BOTH
     assert _compare(bracket_from_two_derivations, closure_bracket_from_two_derivations,
-                    pairs) >= BOTH
+                    pairs) == BOTH
 
-    assert _compare(sub_adjacent, closure_sub_adjacent, [(a,) for a in _with(("star",))]) >= BOTH
+    assert _compare(sub_adjacent, closure_sub_adjacent, [(a,) for a in _with(("star",))]) == BOTH
 
     small = [a for a in _algebras() if a.dim <= 2]
     cases = [(a1, a2, cls) for cls in ("comm-hom-assoc", "transposed-hom-poisson",
                                        "hom-pre-lie-poisson", "hom-lie")
              for a1 in small[::3] for a2 in small[1::3]
              if cls in _classes(a1, CLASS_OPS) and cls in _classes(a2, CLASS_OPS)]
-    assert _compare(tensor_product, closure_tensor_product, cases) >= BOTH
+    assert _compare(tensor_product, closure_tensor_product, cases) == BOTH
 
 
 def test_representations_match_closures():
@@ -273,7 +277,7 @@ def test_operators_match_closures():
         cases += [(_zero_ops(n), r, T, cls) for r in (rep, zero)
                   for T in (rand_matrix(rng, n, p), LinearMap.zero(n, p)) for cls in o_classes]
     cases += [_o_operator(rng, n) + (cls,) for n in (1, 2, 3) for cls in o_classes]
-    assert _compare(induced_products, closure_induced_products, cases) >= BOTH
+    assert _compare(induced_products, closure_induced_products, cases) == BOTH
 
     cases = [(a, rep, T) for a, rep, T, cls in cases
              if cls == "transposed-hom-poisson" and T.rows == T.cols]
@@ -284,7 +288,7 @@ def test_operators_match_closures():
                                         LinearMap.diagonal([F(2)] + [F(-3)] * (a.dim - 1)),
                                         rand_matrix(rng, a.dim))]
     assert _compare(compatible_pre_lie_from_invertible,
-                    closure_compatible_pre_lie_from_invertible, cases) >= BOTH
+                    closure_compatible_pre_lie_from_invertible, cases) == BOTH
 
     cases = [(a, R) for a in _with(("dot", "bracket")) + [_zero_ops(2)] for R in _maps(rng, a)]
-    assert _compare(rota_baxter_induced, closure_rota_baxter_induced, cases) >= BOTH
+    assert _compare(rota_baxter_induced, closure_rota_baxter_induced, cases) == BOTH

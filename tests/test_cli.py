@@ -13,6 +13,8 @@ from homstruct.core import (
     LinearMap,
     RepresentationPresentation,
     parse_algebra,
+    parse_comultiplications,
+    parse_o_operator,
     parse_representation,
     serialize_algebra,
     serialize_comultiplications,
@@ -22,7 +24,12 @@ from homstruct.core import (
 from homstruct.duality import comultiplications_from_dual_algebra, trivial_dual
 from homstruct.representations import regular_representation
 
-from test_core import _algebra_docs, _representation_docs
+from test_core import (
+    _O_OPERATOR_DOCS,
+    _algebra_docs,
+    _comultiplication_docs,
+    _representation_docs,
+)
 
 F = Fraction
 
@@ -89,6 +96,17 @@ def test_twist_derived(thp2_file, tmp_path):
     assert main(["twist", thp2_file, "--class", "transposed-hom-poisson",
                  "--derived", "1", "--type", "2", "-o", str(out)]) == PASS
     assert main(["check", str(out), "--class", "transposed-hom-poisson"]) == PASS
+
+
+def test_twist_derived_exponent_above_the_limit_exits_3(tmp_path, capsys):
+    # kind 2 at level 64 asks for alpha^(2^64); the limit is
+    # core.MAX_TWIST_EXPONENT
+    tp2 = tmp_path / "tp2.json"
+    tp2.write_text(serialize_algebra(catalog.get("TP2")))
+    assert main(["twist", str(tp2), "--class", "transposed-hom-poisson",
+                 "--derived", "64", "--type", "2"]) == PRECONDITION
+    assert capsys.readouterr() == ("", "precondition failed: derived twist exponent "
+                                       "exceeds 1024\n")
 
 
 def test_twist_of_algebra_outside_the_class_exits_3(tmp_path, capsys):
@@ -566,31 +584,54 @@ def _checkable_algebra_docs(draw):
 
 
 def test_generated_documents_reach_an_exit_code(tmp_path, capsys):
-    """check on generated algebra documents and checkrep on generated
-    representation documents never raise and end in exit 0-3; a document
-    the parser rejects with FormatError ends in exit 2 with an input error.
-    Rejected and parsed documents occur for both commands, and check both
-    passes and fails."""
+    """Generated documents never raise through main and end in exit 0-3; a
+    document the parser rejects with FormatError ends in exit 2 with an
+    input error.  check and checkrep take generated algebra and
+    representation documents; the builders tensor, subadjacent, bracketd
+    and twist --alpha-h take checkable algebra documents and never exit 1;
+    rb check and oop check take generated operator documents, and
+    bialgebra comultiplication documents.  Every command both parses and
+    rejects some documents, and check both passes and fails."""
     alg = tmp_path / "alg.json"
-    alg.write_text(serialize_algebra(catalog.get("THP2", {"lam": F(1)})))
+    a = catalog.get("THP2", {"lam": F(1)})
+    alg.write_text(serialize_algebra(a))
+    rep = tmp_path / "rep.json"
+    rep.write_text(serialize_representation(regular_representation(a, "transposed-hom-poisson")))
     doc_file = tmp_path / "doc.json"
+    doc = str(doc_file)
     classes = st.sampled_from(["comm-hom-assoc", "hom-lie", "transposed-hom-poisson",
                                "hom-pre-lie"])
     params = st.sampled_from(["", "t=1", "t=1/2,u=-3"])
+    builders = {"tensor", "subadjacent", "bracketd", "twist"}
     outcomes = set()
-    for command, parse, docs, files in (
-            ("check", parse_algebra, _algebra_docs(), [str(doc_file)]),
-            ("check", parse_algebra, _checkable_algebra_docs(), [str(doc_file)]),
-            ("checkrep", parse_representation, _representation_docs(),
-             [str(alg), str(doc_file)])):
-        @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    cls_slot = object()
+    for argv, parse, docs, examples in (
+            (["check", doc, "--class", cls_slot], parse_algebra, _algebra_docs(), 200),
+            (["check", doc, "--class", cls_slot], parse_algebra, _checkable_algebra_docs(), 200),
+            (["checkrep", str(alg), doc, "--class", cls_slot], parse_representation,
+             _representation_docs(), 200),
+            (["tensor", doc, doc, "--class", cls_slot], parse_algebra,
+             _checkable_algebra_docs(), 40),
+            (["subadjacent", doc], parse_algebra, _checkable_algebra_docs(), 40),
+            (["bracketd", doc, "--map", "alpha"], parse_algebra, _checkable_algebra_docs(), 40),
+            (["twist", doc, "--alpha-h", "e1"], parse_algebra, _checkable_algebra_docs(), 40),
+            (["rb", "check", str(alg), doc, "--class", cls_slot], parse_o_operator,
+             _O_OPERATOR_DOCS, 40),
+            (["oop", "check", str(alg), str(rep), doc, "--class", cls_slot], parse_o_operator,
+             _O_OPERATOR_DOCS, 40),
+            (["bialgebra", str(alg), doc], parse_comultiplications, _comultiplication_docs(), 40)):
+        command = " ".join(argv[:2]) if argv[0] in ("rb", "oop") else argv[0]
+
+        @settings(max_examples=examples, derandomize=True, deadline=None, database=None)
         @given(docs, classes, params)
-        def run(doc, cls, binding):
-            text = json.dumps(doc)
+        def run(document, cls, binding):
+            text = json.dumps(document)
             doc_file.write_text(text)
             capsys.readouterr()
-            code = main([command] + files + ["--class", cls, "--params", binding])
+            code = main([cls if arg is cls_slot else arg for arg in argv]
+                        + ["--params", binding])
             assert code in (PASS, FAIL, USAGE, PRECONDITION)
+            assert code != FAIL or command not in builders
             try:
                 parse(text)
             except FormatError:
@@ -601,5 +642,7 @@ def test_generated_documents_reach_an_exit_code(tmp_path, capsys):
                 outcomes.add((command, "parsed"))
                 outcomes.add((command, code))
         run()
+    assert {(command, kind) for command in builders | {"rb check", "oop check", "bialgebra"}
+            for kind in ("parsed", "rejected")} <= outcomes, outcomes
     assert {("check", "rejected"), ("check", "parsed"), ("check", PASS), ("check", FAIL),
             ("checkrep", "rejected"), ("checkrep", "parsed")} <= outcomes, outcomes

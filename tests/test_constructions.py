@@ -130,6 +130,16 @@ def test_twisting_report():
                    "bracket_jacobi": True, "not_rigid": False}
 
 
+def test_derived_twist_exponent_is_bounded():
+    # the twist alpha^(2^n) or alpha^(n + 1) may reach core.MAX_TWIST_EXPONENT
+    a = catalog.get("THP2", {"lam": F(1)})
+    cls = "transposed-hom-poisson"
+    assert derived_algebra(a, 10, cls, kind=2) == derived_algebra(a, 1023, cls)
+    for n, kind in ((11, 2), (64, 2), (1024, 1)):
+        with pytest.raises(PreconditionError, match="^derived twist exponent exceeds 1024$"):
+            derived_algebra(a, n, cls, kind=kind)
+
+
 def test_derived_rejects_non_multiplicative():
     p = catalog.get("PLP2", {"a": F(1)})
     with pytest.raises(PreconditionError):
