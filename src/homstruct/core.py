@@ -301,6 +301,8 @@ class LinearMap:
         """self^n by repeated squaring, about 2 log2(n) products."""
         if not self.is_square:
             raise DimensionError("power of a non-square map")
+        if n < 0:
+            raise ValueError("power of a map needs n >= 0, got %d" % n)
         out, base = LinearMap.identity(self.rows), self
         while n > 0:
             if n & 1:
@@ -602,7 +604,10 @@ def run_identity_families(dim, families, max_witnesses=32, sub_reports=None, not
 
 class IntTensor:
     """A bound tensor scattered into integers: entries maps the index tuple
-    of each nonzero coefficient to it times scale, the lcm of the denominators."""
+    of each nonzero coefficient to it times scale, the lcm of the denominators.
+    It keeps each grouping of the entries that _contract asks for, so a tensor
+    contracted again is not regrouped.  The entries and groupings are
+    read-only: no caller may mutate them."""
 
     def __init__(self, shape, entries):
         self.shape = tuple(shape)
@@ -613,6 +618,23 @@ class IntTensor:
                 nonzero.append((tuple(e[:-1]), c.numerator, c.denominator))
         self.scale = math.lcm(1, *(d for _, _, d in nonzero))
         self.entries = {idx: v * (self.scale // d) for idx, v, d in nonzero}
+        self._groups = {}
+
+    def grouped(self, key, ext):
+        """{key(idx): [(ext(idx), v), ...]} over the entries, or for key None
+        {ext(idx): sum of v}, built once per pair of getters.  _getter is
+        cached, so there is one grouping per step shape of the specs met."""
+        g = self._groups.get((key, ext))
+        if g is None:
+            g = self._groups[key, ext] = {}
+            if key is None:
+                for idx, w in self.entries.items():
+                    k = ext(idx)
+                    g[k] = g.get(k, 0) + w
+            else:
+                for idx, w in self.entries.items():
+                    g.setdefault(key(idx), []).append((ext(idx), w))
+        return g
 
     def dense(self):
         """The tensor as nested int lists."""
@@ -627,15 +649,24 @@ class IntTensor:
 
 def int_tensor(x):
     """The IntTensor of a BilinearMap (i, j, k), a LinearMap (row, col) or a
-    family of LinearMaps (member, row, col)."""
+    family of LinearMaps (member, row, col).  A map's tensor is kept on it as
+    a plain attribute like BilinearMap.rows, unseen by ==, hash and repr, and
+    lives as long as the map; an unbound map raises every time and keeps
+    nothing.  A family, a sequence, is converted on every call."""
+    t = getattr(x, "_int_tensor", None)
+    if t is not None:
+        return t
     if isinstance(x, BilinearMap):
-        return IntTensor((x.dim,) * 3, x.entries)
-    if isinstance(x, LinearMap):
-        return IntTensor((x.rows, x.cols), ((r, c, v) for r, row in enumerate(x.m)
-                                            for c, v in enumerate(row)))
-    return IntTensor((len(x), x[0].rows, x[0].cols),
-                     ((p, r, c, v) for p, f in enumerate(x) for r, row in enumerate(f.m)
-                      for c, v in enumerate(row)))
+        t = IntTensor((x.dim,) * 3, x.entries)
+    elif isinstance(x, LinearMap):
+        t = IntTensor((x.rows, x.cols), ((r, c, v) for r, row in enumerate(x.m)
+                                         for c, v in enumerate(row)))
+    else:
+        return IntTensor((len(x), x[0].rows, x[0].cols),
+                         ((p, r, c, v) for p, f in enumerate(x) for r, row in enumerate(f.m)
+                          for c, v in enumerate(row)))
+    object.__setattr__(x, "_int_tensor", t)
+    return t
 
 
 def contract(shape, terms, tensors):
@@ -654,41 +685,30 @@ def contract(shape, terms, tensors):
     return {idx: Fraction(v, scale) for idx, v in sums.items()}
 
 
-@functools.cache
-def _spec(spec):
-    """(ins, out, ranks, first, later) of a contraction spec, built once per
-    spec string: the operand letters as a tuple, the output letters, the
-    number of letters of the output and of each operand, and two getters
-    over the output and operand shapes laid end to end.  For each letter
-    used again, first picks the size at its first use and later the size at
-    the reuse, so the shapes fit the spec when the ranks match and the two
-    picks are equal."""
-    ins, out = spec.split("->")
-    ins = tuple(ins.split(","))
-    slots, first, later = {}, [], []
-    for pos, x in enumerate(out + "".join(ins)):
-        if x in slots:
-            first.append(slots[x])
-            later.append(pos)
-        else:
-            slots[x] = pos
-    return ins, out, (len(out),) + tuple(map(len, ins)), _getter(first), _getter(later)
-
-
 def _compile(shape, terms, tensors):
-    """The terms as (c, s_t, operand letters, output letters, operand entries),
-    their shapes checked."""
+    """The terms as (c, s_t, spec, operand tensors), their shapes checked by
+    the cached _fits."""
     compiled = []
     for c, spec, names in terms:
-        ins, out, ranks, first, later = _spec(spec)
         ts = [tensors[name] for name in names]
-        shapes = [tuple(shape)] + [t.shape for t in ts]
-        sizes = sum(shapes, ())
-        if tuple(map(len, shapes)) != ranks or first(sizes) != later(sizes):
+        shapes = (tuple(shape),) + tuple(t.shape for t in ts)
+        if not _fits(spec, shapes):
             raise DimensionError("%r does not fit shapes %r with output shape %r"
-                                 % (spec, shapes[1:], tuple(shape)))
-        compiled.append((c, math.prod(t.scale for t in ts), ins, out, [t.entries for t in ts]))
+                                 % (spec, list(shapes[1:]), shapes[0]))
+        compiled.append((c, math.prod(t.scale for t in ts), spec, ts))
     return compiled
+
+
+@functools.cache
+def _fits(spec, shapes):
+    """Whether the output and operand shapes fit spec: the ranks match and a
+    letter has one size at every use.  The specs are the package's rows and
+    every size is at most MAX_DIM or a product of two, so the cache is small."""
+    ins, out = spec.split("->")
+    letters, sizes = [out] + ins.split(","), {}
+    return (tuple(map(len, shapes)) == tuple(map(len, letters))
+            and all(sizes.setdefault(x, n) == n
+                    for xs, shape in zip(letters, shapes) for x, n in zip(xs, shape)))
 
 
 def _exact_sum(compiled):
@@ -696,9 +716,9 @@ def _exact_sum(compiled):
     the rational one."""
     scale = math.lcm(*(term[1] for term in compiled))
     acc = {}
-    for c, s, ins, out, operands in compiled:
+    for c, s, spec, operands in compiled:
         k = c * (scale // s)
-        for idx, v in _contract(ins, out, operands).items():
+        for idx, v in _contract(spec, operands).items():
             acc[idx] = acc.get(idx, 0) + k * v
     return scale, {idx: v for idx, v in acc.items() if v}
 
@@ -773,8 +793,10 @@ def _canonical(spec, arity):
     return "%s->%s%s" % (ins, positions, coords)
 
 
+@functools.cache
 def _getter(positions):
-    """idx -> the tuple of idx's entries at positions."""
+    """idx -> the tuple of idx's entries at positions (a tuple), one getter
+    per positions, so that equal positions give the same getter."""
     if len(positions) == 1:
         p = positions[0]
         return lambda idx: (idx[p],)
@@ -782,15 +804,18 @@ def _getter(positions):
 
 
 @functools.cache
-def _plan(ins, out):
-    """The steps of a contraction of operands with letters ins (a tuple) into
-    out: (operand, key_b, ext_b, key_a, head_a) per step, and the final getter
-    (None when the last step's letters are already out).
+def _plan(spec):
+    """The steps of a contraction by spec: (operand, key_b, ext_b, key_a,
+    head_a) per step, and the final getter (None when the last step's letters
+    are already the output's).  The first step's key_b is None: it shares no
+    letter with the empty running result.
 
     Operands are taken pairwise, each next one sharing an index with the
     running result if any remaining one does, which avoids outer products.
     The plan depends on the letters only, so it is built once per spec.
     """
+    ins, out = spec.split("->")
+    ins = ins.split(",")
     order, left, seen = [0], list(range(1, len(ins))), set(ins[0])
     while left:
         order.append(next((q for q in left if seen & set(ins[q])), left[0]))
@@ -802,26 +827,22 @@ def _plan(ins, out):
         shared = [x for x in ins[p] if x in letters]
         head = [x for x in letters if x in keep]
         new = [x for x in ins[p] if x not in letters and x in keep]
-        key_b, ext_b = (_getter([ins[p].index(x) for x in xs]) for xs in (shared, new))
-        key_a, head_a = (_getter([letters.index(x) for x in xs]) for xs in (shared, head))
-        steps.append((p, key_b, ext_b, key_a, head_a))
+        key_b, ext_b = (_getter(tuple(ins[p].index(x) for x in xs)) for xs in (shared, new))
+        key_a, head_a = (_getter(tuple(letters.index(x) for x in xs)) for xs in (shared, head))
+        steps.append((p, key_b if step else None, ext_b, key_a, head_a))
         letters = "".join(head + new)
-    return tuple(steps), None if letters == out else _getter([letters.index(x) for x in out])
+    return tuple(steps), None if letters == out else _getter(tuple(letters.index(x) for x in out))
 
 
-def _contract(ins, out, operands):
-    """The sparse contraction of the operand dicts, as out-index -> int."""
-    steps, final = _plan(ins, out)
-    (p, _, ext_b, _, _), *steps = steps
-    # the first operand shares no letter with the empty running result
-    acc = {}
-    for idx, w in operands[p].items():
-        k = ext_b(idx)
-        acc[k] = acc.get(k, 0) + w
+def _contract(spec, operands):
+    """The sparse contraction of the operand IntTensors, as out-index -> int.
+    Each operand is read through its kept grouping for the step, and the
+    result may be one: read-only."""
+    steps, final = _plan(spec)
+    (p, key_b, ext_b, _, _), *steps = steps
+    acc = operands[p].grouped(key_b, ext_b)
     for p, key_b, ext_b, key_a, head_a in steps:
-        groups = {}
-        for idx, w in operands[p].items():
-            groups.setdefault(key_b(idx), []).append((ext_b(idx), w))
+        groups = operands[p].grouped(key_b, ext_b)
         nxt = {}
         for idx, v in acc.items():
             group = groups.get(key_a(idx))

@@ -1,6 +1,8 @@
 """Differential tests: every check written as contraction rows against the
 Fraction closure it replaced (tests/helpers.py), plus the evaluator itself."""
 
+import copy
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -30,25 +32,32 @@ from homstruct.core import (
     contract,
     contraction_family,
     int_tensor,
+    parse_algebra,
     run_identity_families,
+    serialize_algebra,
 )
 from homstruct.duality import (
     _block_closure_report,
     build_double_dual,
     check_bialgebra_conditions,
     check_invariant_form,
+    check_manin_triple,
     comultiplications_from_dual_algebra,
     standard_form,
     trivial_dual,
 )
-from homstruct.matched_pairs import zero_representation
+from homstruct.matched_pairs import (
+    check_matched_pair,
+    matched_pair_from_representation,
+    zero_representation,
+)
 from homstruct.operators import (
     check_o_operator,
     derivation_space,
     induced_products,
     o_operator_is_morphism,
 )
-from homstruct.representations import check_rep, regular_representation
+from homstruct.representations import REP_OPS, check_rep, regular_representation
 
 from helpers import (
     bound_fixtures,
@@ -402,3 +411,125 @@ def test_contraction_family_rows():
     with pytest.raises(UnboundParameterError) as exc:
         IntTensor((3,), [(0, F(0)), (1, "t"), (2, "-u")])
     assert str(exc.value) == "unbound parameter 't' in coefficient"
+
+
+def test_int_tensor_is_kept_on_its_map():
+    # the tensor is a plain attribute like BilinearMap.rows: the fields, ==,
+    # hash and repr see only what they saw before it was kept
+    op = BilinearMap(2, ((0, 0, 1, F(1, 2)), (1, 0, 0, F(3))))
+    f = LinearMap.from_rows([[F(1), F(2, 3)], [F(0), F(4)]])
+    for x, fields in ((op, ["dim", "entries"]), (f, ["rows", "cols", "m"])):
+        twin = type(x)(*(getattr(x, name) for name in fields))
+        shown, hashed = repr(x), hash(x)
+        assert int_tensor(x) is int_tensor(x)
+        assert int_tensor(twin) is not int_tensor(x)
+        assert [fld.name for fld in dataclasses.fields(x)] == fields
+        assert x == twin and hash(x) == hash(twin) == hashed
+        assert repr(x) == repr(twin) == shown and "IntTensor" not in shown
+    # a family is a sequence of maps and is converted on every call
+    assert int_tensor((f, f)) is not int_tensor((f, f))
+
+
+def test_unbound_map_keeps_no_tensor():
+    for x in (BilinearMap(2, ((0, 0, 1, "t"),)), LinearMap.from_rows([["t", F(0)], [F(0), F(1)]])):
+        for _ in range(2):
+            with pytest.raises(UnboundParameterError) as exc:
+                int_tensor(x)
+            assert str(exc.value) == "unbound parameter 't' in coefficient"
+        assert not any(isinstance(v, IntTensor) for v in vars(x).values())
+
+
+def test_misfit_spec_raises_on_every_call():
+    # the fit of a spec to its shapes is cached, the error is not: every call
+    # raises it with the same text, also after a call where the spec fits
+    t = {"op": int_tensor(BilinearMap(2, ((0, 0, 1, F(1)),))),
+         "w": int_tensor(LinearMap.zero(2, 3)), "g": int_tensor(LinearMap.identity(2))}
+    bad = "'ijr,or->ijo' does not fit shapes [(2, 2, 2), (2, 3)] with output shape (2, 2, 2)"
+    for _ in range(3):
+        with pytest.raises(DimensionError) as exc:
+            contract((2, 2, 2), ((1, "ijr,or->ijo", ("op", "w")),), t)
+        assert str(exc.value) == bad
+        with pytest.raises(DimensionError) as exc:
+            contraction_family("x", (2, (2,), ((1, "ijr,or->ijo", ("op", "w")),)), t, 2)
+        assert str(exc.value) == "x: " + bad
+        assert contract((2, 2, 2), ((1, "ijr,or->ijo", ("op", "g")),), t) == {(0, 0, 1): 1}
+
+
+def _kept_tensors(*roots):
+    """The IntTensors kept on the maps reachable from roots."""
+    out, todo, seen = [], list(roots), set()
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, dict):
+            todo += x.values()
+        elif isinstance(x, (tuple, list)):
+            todo += x
+        elif dataclasses.is_dataclass(x):
+            todo += [getattr(x, fld.name) for fld in dataclasses.fields(x)]
+            out += [v for v in vars(x).values() if isinstance(v, IntTensor)]
+    return out
+
+
+def _construction_cases(algebras):
+    """(a, [(class, rep, matched pair)], dual, coops) per algebra, each built
+    once: the regular module of every class with module axioms that a's ops
+    allow."""
+    out = []
+    for a in algebras:
+        reps = []
+        for cls in REP_OPS:
+            if set(CLASS_OPS[cls]) <= set(a.ops):
+                rep = regular_representation(a, cls)
+                reps.append((cls, rep, matched_pair_from_representation(a, rep, cls)))
+        dual = trivial_dual(a)
+        one = AlgebraPresentation(a.dim, dict(dual.ops, dot=BilinearMap(
+            a.dim, ((0, 0, 0, F(1)),))), dict(dual.maps))
+        out.append((a, reps, dual, comultiplications_from_dual_algebra(one)))
+    return out
+
+
+def _construction_outcomes(cases):
+    """What each module, matched-pair, Manin, bialgebra and derivation call
+    gives, residuals also by str, or the error it raises."""
+    def outcome(fn, *args):
+        try:
+            out = fn(*args)
+        except (ConstructionError, PreconditionError, MissingOperationError) as exc:
+            return "raises", type(exc).__name__, str(exc)
+        if isinstance(out, list):
+            return "derivations", [(d.m, repr(d)) for d in out]
+        return "report", out.passed, _flat(out)
+
+    got = []
+    for a, reps, dual, coops in cases:
+        for cls, rep, mp in reps:
+            got.append(outcome(check_rep, a, rep, cls))
+            got.append(outcome(check_matched_pair, mp, cls))
+        got.append(outcome(check_manin_triple, a, dual))
+        got.append(outcome(check_bialgebra_conditions, a, coops))
+        got += [outcome(derivation_space, a, name) for name in sorted(a.ops)]
+    return got
+
+
+def test_kept_tensors_give_the_cold_results_and_stay_unchanged():
+    # a second run on the same objects reads the tensors and groupings kept
+    # by the first; it must give what the first run and a run on freshly
+    # parsed copies give, and leave every kept dict as it found it
+    algebras = [a for _, _, a, _ in bound_fixtures()]
+    cases = _construction_cases(algebras)
+    cold = _construction_outcomes(cases)
+    kept = _kept_tensors(cases)
+    snapshot = [(t, copy.deepcopy(t.entries), {k: copy.deepcopy(g) for k, g in t._groups.items()})
+                for t in kept]
+    assert sum(len(groups) for _, _, groups in snapshot) > len(kept)
+    assert _construction_outcomes(cases) == cold
+    fresh = [parse_algebra(serialize_algebra(a)) for a in algebras]
+    assert _construction_outcomes(_construction_cases(fresh)) == cold
+    for t, entries, groups in snapshot:
+        assert t.entries == entries
+        assert {k: t._groups[k] for k in groups} == groups
+    kinds = {(got[0], got[1] if got[0] == "report" else bool(got[1])) for got in cold}
+    assert kinds >= {("report", True), ("report", False), ("derivations", True), ("raises", True)}

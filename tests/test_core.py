@@ -146,6 +146,12 @@ def test_linear_map_algebra():
         LinearMap.from_rows([[F(1), F(2)], [F(2), F(4)]]).inverse()
 
 
+def test_linear_map_power_rejects_a_negative_exponent():
+    # a negative n would otherwise give the identity, a wrong map, silently
+    with pytest.raises(ValueError, match="n >= 0, got -1"):
+        LinearMap.from_rows([[1, 2], [3, 4]]).power(-1)
+
+
 @given(st.lists(st.fractions(max_denominator=6), min_size=4, max_size=4))
 def test_linear_map_inverse_property(vals):
     m = LinearMap.from_rows([[vals[0], vals[1]], [vals[2], vals[3]]])
