@@ -486,14 +486,15 @@ class RepresentationPresentation:
             object.__setattr__(self, "beta", LinearMap.identity(self.module_dim))
         if self.beta.rows != self.module_dim or self.beta.cols != self.module_dim:
             raise DimensionError("beta must be module_dim-square")
+        # a new dict, so that the caller's keeps its own families
+        actions = {name: tuple(fam) for name, fam in self.actions.items()}
+        object.__setattr__(self, "actions", actions)
         for name, fam in self.actions.items():
-            fam = tuple(fam)
             if len(fam) != self.algebra_dim:
                 raise DimensionError("action %r must have %d members" % (name, self.algebra_dim))
             for mat in fam:
                 if mat.rows != self.module_dim or mat.cols != self.module_dim:
                     raise DimensionError("action %r matrices must be module_dim-square" % name)
-            self.actions[name] = fam
 
     def action(self, name):
         if name not in self.actions:

@@ -239,6 +239,24 @@ def test_dualrep(thp2_file, thp2_reg_file, tmp_path):
                  "transposed-hom-poisson"]) == FAIL
 
 
+def test_dualrep_of_a_non_module_whose_hypotheses_hold_exits_3(tmp_path, capsys):
+    # e1.e1 = e1 with a zero bracket; s(e1) is nilpotent, not idempotent,
+    # so the assoc-action axiom fails while every dual hypothesis holds
+    alg = tmp_path / "alg.json"
+    alg.write_text(serialize_algebra(AlgebraPresentation(
+        1, {"dot": BilinearMap(1, ((0, 0, 0, F(1)),)), "bracket": BilinearMap(1)},
+        {"alpha": LinearMap.identity(1)})))
+    zero = LinearMap.zero(2)
+    rep = tmp_path / "rep.json"
+    rep.write_text(serialize_representation(RepresentationPresentation(1, 2, {
+        "s": (LinearMap.from_rows([[F(0), F(1)], [F(0), F(0)]]),), "rho": (zero,)})))
+    assert main(["checkrep", str(alg), str(rep), "--class", "transposed-hom-poisson"]) == FAIL
+    capsys.readouterr()
+    assert main(["dualrep", str(alg), str(rep)]) == PRECONDITION
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("precondition failed: ")
+
+
 def test_matched_check_and_double(thp2_file, thp2_reg_file, tmp_path):
     a = catalog.get("THP2", {"lam": F(1)})
     from homstruct.matched_pairs import (
@@ -586,12 +604,13 @@ def _checkable_algebra_docs(draw):
 def test_generated_documents_reach_an_exit_code(tmp_path, capsys):
     """Generated documents never raise through main and end in exit 0-3; a
     document the parser rejects with FormatError ends in exit 2 with an
-    input error.  check and checkrep take generated algebra and
+    input error.  check, checkrep and dualrep take generated algebra and
     representation documents; the builders tensor, subadjacent, bracketd
-    and twist --alpha-h take checkable algebra documents and never exit 1;
-    rb check and oop check take generated operator documents, and
-    bialgebra comultiplication documents.  Every command both parses and
-    rejects some documents, and check both passes and fails."""
+    and twist --alpha-h, and derivations, take checkable algebra documents
+    and never exit 1; rb check and oop check take generated operator
+    documents, and bialgebra comultiplication documents.  No command writes
+    a failed runtime check ("check failed: ").  Every command both parses
+    and rejects some documents, and check both passes and fails."""
     alg = tmp_path / "alg.json"
     a = catalog.get("THP2", {"lam": F(1)})
     alg.write_text(serialize_algebra(a))
@@ -602,7 +621,7 @@ def test_generated_documents_reach_an_exit_code(tmp_path, capsys):
     classes = st.sampled_from(["comm-hom-assoc", "hom-lie", "transposed-hom-poisson",
                                "hom-pre-lie"])
     params = st.sampled_from(["", "t=1", "t=1/2,u=-3"])
-    builders = {"tensor", "subadjacent", "bracketd", "twist"}
+    builders = {"tensor", "subadjacent", "bracketd", "twist", "derivations"}
     outcomes = set()
     cls_slot = object()
     for argv, parse, docs, examples in (
@@ -619,7 +638,9 @@ def test_generated_documents_reach_an_exit_code(tmp_path, capsys):
              _O_OPERATOR_DOCS, 40),
             (["oop", "check", str(alg), str(rep), doc, "--class", cls_slot], parse_o_operator,
              _O_OPERATOR_DOCS, 40),
-            (["bialgebra", str(alg), doc], parse_comultiplications, _comultiplication_docs(), 40)):
+            (["bialgebra", str(alg), doc], parse_comultiplications, _comultiplication_docs(), 40),
+            (["dualrep", str(alg), doc], parse_representation, _representation_docs(), 40),
+            (["derivations", doc], parse_algebra, _checkable_algebra_docs(), 40)):
         command = " ".join(argv[:2]) if argv[0] in ("rb", "oop") else argv[0]
 
         @settings(max_examples=examples, derandomize=True, deadline=None, database=None)
@@ -630,19 +651,22 @@ def test_generated_documents_reach_an_exit_code(tmp_path, capsys):
             capsys.readouterr()
             code = main([cls if arg is cls_slot else arg for arg in argv]
                         + ["--params", binding])
+            err = capsys.readouterr().err
             assert code in (PASS, FAIL, USAGE, PRECONDITION)
             assert code != FAIL or command not in builders
+            assert not err.startswith("check failed: "), err
             try:
                 parse(text)
             except FormatError:
                 assert code == USAGE
-                assert capsys.readouterr().err.startswith("input error: ")
+                assert err.startswith("input error: ")
                 outcomes.add((command, "rejected"))
             else:
                 outcomes.add((command, "parsed"))
                 outcomes.add((command, code))
         run()
-    assert {(command, kind) for command in builders | {"rb check", "oop check", "bialgebra"}
+    assert {(command, kind)
+            for command in builders | {"rb check", "oop check", "bialgebra", "dualrep"}
             for kind in ("parsed", "rejected")} <= outcomes, outcomes
     assert {("check", "rejected"), ("check", "parsed"), ("check", PASS), ("check", FAIL),
             ("checkrep", "rejected"), ("checkrep", "parsed")} <= outcomes, outcomes

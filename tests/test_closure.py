@@ -8,7 +8,10 @@ paper.  These seeded cases pin each theorem.  Every call returns or raises
 PreconditionError, and every output passes helpers.closure_check_class, the
 per-tuple reference checker, for its builder's target class.  Each builder
 reaches at least 10 outputs, and each bracket and star builder at least 5
-with a nonzero new product.
+with a nonzero new product.  dual_representation and derivation_space are
+pinned the same way: the dual passes helpers.closure_check_rep when the
+hypotheses hold, and each basis member passes
+helpers.closure_check_derivation.
 
 The inputs are the bound fixtures, their basis changes and their derived
 twists, tensor products of them up to dim 6, derivation_space members and
@@ -50,16 +53,21 @@ from homstruct.operators import (
 )
 from homstruct.representations import (
     CROSS_ACTIONS,
+    dual_representation,
     regular_representation,
     semidirect_product,
 )
 
 from helpers import (
+    BASIS_CHANGES,
     apply_map,
     bilinear_from_table,
     bound_fixtures,
     closure_check_class,
+    closure_check_derivation,
     closure_check_morphism,
+    closure_check_rep,
+    closure_dual_hypotheses,
     eval_bilinear_scan,
     rand_fraction,
     rand_matrix,
@@ -385,3 +393,112 @@ def test_rota_baxter_induced_closure():
         morph = closure_check_morphism(sub, a, R)
         assert morph.passed, morph.all_witnesses()[:4]
     _reaches(outs, "star")
+
+
+def test_derivation_space_closure():
+    """Every member of every basis is a derivation of its op, commuting
+    with the twist when asked, over the fixtures and 4 products; at least
+    10 spaces are neither zero nor every map."""
+    rng = random.Random(9)
+    algs = list(_fixtures()) + _products(rng, _algebras("comm-hom-assoc"), "comm-hom-assoc", 2)
+    algs += _products(rng, _algebras(TRANSPOSED), TRANSPOSED, 2)
+    proper = 0
+    for a in algs:
+        for op in a.ops:
+            for commuting in ("alpha", None):
+                basis = derivation_space(a, op, commuting)
+                proper += 0 < len(basis) < a.dim ** 2
+                for d in basis:
+                    report = closure_check_derivation(a, op, d, commuting is not None)
+                    assert report.passed, report.all_witnesses()[:4]
+    assert proper >= 10, proper
+
+
+def _module_changes(a, rep):
+    """rep with its module basis changed along Q (each matrix m becomes
+    Q m Q^-1), and over transported(a) (s'(x) = s(P^-1 x)), for the
+    BASIS_CHANGES P and Q."""
+    Q = BASIS_CHANGES[rep.module_dim]
+    Qi, Pi = Q.inverse(), BASIS_CHANGES[a.dim].inverse()
+    n = a.dim
+    return [(a, RepresentationPresentation(
+                n, rep.module_dim,
+                {name: tuple(Q @ m @ Qi for m in fam) for name, fam in rep.actions.items()},
+                Q @ rep.beta @ Qi)),
+            (transported(a), RepresentationPresentation(
+                n, rep.module_dim,
+                {name: tuple(rep.of(name, Pi.column(i)) for i in range(n))
+                 for name in rep.actions}, rep.beta))]
+
+
+def _dual_modules():
+    """Modules on which every dual hypothesis holds, with their basis
+    changes.  Over TP2 and THP2 at lam = 1 the actions are polynomials in
+    a Jordan block beta, so s, rho and beta are not symmetric and the dual
+    needs each transposed.  Their actions vanish on the derived algebra,
+    so the sign of rho does not show; it does in the regular modules of
+    two Hom-Lie brackets with a zero dot (there, any Hom-Lie module with
+    s = 0 over an involutive twist meets the hypotheses)."""
+    def block(c, b):
+        return LinearMap.from_rows([[F(c), F(b)], [F(0), F(c)]])
+
+    zero = LinearMap.zero(2)
+    tp2, thp2 = catalog.get("TP2"), catalog.get("THP2", {"lam": F(1)})
+    cases = [(tp2, RepresentationPresentation(2, 2, {"s": (zero, block(1, 1)),
+                                                     "rho": (zero, block(2, -1))}, block(1, 1))),
+             (thp2, RepresentationPresentation(2, 2, {"s": (block(-1, 1), zero),
+                                                      "rho": (block(2, 1), zero)}, block(1, -1)))]
+    for a in (tp2, thp2):
+        lie = AlgebraPresentation(2, {"dot": BilinearMap(2), "bracket": a.op("bracket")},
+                                  {"alpha": a.alpha})
+        cases.append((lie, regular_representation(lie, TRANSPOSED)))
+    return [case for a, rep in cases for case in [(a, rep)] + _module_changes(a, rep)]
+
+
+def _drawn_actions(rng, count):
+    """count action sets over the transposed fixtures and their basis
+    changes: at module dim 1, or at dim 2 with upper triangular Toeplitz
+    matrices (polynomials in one Jordan block, so they commute), each
+    action matrix zero with probability 0.4."""
+    algs = [a for _, _, a, cls in bound_fixtures() if cls == TRANSPOSED]
+    algs += [transported(a) for a in algs]
+    value = lambda: F(rng.choice((-1, 0, 1, 2)))
+    cases = []
+    for _ in range(count):
+        a, p = rng.choice(algs), rng.choice((1, 2))
+
+        def draw():
+            c, b = value(), value()
+            return LinearMap.from_rows([[c]] if p == 1 else [[c, b], [F(0), c]])
+
+        actions = {name: tuple(draw() if rng.random() < 0.6 else LinearMap.zero(p)
+                               for _ in range(a.dim)) for name in ("s", "rho")}
+        cases.append((a, RepresentationPresentation(a.dim, p, actions, draw())))
+    return cases
+
+
+def test_dual_representation_closure():
+    """When the hypotheses hold, a module's dual is a module and a
+    non-module raises PreconditionError; the hypotheses report is the
+    reference one.  The hand-built modules have nonzero duals."""
+    hand = _dual_modules()
+    duals = rejected = 0
+    for k, (a, rep) in enumerate(hand + _drawn_actions(random.Random(10), 400)):
+        hyp = closure_dual_hypotheses(a, rep, 4)
+        try:
+            dual, got = dual_representation(a, rep, 4)
+        except PreconditionError:
+            assert k >= len(hand) and hyp.passed
+            assert not closure_check_rep(a, rep, TRANSPOSED).passed
+            rejected += 1
+            continue
+        assert (got.passed, got.failures) == (hyp.passed, hyp.failures)
+        if k < len(hand):
+            assert got.passed and any(not m.is_zero() for fam in dual.actions.values()
+                                      for m in fam)
+        if got.passed:
+            for module in (rep, dual):
+                report = closure_check_rep(a, module, TRANSPOSED)
+                assert report.passed, report.all_witnesses()[:4]
+            duals += 1
+    assert duals >= 20 and rejected >= 10, (duals, rejected)

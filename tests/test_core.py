@@ -208,6 +208,15 @@ def test_representation_round_trip():
     assert serialize_representation(parse_representation(text)) == text
 
 
+def test_representation_leaves_the_callers_actions_unchanged():
+    from homstruct.core import RepresentationPresentation
+    one = LinearMap.identity(1)
+    acts = {"s": [one]}
+    rep = RepresentationPresentation(1, 1, acts)
+    assert acts == {"s": [one]} and acts is not rep.actions
+    assert rep.actions == {"s": (one,)}
+
+
 def test_parse_algebra_errors():
     with pytest.raises(FormatError):
         parse_algebra("{}")

@@ -14,7 +14,6 @@ from homstruct.core import (
     RepresentationPresentation,
 )
 from homstruct.operators import (
-    ConstructionError,
     PreconditionError,
     check_o_operator,
     check_rota_baxter,
