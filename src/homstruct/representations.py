@@ -269,8 +269,9 @@ def dual_representation(a, rep, max_witnesses=32):
     guaranteed to satisfy the transposed module axioms, in a strict form (the
     twist commutes with each action) and a twist-symmetrized form; both
     verdicts are reported.  When all six hypotheses hold, the theorem needs
-    rep to be a module: PreconditionError if it fails the module axioms.
-    The dual is not checked again; tests/test_closure.py pins the theorem.
+    rep to be a module and a to be in the class: PreconditionError if rep
+    fails the module axioms or a the class checker.  The dual is not
+    checked again; tests/test_closure.py pins the theorem.
     Returns (dual_rep, hypotheses_report).
     """
     cls = "transposed-hom-poisson"
@@ -279,6 +280,7 @@ def dual_representation(a, rep, max_witnesses=32):
     if hyp.passed:
         require_passed(_report(t, cls, max_witnesses),
                        "representation fails the %s module axioms" % cls)
+        require_passed(check_class(a, cls, max_witnesses), "input is not in class %s" % cls)
     dual = RepresentationPresentation(
         a.dim, rep.module_dim,
         {"s": tuple(m.transpose() for m in rep.action("s")),

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from homstruct import catalog
 from homstruct.cli import main
@@ -239,22 +239,37 @@ def test_dualrep(thp2_file, thp2_reg_file, tmp_path):
                  "transposed-hom-poisson"]) == FAIL
 
 
-def test_dualrep_of_a_non_module_whose_hypotheses_hold_exits_3(tmp_path, capsys):
+def _unit(i, j):
+    return LinearMap.from_rows([[F(int((r, c) == (i, j))) for c in range(2)] for r in range(2)])
+
+
+@pytest.mark.parametrize("a, rep, checkrep", [
     # e1.e1 = e1 with a zero bracket; s(e1) is nilpotent, not idempotent,
     # so the assoc-action axiom fails while every dual hypothesis holds
-    alg = tmp_path / "alg.json"
-    alg.write_text(serialize_algebra(AlgebraPresentation(
-        1, {"dot": BilinearMap(1, ((0, 0, 0, F(1)),)), "bracket": BilinearMap(1)},
-        {"alpha": LinearMap.identity(1)})))
-    zero = LinearMap.zero(2)
-    rep = tmp_path / "rep.json"
-    rep.write_text(serialize_representation(RepresentationPresentation(1, 2, {
-        "s": (LinearMap.from_rows([[F(0), F(1)], [F(0), F(0)]]),), "rho": (zero,)})))
-    assert main(["checkrep", str(alg), str(rep), "--class", "transposed-hom-poisson"]) == FAIL
+    (AlgebraPresentation(1, {"dot": BilinearMap(1, ((0, 0, 0, F(1)),)),
+                             "bracket": BilinearMap(1)}, {"alpha": LinearMap.identity(1)}),
+     RepresentationPresentation(1, 2, {"s": (_unit(0, 1),), "rho": (LinearMap.zero(2),)}),
+     FAIL),
+    # e1.e1 = e1 and e1.e2 = e2 is not commutative; s(e1) = E11 and
+    # s(e2) = E12 make a module whose transposed actions are not one
+    (AlgebraPresentation(2, {"dot": BilinearMap(2, ((0, 0, 0, F(1)), (0, 1, 1, F(1)))),
+                             "bracket": BilinearMap(2)}, {"alpha": LinearMap.identity(2)}),
+     RepresentationPresentation(2, 2, {"s": (_unit(0, 0), _unit(0, 1)),
+                                       "rho": (LinearMap.zero(2),) * 2}),
+     PASS),
+], ids=["non-module", "algebra-outside-the-class"])
+def test_dualrep_exits_3_when_the_hypotheses_hold_but_the_theorem_does_not(
+        tmp_path, capsys, a, rep, checkrep):
+    alg, rep_file, dual = tmp_path / "alg.json", tmp_path / "rep.json", tmp_path / "dual.json"
+    alg.write_text(serialize_algebra(a))
+    rep_file.write_text(serialize_representation(rep))
+    assert main(["checkrep", str(alg), str(rep_file),
+                 "--class", "transposed-hom-poisson"]) == checkrep
     capsys.readouterr()
-    assert main(["dualrep", str(alg), str(rep)]) == PRECONDITION
+    assert main(["dualrep", str(alg), str(rep_file), "--rep-output", str(dual)]) == PRECONDITION
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("precondition failed: ")
+    assert not dual.exists()
 
 
 def test_matched_check_and_double(thp2_file, thp2_reg_file, tmp_path):
@@ -610,12 +625,20 @@ def test_generated_documents_reach_an_exit_code(tmp_path, capsys):
     and never exit 1; rb check and oop check take generated operator
     documents, and bialgebra comultiplication documents.  No command writes
     a failed runtime check ("check failed: ").  Every command both parses
-    and rejects some documents, and check both passes and fails."""
+    and rejects some documents, and check both passes and fails.  Each
+    command also runs one fixed valid and one fixed invalid document of its
+    kind, so that it parses and rejects some whatever the generated draw."""
     alg = tmp_path / "alg.json"
     a = catalog.get("THP2", {"lam": F(1)})
     alg.write_text(serialize_algebra(a))
     rep = tmp_path / "rep.json"
     rep.write_text(serialize_representation(regular_representation(a, "transposed-hom-poisson")))
+    fixed = {parse_algebra: (_ALG1, dict(_ALG1, opz={"dot": []})),
+             parse_representation: (json.loads(rep.read_text()), dict(_REP1, bta=[["1"]])),
+             parse_o_operator: ({"T": [["1", "0"], ["0", "1"]]}, {"T": [["1"]], "R": [["1"]]}),
+             parse_comultiplications: ({"dim": 2, "coops": {"dot": [], "bracket": []}},
+                                       {"dim": 2, "coops": {"dot": [], "bracket": []},
+                                        "coop": {}})}
     doc_file = tmp_path / "doc.json"
     doc = str(doc_file)
     classes = st.sampled_from(["comm-hom-assoc", "hom-lie", "transposed-hom-poisson",
@@ -642,9 +665,12 @@ def test_generated_documents_reach_an_exit_code(tmp_path, capsys):
             (["dualrep", str(alg), doc], parse_representation, _representation_docs(), 40),
             (["derivations", doc], parse_algebra, _checkable_algebra_docs(), 40)):
         command = " ".join(argv[:2]) if argv[0] in ("rb", "oop") else argv[0]
+        valid, invalid = fixed[parse]
 
         @settings(max_examples=examples, derandomize=True, deadline=None, database=None)
         @given(docs, classes, params)
+        @example(valid, "transposed-hom-poisson", "")
+        @example(invalid, "transposed-hom-poisson", "")
         def run(document, cls, binding):
             text = json.dumps(document)
             doc_file.write_text(text)

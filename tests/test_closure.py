@@ -10,8 +10,8 @@ per-tuple reference checker, for its builder's target class.  Each builder
 reaches at least 10 outputs, and each bracket and star builder at least 5
 with a nonzero new product.  dual_representation and derivation_space are
 pinned the same way: the dual passes helpers.closure_check_rep when the
-hypotheses hold, and each basis member passes
-helpers.closure_check_derivation.
+hypotheses hold over an algebra in the class, and each basis member
+passes helpers.closure_check_derivation.
 
 The inputs are the bound fixtures, their basis changes and their derived
 twists, tensor products of them up to dim 6, derivation_space members and
@@ -25,6 +25,8 @@ operators they lift to make the star identities count.
 import functools
 import random
 from fractions import Fraction
+
+import pytest
 
 from homstruct import catalog
 from homstruct.axioms import CLASS_OPS
@@ -455,6 +457,24 @@ def _dual_modules():
     return [case for a, rep in cases for case in [(a, rep)] + _module_changes(a, rep)]
 
 
+def _outside_class():
+    """A module over an algebra outside the class, with its basis changes.
+    e1.e1 = e1 and e1.e2 = e2 is not commutative.  s(e1) = E11 and
+    s(e2) = E12 make a homomorphism, rho = 0 and beta = id, so the module
+    axioms and every dual hypothesis hold.  The transposed actions are not
+    a module: s*(e1.e2) = E21 but s*(e1) s*(e2) = E11 E21 = 0."""
+    def unit(i, j):
+        return LinearMap.from_rows([[F(int((r, c) == (i, j))) for c in range(2)]
+                                    for r in range(2)])
+
+    zero = LinearMap.zero(2)
+    a = AlgebraPresentation(2, {"dot": BilinearMap(2, ((0, 0, 0, F(1)), (0, 1, 1, F(1)))),
+                                "bracket": BilinearMap(2)}, {"alpha": LinearMap.identity(2)})
+    rep = RepresentationPresentation(2, 2, {"s": (unit(0, 0), unit(0, 1)), "rho": (zero, zero)},
+                                     LinearMap.identity(2))
+    return [(a, rep)] + _module_changes(a, rep)
+
+
 def _drawn_actions(rng, count):
     """count action sets over the transposed fixtures and their basis
     changes: at module dim 1, or at dim 2 with upper triangular Toeplitz
@@ -478,9 +498,20 @@ def _drawn_actions(rng, count):
 
 
 def test_dual_representation_closure():
-    """When the hypotheses hold, a module's dual is a module and a
-    non-module raises PreconditionError; the hypotheses report is the
-    reference one.  The hand-built modules have nonzero duals."""
+    """When the hypotheses hold, a module's dual over an algebra in the
+    class is a module, and a non-module or an algebra outside the class
+    raises PreconditionError; the hypotheses report is the reference one.
+    The hand-built modules have nonzero duals."""
+    for a, rep in _outside_class():
+        assert closure_check_rep(a, rep, TRANSPOSED).passed
+        assert closure_dual_hypotheses(a, rep).passed
+        assert not closure_check_class(a, TRANSPOSED).passed
+        transposed = RepresentationPresentation(
+            2, 2, {"s": tuple(m.transpose() for m in rep.action("s")), "rho": rep.action("rho")},
+            rep.beta.transpose())
+        assert not closure_check_rep(a, transposed, TRANSPOSED).passed
+        with pytest.raises(PreconditionError, match="not in class"):
+            dual_representation(a, rep, 4)
     hand = _dual_modules()
     duals = rejected = 0
     for k, (a, rep) in enumerate(hand + _drawn_actions(random.Random(10), 400)):

@@ -41,6 +41,7 @@ from homstruct.representations import (
 
 from helpers import (
     bound_fixtures,
+    closure_check_class,
     closure_check_rep,
     closure_dual_hypotheses,
     perturbed_fixtures,
@@ -330,13 +331,16 @@ def test_check_rep_matches_fraction_closures():
             try:
                 dual, hyp = dual_representation(a, rep, mw)
             except PreconditionError:
-                # only when every hypothesis holds is the module checked
-                assert not closure_check_rep(a, rep, cls, mw).passed
+                # only when every hypothesis holds are the module and the
+                # algebra checked
+                assert not (closure_check_rep(a, rep, cls, mw).passed
+                            and closure_check_class(a, cls, mw).passed)
                 assert closure_dual_hypotheses(a, rep, mw).passed
                 continue
             assert _flat(hyp) == _flat(closure_dual_hypotheses(a, rep, mw))
             assert (_flat(check_rep(a, dual, cls, mw))
                     == _flat(closure_check_rep(a, dual, cls, mw)))
+            assert not hyp.passed or closure_check_rep(a, dual, cls, mw).passed
     assert verdicts == {(cls, v) for cls in REP_OPS for v in (True, False)}
 
 
