@@ -16,6 +16,7 @@ Fractions.
 from __future__ import annotations
 
 import math
+from itertools import compress
 
 from homstruct.core import (
     CheckReport,
@@ -216,7 +217,8 @@ class _Tables:
         adds, for each nonzero inner cell (x_q, x_r) with coordinate v at b,
         c * v * M[x_p][b] for each (x_p, M[x_p][b]) of twisted row b, which
         lists only the nonzero ones.  Only the nonzero accumulators are
-        unpacked.
+        decoded and unpacked; C-level scans (`list.count`, `compress`) find
+        them, so the n ** arity slots cost no Python-level loop.
         """
         arity, terms = IDENTITIES[ident]
         n = self.dim
@@ -246,8 +248,10 @@ class _Tables:
                         cv = c * v
                         for off, w in rows[b]:
                             acc[base + off] += cv * w
-            return scale, {tuple(idx // stride % n for stride in strides): self.unpack(v)
-                           for idx, v in enumerate(acc) if v}
+            if acc.count(0) == len(acc):
+                return scale, {}
+            return scale, {tuple(idx // stride % n for stride in strides): self.unpack(acc[idx])
+                           for idx in compress(range(len(acc)), acc)}
         return ident, arity, table
 
 

@@ -431,6 +431,9 @@ class AlgebraPresentation:
     params: tuple = ()
 
     def __post_init__(self):
+        # new dicts, so that a later write to the caller's cannot change the algebra
+        object.__setattr__(self, "ops", dict(self.ops))
+        object.__setattr__(self, "maps", dict(self.maps))
         if not self.basis:
             object.__setattr__(self, "basis", default_basis(self.dim))
         if len(self.basis) != self.dim:

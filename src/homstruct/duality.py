@@ -29,7 +29,9 @@ from homstruct.core import (
     require_passed,
     run_identity_families,
 )
-from homstruct.matched_pairs import MatchedPairData, build_double, check_matched_pair
+from homstruct.matched_pairs import MatchedPairData, _matched_pair_report, build_double
+
+_TRANSPOSED = "transposed-hom-poisson"
 
 
 def dual_map(f):
@@ -90,10 +92,13 @@ def build_double_dual(a, a_star):
     Hom-Poisson checker.
     """
     for tag, alg in (("a", a), ("a_star", a_star)):
-        require_passed(check_class(alg, "transposed-hom-poisson"),
-                       "%s is not a transposed Hom-Poisson algebra" % tag)
-    return build_double(coadjoint_matched_pair(a, a_star),
-                        "transposed-hom-poisson", check_actions=False)
+        _require_transposed(tag, alg)
+    return build_double(coadjoint_matched_pair(a, a_star), _TRANSPOSED, check_actions=False)
+
+
+def _require_transposed(tag, alg):
+    require_passed(check_class(alg, _TRANSPOSED),
+                   "%s is not a transposed Hom-Poisson algebra" % tag)
 
 
 def standard_form(n):
@@ -146,12 +151,17 @@ def check_manin_triple(a, a_star, max_witnesses=32):
     a.require_bound()
     a_star.require_bound()
     double = build_double_dual(a, a_star)
-    form = standard_form(a.dim)
+    return _manin_report(a, a_star, double, check_class(double, _TRANSPOSED, max_witnesses),
+                         max_witnesses)
+
+
+def _manin_report(a, a_star, double, double_report, max_witnesses):
+    """`check_manin_triple`'s report on the built coadjoint `double`, whose
+    class report a caller that already holds it passes in."""
     subs = {
-        "double-transposed": check_class(double, "transposed-hom-poisson",
-                                         max_witnesses),
+        "double-transposed": double_report,
         "blocks": _block_closure_report(double, a, a_star, max_witnesses),
-        "invariant-form": check_invariant_form(double, form, max_witnesses),
+        "invariant-form": check_invariant_form(double, standard_form(a.dim), max_witnesses),
     }
     return CheckReport(
         checked=sum(sub.checked for sub in subs.values()),
@@ -210,8 +220,7 @@ def check_bialgebra_conditions(a, coops, max_witnesses=32):
     n = a.dim
     dual = algebra_from_comultiplications(a, coops)
     subs = {
-        "algebra-transposed": check_class(a, "transposed-hom-poisson",
-                                          max_witnesses),
+        "algebra-transposed": check_class(a, _TRANSPOSED, max_witnesses),
         "dual-dot-comm-assoc": check_class(dual, "comm-hom-assoc", max_witnesses),
         "dual-bracket-hom-lie": check_class(dual, "hom-lie", max_witnesses),
     }
@@ -268,17 +277,28 @@ def check_bialgebra_conditions(a, coops, max_witnesses=32):
 def equivalence_report(a, a_star, max_witnesses=32):
     """The bialgebra, matched-pair and Manin-triple verdicts for (A, A*).
 
-    The three verdicts are computed independently and must agree; a
-    disagreement raises ConstructionError.  Returns a dict with the three
+    The reports are those of `check_bialgebra_conditions`,
+    `check_matched_pair` on `coadjoint_matched_pair` and
+    `check_manin_triple`, with the raises in that order.  The coadjoint
+    double is built and class-checked once: that one report is the
+    matched-pair report's "double" and the Manin report's
+    "double-transposed".  The Manin gate on `a` reads the bialgebra
+    report's "algebra-transposed" verdict.  The three verdicts must agree;
+    a disagreement raises ConstructionError.  Returns a dict with the three
     reports and the shared verdict.
     """
     a.require_bound()
     a_star.require_bound()
     coops = comultiplications_from_dual_algebra(a_star)
     bial = check_bialgebra_conditions(a, coops, max_witnesses)
-    mp = check_matched_pair(coadjoint_matched_pair(a, a_star),
-                            "transposed-hom-poisson", max_witnesses)
-    manin = check_manin_triple(a, a_star, max_witnesses)
+    pair = coadjoint_matched_pair(a, a_star)
+    double = build_double(pair, _TRANSPOSED, check_actions=False)
+    double_report = check_class(double, _TRANSPOSED, max_witnesses)
+    mp = _matched_pair_report(pair, _TRANSPOSED, double_report, max_witnesses)
+    if not bial.sub_reports["algebra-transposed"].passed:
+        _require_transposed("a", a)
+    _require_transposed("a_star", a_star)
+    manin = _manin_report(a, a_star, double, double_report, max_witnesses)
     verdicts = (bial.passed, mp.passed, manin.passed)
     if len(set(verdicts)) != 1:
         raise ConstructionError(

@@ -130,7 +130,13 @@ def check_matched_pair(mp, class_name, max_witnesses=32):
     """
     class_name = rep_class(class_name)
     double = build_double(mp, class_name, check_actions=False)
-    verdict = check_class(double, class_name, max_witnesses)
+    return _matched_pair_report(mp, class_name, check_class(double, class_name, max_witnesses),
+                                max_witnesses)
+
+
+def _matched_pair_report(mp, class_name, verdict, max_witnesses):
+    """`check_matched_pair`'s report around the double's class report
+    `verdict`, which a caller that already holds it passes in."""
     rep_ab = check_rep(mp.algebra_a, mp.actions_ab, class_name, max_witnesses)
     rep_ba = check_rep(mp.algebra_b, mp.actions_ba, class_name, max_witnesses)
     return CheckReport(

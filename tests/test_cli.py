@@ -623,8 +623,10 @@ def test_generated_documents_reach_an_exit_code(tmp_path, capsys):
     representation documents; the builders tensor, subadjacent, bracketd
     and twist --alpha-h, and derivations, take checkable algebra documents
     and never exit 1; rb check and oop check take generated operator
-    documents, and bialgebra comultiplication documents.  No command writes
-    a failed runtime check ("check failed: ").  Every command both parses
+    documents, bialgebra comultiplication documents, and manin a checkable
+    dual of THP2.  No command writes a failed runtime check ("check
+    failed: "); equivalence is left out, as its known red case (criterion
+    07) writes one.  Every command both parses
     and rejects some documents, and check both passes and fails.  Each
     command also runs one fixed valid and one fixed invalid document of its
     kind, so that it parses and rejects some whatever the generated draw."""
@@ -638,7 +640,10 @@ def test_generated_documents_reach_an_exit_code(tmp_path, capsys):
              parse_o_operator: ({"T": [["1", "0"], ["0", "1"]]}, {"T": [["1"]], "R": [["1"]]}),
              parse_comultiplications: ({"dim": 2, "coops": {"dot": [], "bracket": []}},
                                        {"dim": 2, "coops": {"dot": [], "bracket": []},
-                                        "coop": {}})}
+                                        "coop": {}}),
+             # a dual of THP2 that reaches the Manin verdict
+             "manin": (json.loads(serialize_algebra(trivial_dual(a))),
+                       dict(_ALG1, opz={"dot": []}))}
     doc_file = tmp_path / "doc.json"
     doc = str(doc_file)
     classes = st.sampled_from(["comm-hom-assoc", "hom-lie", "transposed-hom-poisson",
@@ -663,9 +668,10 @@ def test_generated_documents_reach_an_exit_code(tmp_path, capsys):
              _O_OPERATOR_DOCS, 40),
             (["bialgebra", str(alg), doc], parse_comultiplications, _comultiplication_docs(), 40),
             (["dualrep", str(alg), doc], parse_representation, _representation_docs(), 40),
-            (["derivations", doc], parse_algebra, _checkable_algebra_docs(), 40)):
+            (["derivations", doc], parse_algebra, _checkable_algebra_docs(), 40),
+            (["manin", str(alg), doc], parse_algebra, _checkable_algebra_docs(), 40)):
         command = " ".join(argv[:2]) if argv[0] in ("rb", "oop") else argv[0]
-        valid, invalid = fixed[parse]
+        valid, invalid = fixed.get(command, fixed[parse])
 
         @settings(max_examples=examples, derandomize=True, deadline=None, database=None)
         @given(docs, classes, params)
@@ -692,7 +698,9 @@ def test_generated_documents_reach_an_exit_code(tmp_path, capsys):
                 outcomes.add((command, code))
         run()
     assert {(command, kind)
-            for command in builders | {"rb check", "oop check", "bialgebra", "dualrep"}
+            for command in builders | {"rb check", "oop check", "bialgebra", "dualrep",
+                                       "manin"}
             for kind in ("parsed", "rejected")} <= outcomes, outcomes
     assert {("check", "rejected"), ("check", "parsed"), ("check", PASS), ("check", FAIL),
-            ("checkrep", "rejected"), ("checkrep", "parsed")} <= outcomes, outcomes
+            ("checkrep", "rejected"), ("checkrep", "parsed"),
+            ("manin", FAIL)} <= outcomes, outcomes

@@ -217,6 +217,18 @@ def test_representation_leaves_the_callers_actions_unchanged():
     assert rep.actions == {"s": (one,)}
 
 
+def test_algebra_is_not_changed_by_a_later_write_to_the_callers_dicts():
+    one = LinearMap.identity(1)
+    dot = BilinearMap(1, ((0, 0, 0, F(1)),))
+    ops, maps = {"dot": dot}, {"alpha": one}
+    a = AlgebraPresentation(1, ops, maps)
+    ops["dot"] = BilinearMap(2)
+    ops["bracket"] = BilinearMap(1)
+    maps["alpha"] = LinearMap.identity(2)
+    assert a.ops is not ops and a.maps is not maps
+    assert a.ops == {"dot": dot} and a.maps == {"alpha": one}
+
+
 def test_parse_algebra_errors():
     with pytest.raises(FormatError):
         parse_algebra("{}")

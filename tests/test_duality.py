@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from homstruct import catalog
+from homstruct import axioms, catalog, duality, matched_pairs
 from homstruct.core import (
     AlgebraPresentation,
     BilinearMap,
@@ -17,6 +17,7 @@ from homstruct.duality import (
     check_invariant_form,
     check_manin_triple,
     coadjoint_actions,
+    coadjoint_matched_pair,
     comultiplication_from_algebra_op,
     comultiplications_from_dual_algebra,
     dual_map,
@@ -26,8 +27,12 @@ from homstruct.duality import (
     tensor_map,
     trivial_dual,
 )
+from homstruct.matched_pairs import check_matched_pair
+
+from helpers import bound_fixtures
 
 F = Fraction
+T = "transposed-hom-poisson"
 
 
 def _abelian(dim=2):
@@ -196,3 +201,84 @@ def test_build_double_dual_gates_inputs():
         {"alpha": LinearMap.identity(2)})
     with pytest.raises(PreconditionError):
         build_double_dual(a, bad_dual)
+
+
+def _outside_the_class():
+    """(tag, a, a_star): the input named by tag is not transposed
+    Hom-Poisson."""
+    thp2 = catalog.get("THP2", {"lam": F(1)})
+    bad = AlgebraPresentation(
+        2, {"dot": thp2.op("dot"), "bracket": BilinearMap(2, ((0, 1, 0, F(1)),))},
+        {"alpha": thp2.alpha})
+    bad_dual = AlgebraPresentation(
+        2, {"dot": BilinearMap(2, ((0, 0, 0, F(1)), (0, 1, 0, F(1)))),
+            "bracket": BilinearMap(2, ())},
+        {"alpha": LinearMap.identity(2)})
+    return [("a", bad, trivial_dual(bad)), ("a_star", thp2, bad_dual)]
+
+
+def _standalone_equivalence(a, a_star, max_witnesses):
+    """equivalence_report composed from the three standalone checks."""
+    bial = check_bialgebra_conditions(
+        a, comultiplications_from_dual_algebra(a_star), max_witnesses)
+    mp = check_matched_pair(coadjoint_matched_pair(a, a_star), T, max_witnesses)
+    manin = check_manin_triple(a, a_star, max_witnesses)
+    verdicts = (bial.passed, mp.passed, manin.passed)
+    if len(set(verdicts)) != 1:
+        raise ConstructionError(
+            "equivalence broken: bialgebra=%s matched_pair=%s manin=%s" % verdicts)
+    return {"verdict": verdicts[0], "bialgebra": bial, "matched_pair": mp,
+            "manin": manin}
+
+
+def _outcome(fn, *args):
+    try:
+        return "returned", fn(*args)
+    except (ConstructionError, PreconditionError) as exc:
+        return "raised", type(exc), str(exc), getattr(exc, "report", None)
+
+
+def test_equivalence_equals_the_standalone_checks():
+    # every bound transposed fixture with three duals, and an a or an a_star
+    # outside the class; each at three witness caps
+    cases = [(a, dual(a)) for _, _, a, cls in bound_fixtures() if cls == T
+             for dual in (trivial_dual, _oneprod_dual, lambda a: a)]
+    cases += [(a, a_star) for _, a, a_star in _outside_the_class()]
+    kinds = set()
+    for a, a_star in cases:
+        for mw in (0, 1, 32):
+            got = _outcome(equivalence_report, a, a_star, mw)
+            assert got == _outcome(_standalone_equivalence, a, a_star, mw)
+            kinds.add(got[:2] if got[0] == "raised" else (got[0], got[1]["verdict"]))
+    # criterion 07, both gates and a shared False verdict are all reached
+    assert kinds >= {("raised", ConstructionError), ("raised", PreconditionError),
+                     ("returned", False)}, kinds
+    # the gate's report is the default-cap class report of the input at fault
+    for tag, a, a_star in _outside_the_class():
+        with pytest.raises(PreconditionError) as exc:
+            equivalence_report(a, a_star, 0)
+        assert str(exc.value) == "%s is not a transposed Hom-Poisson algebra" % tag
+        assert exc.value.report == axioms.check_class({"a": a, "a_star": a_star}[tag], T)
+
+
+def test_equivalence_builds_and_checks_the_double_once(monkeypatch):
+    doubles, checked = [], []
+
+    def counting_build(*args, **kwargs):
+        doubles.append(build(*args, **kwargs))
+        return doubles[-1]
+
+    def counting_check(a, *args, **kwargs):
+        checked.append(a)
+        return check(a, *args, **kwargs)
+
+    build, check = matched_pairs.build_double, axioms.CLASS_CHECKERS[T]
+    for module in (duality, matched_pairs):
+        monkeypatch.setattr(module, "build_double", counting_build)
+    monkeypatch.setitem(axioms.CLASS_CHECKERS, T, counting_check)
+    for a in (catalog.get("TP2"), catalog.get("THP2", {"lam": F(1)})):
+        doubles.clear()
+        checked.clear()
+        equivalence_report(a, _oneprod_dual(a))
+        assert len(doubles) == 1
+        assert sum(x is doubles[0] for x in checked) == 1
