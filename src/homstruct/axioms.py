@@ -385,7 +385,8 @@ def check_morphism(a, b, f, op_names=None, max_witnesses=32):
 
 
 def check_transposed_consequences(a, max_witnesses=32):
-    """Derived identities every transposed Hom-Poisson algebra must satisfy.
+    """Derived identities every transposed Hom-Poisson algebra must satisfy:
+    the paper's identities that follow from the transposed Leibniz rule.
 
     cyclic-sum: a(x).{y,z} + a(y).{z,x} + a(z).{x,y} = 0.
     four-variable (only when alpha = id, otherwise skipped with a note):
@@ -405,7 +406,9 @@ def check_transposed_consequences(a, max_witnesses=32):
 
 
 def check_poisson_intersection(a, max_witnesses=32):
-    """Both Hom-Poisson and transposed hold iff both mixed products vanish.
+    """Both Hom-Poisson and transposed hold iff both mixed products vanish:
+    the paper's description of the algebras that are both Hom-Poisson and
+    transposed Hom-Poisson.
 
     Carries three verdicts as sub-reports: membership in each of the two
     classes, and the annihilation conditions a(x).{y,z} = 0 and

@@ -141,10 +141,6 @@ def describe(name):
             "params": list(a.params), "description": desc}
 
 
-def target_class(name):
-    return _ENTRIES[name][0]
-
-
 def get(name, binding=None):
     """Return the named presentation, instantiating parameters if given."""
     a = _ENTRIES[name][1]()

@@ -27,7 +27,6 @@ from homstruct.core import (
     AlgebraPresentation,
     ConstructionError,
     IntTensor,
-    LinearMap,
     PreconditionError,
     bilinear_from_terms,
     int_tensor,
@@ -227,29 +226,3 @@ def sub_adjacent(a):
     if has_dot:
         ops["dot"] = a.op("dot")
     return AlgebraPresentation(a.dim, ops, {"alpha": a.alpha}, a.basis)
-
-
-def twisting_report(a, g, class_name="transposed-hom-poisson"):
-    """Inspect the untwisted composed structure g o op on an alpha = id algebra.
-
-    Reports whether both composed products vanish (trivial), whether the
-    composed dot is associative and the composed bracket satisfies Jacobi
-    without any twist, and the resulting sufficient non-rigidity flag.
-    """
-    class_name = resolve_class(class_name)
-    a.require_bound()
-    if not a.alpha.is_identity():
-        raise PreconditionError("twisting_report requires the identity twist")
-    require_passed(check_morphism(a, a, g, op_names=CLASS_OPS[class_name]),
-                   "g is not a morphism of the input algebra")
-    ops = _compose_ops(a, g, list(CLASS_OPS[class_name]))
-    untwisted = AlgebraPresentation(
-        a.dim, ops, {"alpha": LinearMap.identity(a.dim)}, a.basis)
-    result = {"trivial": all(op.is_zero for op in ops.values())}
-    if "dot" in ops:
-        result["dot_associative"] = check_class(untwisted, "comm-hom-assoc").passed
-    if "bracket" in ops:
-        result["bracket_jacobi"] = check_class(untwisted, "hom-lie").passed
-    result["not_rigid"] = not all(
-        result.get(k, True) for k in ("dot_associative", "bracket_jacobi"))
-    return result

@@ -346,17 +346,6 @@ def block_diag(f, g):
     return LinearMap.from_rows(rows)
 
 
-def linear_combination(mats, x):
-    """sum_i x_i * mats[i] for a coefficient vector x over the algebra."""
-    if len(mats) != len(x):
-        raise DimensionError("family size does not match vector length")
-    out = LinearMap.zero(mats[0].rows, mats[0].cols)
-    for c, mat in zip(x, mats):
-        if c != 0:
-            out = out + mat.scale(c)
-    return out
-
-
 def fraction_free_rref(rows, width):
     """Reduced row echelon form by fraction-free Gauss-Jordan elimination.
 
@@ -503,10 +492,6 @@ class RepresentationPresentation:
         if name not in self.actions:
             raise MissingOperationError("action %r is missing" % name)
         return self.actions[name]
-
-    def of(self, name, x):
-        """Action matrix of the algebra element with coefficient vector x."""
-        return linear_combination(self.action(name), x)
 
     def is_bound(self):
         return (self.beta.is_bound()

@@ -34,38 +34,6 @@ from homstruct.matched_pairs import MatchedPairData, _matched_pair_report, build
 _TRANSPOSED = "transposed-hom-poisson"
 
 
-def dual_map(f):
-    """The induced map on the dual space in the dual basis."""
-    return f.transpose()
-
-
-def coadjoint_actions(alg, beta=None):
-    """The algebra acting on its dual space by transposed multiplications.
-
-    The s-slot action of x is -S(x)^T while the rho-slot action is +ad(x)^T
-    (the two conventions deliberately differ), with module twist alpha^T
-    unless beta is given.
-    """
-    n = alg.dim
-    t = {"dot": int_tensor(alg.op("dot")), "br": int_tensor(alg.op("bracket"))}
-    # S(x)^T[r][c] = (x.e_r)_c and ad(x)^T[r][c] = {x, e_r}_c
-    s = maps_from_terms((n, n, n), ((-1, "xrc->xrc", ("dot",)),), t)
-    rho = maps_from_terms((n, n, n), ((1, "xrc->xrc", ("br",)),), t)
-    if beta is None:
-        beta = alg.alpha.transpose()
-    return RepresentationPresentation(alg.dim, alg.dim, {"s": s, "rho": rho}, beta)
-
-
-def _double_actions(alg, beta):
-    """Action set entering the double: the s-slot of `coadjoint_actions`
-    negated (the double's product subtracts the starred operators)."""
-    co = coadjoint_actions(alg, beta)
-    return RepresentationPresentation(
-        co.algebra_dim, co.module_dim,
-        {"s": tuple(-M for M in co.action("s")), "rho": co.action("rho")},
-        co.beta)
-
-
 def trivial_dual(a):
     """The dual space with zero products and twist alpha^T."""
     return AlgebraPresentation(
@@ -73,14 +41,29 @@ def trivial_dual(a):
         {"alpha": a.alpha.transpose()})
 
 
-def coadjoint_matched_pair(a, a_star):
-    """Matched-pair data for (A, A*) with both mutual coadjoint action sets,
-    signed as they enter the double's displayed products."""
+def _require_same_dim(a, a_star):
     if a_star.dim != a.dim:
         raise DimensionError("dual algebra must have the same dimension")
-    return MatchedPairData(a, a_star,
-                           _double_actions(a, a_star.alpha),
-                           _double_actions(a_star, a.alpha))
+
+
+def coadjoint_matched_pair(a, a_star):
+    """Matched-pair data for (A, A*) with the mutual coadjoint actions.
+
+    Each algebra acts on the other's space by the transposed regular
+    actions s(x) = S(x)^T and rho(x) = ad(x)^T, with the other algebra's
+    twist as module twist; these enter the double's products as they are.
+    """
+    _require_same_dim(a, a_star)
+    n = a.dim
+
+    def coadjoint(alg, beta):
+        t = {op: int_tensor(alg.op(op)) for op in ("dot", "bracket")}
+        # S(x)^T[r][c] = (x.e_r)_c and ad(x)^T[r][c] = {x, e_r}_c
+        actions = {act: maps_from_terms((n, n, n), ((1, "xrc->xrc", (op,)),), t)
+                   for act, op in (("s", "dot"), ("rho", "bracket"))}
+        return RepresentationPresentation(n, n, actions, beta)
+
+    return MatchedPairData(a, a_star, coadjoint(a, a_star.alpha), coadjoint(a_star, a.alpha))
 
 
 def build_double_dual(a, a_star):
@@ -195,16 +178,6 @@ def comultiplications_from_dual_algebra(a_star):
             for name in sorted(a_star.ops)}
 
 
-def tensor_map(f, g):
-    """Kronecker product acting on lexicographic tensor coordinates."""
-    rows = []
-    for r1 in range(f.rows):
-        for r2 in range(g.rows):
-            rows.append([f.m[r1][c1] * g.m[r2][c2]
-                         for c1 in range(f.cols) for c2 in range(g.cols)])
-    return LinearMap.from_rows(rows)
-
-
 def check_bialgebra_conditions(a, coops, max_witnesses=32):
     """Compatibility of a transposed Hom-Poisson algebra with a cocommutative
     coassociative comultiplication ("dot") and a Lie comultiplication
@@ -289,6 +262,7 @@ def equivalence_report(a, a_star, max_witnesses=32):
     """
     a.require_bound()
     a_star.require_bound()
+    _require_same_dim(a, a_star)
     coops = comultiplications_from_dual_algebra(a_star)
     bial = check_bialgebra_conditions(a, coops, max_witnesses)
     pair = coadjoint_matched_pair(a, a_star)

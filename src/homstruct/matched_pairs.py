@@ -23,7 +23,13 @@ from homstruct.core import (
     block_diag,
     require_passed,
 )
-from homstruct.representations import CROSS_ACTIONS, REP_OPS, check_rep, rep_class
+from homstruct.representations import (
+    CROSS_ACTIONS,
+    REP_OPS,
+    check_rep,
+    rep_class,
+    rep_commutator,
+)
 
 
 @dataclass(frozen=True)
@@ -69,11 +75,15 @@ def matched_pair_from_representation(a, rep, class_name):
 
 
 def swap(mp):
+    """The pair with its two sides exchanged.  It checks the paper's symmetry
+    of matched pairs: (B, A) is a matched pair whenever (A, B) is, and
+    `block_swap_map` is an isomorphism between the two doubles."""
     return MatchedPairData(mp.algebra_b, mp.algebra_a, mp.actions_ba, mp.actions_ab)
 
 
 def block_swap_map(n, p):
-    """Permutation A (+) B -> B (+) A as a linear map of dimension n+p."""
+    """Permutation A (+) B -> B (+) A as a linear map of dimension n+p: the
+    isomorphism between the doubles of a matched pair and of its `swap`."""
     cols = []
     for i in range(n):
         cols.append(basis_vec(n + p, p + i))
@@ -149,23 +159,19 @@ def _matched_pair_report(mp, class_name, verdict, max_witnesses):
 
 
 def mp_pre_lie_to_lie(mp):
-    """Matched pair of sub-adjacent Hom-Lie algebras with actions rho = l - r."""
+    """The paper's passage from a matched pair of Hom-pre-Lie algebras to one
+    of their sub-adjacent Hom-Lie algebras, with actions rho = l - r
+    (`rep_commutator`).  Only the brackets and rho are kept."""
     from homstruct.constructions import sub_adjacent
 
-    def to_lie_rep(rep):
-        actions = {"rho": tuple(l - r for l, r in
-                                zip(rep.action("l"), rep.action("r")))}
-        return RepresentationPresentation(
-            rep.algebra_dim, rep.module_dim, actions, rep.beta)
-
-    def to_lie_alg(alg):
+    def lie(alg):
         out = sub_adjacent(alg)
-        if "dot" in out.ops:
-            out = AlgebraPresentation(
-                out.dim, {"bracket": out.op("bracket")}, {"alpha": out.alpha},
-                out.basis)
-        return out
+        return AlgebraPresentation(out.dim, {"bracket": out.op("bracket")},
+                                   {"alpha": out.alpha}, out.basis)
 
-    return MatchedPairData(
-        to_lie_alg(mp.algebra_a), to_lie_alg(mp.algebra_b),
-        to_lie_rep(mp.actions_ab), to_lie_rep(mp.actions_ba))
+    def lie_rep(rep):
+        return RepresentationPresentation(rep.algebra_dim, rep.module_dim,
+                                          {"rho": rep_commutator(rep).action("rho")}, rep.beta)
+
+    return MatchedPairData(lie(mp.algebra_a), lie(mp.algebra_b),
+                           lie_rep(mp.actions_ab), lie_rep(mp.actions_ba))

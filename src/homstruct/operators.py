@@ -13,6 +13,8 @@ from homstruct.axioms import (
     resolve_class,
 )
 from homstruct.core import (
+    ONE,
+    ZERO,
     AlgebraPresentation,
     DimensionError,
     IntTensor,
@@ -27,9 +29,6 @@ from homstruct.core import (
     run_identity_families,
 )
 from homstruct.representations import CROSS_ACTIONS, check_rep, regular_representation
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 O_OPERATOR_CLASSES = ("comm-hom-assoc", "hom-lie", "transposed-hom-poisson")
 
@@ -119,7 +118,9 @@ def induced_products(a, rep, T, class_name="transposed-hom-poisson",
 
 def o_operator_is_morphism(a, rep, T, class_name="transposed-hom-poisson",
                            max_witnesses=32):
-    """T maps the induced structure on V onto a's structure.
+    """T maps the induced structure on V onto a's structure: the paper's
+    statement that an O-operator is a morphism from the sub-adjacent
+    structure of `induced_products` to a.
 
     Checks T(u dot v) = T(u).T(v), T(u star v - v star u) = {T(u),T(v)} and
     T beta = alpha T.
@@ -143,6 +144,8 @@ def compatible_pre_lie_from_invertible(a, rep, T, max_witnesses=32):
     O-operator: x.y = T(s(x)T'(y) + s(y)T'(x)) and x*y = T(rho(x)T'(y))
     with T' the inverse of T.
 
+    The paper's statement that a transposed Hom-Poisson algebra with an
+    invertible O-operator has a compatible Hom-pre-Lie Poisson structure.
     It is induced_products' structure on V carried to A along T, so it is
     Hom-pre-Lie Poisson.  Its sub-adjacent dot and bracket are a's: at
     u = T'x and v = T'y they are the o-equation rows of the gate.

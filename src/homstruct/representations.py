@@ -252,7 +252,12 @@ def semidirect_product(a, rep, class_name):
 
 
 def rep_commutator(rep):
-    """rho = l - r from a pre-Lie(-Poisson) bimodule; s and beta are kept."""
+    """rho = l - r from a pre-Lie(-Poisson) bimodule; s and beta are kept.
+
+    The paper's passage from a bimodule of a Hom-pre-Lie (Poisson) algebra
+    to a module of its sub-adjacent Hom-Lie (transposed Hom-Poisson)
+    algebra; `matched_pairs.mp_pre_lie_to_lie` applies it to both sides.
+    """
     rep.require_bound()
     actions = {"rho": tuple(l - r for l, r in zip(rep.action("l"), rep.action("r")))}
     if "s" in rep.actions:
@@ -291,6 +296,8 @@ def dual_representation(a, rep, max_witnesses=32):
 
 def bimodule_from_morphism(a, b, f, class_name="hom-pre-lie-poisson"):
     """Pull the regular bimodule of b back along a morphism f: a -> b.
+
+    The paper's statement that a morphism f: a -> b makes b a bimodule of a.
 
     s(x) = S_b(f(x)), l(x) = L_b(f(x)), r(x) = R_b(f(x)) acting on b's space
     with twist b.alpha, returned if it passes the class's module axioms over a

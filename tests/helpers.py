@@ -1,5 +1,6 @@
 """Shared test fixtures and independent oracles."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -27,7 +28,6 @@ from homstruct.core import (
     require_bound,
     require_passed as _require,
 )
-from homstruct.duality import tensor_map
 from homstruct.operators import check_o_operator, check_rota_baxter
 from homstruct.representations import REP_OPS, check_rep
 
@@ -98,23 +98,23 @@ def bound_fixtures():
     """(name, binding_label, algebra, target_class) for the standard bindings."""
     out = []
     for name in ("CA2a", "CA2b", "CA3a", "TP2"):
-        out.append((name, "", catalog.get(name), catalog.target_class(name)))
+        out.append((name, "", catalog.get(name), catalog.describe(name)["class"]))
     for p in ((1, 2, 3), (0, 0, 0)):
         b = {"p1": F(p[0]), "p2": F(p[1]), "p3": F(p[2])}
         out.append(("CA3b", "p=%s" % (p,), catalog.get("CA3b", b),
-                    catalog.target_class("CA3b")))
+                    catalog.describe("CA3b")["class"]))
     for lam in (F(0), F(1), F(5, 2)):
         out.append(("THP2", "lam=%s" % lam, catalog.get("THP2", {"lam": lam}),
-                    catalog.target_class("THP2")))
+                    catalog.describe("THP2")["class"]))
     for a in (F(0), F(1), F(-2)):
         out.append(("PLP2", "a=%s" % a, catalog.get("PLP2", {"a": a}),
-                    catalog.target_class("PLP2")))
+                    catalog.describe("PLP2")["class"]))
     # an HP3 binding satisfying the constraints listed in its description
     hp3 = {"a": F(1), "b": F(0), "c": F(0), "d": F(0),
            "l1": F(0), "l2": F(1), "l3": F(0), "l4": F(2),
            "l5": F(0), "l6": F(3)}
     out.append(("HP3", "constrained", catalog.get("HP3", hp3),
-                catalog.target_class("HP3")))
+                catalog.describe("HP3")["class"]))
     return out
 
 
@@ -404,7 +404,7 @@ def check_rep_comm_assoc(a, rep, max_witnesses=32):
     twist-intertwine: beta s(x) = s(a(x)) beta
     """
     n, e, av, (dot,) = _ctx(a, rep, "dot")
-    s = rep.of
+    s = functools.partial(action_of, rep)
     beta = rep.beta
     fams = [
         ("assoc-action", 2,
@@ -423,7 +423,7 @@ def check_rep_hom_lie(a, rep, max_witnesses=32):
     twist-intertwine: beta rho(x) = rho(a(x)) beta
     """
     n, e, av, (br,) = _ctx(a, rep, "bracket")
-    rho = rep.of
+    rho = functools.partial(action_of, rep)
     beta = rep.beta
     fams = [
         ("bracket-action", 2,
@@ -444,7 +444,7 @@ def check_rep_transposed(a, rep, max_witnesses=32):
     mixed-2: 2 s(a(x)) rho(y) = rho(x.y) beta + rho(a(y)) s(x)
     """
     n, e, av, (dot, br) = _ctx(a, rep, "dot", "bracket")
-    of = rep.of
+    of = functools.partial(action_of, rep)
     beta = rep.beta
     fams = [
         ("mixed-1", 2,
@@ -470,7 +470,7 @@ def check_rep_pre_lie(a, rep, max_witnesses=32):
     twist-intertwine for l and r.
     """
     n, e, av, (st,) = _ctx(a, rep, "star")
-    of = rep.of
+    of = functools.partial(action_of, rep)
     beta = rep.beta
 
     def br(i, j):
@@ -508,7 +508,7 @@ def check_rep_pre_lie_poisson(a, rep, max_witnesses=32):
     compat-5: s(a(y)) rho(x) = l(a(x)) s(y) - r(x.y) beta
     """
     n, e, av, (dot, st) = _ctx(a, rep, "dot", "star")
-    of = rep.of
+    of = functools.partial(action_of, rep)
     beta = rep.beta
 
     def br(i, j):
@@ -558,7 +558,7 @@ def closure_check_rep(a, rep, cls, max_witnesses=32):
 def closure_dual_hypotheses(a, rep, max_witnesses=32):
     """The hypotheses report of dual_representation, as closures."""
     n, e, av, (dot, br) = _ctx(a, rep, "dot", "bracket")
-    of = rep.of
+    of = functools.partial(action_of, rep)
     beta = rep.beta
     fams = [
         ("hyp-mixed-1", 2,
@@ -785,11 +785,9 @@ def closure_bialgebra_families(a, coops, max_witnesses=32):
     Db = coops["bracket"]
 
     def Sa(x):
-        from homstruct.core import linear_combination
         return linear_combination(S, x)
 
     def ada(x):
-        from homstruct.core import linear_combination
         return linear_combination(ad, x)
 
     def delta(x):
@@ -867,14 +865,14 @@ def closure_o_operator_families(a, rep, T, class_name, max_witnesses=32):
         dot = a.op("dot")
         fams.append(("o-equation:dot", 2, lambda i, j: vec_sub(
             eval_bilinear_scan(dot, Tu[i], Tu[j]),
-            apply_map(T, vec_add(apply_map(rep.of("s", Tu[i]), u[j]),
-                                 apply_map(rep.of("s", Tu[j]), u[i]))))))
+            apply_map(T, vec_add(apply_map(action_of(rep, "s", Tu[i]), u[j]),
+                                 apply_map(action_of(rep, "s", Tu[j]), u[i]))))))
     if class_name in ("hom-lie", "transposed-hom-poisson"):
         br = a.op("bracket")
         fams.append(("o-equation:bracket", 2, lambda i, j: vec_sub(
             eval_bilinear_scan(br, Tu[i], Tu[j]),
-            apply_map(T, vec_sub(apply_map(rep.of("rho", Tu[i]), u[j]),
-                                 apply_map(rep.of("rho", Tu[j]), u[i]))))))
+            apply_map(T, vec_sub(apply_map(action_of(rep, "rho", Tu[i]), u[j]),
+                                 apply_map(action_of(rep, "rho", Tu[j]), u[i]))))))
     return run_identity_families(p, fams, max_witnesses)
 
 
@@ -935,6 +933,29 @@ def apply_map(f, x):
     return tuple(
         sum((require_bound(f.m[r][c]) * x[c] for c in range(f.cols) if x[c]), ZERO)
         for r in range(f.rows))
+
+def linear_combination(mats, x):
+    """sum_i x_i * mats[i] for a coefficient vector x over the algebra."""
+    if len(mats) != len(x):
+        raise DimensionError("family size does not match vector length")
+    out = LinearMap.zero(mats[0].rows, mats[0].cols)
+    for c, mat in zip(x, mats):
+        if c != 0:
+            out = out + mat.scale(c)
+    return out
+
+def action_of(rep, name, x):
+    """The action matrix of rep's family `name` at the algebra element x."""
+    return linear_combination(rep.action(name), x)
+
+def tensor_map(f, g):
+    """Kronecker product acting on lexicographic tensor coordinates."""
+    rows = []
+    for r1 in range(f.rows):
+        for r2 in range(g.rows):
+            rows.append([f.m[r1][c1] * g.m[r2][c2]
+                         for c1 in range(f.cols) for c2 in range(g.cols)])
+    return LinearMap.from_rows(rows)
 
 def bilinear_from_table(dim, fn):
     """Build a BilinearMap from a function (i, j) -> coefficient vector."""
@@ -1192,7 +1213,7 @@ def closure_bimodule_from_morphism(a, b, f, class_name="hom-pre-lie-poisson"):
         raise PreconditionError("f is not a morphism", gate)
     reg = closure_regular_representation(b, class_name)
     n = a.dim
-    actions = {name: tuple(reg.of(name, apply_map(f, basis_vec(n, i)))
+    actions = {name: tuple(action_of(reg, name, apply_map(f, basis_vec(n, i)))
                            for i in range(n))
                for name in reg.actions}
     rep = RepresentationPresentation(n, b.dim, actions, b.alpha)
@@ -1215,6 +1236,16 @@ def closure_coadjoint_actions(alg, beta=None):
     if beta is None:
         beta = alg.alpha.transpose()
     return RepresentationPresentation(alg.dim, alg.dim, {"s": s, "rho": rho}, beta)
+
+
+def closure_double_coadjoint_actions(alg, beta):
+    """closure_coadjoint_actions with its s negated: s(x) = S(x)^T and
+    rho(x) = ad(x)^T, the actions that duality.coadjoint_matched_pair puts
+    into the double."""
+    co = closure_coadjoint_actions(alg, beta)
+    return RepresentationPresentation(
+        alg.dim, alg.dim, {"s": tuple(-M for M in co.action("s")), "rho": co.action("rho")},
+        beta)
 
 
 def closure_build_double(mp, class_name, check_actions=True):
@@ -1325,11 +1356,11 @@ def closure_induced_products(a, rep, T, class_name="transposed-hom-poisson",
     ops = {}
     if class_name in ("comm-hom-assoc", "transposed-hom-poisson"):
         ops["dot"] = bilinear_from_table(p, lambda i, j: vec_add(
-            apply_map(rep.of("s", Tu[i]), u[j]),
-            apply_map(rep.of("s", Tu[j]), u[i])))
+            apply_map(action_of(rep, "s", Tu[i]), u[j]),
+            apply_map(action_of(rep, "s", Tu[j]), u[i])))
     if class_name in ("hom-lie", "transposed-hom-poisson"):
         ops["star"] = bilinear_from_table(
-            p, lambda i, j: apply_map(rep.of("rho", Tu[i]), u[j]))
+            p, lambda i, j: apply_map(action_of(rep, "rho", Tu[i]), u[j]))
     out = AlgebraPresentation(p, ops, {"alpha": rep.beta})
     target = {"comm-hom-assoc": "comm-hom-assoc",
               "hom-lie": "hom-pre-lie",
@@ -1360,10 +1391,10 @@ def closure_compatible_pre_lie_from_invertible(a, rep, T, max_witnesses=32):
     n = a.dim
     e = [basis_vec(n, i) for i in range(n)]
     dot = bilinear_from_table(n, lambda i, j: apply_map(T, vec_add(
-        apply_map(rep.of("s", e[i]), apply_map(Ti, e[j])),
-        apply_map(rep.of("s", e[j]), apply_map(Ti, e[i])))))
+        apply_map(action_of(rep, "s", e[i]), apply_map(Ti, e[j])),
+        apply_map(action_of(rep, "s", e[j]), apply_map(Ti, e[i])))))
     star = bilinear_from_table(n, lambda i, j: apply_map(
-        T, apply_map(rep.of("rho", e[i]), apply_map(Ti, e[j]))))
+        T, apply_map(action_of(rep, "rho", e[i]), apply_map(Ti, e[j]))))
     out = AlgebraPresentation(n, {"dot": dot, "star": star},
                               {"alpha": a.alpha}, a.basis)
     verdict = check_class(out, "hom-pre-lie-poisson")

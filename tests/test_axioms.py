@@ -143,7 +143,7 @@ def test_witness_cap_and_order():
 
 
 def test_class_names_cover_catalog_targets():
-    targets = {catalog.target_class(n) for n in catalog.names()}
+    targets = {catalog.describe(n)["class"] for n in catalog.names()}
     assert targets <= set(CLASS_CHECKERS)
 
 

@@ -17,7 +17,6 @@ from homstruct.constructions import (
     derived_algebra,
     sub_adjacent,
     tensor_product,
-    twisting_report,
     yau_twist,
 )
 from homstruct.core import (
@@ -31,7 +30,7 @@ from homstruct.core import (
     serialize_algebra,
     serialize_representation,
 )
-from homstruct.duality import coadjoint_actions, coadjoint_matched_pair, trivial_dual
+from homstruct.duality import coadjoint_matched_pair, trivial_dual
 from homstruct.matched_pairs import (
     MatchedPairData,
     build_double,
@@ -57,9 +56,9 @@ from helpers import (
     closure_bracket_from_derivation,
     closure_bracket_from_two_derivations,
     closure_build_double,
-    closure_coadjoint_actions,
     closure_compatible_pre_lie_from_invertible,
     closure_compose_ops,
+    closure_double_coadjoint_actions,
     closure_induced_products,
     closure_regular_representation,
     closure_rota_baxter_induced,
@@ -156,7 +155,6 @@ def test_compose_ops_and_twists_match_closure(monkeypatch):
         compose_twist,
         lambda a, g, cls: derived_algebra(a, 1, cls),
         lambda a, g, cls: derived_algebra(a, 2, cls, kind=2),
-        lambda a, g, cls: twisting_report(_untwisted(a), g, cls),
     )
     cases = [(a, g, cls) for a, g in cases[::2] for cls in _classes(a, CLASS_OPS)]
     new = [[_outcome(fn, *case) for case in cases] for fn in builders]
@@ -166,7 +164,7 @@ def test_compose_ops_and_twists_match_closure(monkeypatch):
         assert BOTH <= {_same(n, o) for n, o in zip(outs, olds)}
     # the twists of an algebra in the class are in it, so a failed closure
     # check is a failed precondition on the input, never a ConstructionError
-    for outs in new[:4]:
+    for outs in new:
         assert {kind for kind, _ in outs} == BOTH
         assert ("PreconditionError", (PreconditionError, "input is not in class hom-poisson")) in outs
 
@@ -208,10 +206,18 @@ def test_representations_match_closures():
               for a, b in zip(_with(("dot",)), _with(("dot",))[1:])]
     assert _compare(bimodule_from_morphism, closure_bimodule_from_morphism, cases) >= BOTH
 
+    # the coadjoint pair: each side acts by s = +S(x)^T and rho = +ad(x)^T
+    # with the other side's twist; b is a zero dual with a random twist, or a
     rng = random.Random(4)
-    cases = [(a, beta) for a in _with(("dot", "bracket"))
-             for beta in (None, rand_matrix(rng, a.dim))]
-    assert _compare(coadjoint_actions, closure_coadjoint_actions, cases) == {"output"}
+    cases = [(a, b) for a in _with(("dot", "bracket"))
+             for b in (AlgebraPresentation(a.dim, trivial_dual(a).ops,
+                                           {"alpha": rand_matrix(rng, a.dim)}), a)]
+    assert _compare(lambda a, b: coadjoint_matched_pair(a, b).actions_ab,
+                    lambda a, b: closure_double_coadjoint_actions(a, b.alpha),
+                    cases) == {"output"}
+    assert _compare(lambda a, b: coadjoint_matched_pair(a, b).actions_ba,
+                    lambda a, b: closure_double_coadjoint_actions(b, a.alpha),
+                    cases) == {"output"}
 
 
 def test_build_double_matches_closure():

@@ -18,7 +18,7 @@ def test_names_and_describe():
         assert expected in names
     for n in names:
         assert catalog.describe(n)
-        assert catalog.target_class(n)
+        assert catalog.describe(n)["class"]
 
 
 def test_standard_bindings_pass_with_no_witnesses():
@@ -43,7 +43,7 @@ def test_unknown_name():
 
 def test_negative_fixture_is_negative():
     a = catalog.get("THP2-as-hom-poisson", {"lam": F(1)})
-    assert not check_class(a, catalog.target_class("THP2-as-hom-poisson")).passed
+    assert not check_class(a, catalog.describe("THP2-as-hom-poisson")["class"]).passed
 
 
 def test_structure_constants_frozen():

@@ -22,6 +22,7 @@ from homstruct.core import (
     serialize_representation,
 )
 from homstruct.duality import comultiplications_from_dual_algebra, trivial_dual
+from homstruct.matched_pairs import matched_pair_from_representation
 from homstruct.representations import regular_representation
 
 from test_core import (
@@ -316,6 +317,16 @@ def test_equivalence(thp2_file, tmp_path, capsys):
     # the three verdicts disagree for the zero dual: reported as a failure
     assert main(["equivalence", thp2_file, str(dual)]) == FAIL
     assert "equivalence broken" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["manin", "equivalence"])
+def test_dual_of_another_dimension_is_an_input_error(thp2_file, tmp_path, capsys, command):
+    a1 = tmp_path / "a1.json"
+    a1.write_text(json.dumps(_ALG1))
+    assert main([command, str(a1), thp2_file]) == USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: dual algebra must have the same dimension\n"
 
 
 def test_oop_check_and_induce(plp2_file, tmp_path):
@@ -620,21 +631,30 @@ def test_generated_documents_reach_an_exit_code(tmp_path, capsys):
     """Generated documents never raise through main and end in exit 0-3; a
     document the parser rejects with FormatError ends in exit 2 with an
     input error.  check, checkrep and dualrep take generated algebra and
-    representation documents; the builders tensor, subadjacent, bracketd
-    and twist --alpha-h, and derivations, take checkable algebra documents
-    and never exit 1; rb check and oop check take generated operator
-    documents, bialgebra comultiplication documents, and manin a checkable
-    dual of THP2.  No command writes a failed runtime check ("check
-    failed: "); equivalence is left out, as its known red case (criterion
-    07) writes one.  Every command both parses
-    and rejects some documents, and check both passes and fails.  Each
-    command also runs one fixed valid and one fixed invalid document of its
-    kind, so that it parses and rejects some whatever the generated draw."""
+    representation documents; the builders tensor, subadjacent, bracketd,
+    the four twist modes (--yau, --compose and --derived with a class),
+    derivations and matched check take checkable algebra documents;
+    semidirect and matched double take generated representation documents;
+    rb and oop check and induce take generated operator documents,
+    bialgebra comultiplication documents, manin a checkable dual of THP2,
+    and catalog show an entry name.  The builders never exit 1.  No command
+    writes a failed runtime check ("check failed: "); equivalence is left
+    out, as its known red case (criterion 07) writes one.  Every command
+    both parses and rejects some documents (catalog show: some names and
+    bindings end in exit 2), and check both passes and fails.  Each command
+    also runs one fixed valid and one fixed invalid document of its kind,
+    so that it parses and rejects some whatever the generated draw."""
     alg = tmp_path / "alg.json"
     a = catalog.get("THP2", {"lam": F(1)})
     alg.write_text(serialize_algebra(a))
     rep = tmp_path / "rep.json"
-    rep.write_text(serialize_representation(regular_representation(a, "transposed-hom-poisson")))
+    reg = regular_representation(a, "transposed-hom-poisson")
+    rep.write_text(serialize_representation(reg))
+    # the semidirect pair of THP2's regular module: its zero algebra and reverse actions
+    mp = matched_pair_from_representation(a, reg, "transposed-hom-poisson")
+    zero_alg, zero_rep = tmp_path / "zero-alg.json", tmp_path / "zero-rep.json"
+    zero_alg.write_text(serialize_algebra(mp.algebra_b))
+    zero_rep.write_text(serialize_representation(mp.actions_ba))
     fixed = {parse_algebra: (_ALG1, dict(_ALG1, opz={"dot": []})),
              parse_representation: (json.loads(rep.read_text()), dict(_REP1, bta=[["1"]])),
              parse_o_operator: ({"T": [["1", "0"], ["0", "1"]]}, {"T": [["1"]], "R": [["1"]]}),
@@ -643,35 +663,64 @@ def test_generated_documents_reach_an_exit_code(tmp_path, capsys):
                                         "coop": {}}),
              # a dual of THP2 that reaches the Manin verdict
              "manin": (json.loads(serialize_algebra(trivial_dual(a))),
-                       dict(_ALG1, opz={"dot": []}))}
+                       dict(_ALG1, opz={"dot": []})),
+             "matched check": (json.loads(zero_alg.read_text()), dict(_ALG1, opz={"dot": []})),
+             "matched double": (json.loads(zero_rep.read_text()), dict(_REP1, bta=[["1"]])),
+             "catalog show": ("THP2", "no-such-entry")}
     doc_file = tmp_path / "doc.json"
     doc = str(doc_file)
     classes = st.sampled_from(["comm-hom-assoc", "hom-lie", "transposed-hom-poisson",
                                "hom-pre-lie"])
     params = st.sampled_from(["", "t=1", "t=1/2,u=-3"])
-    builders = {"tensor", "subadjacent", "bracketd", "twist", "derivations"}
+    builders = {"tensor", "subadjacent", "bracketd", "twist --alpha-h", "twist --yau",
+                "twist --compose", "twist --derived", "derivations", "semidirect",
+                "matched double", "oop induce", "rb induce", "catalog show"}
     outcomes = set()
-    cls_slot = object()
-    for argv, parse, docs, examples in (
-            (["check", doc, "--class", cls_slot], parse_algebra, _algebra_docs(), 200),
-            (["check", doc, "--class", cls_slot], parse_algebra, _checkable_algebra_docs(), 200),
-            (["checkrep", str(alg), doc, "--class", cls_slot], parse_representation,
+    cls_slot, name_slot = object(), object()
+    names = st.sampled_from(catalog.names() + ["no-such-entry"])
+    for command, argv, parse, docs, examples in (
+            ("check", ["check", doc, "--class", cls_slot], parse_algebra, _algebra_docs(), 200),
+            ("check", ["check", doc, "--class", cls_slot], parse_algebra,
+             _checkable_algebra_docs(), 200),
+            ("checkrep", ["checkrep", str(alg), doc, "--class", cls_slot], parse_representation,
              _representation_docs(), 200),
-            (["tensor", doc, doc, "--class", cls_slot], parse_algebra,
+            ("tensor", ["tensor", doc, doc, "--class", cls_slot], parse_algebra,
              _checkable_algebra_docs(), 40),
-            (["subadjacent", doc], parse_algebra, _checkable_algebra_docs(), 40),
-            (["bracketd", doc, "--map", "alpha"], parse_algebra, _checkable_algebra_docs(), 40),
-            (["twist", doc, "--alpha-h", "e1"], parse_algebra, _checkable_algebra_docs(), 40),
-            (["rb", "check", str(alg), doc, "--class", cls_slot], parse_o_operator,
+            ("subadjacent", ["subadjacent", doc], parse_algebra, _checkable_algebra_docs(), 40),
+            ("bracketd", ["bracketd", doc, "--map", "alpha"], parse_algebra,
+             _checkable_algebra_docs(), 40),
+            ("twist --alpha-h", ["twist", doc, "--alpha-h", "e1"], parse_algebra,
+             _checkable_algebra_docs(), 40),
+            ("twist --yau", ["twist", doc, "--yau", "alpha", "--class", cls_slot], parse_algebra,
+             _checkable_algebra_docs(), 40),
+            ("twist --compose", ["twist", doc, "--compose", "alpha", "--class", cls_slot],
+             parse_algebra, _checkable_algebra_docs(), 40),
+            ("twist --derived", ["twist", doc, "--derived", "2", "--class", cls_slot],
+             parse_algebra, _checkable_algebra_docs(), 40),
+            ("semidirect", ["semidirect", str(alg), doc, "--class", cls_slot],
+             parse_representation, _representation_docs(), 40),
+            ("matched check", ["matched", "check", str(alg), doc, str(rep), str(zero_rep),
+                               "--class", cls_slot], parse_algebra, _checkable_algebra_docs(), 40),
+            ("matched double", ["matched", "double", str(alg), str(zero_alg), str(rep), doc,
+                                "--class", cls_slot], parse_representation,
+             _representation_docs(), 40),
+            ("rb check", ["rb", "check", str(alg), doc, "--class", cls_slot], parse_o_operator,
              _O_OPERATOR_DOCS, 40),
-            (["oop", "check", str(alg), str(rep), doc, "--class", cls_slot], parse_o_operator,
+            ("rb induce", ["rb", "induce", str(alg), doc], parse_o_operator,
              _O_OPERATOR_DOCS, 40),
-            (["bialgebra", str(alg), doc], parse_comultiplications, _comultiplication_docs(), 40),
-            (["dualrep", str(alg), doc], parse_representation, _representation_docs(), 40),
-            (["derivations", doc], parse_algebra, _checkable_algebra_docs(), 40),
-            (["manin", str(alg), doc], parse_algebra, _checkable_algebra_docs(), 40)):
-        command = " ".join(argv[:2]) if argv[0] in ("rb", "oop") else argv[0]
-        valid, invalid = fixed.get(command, fixed[parse])
+            ("oop check", ["oop", "check", str(alg), str(rep), doc, "--class", cls_slot],
+             parse_o_operator, _O_OPERATOR_DOCS, 40),
+            ("oop induce", ["oop", "induce", str(alg), str(rep), doc, "--class", cls_slot],
+             parse_o_operator, _O_OPERATOR_DOCS, 40),
+            ("bialgebra", ["bialgebra", str(alg), doc], parse_comultiplications,
+             _comultiplication_docs(), 40),
+            ("dualrep", ["dualrep", str(alg), doc], parse_representation,
+             _representation_docs(), 40),
+            ("derivations", ["derivations", doc], parse_algebra, _checkable_algebra_docs(), 40),
+            ("manin", ["manin", str(alg), doc], parse_algebra, _checkable_algebra_docs(), 40),
+            # no document: the entry name is the input, and exit 2 rejects it
+            ("catalog show", ["catalog", "show", name_slot], None, names, 40)):
+        valid, invalid = fixed.get(command, fixed.get(parse))
 
         @settings(max_examples=examples, derandomize=True, deadline=None, database=None)
         @given(docs, classes, params)
@@ -681,12 +730,15 @@ def test_generated_documents_reach_an_exit_code(tmp_path, capsys):
             text = json.dumps(document)
             doc_file.write_text(text)
             capsys.readouterr()
-            code = main([cls if arg is cls_slot else arg for arg in argv]
-                        + ["--params", binding])
+            code = main([cls if arg is cls_slot else document if arg is name_slot else arg
+                         for arg in argv] + ["--params", binding])
             err = capsys.readouterr().err
             assert code in (PASS, FAIL, USAGE, PRECONDITION)
             assert code != FAIL or command not in builders
             assert not err.startswith("check failed: "), err
+            if parse is None:
+                outcomes.add((command, "rejected" if code == USAGE else "parsed"))
+                return
             try:
                 parse(text)
             except FormatError:
@@ -699,7 +751,7 @@ def test_generated_documents_reach_an_exit_code(tmp_path, capsys):
         run()
     assert {(command, kind)
             for command in builders | {"rb check", "oop check", "bialgebra", "dualrep",
-                                       "manin"}
+                                       "manin", "matched check"}
             for kind in ("parsed", "rejected")} <= outcomes, outcomes
     assert {("check", "rejected"), ("check", "parsed"), ("check", PASS), ("check", FAIL),
             ("checkrep", "rejected"), ("checkrep", "parsed"),

@@ -46,7 +46,6 @@ from homstruct.core import (
     RepresentationPresentation,
     basis_vec,
 )
-from homstruct.duality import tensor_map
 from homstruct.operators import (
     compatible_pre_lie_from_invertible,
     derivation_space,
@@ -62,6 +61,7 @@ from homstruct.representations import (
 
 from helpers import (
     BASIS_CHANGES,
+    action_of,
     apply_map,
     bilinear_from_table,
     bound_fixtures,
@@ -74,6 +74,7 @@ from helpers import (
     rand_fraction,
     rand_matrix,
     rand_vec,
+    tensor_map,
     transported,
     vec_sub,
 )
@@ -429,7 +430,7 @@ def _module_changes(a, rep):
                 Q @ rep.beta @ Qi)),
             (transported(a), RepresentationPresentation(
                 n, rep.module_dim,
-                {name: tuple(rep.of(name, Pi.column(i)) for i in range(n))
+                {name: tuple(action_of(rep, name, Pi.column(i)) for i in range(n))
                  for name in rep.actions}, rep.beta))]
 
 

@@ -14,7 +14,6 @@ from homstruct.constructions import (
     derived_algebra,
     sub_adjacent,
     tensor_product,
-    twisting_report,
     yau_twist,
 )
 from homstruct.core import AlgebraPresentation, LinearMap, basis_vec
@@ -120,14 +119,6 @@ def test_bracket_from_two_derivations():
     for d1, d2 in pairs:
         t = bracket_from_two_derivations(a, d1, d2)
         assert check_class(t, "hom-poisson").passed, (d1.m, d2.m)
-
-
-def test_twisting_report():
-    a = catalog.get("TP2")
-    rep = twisting_report(a, a.alpha, "transposed-hom-poisson")
-    # composing with the identity leaves both products intact and valid
-    assert rep == {"trivial": False, "dot_associative": True,
-                   "bracket_jacobi": True, "not_rigid": False}
 
 
 def test_derived_twist_exponent_is_bounded():

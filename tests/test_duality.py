@@ -16,20 +16,17 @@ from homstruct.duality import (
     check_bialgebra_conditions,
     check_invariant_form,
     check_manin_triple,
-    coadjoint_actions,
     coadjoint_matched_pair,
     comultiplication_from_algebra_op,
     comultiplications_from_dual_algebra,
-    dual_map,
     dualize_comultiplication,
     equivalence_report,
     standard_form,
-    tensor_map,
     trivial_dual,
 )
 from homstruct.matched_pairs import check_matched_pair
 
-from helpers import bound_fixtures
+from helpers import bound_fixtures, closure_double_coadjoint_actions, tensor_map
 
 F = Fraction
 T = "transposed-hom-poisson"
@@ -49,9 +46,8 @@ def _oneprod_dual(a):
     return AlgebraPresentation(td.dim, ops, dict(td.maps), td.basis)
 
 
-def test_dual_map_and_tensor_map():
+def test_tensor_map():
     f = LinearMap.from_rows([[F(1), F(2)], [F(3), F(4)]])
-    assert dual_map(f) == f.transpose()
     g = LinearMap.identity(2)
     t = tensor_map(f, g)
     assert t.rows == 4 and t.cols == 4
@@ -67,14 +63,15 @@ def test_trivial_dual():
 
 
 def test_coadjoint_sign_table():
-    # s-slot is minus the transposed left multiplication, rho-slot is plus
-    # the transposed adjoint action, twist is the transposed twist
+    # a acts on b's space by s = +S(x)^T and rho = +ad(x)^T, with b's twist
     a = catalog.get("TP2")
-    co = coadjoint_actions(a)
-    assert co.beta == a.alpha.transpose()
+    b = AlgebraPresentation(2, trivial_dual(a).ops, {"alpha": LinearMap.diagonal([F(2), F(3)])})
+    co = coadjoint_matched_pair(a, b).actions_ab
+    assert co == closure_double_coadjoint_actions(a, b.alpha)
+    assert co.beta == b.alpha
     # left multiplication by e1: e1.e2 = e1, so S(e1) has entry m[0][1] = 1
     s0 = co.actions["s"][0]
-    assert s0 == -LinearMap.from_rows([[F(0), F(1)], [F(0), F(0)]]).transpose()
+    assert s0 == LinearMap.from_rows([[F(0), F(1)], [F(0), F(0)]]).transpose()
     # ad(e1): {e1,e2} = e1
     rho0 = co.actions["rho"][0]
     assert rho0 == LinearMap.from_rows([[F(0), F(1)], [F(0), F(0)]]).transpose()

@@ -24,7 +24,7 @@ from homstruct.matched_pairs import (
 )
 from homstruct.representations import REP_OPS, regular_representation, semidirect_product
 
-from helpers import apply_map, rand_algebra, rand_rep
+from helpers import action_of, apply_map, rand_algebra, rand_rep
 
 F = Fraction
 
@@ -142,8 +142,8 @@ def test_build_double_mixed_products_follow_the_actions():
 
                 def parts(on_u, on_x, sign=1):
                     """(on_x of u) x in the A block, (on_u of x) u in the B block."""
-                    return (tuple(sign * c for c in apply_map(ba.of(on_x, u), x))
-                            + apply_map(ab.of(on_u, x), u))
+                    return (tuple(sign * c for c in apply_map(action_of(ba, on_x, u), x))
+                            + apply_map(action_of(ab, on_u, x), u))
 
                 expected = {}
                 if "dot" in double.ops:
