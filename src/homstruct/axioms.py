@@ -20,9 +20,7 @@ from itertools import compress
 
 from homstruct.core import (
     CheckReport,
-    ConstructionError,
     DimensionError,
-    MissingOperationError,
     ZERO,
     contraction_family,
     eval_bilinear,
@@ -414,8 +412,7 @@ def check_poisson_intersection(a, max_witnesses=32):
     classes, and the annihilation conditions a(x).{y,z} = 0 and
     {x.y, a(z)} = 0.  When the shared relations hold (commutative
     Hom-associative dot and Hom-Lie bracket), joint membership and
-    annihilation are equivalent; a violation of that biconditional raises
-    ConstructionError.
+    annihilation are equivalent; tests/test_acceptance.py pins that theorem.
     """
     t = _Tables(a, ("dot", "bracket"))
     annihilation = run_identity_families(
@@ -423,19 +420,8 @@ def check_poisson_intersection(a, max_witnesses=32):
         max_witnesses)
     hp = check_hom_poisson(a, max_witnesses, _tables=t)
     tp = check_transposed_hom_poisson(a, max_witnesses, _tables=t)
-    shared = (hp.sub_reports["comm-hom-assoc"].passed
-              and hp.sub_reports["hom-lie"].passed)
-    notes = ["annihilation: %s" % ("pass" if annihilation.passed else "fail")]
-    if shared:
-        both = hp.passed and tp.passed
-        if both != annihilation.passed:
-            raise ConstructionError(
-                "intersection biconditional violated on valid shared relations")
-        notes.append("biconditional verified under the shared relations")
-    else:
-        notes.append("shared relations fail; biconditional not applicable")
     return CheckReport(
         checked=annihilation.checked + hp.checked + tp.checked,
         sub_reports={"hom-poisson": hp, "transposed": tp,
                      "annihilation": annihilation},
-        notes=tuple(notes))
+        notes=("annihilation: %s" % ("pass" if annihilation.passed else "fail"),))

@@ -19,6 +19,7 @@ from homstruct.axioms import (
     resolve_class,
 )
 from homstruct.core import (
+    RATIONAL_RE,
     ConstructionError,
     DimensionError,
     FormatError,
@@ -51,10 +52,9 @@ def _parse_params(text):
         if "=" not in item:
             raise _UsageError("bad --params item %r (expected k=v)" % item)
         k, v = item.split("=", 1)
-        try:
-            binding[k.strip()] = Fraction(v.strip())
-        except (ValueError, ZeroDivisionError):
+        if not RATIONAL_RE.fullmatch(v.strip()):
             raise _UsageError("bad rational %r in --params" % v)
+        binding[k.strip()] = Fraction(v.strip())
     return binding
 
 
@@ -90,10 +90,9 @@ def _parse_vector(text, dim):
         parts = [p.strip() for p in text.split(",")]
         if len(parts) != dim:
             raise _UsageError("vector %r has wrong length (need %d)" % (text, dim))
-        try:
-            return tuple(Fraction(p) for p in parts)
-        except (ValueError, ZeroDivisionError):
+        if not all(RATIONAL_RE.fullmatch(p) for p in parts):
             raise _UsageError("bad rational in vector %r" % text)
+        return tuple(Fraction(p) for p in parts)
     out = [Fraction(0)] * dim
     for term in text.replace("-", "+-").split("+"):
         term = term.strip()

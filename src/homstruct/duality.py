@@ -133,6 +133,7 @@ def check_manin_triple(a, a_star, max_witnesses=32):
     """
     a.require_bound()
     a_star.require_bound()
+    _require_same_dim(a, a_star)
     double = build_double_dual(a, a_star)
     return _manin_report(a, a_star, double, check_class(double, _TRANSPOSED, max_witnesses),
                          max_witnesses)

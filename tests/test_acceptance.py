@@ -6,7 +6,6 @@ compatibility notions genuinely disagree on these fixtures, and the suite
 reports that honestly rather than weakening the check.
 """
 
-import json
 from fractions import Fraction
 
 import pytest

@@ -10,7 +10,6 @@ from homstruct.axioms import (
     CLASS_FAMILIES,
     CLASS_OPS,
     IDENTITIES,
-    MissingOperationError,
     _Tables,
     check_class,
     check_derivation,
@@ -27,6 +26,7 @@ from homstruct.core import (
     CheckReport,
     DimensionError,
     LinearMap,
+    MissingOperationError,
     UnboundParameterError,
     eval_bilinear,
 )

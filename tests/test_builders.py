@@ -162,8 +162,8 @@ def test_compose_ops_and_twists_match_closure(monkeypatch):
     old = [[_outcome(fn, *case) for case in cases] for fn in builders]
     for outs, olds in zip(new, old):
         assert BOTH <= {_same(n, o) for n, o in zip(outs, olds)}
-    # the twists of an algebra in the class are in it, so a failed closure
-    # check is a failed precondition on the input, never a ConstructionError
+    # the twists gate on the input's class, so an input outside it is a
+    # failed precondition, whatever its twist
     for outs in new:
         assert {kind for kind, _ in outs} == BOTH
         assert ("PreconditionError", (PreconditionError, "input is not in class hom-poisson")) in outs

@@ -112,15 +112,26 @@ def test_twist_derived_exponent_above_the_limit_exits_3(tmp_path, capsys):
 
 def test_twist_of_algebra_outside_the_class_exits_3(tmp_path, capsys):
     # THP2 at lam = 1 with the identity twist is not Hom-Poisson; the
-    # identity is a morphism, so only the input's class fails
+    # identity and zero are morphisms, so only the input's class fails
     a = catalog.get("THP2", {"lam": F(1)})
     alg = tmp_path / "untwisted.json"
     alg.write_text(serialize_algebra(AlgebraPresentation(
-        2, a.ops, dict(a.maps, alpha=LinearMap.identity(2)), a.basis)))
+        2, a.ops, dict(a.maps, alpha=LinearMap.identity(2), zero=LinearMap.zero(2)), a.basis)))
     assert main(["check", str(alg), "--class", "hom-poisson"]) == FAIL
     capsys.readouterr()
-    assert main(["twist", str(alg), "--yau", "alpha", "--class", "hom-poisson"]) == PRECONDITION
-    assert capsys.readouterr().err == "precondition failed: input is not in class hom-poisson\n"
+    for g in ("alpha", "zero"):
+        assert main(["twist", str(alg), "--yau", g, "--class", "hom-poisson"]) == PRECONDITION
+        err = capsys.readouterr().err
+        assert err == "precondition failed: input is not in class hom-poisson\n"
+
+
+@pytest.mark.parametrize("value", ["1e3", "1.5", "1_0"])
+def test_cli_rationals_follow_the_document_grammar(thp2_file, capsys, value):
+    assert main(["check", thp2_file, "--class", "hom-lie", "--params", "lam=" + value]) == USAGE
+    assert capsys.readouterr().err == "usage error: bad rational %r in --params\n" % value
+    vec = value.upper() + ",0"
+    assert main(["twist", thp2_file, "--alpha-h", vec]) == USAGE
+    assert capsys.readouterr().err == "usage error: bad rational in vector %r\n" % vec
 
 
 @pytest.mark.parametrize("vec", ["1/0*e1", "e1-1/0*e2", "1/0,1"])
@@ -321,12 +332,15 @@ def test_equivalence(thp2_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["manin", "equivalence"])
 def test_dual_of_another_dimension_is_an_input_error(thp2_file, tmp_path, capsys, command):
-    a1 = tmp_path / "a1.json"
+    a1, ca2a = tmp_path / "a1.json", tmp_path / "ca2a.json"
     a1.write_text(json.dumps(_ALG1))
-    assert main([command, str(a1), thp2_file]) == USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "input error: dual algebra must have the same dimension\n"
+    ca2a.write_text(serialize_algebra(catalog.get("CA2a")))
+    # CA2a has no bracket: the dimensions are compared before the class gates
+    for pair in ([str(a1), thp2_file], [str(ca2a), str(a1)]):
+        assert main([command] + pair) == USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: dual algebra must have the same dimension\n"
 
 
 def test_oop_check_and_induce(plp2_file, tmp_path):

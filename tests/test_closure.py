@@ -1,17 +1,19 @@
 """The closure theorems of the builders that do not check their output.
 
-alpha_h_twist, bracket_from_derivation, bracket_from_two_derivations,
-tensor_product, sub_adjacent, induced_products,
-compatible_pre_lie_from_invertible and rota_baxter_induced check only their
-hypotheses: that the output lies in the target class is a theorem of the
-paper.  These seeded cases pin each theorem.  Every call returns or raises
-PreconditionError, and every output passes helpers.closure_check_class, the
-per-tuple reference checker, for its builder's target class.  Each builder
-reaches at least 10 outputs, and each bracket and star builder at least 5
-with a nonzero new product.  dual_representation and derivation_space are
-pinned the same way: the dual passes helpers.closure_check_rep when the
-hypotheses hold over an algebra in the class, and each basis member
-passes helpers.closure_check_derivation.
+alpha_h_twist, yau_twist, compose_twist, derived_algebra,
+bracket_from_derivation, bracket_from_two_derivations, tensor_product,
+sub_adjacent, induced_products, compatible_pre_lie_from_invertible and
+rota_baxter_induced check only their hypotheses: that the output lies in
+the target class is a theorem of the paper (for the twists, Yau's twisting
+principle).  These seeded cases pin each theorem.  Every call returns or
+raises PreconditionError, and every output passes
+helpers.closure_check_class, the per-tuple reference checker, for its
+builder's target class.  Each builder reaches at least 10 outputs, and each
+bracket, star and class-twist builder at least 5 with nonzero new products.
+dual_representation and derivation_space are pinned the same way: the dual
+passes helpers.closure_check_rep when the hypotheses hold over an algebra
+in the class, and each basis member passes
+helpers.closure_check_derivation.
 
 The inputs are the bound fixtures, their basis changes and their derived
 twists, tensor products of them up to dim 6, derivation_space members and
@@ -34,9 +36,11 @@ from homstruct.constructions import (
     alpha_h_twist,
     bracket_from_derivation,
     bracket_from_two_derivations,
+    compose_twist,
     derived_algebra,
     sub_adjacent,
     tensor_product,
+    yau_twist,
 )
 from homstruct.core import (
     AlgebraPresentation,
@@ -278,6 +282,27 @@ def test_alpha_h_twist_closure():
     outs = _outputs(alpha_h_twist, rng.sample(cases, 20))
     assert len(outs) == 20 and sum(not out.alpha.is_identity() for out in outs) >= 5
     _passes(outs, TRANSPOSED)
+
+
+def test_twist_closure():
+    # Yau's twisting principle: the class twists of an algebra in the class
+    # are in it.  The class of each case is its third argument.
+    rng = random.Random(6)
+    algs = [(a, cls) for a in _fixtures() for cls in CLASS_OPS
+            if set(CLASS_OPS[cls]) <= set(a.ops)]
+    cases = [(a, g, cls) for a, cls in algs for g in _maps(rng, a)]
+    for fn, fn_cases in (
+            (lambda a, g, cls: yau_twist(_untwisted(a), g, cls), cases),
+            (compose_twist, cases),
+            (derived_algebra, [(a, 1, cls) for a, cls in algs]),
+            (derived_algebra, [(a, 2, cls, 2) for a, cls in algs])):
+        outs = [(out, case[2]) for case in fn_cases
+                for out in [_built(fn, *case)] if out is not None]
+        nonzero = sum(not any(out.op(op).is_zero for op in CLASS_OPS[cls]) for out, cls in outs)
+        assert len(outs) >= 10 and nonzero >= 5, (len(outs), nonzero)
+        for out, cls in outs:
+            report = closure_check_class(out, cls)
+            assert report.passed, report.all_witnesses()[:4]
 
 
 # Pre-products whose left multiplications are a module of their

@@ -5,7 +5,6 @@ import pytest
 from homstruct import catalog
 from homstruct.axioms import check_class, check_multiplicative
 from homstruct.constructions import (
-    ConstructionError,
     PreconditionError,
     alpha_h_twist,
     bracket_from_derivation,
@@ -49,14 +48,17 @@ def test_yau_twist():
 
 def test_twist_builders_reject_input_outside_the_class():
     # THP2 at lam = 1, twisted and untwisted, is not Hom-Poisson; the identity
-    # is a morphism commuting with its multiplicative twist, so only the
-    # class of the input is left to fail
+    # and zero are morphisms commuting with its multiplicative twist, so only
+    # the class of the input is left to fail.  The zero twist is the zero
+    # algebra, which is in every class.
     a = catalog.get("THP2", {"lam": F(1)})
-    one = LinearMap.identity(2)
+    one, zero = LinearMap.identity(2), LinearMap.zero(2)
     untwisted = AlgebraPresentation(2, a.ops, dict(a.maps, alpha=one), a.basis)
     cls = "hom-poisson"
     for build, alg in ((lambda: yau_twist(untwisted, one, cls), untwisted),
+                       (lambda: yau_twist(untwisted, zero, cls), untwisted),
                        (lambda: compose_twist(a, one, cls), a),
+                       (lambda: compose_twist(a, zero, cls), a),
                        (lambda: derived_algebra(a, 1, cls), a),
                        (lambda: derived_algebra(a, 2, cls, kind=2), a)):
         with pytest.raises(PreconditionError, match="^input is not in class %s$" % cls) as exc:

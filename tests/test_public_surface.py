@@ -91,3 +91,25 @@ def test_references_are_read_from_the_ast():
     refs = _references("m", tree)
     assert {"axioms.check_class", "m.g", "core.parse_form"} <= refs
     assert "m.f" not in refs
+
+
+def _unused_imports(tree):
+    """The names a module imports and never reads."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    return imported - {node.id for node in ast.walk(tree)
+                       if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def test_modules_read_every_name_they_import():
+    # __init__ imports to re-export
+    unused = {"%s.%s" % (mod, name) for mod, tree in _modules().items() if mod != "__init__"
+              for name in _unused_imports(tree)}
+    assert sorted(unused) == []
+    tree = ast.parse("from __future__ import annotations\nimport os.path\nimport re as r\n"
+                     "from json import dumps, loads\nprint(os.sep, loads)\n")
+    assert _unused_imports(tree) == {"r", "dumps"}
