@@ -20,7 +20,6 @@ from itertools import compress
 
 from homstruct.core import (
     CheckReport,
-    DimensionError,
     ZERO,
     contraction_family,
     eval_bilinear,
@@ -141,11 +140,7 @@ class _Tables:
     def __init__(self, a, op_names):
         a.require_bound()
         n = self.dim = a.dim
-        f = a.alpha
-        if f.rows != n or f.cols != n:
-            raise DimensionError("map 'alpha' is %dx%d, expected %dx%d"
-                                 % (f.rows, f.cols, n, n))
-        t = int_tensor(f)
+        t = int_tensor(a.alpha)
         # the nonzero (p, alpha[x][p]) of each row x: alpha(e_p) has e_x coefficient c
         self.alpha = [[(p, c) for p, c in enumerate(row) if c] for row in t.dense()]
         self.alpha_scale = t.scale
@@ -272,16 +267,16 @@ def check_multiplicative(a, op_name="all", max_witnesses=32):
     return run_identity_families(a.dim, fams, max_witnesses)
 
 
-def _morphism_families(a, b, f, names, ident, sign=1):
+def _morphism_families(a, b, f, names, ident):
     """The tensors, and per op name the family ident % name of
-    sign (f(x #_a y) - f(x) #_b f(y))."""
+    f(x #_a y) - f(x) #_b f(y)."""
     t = {"f": int_tensor(f)}
     fams = []
     for name in names:
         t["a:" + name], t["b:" + name] = int_tensor(a.op(name)), int_tensor(b.op(name))
         fams.append(contraction_family(ident % name, (2, (b.dim,), (
-            (sign, "ijr,or->ijo", ("a:" + name, "f")),
-            (-sign, "ai,bj,abo->ijo", ("f", "f", "b:" + name)))), t, a.dim))
+            (1, "ijr,or->ijo", ("a:" + name, "f")),
+            (-1, "ai,bj,abo->ijo", ("f", "f", "b:" + name)))), t, a.dim))
     return t, fams
 
 

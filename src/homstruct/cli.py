@@ -52,9 +52,12 @@ def _parse_params(text):
         if "=" not in item:
             raise _UsageError("bad --params item %r (expected k=v)" % item)
         k, v = item.split("=", 1)
+        k = k.strip()
         if not RATIONAL_RE.fullmatch(v.strip()):
             raise _UsageError("bad rational %r in --params" % v)
-        binding[k.strip()] = Fraction(v.strip())
+        if k in binding:
+            raise _UsageError("duplicate parameter %r in --params" % k)
+        binding[k] = Fraction(v.strip())
     return binding
 
 
@@ -104,10 +107,9 @@ def _parse_vector(text, dim):
         m = _VEC_TERM.match(term)
         if not m:
             raise _UsageError("bad vector term %r" % term)
-        try:
-            coef = Fraction(m.group(1) or 1)
-        except ZeroDivisionError:
+        if m.group(1) and not RATIONAL_RE.fullmatch(m.group(1)):
             raise _UsageError("bad rational in vector %r" % text)
+        coef = Fraction(m.group(1) or 1)
         idx = int(m.group(2)) - 1
         if idx >= dim:
             raise _UsageError("basis index out of range in %r" % term)

@@ -156,10 +156,6 @@ class BilinearMap:
             cells.append((k, c))
         object.__setattr__(self, "rows", rows)
 
-    @property
-    def is_zero(self):
-        return not self.entries
-
     def is_bound(self):
         return all(isinstance(c, Fraction) for (_, _, _, c) in self.entries)
 
@@ -259,18 +255,9 @@ class LinearMap:
     def is_identity(self):
         return self.is_square and self == LinearMap.identity(self.rows)
 
-    def is_zero(self):
-        return all(c == 0 for row in self.m for c in row)
-
-    def column(self, c):
-        return tuple(self.m[r][c] for r in range(self.rows))
-
     def transpose(self):
         return LinearMap.from_rows(
             [[self.m[r][c] for r in range(self.rows)] for c in range(self.cols)])
-
-    def flat(self):
-        return tuple(c for row in self.m for c in row)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -312,22 +299,13 @@ class LinearMap:
                 base = base @ base
         return out
 
-    def det(self):
-        if not self.is_square:
-            raise DimensionError("determinant of a non-square map")
-        self.require_bound()
-        reduced, pivots, ratio = fraction_free_rref(self.m, self.cols)
-        if len(pivots) < self.rows:
-            return ZERO
-        return ratio * math.prod(row[p] for row, p in zip(reduced, pivots))
-
     def inverse(self):
         if not self.is_square:
             raise DimensionError("inverse of a non-square map")
         self.require_bound()
         n = self.rows
         # [M | I] reduces to [P | P M^-1], P the diagonal of pivot entries
-        reduced, pivots, _ = fraction_free_rref(
+        reduced, pivots = fraction_free_rref(
             [row + tuple(int(c == r) for c in range(n)) for r, row in enumerate(self.m)],
             2 * n)
         if pivots != list(range(n)):
@@ -355,18 +333,14 @@ def fraction_free_rref(rows, width):
     row, p its pivot entry and g the gcd of the result, so entries stay
     small and no Fraction is formed.  Zero rows are dropped.
 
-    Returns (reduced, pivots, ratio).  reduced[t] is an integer row whose
-    entry at pivots[t] is nonzero and whose entries at the other pivot
-    columns are 0: divided by its pivot entry it is row t of the (unique)
-    reduced row echelon form.  For a square input of full rank, det(rows) is
-    ratio times the product of the pivot entries (ratio collects -1 per row
-    swap, g / p per row operation and 1 / lcm per input row).
+    Returns (reduced, pivots).  reduced[t] is an integer row whose entry at
+    pivots[t] is nonzero and whose entries at the other pivot columns are 0:
+    divided by its pivot entry it is row t of the (unique) reduced row
+    echelon form.
     """
-    num, den = 1, 1
     ints = []
     for row in rows:
         s = math.lcm(*[x.denominator for x in row])
-        den *= s
         row = [x.numerator * (s // x.denominator) for x in row]
         if any(row):
             ints.append(row)
@@ -378,7 +352,6 @@ def fraction_free_rref(rows, width):
             continue
         if at != rank:
             ints[rank], ints[at] = ints[at], ints[rank]
-            num = -num
         q = ints[rank]
         p = q[col]
         kept = []
@@ -389,13 +362,12 @@ def fraction_free_rref(rows, width):
                 g = math.gcd(*r)
                 if not g:
                     continue
-                num, den = num * g, den * p
                 if g > 1:
                     r = [x // g for x in r]
             kept.append(r)
         ints = kept
         pivots.append(col)
-    return ints[:len(pivots)], pivots, Fraction(num, den)
+    return ints[:len(pivots)], pivots
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +403,9 @@ class AlgebraPresentation:
             if op.dim != self.dim:
                 raise DimensionError("op %r has dim %d, expected %d" % (name, op.dim, self.dim))
         for name, f in self.maps.items():
-            if f.is_square and f.rows != self.dim:
-                raise DimensionError("map %r has dim %d, expected %d" % (name, f.rows, self.dim))
+            if (f.rows, f.cols) != (self.dim, self.dim):
+                raise DimensionError("map %r is %dx%d, expected %dx%d"
+                                     % (name, f.rows, f.cols, self.dim, self.dim))
 
     def op(self, name):
         if name not in self.ops:
@@ -514,18 +487,6 @@ class BilinearFormPresentation:
         if self.B.rows != self.dim or self.B.cols != self.dim:
             raise DimensionError("form matrix must be dim-square")
 
-    def value(self, x, y):
-        return sum(
-            (require_bound(self.B.m[i][j]) * x[i] * y[j]
-             for i in range(self.dim) for j in range(self.dim)
-             if x[i] and y[j]), ZERO)
-
-    def is_symmetric(self):
-        return self.B == self.B.transpose()
-
-    def is_nondegenerate(self):
-        return self.B.det() != 0
-
 
 # ---------------------------------------------------------------------------
 # check reports
@@ -542,8 +503,7 @@ class CheckReport:
 
     @property
     def passed(self):
-        return (self.failures == 0 and not self.witnesses
-                and all(r.passed for r in self.sub_reports.values()))
+        return self.failures == 0 and all(r.passed for r in self.sub_reports.values())
 
     def all_witnesses(self):
         out = list(self.witnesses)

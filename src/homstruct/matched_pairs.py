@@ -133,10 +133,12 @@ def build_double(mp, class_name, check_actions=True):
 
 
 def check_matched_pair(mp, class_name, max_witnesses=32):
-    """Verdict: the double passes the class checker.
+    """Verdict: the double passes the class checker and both action sets
+    pass the module axioms.
 
-    The module axioms of both action sets are reported in sub_reports
-    ("actions-ab-module", "actions-ba-module") next to the double's report.
+    The three reports are the sub_reports "double", "actions-ab-module" and
+    "actions-ba-module"; the top level carries no witnesses of its own, and
+    its checked count is their sum.
     """
     class_name = rep_class(class_name)
     double = build_double(mp, class_name, check_actions=False)
@@ -147,15 +149,10 @@ def check_matched_pair(mp, class_name, max_witnesses=32):
 def _matched_pair_report(mp, class_name, verdict, max_witnesses):
     """`check_matched_pair`'s report around the double's class report
     `verdict`, which a caller that already holds it passes in."""
-    rep_ab = check_rep(mp.algebra_a, mp.actions_ab, class_name, max_witnesses)
-    rep_ba = check_rep(mp.algebra_b, mp.actions_ba, class_name, max_witnesses)
-    return CheckReport(
-        witnesses=verdict.witnesses,
-        checked=verdict.checked,
-        failures=verdict.failures,
-        sub_reports={"actions-ab-module": rep_ab,
-                     "actions-ba-module": rep_ba,
-                     "double": verdict})
+    subs = {"actions-ab-module": check_rep(mp.algebra_a, mp.actions_ab, class_name, max_witnesses),
+            "actions-ba-module": check_rep(mp.algebra_b, mp.actions_ba, class_name, max_witnesses),
+            "double": verdict}
+    return CheckReport(checked=sum(sub.checked for sub in subs.values()), sub_reports=subs)
 
 
 def mp_pre_lie_to_lie(mp):

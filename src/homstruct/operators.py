@@ -139,7 +139,7 @@ def o_operator_is_morphism(a, rep, T, class_name="transposed-hom-poisson",
     return run_identity_families(rep.module_dim, fams, max_witnesses)
 
 
-def compatible_pre_lie_from_invertible(a, rep, T, max_witnesses=32):
+def compatible_pre_lie_from_invertible(a, rep, T):
     """The Hom-pre-Lie Poisson structure on A carried over an invertible
     O-operator: x.y = T(s(x)T'(y) + s(y)T'(x)) and x*y = T(rho(x)T'(y))
     with T' the inverse of T.
@@ -156,8 +156,7 @@ def compatible_pre_lie_from_invertible(a, rep, T, max_witnesses=32):
         Ti = T.inverse()
     except DimensionError:
         raise PreconditionError("T must be invertible") from None
-    require_passed(check_o_operator(a, rep, T, "transposed-hom-poisson", max_witnesses),
-                   "T is not an O-operator")
+    require_passed(check_o_operator(a, rep, T, "transposed-hom-poisson"), "T is not an O-operator")
     n = a.dim
     t = {"T": int_tensor(T), "Ti": int_tensor(Ti),
          "s": int_tensor(rep.action("s")), "rho": int_tensor(rep.action("rho"))}
@@ -168,14 +167,14 @@ def compatible_pre_lie_from_invertible(a, rep, T, max_witnesses=32):
     return AlgebraPresentation(n, {"dot": dot, "star": star}, {"alpha": a.alpha}, a.basis)
 
 
-def rota_baxter_induced(a, R, max_witnesses=32):
+def rota_baxter_induced(a, R):
     """Products induced by a Rota-Baxter operator on a transposed algebra:
     x (dot) y = R(x).y + x.R(y) and x (star) y = {R(x), y}.
 
     The sub-adjacent structure is transposed Hom-Poisson and R is a morphism
     from it to a.
     """
-    require_passed(check_rota_baxter(a, R, "transposed-hom-poisson", max_witnesses),
+    require_passed(check_rota_baxter(a, R, "transposed-hom-poisson"),
                    "R is not a Rota-Baxter operator")
     n = a.dim
     t = {"R": int_tensor(R), "dot": int_tensor(a.op("dot")), "br": int_tensor(a.op("bracket"))}
@@ -197,7 +196,7 @@ def nullspace_basis(rows, width):
     Free variables are set to 1 one at a time in lexicographic order; the
     resulting basis is itself in reduced echelon form.
     """
-    reduced, pivots, _ = fraction_free_rref(rows, width)
+    reduced, pivots = fraction_free_rref(rows, width)
     pivot_set = set(pivots)
     basis = []
     for f in range(width):
@@ -244,11 +243,7 @@ def derivation_space(a, op_name, commuting_with="alpha"):
     n = a.dim
     t = {"op": int_tensor(a.op(op_name))}
     if commuting_with is not None:
-        g = a.map(commuting_with)
-        if (g.rows, g.cols) != (n, n):
-            raise DimensionError("map %r is %dx%d, expected %dx%d"
-                                 % (commuting_with, g.rows, g.cols, n, n))
-        t["g"] = int_tensor(g)
+        t["g"] = int_tensor(a.map(commuting_with))
     width = n * n
     t["D"] = IntTensor((width, n, n), ((b, b // n, b % n, ONE) for b in range(width)))
     rows = [vec[o::n] for _, _, table in _derivation_families(op_name, t, n)

@@ -27,7 +27,6 @@ from homstruct.axioms import (
     resolve_class,
 )
 from homstruct.core import (
-    DimensionError,
     PreconditionError,
     RepresentationPresentation,
     contraction_family,
@@ -156,22 +155,15 @@ def rep_class(name):
     return cls
 
 
-def _check_shapes(a, rep):
+def _tensors(a, rep, cls):
+    """The integer tensors of the class's rows.  A bad input raises its first
+    error in this order: bounds, algebra_dim, alpha, the ops in CLASS_OPS
+    order, the actions in REP_OPS order, beta."""
     a.require_bound()
     rep.require_bound()
     if rep.algebra_dim != a.dim:
         raise PreconditionError("representation algebra_dim does not match the algebra")
-
-
-def _tensors(a, rep, cls):
-    """The integer tensors of the class's rows.  A bad input raises its first
-    error in this order: bounds, algebra_dim, alpha's shape, the ops in
-    CLASS_OPS order, the actions in REP_OPS order, beta."""
-    _check_shapes(a, rep)
-    n, f = a.dim, a.alpha
-    if f.rows != n or f.cols != n:
-        raise DimensionError("map 'alpha' is %dx%d, expected %dx%d" % (f.rows, f.cols, n, n))
-    t = {"alpha": int_tensor(f)}
+    t = {"alpha": int_tensor(a.alpha)}
     t.update((op, int_tensor(a.op(op))) for op in CLASS_OPS[cls])
     t.update((act, int_tensor(rep.action(act))) for act in REP_OPS[cls])
     t["beta"] = int_tensor(rep.beta)
@@ -242,7 +234,6 @@ def semidirect_product(a, rep, class_name):
     when a is (tests/test_representations.py pins this).
     """
     class_name = rep_class(class_name)
-    _check_shapes(a, rep)
     require_passed(check_rep(a, rep, class_name),
                    "representation fails the %s module axioms" % class_name)
     require_passed(check_class(a, class_name), "input is not in class %s" % class_name)

@@ -228,7 +228,7 @@ def _closure_ctx(a, *op_names):
     n = a.dim
     alpha = a.alpha
     e = [basis_vec(n, i) for i in range(n)]
-    av = [alpha.column(i) for i in range(n)]
+    av = [column(alpha, i) for i in range(n)]
     ops = [a.op(name) for name in op_names]
     return e, av, ops
 
@@ -380,7 +380,7 @@ def closure_annihilation(a, max_witnesses=32):
 
 def _mat_families(n, families, max_witnesses=32, sub_reports=None, notes=()):
     """Like run_identity_families but for matrix-valued residual functions."""
-    wrapped = [(ident, arity, lambda *t, fn=fn: fn(*t).flat())
+    wrapped = [(ident, arity, lambda *t, fn=fn: flat(fn(*t)))
                for (ident, arity, fn) in families]
     return run_identity_families(n, wrapped, max_witnesses, sub_reports, notes)
 
@@ -392,7 +392,7 @@ def _ctx(a, rep, *op_names):
         raise PreconditionError("representation algebra_dim does not match the algebra")
     n = a.dim
     e = [basis_vec(n, i) for i in range(n)]
-    av = [a.alpha.column(i) for i in range(n)]
+    av = [column(a.alpha, i) for i in range(n)]
     ops = [a.op(name) for name in op_names]
     return n, e, av, ops
 
@@ -594,7 +594,7 @@ def closure_check_multiplicative(a, op_name="all", max_witnesses=32):
     names = sorted(a.ops) if op_name == "all" else [op_name]
     alpha = a.alpha
     e = [basis_vec(a.dim, i) for i in range(a.dim)]
-    av = [alpha.column(i) for i in range(a.dim)]
+    av = [column(alpha, i) for i in range(a.dim)]
     fams = []
     for name in names:
         op = a.op(name)
@@ -696,8 +696,8 @@ def closure_check_invariant_form(a, form, max_witnesses=32):
         fams.append((
             "invariance:%s" % name, 3,
             lambda i, j, k, op=op: (
-                form.value(eval_bilinear_scan(op, e[i], e[j]), al[k])
-                - form.value(al[i], eval_bilinear_scan(op, e[j], e[k])),)))
+                form_value(form, eval_bilinear_scan(op, e[i], e[j]), al[k])
+                - form_value(form, al[i], eval_bilinear_scan(op, e[j], e[k])),)))
     return run_identity_families(n, fams, max_witnesses)
 
 
@@ -743,7 +743,7 @@ def _apply_coop_slot(dim, entries, t, slot, other):
                 continue
             if slot == 0:
                 pair = _coop_apply(dim, entries, basis_vec(dim, j))
-                vec = other.column(k)
+                vec = column(other, k)
                 for pq in range(dim * dim):
                     if pair[pq]:
                         p, q = divmod(pq, dim)
@@ -751,7 +751,7 @@ def _apply_coop_slot(dim, entries, t, slot, other):
                             if vec[r]:
                                 out[(p * dim + q) * dim + r] += c * pair[pq] * vec[r]
             else:
-                vec = other.column(j)
+                vec = column(other, j)
                 pair = _coop_apply(dim, entries, basis_vec(dim, k))
                 for p in range(dim):
                     if vec[p]:
@@ -857,10 +857,10 @@ def closure_o_operator_families(a, rep, T, class_name, max_witnesses=32):
     """The families of check_o_operator, after its gate, as closures."""
     p = rep.module_dim
     u = [basis_vec(p, i) for i in range(p)]
-    Tu = [T.column(i) for i in range(p)]
+    Tu = [column(T, i) for i in range(p)]
 
     fams = [("twist-intertwine", 1,
-             lambda i: tuple((a.alpha @ T - T @ rep.beta).column(i)))]
+             lambda i: column(a.alpha @ T - T @ rep.beta, i))]
     if class_name in ("comm-hom-assoc", "transposed-hom-poisson"):
         dot = a.op("dot")
         fams.append(("o-equation:dot", 2, lambda i, j: vec_sub(
@@ -881,9 +881,9 @@ def closure_o_morphism_families(a, rep, T, induced, max_witnesses=32):
     closures."""
     p = rep.module_dim
     u = [basis_vec(p, i) for i in range(p)]
-    Tu = [T.column(i) for i in range(p)]
+    Tu = [column(T, i) for i in range(p)]
     fams = [("twist-intertwine", 1,
-             lambda i: tuple((a.alpha @ T - T @ rep.beta).column(i)))]
+             lambda i: column(a.alpha @ T - T @ rep.beta, i))]
     if "dot" in induced.ops:
         ind_dot, dot = induced.op("dot"), a.op("dot")
         fams.append(("morphism:dot", 2, lambda i, j: vec_sub(
@@ -925,6 +925,19 @@ def vec_sub(x, y):
 
 def vec_scale(c, x):
     return tuple(c * a for a in x)
+
+def column(f, c):
+    """Column c of f, the image of e_c."""
+    return tuple(f.m[r][c] for r in range(f.rows))
+
+def flat(f):
+    """f's entries in row-major order."""
+    return tuple(c for row in f.m for c in row)
+
+def form_value(form, x, y):
+    """The bilinear form at the vectors x and y: sum_ij B[i][j] x_i y_j."""
+    return sum((require_bound(form.B.m[i][j]) * x[i] * y[j]
+                for i in range(form.dim) for j in range(form.dim) if x[i] and y[j]), ZERO)
 
 def apply_map(f, x):
     """Matrix-vector product under the column convention."""
@@ -982,7 +995,7 @@ def transported(a):
     that is not symmetric."""
     P = BASIS_CHANGES[a.dim]
     Pi = P.inverse()
-    e = [Pi.column(i) for i in range(a.dim)]
+    e = [column(Pi, i) for i in range(a.dim)]
     ops = {name: bilinear_from_table(
                a.dim,
                lambda i, j, op=op: apply_map(P, eval_bilinear_scan(op, e[i], e[j])))
@@ -1134,7 +1147,7 @@ def closure_tensor_product(a1, a2, class_name):
         raise PreconditionError("tensor_product supports the commutative, "
                                 "transposed and pre-Lie Poisson classes")
     alpha = LinearMap.from_columns(
-        [kron_vec(a1.alpha.column(i1), a2.alpha.column(i2))
+        [kron_vec(column(a1.alpha, i1), column(a2.alpha, i2))
          for i1 in range(n1) for i2 in range(n2)])
     out = AlgebraPresentation(dim, ops, {"alpha": alpha})
     return _assert_closure(out, class_name, "tensor_product")
@@ -1296,14 +1309,14 @@ def closure_build_double(mp, class_name, check_actions=True):
             if I >= n and J >= n:
                 return lift_b(eval_bilinear_scan(op_b, eb[I - n], eb[J - n]))
             if I < n:  # x op b = s_A(x)b (+/-) s_B(b)x
-                part_b = fwd[I].column(J - n)
-                part_a = bwd[J - n].column(I)
+                part_b = column(fwd[I], J - n)
+                part_a = column(bwd[J - n], I)
                 if bwd_sign < 0:
                     return vec_sub(lift_b(part_b), lift_a(part_a))
                 return vec_add(lift_b(part_b), lift_a(part_a))
             # a op y = s_B(a)y (+/-) s_A(y)a
-            part_b = fwd[J].column(I - n)
-            part_a = bwd[I - n].column(J)
+            part_b = column(fwd[J], I - n)
+            part_a = column(bwd[I - n], J)
             if bwd_sign < 0:
                 return vec_sub(lift_a(part_a), lift_b(part_b))
             return vec_add(lift_b(part_b), lift_a(part_a))
@@ -1320,11 +1333,11 @@ def closure_build_double(mp, class_name, check_actions=True):
             if I >= n and J >= n:
                 return lift_b(eval_bilinear_scan(op_b, eb[I - n], eb[J - n]))
             if I < n:  # x * b = l_A(x)b + r_B(b)x
-                return vec_add(lift_b(l_ab[I].column(J - n)),
-                               lift_a(r_ba[J - n].column(I)))
+                return vec_add(lift_b(column(l_ab[I], J - n)),
+                               lift_a(column(r_ba[J - n], I)))
             # a * y = r_A(y)a + l_B(a)y
-            return vec_add(lift_b(r_ab[J].column(I - n)),
-                           lift_a(l_ba[I - n].column(J)))
+            return vec_add(lift_b(column(r_ab[J], I - n)),
+                           lift_a(column(l_ba[I - n], J)))
         return fn
 
     ops = {}
@@ -1352,7 +1365,7 @@ def closure_induced_products(a, rep, T, class_name="transposed-hom-poisson",
         raise PreconditionError("T is not an O-operator", gate)
     p = rep.module_dim
     u = [basis_vec(p, i) for i in range(p)]
-    Tu = [T.column(i) for i in range(p)]
+    Tu = [column(T, i) for i in range(p)]
     ops = {}
     if class_name in ("comm-hom-assoc", "transposed-hom-poisson"):
         ops["dot"] = bilinear_from_table(p, lambda i, j: vec_add(
@@ -1382,7 +1395,7 @@ def closure_compatible_pre_lie_from_invertible(a, rep, T, max_witnesses=32):
     """
     if T.rows != T.cols:
         raise PreconditionError("T must be square")
-    if T.det() == 0:
+    if fraction_det(T) == 0:
         raise PreconditionError("T must be invertible")
     gate = check_o_operator(a, rep, T, "transposed-hom-poisson", max_witnesses)
     if not gate.passed:

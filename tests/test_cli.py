@@ -125,13 +125,22 @@ def test_twist_of_algebra_outside_the_class_exits_3(tmp_path, capsys):
         assert err == "precondition failed: input is not in class hom-poisson\n"
 
 
-@pytest.mark.parametrize("value", ["1e3", "1.5", "1_0"])
+@pytest.mark.parametrize("value", ["1e3", "1.5", "1_0", "1/02"])
 def test_cli_rationals_follow_the_document_grammar(thp2_file, capsys, value):
     assert main(["check", thp2_file, "--class", "hom-lie", "--params", "lam=" + value]) == USAGE
     assert capsys.readouterr().err == "usage error: bad rational %r in --params\n" % value
-    vec = value.upper() + ",0"
-    assert main(["twist", thp2_file, "--alpha-h", vec]) == USAGE
-    assert capsys.readouterr().err == "usage error: bad rational in vector %r\n" % vec
+    # the comma form, and the e1-term form for a value its term grammar reads
+    for vec in [value.upper() + ",0"] + [value + "*e1"] * ("/" in value):
+        assert main(["twist", thp2_file, "--alpha-h", vec]) == USAGE
+        assert capsys.readouterr().err == "usage error: bad rational in vector %r\n" % vec
+
+
+def test_repeated_params_name_is_a_usage_error(thp2_file, capsys):
+    # THP2 is Hom-Poisson at lam = 0 and not at lam = 1: neither binding is picked
+    argv = ["check", thp2_file, "--class", "hom-poisson", "--params"]
+    assert main(argv + ["lam=1,lam=0"]) == USAGE
+    assert capsys.readouterr().err == "usage error: duplicate parameter 'lam' in --params\n"
+    assert main(argv + ["lam = 0,lam=1"]) == USAGE
 
 
 @pytest.mark.parametrize("vec", ["1/0*e1", "e1-1/0*e2", "1/0,1"])

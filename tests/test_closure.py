@@ -13,7 +13,10 @@ bracket, star and class-twist builder at least 5 with nonzero new products.
 dual_representation and derivation_space are pinned the same way: the dual
 passes helpers.closure_check_rep when the hypotheses hold over an algebra
 in the class, and each basis member passes
-helpers.closure_check_derivation.
+helpers.closure_check_derivation.  So is the Manin-triple fact that
+duality.check_manin_triple takes as given: both summands of a coadjoint
+double are subalgebras restricting to their own products
+(helpers.closure_block_closure_report), on random inputs and with no gate.
 
 The inputs are the bound fixtures, their basis changes and their derived
 twists, tensor products of them up to dim 6, derivation_space members and
@@ -50,6 +53,8 @@ from homstruct.core import (
     RepresentationPresentation,
     basis_vec,
 )
+from homstruct.duality import coadjoint_matched_pair
+from homstruct.matched_pairs import build_double
 from homstruct.operators import (
     compatible_pre_lie_from_invertible,
     derivation_space,
@@ -69,12 +74,15 @@ from helpers import (
     apply_map,
     bilinear_from_table,
     bound_fixtures,
+    closure_block_closure_report,
     closure_check_class,
     closure_check_derivation,
     closure_check_morphism,
     closure_check_rep,
     closure_dual_hypotheses,
+    column,
     eval_bilinear_scan,
+    rand_algebra,
     rand_fraction,
     rand_matrix,
     rand_vec,
@@ -113,7 +121,7 @@ def _passes(outs, cls):
 
 def _reaches(outs, op):
     """At least 10 outputs, and at least 5 whose op is not zero."""
-    nonzero = sum(not out.op(op).is_zero for out in outs)
+    nonzero = sum(bool(out.op(op).entries) for out in outs)
     assert len(outs) >= 10 and nonzero >= 5, (len(outs), nonzero)
 
 
@@ -197,7 +205,7 @@ def _commutative():
     two = []
     for a, ds in algs:
         out = _built(bracket_from_derivation, a, ds[-1]) if a.dim == 2 else None
-        if out is not None and not out.op("bracket").is_zero:
+        if out is not None and out.op("bracket").entries:
             two.append((a, ds))
     one = LinearMap.identity(2)
     products = []
@@ -215,7 +223,7 @@ def _pre_lie_poisson():
     commutative fixtures with the star x*y = x.D(y) for a derivation D (its
     commutator is bracket_from_derivation's bracket), and induced_products
     outputs of transposed O-operators."""
-    out = [a for a in _algebras("hom-pre-lie-poisson") if not a.op("star").is_zero]
+    out = [a for a in _algebras("hom-pre-lie-poisson") if a.op("star").entries]
     for a, ds in _commutative()[0]:
         e = [basis_vec(a.dim, i) for i in range(a.dim)]
         dot = a.op("dot")
@@ -298,7 +306,7 @@ def test_twist_closure():
             (derived_algebra, [(a, 2, cls, 2) for a, cls in algs])):
         outs = [(out, case[2]) for case in fn_cases
                 for out in [_built(fn, *case)] if out is not None]
-        nonzero = sum(not any(out.op(op).is_zero for op in CLASS_OPS[cls]) for out, cls in outs)
+        nonzero = sum(all(out.op(op).entries for op in CLASS_OPS[cls]) for out, cls in outs)
         assert len(outs) >= 10 and nonzero >= 5, (len(outs), nonzero)
         for out, cls in outs:
             report = closure_check_class(out, cls)
@@ -455,7 +463,7 @@ def _module_changes(a, rep):
                 Q @ rep.beta @ Qi)),
             (transported(a), RepresentationPresentation(
                 n, rep.module_dim,
-                {name: tuple(action_of(rep, name, Pi.column(i)) for i in range(n))
+                {name: tuple(action_of(rep, name, column(Pi, i)) for i in range(n))
                  for name in rep.actions}, rep.beta))]
 
 
@@ -551,7 +559,7 @@ def test_dual_representation_closure():
             continue
         assert (got.passed, got.failures) == (hyp.passed, hyp.failures)
         if k < len(hand):
-            assert got.passed and any(not m.is_zero() for fam in dual.actions.values()
+            assert got.passed and any(any(map(any, m.m)) for fam in dual.actions.values()
                                       for m in fam)
         if got.passed:
             for module in (rep, dual):
@@ -559,3 +567,15 @@ def test_dual_representation_closure():
                 assert report.passed, report.all_witnesses()[:4]
             duals += 1
     assert duals >= 20 and rejected >= 10, (duals, rejected)
+
+
+def test_coadjoint_double_blocks_are_the_summands():
+    # build_double writes each summand's products into its own block and
+    # every action entry into a cross block, so no gate is needed
+    rng = random.Random(23)
+    for n in (1, 2, 3):
+        for _ in range(30):
+            a, b = (rand_algebra(rng, n, ("dot", "bracket")) for _ in range(2))
+            double = build_double(coadjoint_matched_pair(a, b), TRANSPOSED, check_actions=False)
+            report = closure_block_closure_report(double, a, b)
+            assert report.passed and report.checked == 4 * n * n, report.all_witnesses()[:4]

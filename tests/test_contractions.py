@@ -37,7 +37,6 @@ from homstruct.core import (
     serialize_algebra,
 )
 from homstruct.duality import (
-    _block_closure_report,
     build_double_dual,
     check_bialgebra_conditions,
     check_invariant_form,
@@ -62,7 +61,6 @@ from homstruct.representations import REP_OPS, check_rep, regular_representation
 from helpers import (
     bound_fixtures,
     closure_bialgebra_families,
-    closure_block_closure_report,
     closure_check_derivation,
     closure_check_invariant_form,
     closure_check_morphism,
@@ -188,22 +186,6 @@ def test_invariant_form_matches_closure():
 
 def _is_transposed(a):
     return check_class(a, "transposed-hom-poisson").passed
-
-
-def test_block_closure_matches_closure():
-    rng = random.Random(11)
-    cases = []
-    for a in _transposed():
-        if _is_transposed(a):
-            a_star = trivial_dual(a)
-            cases.append((build_double_dual(a, a_star), a, a_star))
-    for n in (1, 2, 3):
-        a, a_star = (rand_algebra(rng, n, ("dot", "bracket")) for _ in range(2))
-        cases.append((rand_algebra(rng, 2 * n, ("dot", "bracket")), a, a_star))
-    verdicts = {_same(lambda mw: _block_closure_report(double, a, a_star, mw),
-                      lambda mw: closure_block_closure_report(double, a, a_star, mw))
-                for double, a, a_star in cases}
-    assert verdicts == {True, False}
 
 
 def test_bialgebra_families_match_closure():

@@ -34,7 +34,7 @@ from homstruct.core import (
     substitute_params,
 )
 
-from helpers import apply_map, bilinear_from_table, eval_bilinear_scan
+from helpers import apply_map, bilinear_from_table, column, eval_bilinear_scan, fraction_det
 
 F = Fraction
 
@@ -134,13 +134,13 @@ def test_eval_bilinear_matches_the_scan():
 
 def test_linear_map_algebra():
     a = LinearMap.from_rows([[F(1), F(2)], [F(3), F(4)]])
-    assert a.det() == F(-2)
+    assert a.inverse() == LinearMap.from_rows([[F(-2), F(1)], [F(3, 2), F(-1, 2)]])
     assert (a @ a.inverse()).is_identity()
     power = LinearMap.identity(2)
     for n in range(12):
         assert a.power(n) == power
         power = power @ a
-    assert (a - a).is_zero()
+    assert a - a == LinearMap.zero(2)
     assert a.transpose().transpose() == a
     with pytest.raises(DimensionError):
         LinearMap.from_rows([[F(1), F(2)], [F(2), F(4)]]).inverse()
@@ -155,14 +155,14 @@ def test_linear_map_power_rejects_a_negative_exponent():
 @given(st.lists(st.fractions(max_denominator=6), min_size=4, max_size=4))
 def test_linear_map_inverse_property(vals):
     m = LinearMap.from_rows([[vals[0], vals[1]], [vals[2], vals[3]]])
-    if m.det() != 0:
+    if fraction_det(m) != 0:
         assert (m.inverse() @ m).is_identity()
 
 
 def test_apply_map():
     m = LinearMap.diagonal([F(2), F(-1)])
     assert apply_map(m, (F(1), F(3))) == (F(2), F(-3))
-    assert m.column(1) == (F(0), F(-1))
+    assert column(m, 1) == (F(0), F(-1))
 
 
 def test_check_report_verdict():

@@ -26,7 +26,7 @@ from homstruct.duality import (
 )
 from homstruct.matched_pairs import check_matched_pair
 
-from helpers import bound_fixtures, closure_double_coadjoint_actions, tensor_map
+from helpers import bound_fixtures, closure_double_coadjoint_actions, fraction_det, tensor_map
 
 F = Fraction
 T = "transposed-hom-poisson"
@@ -58,7 +58,7 @@ def test_trivial_dual():
     a = catalog.get("THP2", {"lam": F(1)})
     d = trivial_dual(a)
     assert d.dim == a.dim
-    assert all(op.is_zero for op in d.ops.values())
+    assert not any(op.entries for op in d.ops.values())
     assert d.alpha == a.alpha.transpose()
 
 
@@ -89,7 +89,7 @@ def test_standard_form_is_a_split_pairing():
     # zero on each block
     for n in (1, 2, 3, 4):
         f = standard_form(n)
-        assert f.is_symmetric() and f.is_nondegenerate()
+        assert f.B == f.B.transpose() and fraction_det(f.B) != 0
         assert all(f.B.m[i][j] == 0 for off in (0, n) for i in range(off, off + n)
                    for j in range(off, off + n))
 
@@ -104,15 +104,15 @@ def test_manin_triple_abelian_passes():
     a = _abelian()
     rep = check_manin_triple(a, trivial_dual(a))
     assert rep.passed
-    assert set(rep.sub_reports) == {"double-transposed", "blocks", "invariant-form"}
+    assert set(rep.sub_reports) == {"double-transposed", "invariant-form"}
 
 
 def test_manin_triple_counts_its_sub_reports():
-    # TP2 (dim 2): 64 tuples in the double's own family, 16 in the blocks'
-    # four binary families, 2 * 64 in the invariance families
+    # TP2 (dim 2): 64 tuples in the double's own family, 2 * 64 in the
+    # invariance families
     rep = check_manin_triple(catalog.get("TP2"), trivial_dual(catalog.get("TP2")))
-    assert [sub.checked for sub in rep.sub_reports.values()] == [64, 16, 128]
-    assert rep.checked == 64 + 16 + 128
+    assert [sub.checked for sub in rep.sub_reports.values()] == [64, 128]
+    assert rep.checked == 64 + 128
 
 
 def test_manin_triple_fails_on_thp2_zero_dual():

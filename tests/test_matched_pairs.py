@@ -12,6 +12,7 @@ from homstruct.core import (
     basis_vec,
     eval_bilinear,
 )
+from homstruct.duality import coadjoint_matched_pair, trivial_dual
 from homstruct.matched_pairs import (
     MatchedPairData,
     PreconditionError,
@@ -59,6 +60,19 @@ def test_check_matched_pair_transposed():
     assert r.passed
     assert set(r.sub_reports) == {"actions-ab-module", "actions-ba-module", "double"}
     assert r.notes == ()
+
+
+def test_matched_pair_reports_each_witness_once():
+    # TP2's coadjoint pair fails: the double's witnesses sit under "double"
+    # only, and the top level counts what its three sub-reports checked
+    tp2 = catalog.get("TP2")
+    r = check_matched_pair(coadjoint_matched_pair(tp2, trivial_dual(tp2)),
+                           "transposed-hom-poisson")
+    assert not r.passed and r.sub_reports["double"].witnesses
+    assert (r.witnesses, r.failures) == ([], 0)
+    assert r.checked == sum(sub.checked for sub in r.sub_reports.values()) == 80
+    witnesses = r.all_witnesses()
+    assert len(witnesses) == len(set(map(repr, witnesses)))
 
 
 def test_check_matched_pair_comm():

@@ -1,12 +1,16 @@
-"""Every public function of homstruct is used by the package or listed.
+"""Every public function of homstruct, and every public method or property
+of a class in `homstruct.core`, is used by the package or listed.
 
 A public module-level function of `homstruct.*` must be referenced from
 `src/homstruct` outside its own `def`, or be on `ALLOWED` with its reason.
 The references are read from the source's AST: a name loaded in its own
 module, a name imported with `from homstruct.<module> import`, or an
-attribute of a module imported with `from homstruct import <module>`.  An
-entry of `ALLOWED` that names no public function, or a function that the
-package now references, fails the test too, so the list cannot rot.
+attribute of a module imported with `from homstruct import <module>`.  A
+method is used when the package reads an attribute of its name outside a
+`def` of that name; the class of the object is not known to the AST, so a
+name that two classes share counts for both.  An entry of `ALLOWED` that
+names nothing public, or a name that the package now uses, fails the test
+too, so the list cannot rot.  A name only the tests use is not a reason.
 """
 
 import ast
@@ -16,12 +20,14 @@ import homstruct
 
 SRC = pathlib.Path(homstruct.__file__).parent
 
-# "module.function" -> why it stays without a caller in the package
+# "module.function" or "core.Class.method" -> why it stays without a caller
+# in the package
 ALLOWED = {
     "axioms.check_poisson_intersection":
         "paper: both Hom-Poisson and transposed iff the mixed products vanish",
     "axioms.check_transposed_consequences":
         "paper: identities that follow from the transposed Leibniz rule",
+    "core.CheckReport.all_witnesses": "bench/workloads.py compares every witness through it",
     "core.parse_form": "bench/tracing.py wraps it as core.parse",
     "core.serialize_comultiplications": "interchange round trip of parse_comultiplications",
     "core.serialize_form": "interchange round trip of parse_form",
@@ -74,13 +80,45 @@ def _references(mod, tree):
     return out
 
 
+def _check_listed(public, used, kind):
+    listed = {name for name in ALLOWED if name.count(".") == kind.count(".")}
+    assert sorted(public - used - listed) == []
+    assert sorted(listed - public) == [], "listed names that are not public"
+    assert sorted(listed & used) == [], "listed names that the package now uses"
+
+
 def test_public_functions_are_used_or_listed():
     modules = _modules()
-    public = _public_functions(modules)
     used = set().union(*(_references(mod, tree) for mod, tree in modules.items()))
-    assert sorted(public - used - set(ALLOWED)) == []
-    assert sorted(set(ALLOWED) - public) == [], "listed names that are not public functions"
-    assert sorted(set(ALLOWED) & used) == [], "listed names that the package now uses"
+    _check_listed(_public_functions(modules), used, "module.function")
+
+
+def _attribute_reads(node, enclosing=()):
+    """The attribute names read under node, a read inside a def of the same
+    name left out."""
+    if isinstance(node, ast.FunctionDef):
+        enclosing += (node.name,)
+    out = set()
+    if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr not in enclosing):
+        out.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        out |= _attribute_reads(child, enclosing)
+    return out
+
+
+def test_public_methods_of_core_are_used_or_listed():
+    modules = _modules()
+    public = {"core.%s.%s" % (cls.name, node.name)
+              for cls in modules["core"].body if isinstance(cls, ast.ClassDef)
+              for node in cls.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    reads = set().union(*map(_attribute_reads, modules.values()))
+    used = {name for name in public if name.rsplit(".", 1)[1] in reads}
+    _check_listed(public, used, "core.Class.method")
+    tree = ast.parse("class C:\n    def f(self):\n        return self.f() + self.g\n"
+                     "    @property\n    def g(self):\n        return self.h\n")
+    assert _attribute_reads(tree) == {"g", "h"}
 
 
 def test_references_are_read_from_the_ast():
