@@ -2,7 +2,6 @@
 
 from homstruct.core import (
     AlgebraPresentation,
-    BilinearFormPresentation,
     BilinearMap,
     CheckReport,
     ConstructionError,
@@ -20,7 +19,6 @@ from homstruct.core import (
 
 __all__ = [
     "AlgebraPresentation",
-    "BilinearFormPresentation",
     "BilinearMap",
     "CheckReport",
     "ConstructionError",

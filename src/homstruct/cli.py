@@ -33,7 +33,6 @@ from homstruct.core import (
     parse_representation,
     serialize_algebra,
     serialize_representation,
-    substitute_coefficient,
     substitute_params,
 )
 
@@ -69,18 +68,20 @@ def _read(path):
         raise _UsageError("cannot read %s: %s" % (path, exc))
 
 
+def _load(parse, path, binding):
+    """The document at path, with its parameters bound."""
+    p = parse(_read(path))
+    if binding or p.params:
+        p = substitute_params(p, binding)
+    return p
+
+
 def _load_algebra(path, binding):
-    a = parse_algebra(_read(path))
-    if binding or a.params:
-        a = substitute_params(a, binding)
-    return a
+    return _load(parse_algebra, path, binding)
 
 
 def _load_rep(path, binding):
-    rep = parse_representation(_read(path))
-    if binding or rep.params:
-        rep = substitute_params(rep, binding)
-    return rep
+    return _load(parse_representation, path, binding)
 
 
 _VEC_TERM = re.compile(r"^(?:(-?[0-9]+(?:/[0-9]+)?)\*?)?e([1-9][0-9]*)$")
@@ -288,13 +289,10 @@ def _cmd_manin(args, binding):
 def _cmd_bialgebra(args, binding):
     from homstruct.duality import check_bialgebra_conditions
     a = _load_algebra(args.algebra, binding)
-    dim, coops = parse_comultiplications(_read(args.coops))
-    if dim != a.dim:
+    coalgebra = _load(parse_comultiplications, args.coops, binding)
+    if coalgebra.dim != a.dim:
         raise DimensionError("comultiplication dimension mismatch")
-    coops = {name: tuple((i, j, k, substitute_coefficient(c, binding))
-                         for (i, j, k, c) in entries)
-             for name, entries in coops.items()}
-    report = check_bialgebra_conditions(a, coops, args.max_witnesses)
+    report = check_bialgebra_conditions(a, coalgebra.ops, args.max_witnesses)
     return _emit_report(args, "bialgebra", [args.algebra, args.coops], report)
 
 

@@ -476,18 +476,6 @@ class RepresentationPresentation:
         return self
 
 
-@dataclass(frozen=True)
-class BilinearFormPresentation:
-    dim: int
-    B: LinearMap = None
-
-    def __post_init__(self):
-        if self.B is None:
-            object.__setattr__(self, "B", LinearMap.zero(self.dim))
-        if self.B.rows != self.dim or self.B.cols != self.dim:
-            raise DimensionError("form matrix must be dim-square")
-
-
 # ---------------------------------------------------------------------------
 # check reports
 
@@ -978,20 +966,21 @@ def serialize_representation(rep):
 
 
 def parse_form(text):
+    """The Gram matrix B of a form, B[r][c] = <e_r, e_c>."""
     doc = _load(text, ("dim", "params", "basis", "B"))
     dim, _, params = _common_header(doc)
     if "B" not in doc:
         raise FormatError('"B" is required')
-    return BilinearFormPresentation(dim, _matrix_in(doc["B"], params, "B", dim, dim))
+    return _matrix_in(doc["B"], params, "B", dim, dim)
 
 
-def serialize_form(form):
+def serialize_form(B):
     """The form's document; "params" lists the parameters its matrix uses."""
-    doc = {"dim": form.dim}
-    params = sorted({c.lstrip("-") for row in form.B.m for c in row if isinstance(c, str)})
+    doc = {"dim": B.rows}
+    params = sorted({c.lstrip("-") for row in B.m for c in row if isinstance(c, str)})
     if params:
         doc["params"] = params
-    doc["B"] = _matrix_out(form.B)
+    doc["B"] = _matrix_out(B)
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -1008,31 +997,30 @@ def serialize_o_operator(T):
 
 
 def parse_comultiplications(text):
-    """Parse comultiplication entries stored under the "coops" key.
+    """The comultiplications stored under the "coops" key, read as the
+    products they define on the dual space.
 
-    Returns (dim, {name: entries}) with entry (i, j, k, c) meaning the image
-    of e_i has e_j (x) e_k coefficient c.  An (i, j, k) listed twice in one
-    coop is a FormatError, as in a BilinearMap.
+    A coop entry (i, j, k, c) means the image of e_i has e_j (x) e_k
+    coefficient c; it is the dual product entry (j, k, i, c), as the
+    comultiplication is the transpose of that product.  The result has no
+    maps and the default basis.
     """
     doc = _load(text, ("dim", "params", "basis", "coops"))
     dim, _, params = _common_header(doc)
-    coops = {}
+    ops = {}
     for name, raw in _object(doc, "coops").items():
-        entries = coops[name] = tuple(_entries_in(raw, dim, params, "coop %r" % name))
-        seen = set()
-        for i, j, k, _ in entries:
-            if (i, j, k) in seen:
-                raise FormatError("duplicate entry for (%d,%d,%d)" % (i, j, k))
-            seen.add((i, j, k))
-    return dim, coops
+        coop = BilinearMap(dim, tuple(_entries_in(raw, dim, params, "coop %r" % name)))
+        ops[name] = BilinearMap(dim, tuple((j, k, i, c) for (i, j, k, c) in coop.entries))
+    return AlgebraPresentation(dim, ops, params=params)
 
 
-def serialize_comultiplications(dim, coops):
-    """The coops' document; "params" lists the parameters their entries use."""
-    doc = {"dim": dim}
-    params = sorted({c.lstrip("-") for entries in coops.values()
-                     for *_, c in entries if isinstance(c, str)})
-    if params:
-        doc["params"] = params
-    doc["coops"] = {name: _entries_out(sorted(coops[name])) for name in sorted(coops)}
+def serialize_comultiplications(coalgebra):
+    """The document of `parse_comultiplications`' result: the declared
+    params and each coop's entries in coop order, sorted."""
+    doc = {"dim": coalgebra.dim}
+    if coalgebra.params:
+        doc["params"] = list(coalgebra.params)
+    doc["coops"] = {name: _entries_out(sorted((i, j, k, c) for (j, k, i, c)
+                                              in coalgebra.ops[name].entries))
+                    for name in sorted(coalgebra.ops)}
     return json.dumps(doc, indent=2) + "\n"

@@ -1,11 +1,12 @@
-"""Dual-space constructions: coadjoint doubles, invariant forms,
-comultiplications, bialgebra conditions and their equivalence.
+"""Dual-space constructions: coadjoint doubles, invariant forms, bialgebra
+conditions and their equivalence.
 
 Everything lives on the dual of the presentation space with the dual basis,
-so dual maps are plain transposes and comultiplications are stored as sparse
-(i, j, k, c) entries meaning the image of e_i has e_j (x) e_k coefficient c.
-Tensor elements are lexicographic coefficient vectors of length dim^2 (or
-dim^3 for the triple-tensor identity).
+so dual maps are plain transposes and a comultiplication is the product on
+the dual space whose transpose it is (`core.parse_comultiplications` reads
+a comultiplication document so).  Tensor elements are lexicographic
+coefficient vectors of length dim^2 (or dim^3 for the triple-tensor
+identity).
 """
 
 from __future__ import annotations
@@ -13,12 +14,10 @@ from __future__ import annotations
 from homstruct.axioms import check_class
 from homstruct.core import (
     AlgebraPresentation,
-    BilinearFormPresentation,
     BilinearMap,
     CheckReport,
     ConstructionError,
     DimensionError,
-    IntTensor,
     LinearMap,
     PreconditionError,
     RepresentationPresentation,
@@ -89,19 +88,20 @@ def standard_form(n):
     Z = LinearMap.zero(n)
     rows = [list(Z.m[i]) + list(I.m[i]) for i in range(n)]
     rows += [list(I.m[i]) + list(Z.m[i]) for i in range(n)]
-    return BilinearFormPresentation(2 * n, LinearMap.from_rows(rows))
+    return LinearMap.from_rows(rows)
 
 
-def check_invariant_form(a, form, max_witnesses=32):
-    """B(x op y, alpha(z)) = B(alpha(x), y op z) for every present op.
+def check_invariant_form(a, B, max_witnesses=32):
+    """B(x op y, alpha(z)) = B(alpha(x), y op z) for every present op, with
+    B the form's Gram matrix B[r][c] = <e_r, e_c>.
 
     The form's entries are checked for parameters up front.
     """
     a.require_bound()
-    if form.dim != a.dim:
+    if (B.rows, B.cols) != (a.dim, a.dim):
         raise DimensionError("form dimension mismatch")
     n = a.dim
-    t = {"alpha": int_tensor(a.alpha), "B": int_tensor(form.B)}
+    t = {"alpha": int_tensor(a.alpha), "B": int_tensor(B)}
     t.update((name, int_tensor(a.op(name))) for name in sorted(a.ops))
     return run_identity_families(n, [contraction_family(
         "invariance:%s" % name, (3, (), (
@@ -144,44 +144,27 @@ def _manin_report(double, double_report, max_witnesses):
 
 
 # ---------------------------------------------------------------------------
-# comultiplications
-
-def comultiplication_from_algebra_op(op):
-    """Entries of the comultiplication whose dualization returns the op."""
-    return tuple(sorted((i, j, k, c) for (j, k, i, c) in op.entries))
-
-
-def dualize_comultiplication(dim, entries):
-    """The product on the dual space induced by a comultiplication."""
-    return BilinearMap(dim, tuple((j, k, i, c) for (i, j, k, c) in entries))
-
-
-def algebra_from_comultiplications(a, coops):
-    """The dual algebra: each coop dualized, twist alpha^T."""
-    ops = {name: dualize_comultiplication(a.dim, entries)
-           for name, entries in coops.items()}
-    return AlgebraPresentation(a.dim, ops, {"alpha": a.alpha.transpose()})
-
-
-def comultiplications_from_dual_algebra(a_star):
-    return {name: comultiplication_from_algebra_op(a_star.op(name))
-            for name in sorted(a_star.ops)}
-
+# bialgebras
 
 def check_bialgebra_conditions(a, coops, max_witnesses=32):
     """Compatibility of a transposed Hom-Poisson algebra with a cocommutative
     coassociative comultiplication ("dot") and a Lie comultiplication
-    ("bracket"), both stored as sparse entries.
+    ("bracket").
+
+    coops maps "dot" and "bracket" to the products on the dual space A* that
+    the comultiplications are the transposes of: the dual product entry
+    (j, k, i, c) is the comultiplication's e_j (x) e_k coefficient c in the
+    image of e_i, as `core.parse_comultiplications` reads it.
 
     Gates (sub_reports): the algebra passes the transposed checker and each
-    dualized coop passes its own class checker on the dual space.  The
-    verdict also requires the five compatibility families.
+    dual product passes its own class checker on the dual space, twisted by
+    alpha^T.  The verdict also requires the five compatibility families.
     """
     a.require_bound()
     if set(coops) != {"dot", "bracket"}:
         raise PreconditionError('coops must provide "dot" and "bracket"')
     n = a.dim
-    dual = algebra_from_comultiplications(a, coops)
+    dual = AlgebraPresentation(n, coops, {"alpha": a.alpha.transpose()})
     subs = {
         "algebra-transposed": check_class(a, _TRANSPOSED, max_witnesses),
         "dual-dot-comm-assoc": check_class(dual, "comm-hom-assoc", max_witnesses),
@@ -190,44 +173,45 @@ def check_bialgebra_conditions(a, coops, max_witnesses=32):
 
     t = {"alpha": int_tensor(a.alpha), "dot": int_tensor(a.op("dot")),
          "br": int_tensor(a.op("bracket")),
-         "Dd": IntTensor((n,) * 3, coops["dot"]), "Db": IntTensor((n,) * 3, coops["bracket"])}
-    # e_i (x) e_j coordinates: p, q (and r); S(x) = x.-, ad(x) = {x,-}
+         "Dd": int_tensor(dual.op("dot")), "Db": int_tensor(dual.op("bracket"))}
+    # e_i (x) e_j coordinates: p, q (and r); S(x) = x.-, ad(x) = {x,-};
+    # Dd[p][q][r] is the e_p (x) e_q coefficient of Delta(e_r)
     out = (n, n)
     rows = {
         # delta({x,y}) - (ad(x) (x) a + a (x) ad(x)) delta(y) + (x <-> y)
         "bracket-coop-cocycle": (2, out, (
-            (1, "ijr,rpq->ijpq", ("br", "Db")),
-            (-1, "iap,qb,jab->ijpq", ("br", "alpha", "Db")),
-            (-1, "pa,ibq,jab->ijpq", ("alpha", "br", "Db")),
-            (1, "jap,qb,iab->ijpq", ("br", "alpha", "Db")),
-            (1, "pa,jbq,iab->ijpq", ("alpha", "br", "Db")))),
+            (1, "ijr,pqr->ijpq", ("br", "Db")),
+            (-1, "iap,qb,abj->ijpq", ("br", "alpha", "Db")),
+            (-1, "pa,ibq,abj->ijpq", ("alpha", "br", "Db")),
+            (1, "jap,qb,abi->ijpq", ("br", "alpha", "Db")),
+            (1, "pa,jbq,abi->ijpq", ("alpha", "br", "Db")))),
         # Delta(x.y) - (S(a(x)) (x) a) Delta(y) - (a (x) S(a(y))) Delta(x)
         "dot-coop-infinitesimal": (2, out, (
-            (1, "ijr,rpq->ijpq", ("dot", "Dd")),
-            (-1, "xi,xap,qb,jab->ijpq", ("alpha", "dot", "alpha", "Dd")),
-            (-1, "pa,xj,xbq,iab->ijpq", ("alpha", "alpha", "dot", "Dd")))),
+            (1, "ijr,pqr->ijpq", ("dot", "Dd")),
+            (-1, "xi,xap,qb,abj->ijpq", ("alpha", "dot", "alpha", "Dd")),
+            (-1, "pa,xj,xbq,abi->ijpq", ("alpha", "alpha", "dot", "Dd")))),
         # (a (x) Delta) delta(x) - (delta (x) a) Delta(x)
         #   - (tau (x) id)(a (x) delta) Delta(x)
         "triple-tensor": (1, (n, n, n), (
-            (1, "iab,pa,bqr->ipqr", ("Db", "alpha", "Dd")),
-            (-1, "iab,apq,rb->ipqr", ("Dd", "Db", "alpha")),
-            (-1, "iab,qa,bpr->ipqr", ("Dd", "alpha", "Db")))),
+            (1, "abi,pa,qrb->ipqr", ("Db", "alpha", "Dd")),
+            (-1, "abi,pqa,rb->ipqr", ("Dd", "Db", "alpha")),
+            (-1, "abi,qa,prb->ipqr", ("Dd", "alpha", "Db")))),
         # delta(x.y) - (S(a(y)) (x) a) delta(x) - (S(a(x)) (x) a) delta(y)
         #   + (a (x) ad(x)) Delta(y) + (a (x) ad(y)) Delta(x)
         "mixed-dot-cobracket": (2, out, (
-            (1, "ijr,rpq->ijpq", ("dot", "Db")),
-            (-1, "xj,xap,qb,iab->ijpq", ("alpha", "dot", "alpha", "Db")),
-            (-1, "xi,xap,qb,jab->ijpq", ("alpha", "dot", "alpha", "Db")),
-            (1, "pa,ibq,jab->ijpq", ("alpha", "br", "Dd")),
-            (1, "pa,jbq,iab->ijpq", ("alpha", "br", "Dd")))),
+            (1, "ijr,pqr->ijpq", ("dot", "Db")),
+            (-1, "xj,xap,qb,abi->ijpq", ("alpha", "dot", "alpha", "Db")),
+            (-1, "xi,xap,qb,abj->ijpq", ("alpha", "dot", "alpha", "Db")),
+            (1, "pa,ibq,abj->ijpq", ("alpha", "br", "Dd")),
+            (1, "pa,jbq,abi->ijpq", ("alpha", "br", "Dd")))),
         # Delta({x,y}) - (ad(a(x)) (x) a + a (x) ad(a(x))) Delta(y)
         #   - (S(a(y)) (x) a - a (x) S(a(y))) delta(x)
         "mixed-bracket-coproduct": (2, out, (
-            (1, "ijr,rpq->ijpq", ("br", "Dd")),
-            (-1, "xi,xap,qb,jab->ijpq", ("alpha", "br", "alpha", "Dd")),
-            (-1, "pa,xi,xbq,jab->ijpq", ("alpha", "alpha", "br", "Dd")),
-            (-1, "xj,xap,qb,iab->ijpq", ("alpha", "dot", "alpha", "Db")),
-            (1, "pa,xj,xbq,iab->ijpq", ("alpha", "alpha", "dot", "Db")))),
+            (1, "ijr,pqr->ijpq", ("br", "Dd")),
+            (-1, "xi,xap,qb,abj->ijpq", ("alpha", "br", "alpha", "Dd")),
+            (-1, "pa,xi,xbq,abj->ijpq", ("alpha", "alpha", "br", "Dd")),
+            (-1, "xj,xap,qb,abi->ijpq", ("alpha", "dot", "alpha", "Db")),
+            (1, "pa,xj,xbq,abi->ijpq", ("alpha", "alpha", "dot", "Db")))),
     }
     fams = [contraction_family(ident, row, t, n) for ident, row in rows.items()]
     return run_identity_families(
@@ -253,8 +237,7 @@ def equivalence_report(a, a_star, max_witnesses=32):
     a.require_bound()
     a_star.require_bound()
     _require_same_dim(a, a_star)
-    coops = comultiplications_from_dual_algebra(a_star)
-    bial = check_bialgebra_conditions(a, coops, max_witnesses)
+    bial = check_bialgebra_conditions(a, a_star.ops, max_witnesses)
     pair = coadjoint_matched_pair(a, a_star)
     double = build_double(pair, _TRANSPOSED, check_actions=False)
     double_report = check_class(double, _TRANSPOSED, max_witnesses)

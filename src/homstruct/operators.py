@@ -33,13 +33,6 @@ from homstruct.representations import CROSS_ACTIONS, check_rep, regular_represen
 O_OPERATOR_CLASSES = ("comm-hom-assoc", "hom-lie", "transposed-hom-poisson")
 
 
-def _check_shapes(a, rep, T):
-    if T.rows != a.dim or T.cols != rep.module_dim:
-        raise DimensionError("T must map the module space into the algebra")
-    if rep.algebra_dim != a.dim:
-        raise DimensionError("representation is over a different algebra")
-
-
 def check_o_operator(a, rep, T, class_name, max_witnesses=32):
     """T: V -> A is an O-operator when alpha T = T beta and the class's
     functional equation holds on all module basis pairs.
@@ -51,7 +44,8 @@ def check_o_operator(a, rep, T, class_name, max_witnesses=32):
     class_name = resolve_class(class_name)
     if class_name not in O_OPERATOR_CLASSES:
         raise PreconditionError("no O-operator notion for class %s" % class_name)
-    _check_shapes(a, rep, T)
+    if T.rows != a.dim or T.cols != rep.module_dim:
+        raise DimensionError("T must map the module space into the algebra")
     a.require_bound()
     rep.require_bound()
     T.require_bound()
@@ -83,8 +77,6 @@ def check_rota_baxter(a, R, class_name, max_witnesses=32):
     """Rota-Baxter operator: an O-operator with respect to the algebra acting
     on itself by its own multiplications."""
     class_name = resolve_class(class_name)
-    if R.rows != a.dim or R.cols != a.dim:
-        raise DimensionError("R must be square of the algebra dimension")
     rep = regular_representation(a, class_name)
     return check_o_operator(a, rep, R, class_name, max_witnesses)
 

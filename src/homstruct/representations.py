@@ -17,8 +17,6 @@ core.contraction_family, so each residual is exact.
 
 from __future__ import annotations
 
-from functools import partial
-
 from homstruct.axioms import (
     CLASS_OPS,
     IDENTITIES,
@@ -186,16 +184,10 @@ def _report(tensors, cls, max_witnesses):
         sub_reports={name: _report(tensors, sub, max_witnesses) for name, sub in subs})
 
 
-def _check(cls, a, rep, max_witnesses=32):
-    return _report(_tensors(a, rep, cls), cls, max_witnesses)
-
-
-REP_CHECKERS = {cls: partial(_check, cls) for cls in REP_OPS}
-
-
 def check_rep(a, rep, class_name, max_witnesses=32):
     """The module axioms of the class; sub-reports hold those of its parts."""
-    return REP_CHECKERS[rep_class(class_name)](a, rep, max_witnesses)
+    cls = rep_class(class_name)
+    return _report(_tensors(a, rep, cls), cls, max_witnesses)
 
 
 # ---------------------------------------------------------------------------

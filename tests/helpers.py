@@ -1,6 +1,7 @@
 """Shared test fixtures and independent oracles."""
 
 import functools
+import json
 import random
 from fractions import Fraction
 
@@ -25,8 +26,11 @@ from homstruct.core import (
     RepresentationPresentation,
     basis_vec,
     block_diag,
+    coefficient_str,
+    parse_comultiplications,
     require_bound,
     require_passed as _require,
+    serialize_comultiplications,
 )
 from homstruct.operators import check_o_operator, check_rota_baxter
 from homstruct.representations import REP_OPS, check_rep
@@ -682,10 +686,10 @@ def closure_transposed_consequences(a, max_witnesses=32):
     return run_identity_families(a.dim, fams, max_witnesses, notes=notes)
 
 
-def closure_check_invariant_form(a, form, max_witnesses=32):
+def closure_check_invariant_form(a, B, max_witnesses=32):
     """B(x op y, alpha(z)) = B(alpha(x), y op z) for every present op."""
     a.require_bound()
-    if form.dim != a.dim:
+    if (B.rows, B.cols) != (a.dim, a.dim):
         raise DimensionError("form dimension mismatch")
     n = a.dim
     e = [basis_vec(n, i) for i in range(n)]
@@ -696,8 +700,8 @@ def closure_check_invariant_form(a, form, max_witnesses=32):
         fams.append((
             "invariance:%s" % name, 3,
             lambda i, j, k, op=op: (
-                form_value(form, eval_bilinear_scan(op, e[i], e[j]), al[k])
-                - form_value(form, al[i], eval_bilinear_scan(op, e[j], e[k])),)))
+                form_value(B, eval_bilinear_scan(op, e[i], e[j]), al[k])
+                - form_value(B, al[i], eval_bilinear_scan(op, e[j], e[k])),)))
     return run_identity_families(n, fams, max_witnesses)
 
 
@@ -907,6 +911,23 @@ def rand_coops(rng, n):
             for name in ("dot", "bracket")}
 
 
+def coalgebra_of(n, coops):
+    """The dual products of comultiplication entries {name: ((i, j, k, c),
+    ...)}, read through the interchange format, whose parser alone knows
+    how a coop entry sits in a dual product."""
+    return parse_comultiplications(json.dumps({"dim": n, "coops": {
+        name: [{"i": i, "j": j, "k": k, "c": coefficient_str(c)} for (i, j, k, c) in entries]
+        for name, entries in coops.items()}}))
+
+
+def coop_entries(coalgebra):
+    """The comultiplication entries of dual products, as `coalgebra_of`
+    takes them, read back from the interchange format."""
+    doc = json.loads(serialize_comultiplications(coalgebra))
+    return {name: tuple((e["i"], e["j"], e["k"], F(e["c"])) for e in entries)
+            for name, entries in doc["coops"].items()}
+
+
 def rand_matrix(rng, rows, cols=None):
     """Random matrix, about a third of the entries zero."""
     return LinearMap.from_rows(
@@ -934,10 +955,11 @@ def flat(f):
     """f's entries in row-major order."""
     return tuple(c for row in f.m for c in row)
 
-def form_value(form, x, y):
-    """The bilinear form at the vectors x and y: sum_ij B[i][j] x_i y_j."""
-    return sum((require_bound(form.B.m[i][j]) * x[i] * y[j]
-                for i in range(form.dim) for j in range(form.dim) if x[i] and y[j]), ZERO)
+def form_value(B, x, y):
+    """The bilinear form with Gram matrix B at the vectors x and y:
+    sum_ij B[i][j] x_i y_j."""
+    return sum((require_bound(B.m[i][j]) * x[i] * y[j]
+                for i in range(B.rows) for j in range(B.cols) if x[i] and y[j]), ZERO)
 
 def apply_map(f, x):
     """Matrix-vector product under the column convention."""

@@ -45,7 +45,6 @@ from homstruct.core import (
 )
 from homstruct.duality import (
     ConstructionError,
-    comultiplications_from_dual_algebra,
     equivalence_report,
     trivial_dual,
 )
@@ -334,10 +333,8 @@ def test_criterion_11_formats_and_cli(tmp_path):
     assert serialize_representation(parse_representation(rtext)) == rtext
     otext = serialize_o_operator(LinearMap.diagonal([F(1, 2), F(3)]))
     assert serialize_o_operator(parse_o_operator(otext)) == otext
-    coops = comultiplications_from_dual_algebra(trivial_dual(a))
-    ctext = serialize_comultiplications(a.dim, coops)
-    dim, parsed = parse_comultiplications(ctext)
-    assert serialize_comultiplications(dim, parsed) == ctext
+    ctext = serialize_comultiplications(trivial_dual(a))
+    assert serialize_comultiplications(parse_comultiplications(ctext)) == ctext
 
     # one scenario per subcommand with the documented exit codes
     alg = tmp_path / "thp2.json"

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from homstruct import catalog
 from homstruct.cli import main
+from homstruct.constructions import bracket_from_two_derivations
 from homstruct.core import (
     AlgebraPresentation,
     BilinearMap,
@@ -21,7 +22,7 @@ from homstruct.core import (
     serialize_o_operator,
     serialize_representation,
 )
-from homstruct.duality import comultiplications_from_dual_algebra, trivial_dual
+from homstruct.duality import trivial_dual
 from homstruct.matched_pairs import matched_pair_from_representation
 from homstruct.representations import regular_representation
 
@@ -90,6 +91,19 @@ def test_twist_alpha_h(tmp_path, capsys):
     out = tmp_path / "twisted.json"
     assert main(["twist", str(tp2), "--alpha-h", "e1", "-o", str(out)]) == PASS
     assert main(["check", str(out), "--class", "transposed-hom-poisson"]) == PASS
+
+
+def test_twist_alpha_h_takes_comma_rationals(tmp_path, capsys):
+    tp2 = tmp_path / "tp2.json"
+    tp2.write_text(serialize_algebra(catalog.get("TP2")))
+    outputs = []
+    for vec in ("1,0", "e1"):
+        assert main(["twist", str(tp2), "--alpha-h", vec]) == PASS
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
+    assert main(["twist", str(tp2), "--alpha-h", "1,0,0"]) == USAGE
+    assert capsys.readouterr().err == \
+        "usage error: vector '1,0,0' has wrong length (need 2)\n"
 
 
 def test_twist_derived(thp2_file, tmp_path):
@@ -222,6 +236,21 @@ def test_bracketd(tmp_path):
     assert main(["check", str(out), "--class", "transposed-hom-poisson"]) == PASS
 
 
+def test_bracketd_of_two_derivations(tmp_path, capsys):
+    # THP2 (lam = 1) with D = diag(0, lam) as both derivations: the bracket
+    # D(x).D(y) - D(y).D(x) of the commutative dot is zero
+    a = catalog.get("THP2", {"lam": F(1)})
+    D = LinearMap.diagonal([F(0), F(1)])
+    src = tmp_path / "alg.json"
+    src.write_text(serialize_algebra(
+        AlgebraPresentation(a.dim, {"dot": a.op("dot")}, dict(a.maps, D=D), a.basis)))
+    assert main(["bracketd", str(src), "--map", "D", "--map2", "D"]) == PASS
+    out = capsys.readouterr().out
+    built = bracket_from_two_derivations(parse_algebra(src.read_text()), D, D)
+    assert out == serialize_algebra(built)
+    assert parse_algebra(out).op("bracket") == BilinearMap(2)
+
+
 def test_semidirect_and_checkrep(thp2_file, thp2_reg_file, tmp_path):
     assert main(["checkrep", thp2_file, thp2_reg_file, "--class",
                  "transposed-hom-poisson"]) == PASS
@@ -324,9 +353,8 @@ def test_manin(thp2_file, tmp_path):
 
 def test_bialgebra(thp2_file, tmp_path):
     a = catalog.get("THP2", {"lam": F(1)})
-    coops = comultiplications_from_dual_algebra(trivial_dual(a))
     cf = tmp_path / "coops.json"
-    cf.write_text(serialize_comultiplications(a.dim, coops))
+    cf.write_text(serialize_comultiplications(trivial_dual(a)))
     assert main(["bialgebra", thp2_file, str(cf)]) == PASS
 
 
@@ -337,6 +365,32 @@ def test_equivalence(thp2_file, tmp_path, capsys):
     # the three verdicts disagree for the zero dual: reported as a failure
     assert main(["equivalence", thp2_file, str(dual)]) == FAIL
     assert "equivalence broken" in capsys.readouterr().err
+
+
+def test_equivalence_passing_text_and_json(tmp_path, capsys):
+    # the dot-only algebra e1.e1 = e1, e1.e2 = e2.e1 = e2 with alpha = id
+    # and a zero bracket: with its zero dual the three verdicts pass
+    a = AlgebraPresentation(
+        2, {"dot": BilinearMap(2, ((0, 0, 0, F(1)), (0, 1, 1, F(1)), (1, 0, 1, F(1)))),
+            "bracket": BilinearMap(2)},
+        {"alpha": LinearMap.identity(2)})
+    alg, dual = tmp_path / "alg.json", tmp_path / "dual.json"
+    alg.write_text(serialize_algebra(a))
+    dual.write_text(serialize_algebra(trivial_dual(a)))
+    assert main(["equivalence", str(alg), str(dual)]) == PASS
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert captured.err == ""
+    assert lines[:2] == ["command: equivalence", "shared verdict: pass"]
+    sections = [lines.index(key + ":") for key in ("bialgebra", "matched_pair", "manin")]
+    assert sections == sorted(sections)
+    assert all(lines[at + 1].startswith("  verdict: pass (checked ") for at in sections)
+    assert main(["equivalence", str(alg), str(dual), "--json"]) == PASS
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["command"], doc["inputs"], doc["verdict"]) == (
+        "equivalence", [str(alg), str(dual)], "pass")
+    assert [doc[key]["verdict"] for key in ("bialgebra", "matched_pair", "manin")] == \
+        ["pass"] * 3
 
 
 @pytest.mark.parametrize("command", ["manin", "equivalence"])
@@ -370,6 +424,25 @@ def test_oop_check_and_induce(plp2_file, tmp_path):
     assert main(["check", str(out), "--class", "hom-pre-lie-poisson"]) == PASS
 
 
+def test_oop_check_with_a_module_over_another_algebra_exits_3(thp2_file, tmp_path,
+                                                                capsys):
+    rep, tf = tmp_path / "rep.json", tmp_path / "T.json"
+    rep.write_text(json.dumps(_REP1))
+    tf.write_text(serialize_o_operator(LinearMap.zero(2, 1)))
+    assert main(["oop", "check", thp2_file, str(rep), str(tf),
+                 "--class", "transposed-hom-poisson"]) == PRECONDITION
+    assert capsys.readouterr().err == (
+        "precondition failed: representation algebra_dim does not match the algebra\n")
+
+
+def test_rb_check_of_a_wrong_shape_operator_is_an_input_error(thp2_file, tmp_path, capsys):
+    rf = tmp_path / "R.json"
+    rf.write_text(serialize_o_operator(LinearMap.zero(2, 1)))
+    assert main(["rb", "check", thp2_file, str(rf)]) == USAGE
+    assert capsys.readouterr().err == (
+        "input error: T must map the module space into the algebra\n")
+
+
 def test_rb_check_and_induce(thp2_file, tmp_path):
     rf = tmp_path / "R.json"
     rf.write_text(serialize_o_operator(LinearMap.zero(2)))
@@ -389,6 +462,9 @@ def test_derivations(thp2_file, capsys):
 def test_catalog_list_and_show(capsys, tmp_path):
     assert main(["catalog", "list"]) == PASS
     assert "THP2" in capsys.readouterr().out
+    assert main(["catalog", "list", "--json"]) == PASS
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == [catalog.describe(name) for name in catalog.names()]
     out = tmp_path / "thp2.json"
     assert main(["catalog", "show", "THP2", "--params", "lam=1",
                  "-o", str(out)]) == PASS
@@ -556,7 +632,7 @@ def test_bialgebra_binds_the_coop_file(thp2_file, tmp_path, capsys):
         "coops": {"dot": [{"i": 0, "j": 0, "k": 0, "c": "t"}],
                   "bracket": [{"i": 1, "j": 0, "k": 1, "c": "-t"}]}}))
     assert main(["bialgebra", thp2_file, str(cf)]) == USAGE
-    assert "parameter 't' is unbound" in capsys.readouterr().err
+    assert "missing bindings for ['t']" in capsys.readouterr().err
     for value, code in (("0", PASS), ("1", FAIL)):
         assert main(["bialgebra", thp2_file, str(cf), "--params", "t=" + value]) == code
     capsys.readouterr()
@@ -566,6 +642,13 @@ def test_bialgebra_binds_the_coop_file(thp2_file, tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert main(["bialgebra", thp2_file, str(cf), "--params", "t=0", "--json"]) == PASS
     assert json.loads(capsys.readouterr().out)["witnesses"] == doc["witnesses"] == []
+    # a declared parameter must be bound even where no entry uses it
+    unused = tmp_path / "unused.json"
+    unused.write_text(json.dumps({"dim": 2, "params": ["u"],
+                                  "coops": {"dot": [], "bracket": []}}))
+    assert main(["bialgebra", thp2_file, str(unused)]) == USAGE
+    assert "missing bindings for ['u']" in capsys.readouterr().err
+    assert main(["bialgebra", thp2_file, str(unused), "--params", "u=2"]) == PASS
 
 
 _ENTRY = {"i": 0, "j": 0, "k": 0, "c": "1"}
@@ -602,7 +685,6 @@ def test_unknown_keys_and_boolean_indices_are_format_errors(tmp_path, capsys, ki
 
 def test_catalog_serializations_still_parse():
     from homstruct.core import (
-        BilinearFormPresentation,
         parse_algebra,
         parse_comultiplications,
         parse_form,
@@ -616,22 +698,22 @@ def test_catalog_serializations_still_parse():
     a = catalog.get("THP2", {"lam": F(1)})
     text = serialize_representation(regular_representation(a, "transposed-hom-poisson"))
     assert serialize_representation(parse_representation(text)) == text
-    coops = comultiplications_from_dual_algebra(trivial_dual(a))
-    text = serialize_comultiplications(2, coops)
-    assert serialize_comultiplications(*parse_comultiplications(text)) == text
+    text = serialize_comultiplications(trivial_dual(a))
+    assert serialize_comultiplications(parse_comultiplications(text)) == text
     assert '"params"' not in text
-    # a parametric file keeps the parameters its entries use
+    # a parametric file keeps its declared parameters
     for params, c in ((["t"], "t"), (["t", "u"], "-u")):
         doc = {"dim": 1, "params": params,
                "coops": {"dot": [{"i": 0, "j": 0, "k": 0, "c": c}]}}
         parsed = parse_comultiplications(json.dumps(doc))
-        text = serialize_comultiplications(*parsed)
-        assert parse_comultiplications(text) == parsed == (1, {"dot": ((0, 0, 0, c),)})
-        assert json.loads(text)["params"] == [c.lstrip("-")]
-        assert serialize_comultiplications(*parse_comultiplications(text)) == text
+        text = serialize_comultiplications(parsed)
+        assert parse_comultiplications(text) == parsed
+        assert parsed.ops == {"dot": BilinearMap(1, ((0, 0, 0, c),))}
+        assert json.loads(text)["params"] == params
+        assert serialize_comultiplications(parse_comultiplications(text)) == text
     text = serialize_o_operator(LinearMap.identity(2))
     assert serialize_o_operator(parse_o_operator(text)) == text
-    text = serialize_form(BilinearFormPresentation(2, LinearMap.identity(2)))
+    text = serialize_form(LinearMap.identity(2))
     assert serialize_form(parse_form(text)) == text
 
 
@@ -660,11 +742,12 @@ def test_generated_documents_reach_an_exit_code(tmp_path, capsys):
     semidirect and matched double take generated representation documents;
     rb and oop check and induce take generated operator documents,
     bialgebra comultiplication documents, manin a checkable dual of THP2,
-    and catalog show an entry name.  The builders never exit 1.  No command
+    catalog show an entry name and catalog list a flag or a name.  The
+    builders and catalog list never exit 1.  No command
     writes a failed runtime check ("check failed: "); equivalence is left
     out, as its known red case (criterion 07) writes one.  Every command
-    both parses and rejects some documents (catalog show: some names and
-    bindings end in exit 2), and check both passes and fails.  Each command
+    both parses and rejects some documents (catalog show and list: some
+    arguments end in exit 2), and check both passes and fails.  Each command
     also runs one fixed valid and one fixed invalid document of its kind,
     so that it parses and rejects some whatever the generated draw."""
     alg = tmp_path / "alg.json"
@@ -689,7 +772,8 @@ def test_generated_documents_reach_an_exit_code(tmp_path, capsys):
                        dict(_ALG1, opz={"dot": []})),
              "matched check": (json.loads(zero_alg.read_text()), dict(_ALG1, opz={"dot": []})),
              "matched double": (json.loads(zero_rep.read_text()), dict(_REP1, bta=[["1"]])),
-             "catalog show": ("THP2", "no-such-entry")}
+             "catalog show": ("THP2", "no-such-entry"),
+             "catalog list": ("--json", "--no-such-flag")}
     doc_file = tmp_path / "doc.json"
     doc = str(doc_file)
     classes = st.sampled_from(["comm-hom-assoc", "hom-lie", "transposed-hom-poisson",
@@ -697,7 +781,7 @@ def test_generated_documents_reach_an_exit_code(tmp_path, capsys):
     params = st.sampled_from(["", "t=1", "t=1/2,u=-3"])
     builders = {"tensor", "subadjacent", "bracketd", "twist --alpha-h", "twist --yau",
                 "twist --compose", "twist --derived", "derivations", "semidirect",
-                "matched double", "oop induce", "rb induce", "catalog show"}
+                "matched double", "oop induce", "rb induce", "catalog show", "catalog list"}
     outcomes = set()
     cls_slot, name_slot = object(), object()
     names = st.sampled_from(catalog.names() + ["no-such-entry"])
@@ -742,7 +826,10 @@ def test_generated_documents_reach_an_exit_code(tmp_path, capsys):
             ("derivations", ["derivations", doc], parse_algebra, _checkable_algebra_docs(), 40),
             ("manin", ["manin", str(alg), doc], parse_algebra, _checkable_algebra_docs(), 40),
             # no document: the entry name is the input, and exit 2 rejects it
-            ("catalog show", ["catalog", "show", name_slot], None, names, 40)):
+            ("catalog show", ["catalog", "show", name_slot], None, names, 40),
+            # no document: an argument after "list" is the input
+            ("catalog list", ["catalog", "list", name_slot], None,
+             st.sampled_from(["--json", "THP2", "--no-such-flag"]), 10)):
         valid, invalid = fixed.get(command, fixed.get(parse))
 
         @settings(max_examples=examples, derandomize=True, deadline=None, database=None)

@@ -19,7 +19,6 @@ from homstruct.axioms import (
 )
 from homstruct.core import (
     AlgebraPresentation,
-    BilinearFormPresentation,
     BilinearMap,
     ConstructionError,
     DimensionError,
@@ -41,7 +40,6 @@ from homstruct.duality import (
     check_bialgebra_conditions,
     check_invariant_form,
     check_manin_triple,
-    comultiplications_from_dual_algebra,
     standard_form,
     trivial_dual,
 )
@@ -68,6 +66,8 @@ from helpers import (
     closure_o_morphism_families,
     closure_o_operator_families,
     closure_transposed_consequences,
+    coalgebra_of,
+    coop_entries,
     perturbed_fixtures,
     rand_algebra,
     rand_coops,
@@ -165,8 +165,7 @@ def test_transposed_consequences_match_closure():
 
 
 def _forms(rng, n):
-    return [BilinearFormPresentation(n, rand_matrix(rng, n)),
-            BilinearFormPresentation(n, LinearMap.identity(n))]
+    return [rand_matrix(rng, n), LinearMap.identity(n)]
 
 
 def test_invariant_form_matches_closure():
@@ -176,8 +175,7 @@ def test_invariant_form_matches_closure():
         double = build_double_dual(a, trivial_dual(a)) if _is_transposed(a) else None
         if double is not None:
             cases.append((double, standard_form(a.dim)))
-            cases.append((double, BilinearFormPresentation(2 * a.dim,
-                                                           rand_matrix(rng, 2 * a.dim))))
+            cases.append((double, rand_matrix(rng, 2 * a.dim)))
     verdicts = {_same(lambda mw: check_invariant_form(a, form, mw),
                       lambda mw: closure_check_invariant_form(a, form, mw))
                 for a, form in cases}
@@ -189,20 +187,21 @@ def _is_transposed(a):
 
 
 def test_bialgebra_families_match_closure():
+    # the dual products go to src/ and their raw entries to the closure
     rng = random.Random(12)
     cases = []
     for idx, a in enumerate(_transposed()):
-        cases.append((a, rand_coops(rng, a.dim)))
+        coops = rand_coops(rng, a.dim)
+        cases.append((a, coalgebra_of(a.dim, coops).ops, coops))
         if idx % 3 == 0:
             dual = trivial_dual(a)
             one = AlgebraPresentation(a.dim, dict(dual.ops, dot=BilinearMap(
                 a.dim, ((0, 0, 0, F(1)),))), dict(dual.maps))
-            cases.append((a, comultiplications_from_dual_algebra(dual)))
-            cases.append((a, comultiplications_from_dual_algebra(one)))
+            cases += [(a, b.ops, coop_entries(b)) for b in (dual, one)]
     failing = set()
-    for a, coops in cases:
+    for a, products, coops in cases:
         for mw in WITNESS_CAPS:
-            new = check_bialgebra_conditions(a, coops, mw)
+            new = check_bialgebra_conditions(a, products, mw)
             old = closure_bialgebra_families(a, coops, mw)
             assert _flat(new)[:4] == _flat(old)[:4], mw
         failing.update(w[0] for w in old.witnesses)
@@ -273,7 +272,7 @@ def test_check_errors_match_closures():
     thp2 = catalog.get("THP2")  # unbound lam
     sq, wide = LinearMap.identity(2), LinearMap.zero(2, 3)
     no_alpha = AlgebraPresentation(2, dict(tp2.ops))
-    param_form = BilinearFormPresentation(2, LinearMap.from_rows([["t", F(0)], [F(0), F(1)]]))
+    param_form = LinearMap.from_rows([["t", F(0)], [F(0), F(1)]])
     pairs = [
         # non-square D, missing op, unbound algebra, missing alpha
         (check_derivation, closure_check_derivation, (tp2, "dot", wide)),
@@ -288,13 +287,12 @@ def test_check_errors_match_closures():
         (check_multiplicative, closure_check_multiplicative, (tp2, "star")),
         (check_multiplicative, closure_check_multiplicative, (thp2,)),
         (check_multiplicative, closure_check_multiplicative, (no_alpha,)),
-        # form dimension mismatch, unbound algebra, missing alpha, unbound form
-        (check_invariant_form, closure_check_invariant_form,
-         (tp2, BilinearFormPresentation(3))),
-        (check_invariant_form, closure_check_invariant_form,
-         (thp2, BilinearFormPresentation(2))),
-        (check_invariant_form, closure_check_invariant_form,
-         (no_alpha, BilinearFormPresentation(2))),
+        # form dimension mismatch, non-square form, unbound algebra, missing
+        # alpha, unbound form
+        (check_invariant_form, closure_check_invariant_form, (tp2, LinearMap.zero(3))),
+        (check_invariant_form, closure_check_invariant_form, (tp2, wide)),
+        (check_invariant_form, closure_check_invariant_form, (thp2, LinearMap.zero(2))),
+        (check_invariant_form, closure_check_invariant_form, (no_alpha, LinearMap.zero(2))),
         (check_invariant_form, closure_check_invariant_form, (tp2, param_form)),
     ]
     for new, old, args in pairs:
@@ -311,11 +309,12 @@ def test_check_errors_match_closures():
         check_invariant_form(zero, param_form)
     # unbound comultiplications fail the dual gate before any family runs
     with pytest.raises(UnboundParameterError):
-        check_bialgebra_conditions(tp2, {"dot": ((0, 0, 0, "t"),), "bracket": ()})
+        check_bialgebra_conditions(tp2, {"dot": BilinearMap(2, ((0, 0, 0, "t"),)),
+                                         "bracket": BilinearMap(2)})
     with pytest.raises(MissingOperationError):
         check_bialgebra_conditions(
             AlgebraPresentation(2, {"dot": tp2.op("dot")}, dict(tp2.maps)),
-            {"dot": (), "bracket": ()})
+            {"dot": BilinearMap(2), "bracket": BilinearMap(2)})
 
 
 def test_contraction_family_rows():
@@ -469,7 +468,7 @@ def _construction_cases(algebras):
         dual = trivial_dual(a)
         one = AlgebraPresentation(a.dim, dict(dual.ops, dot=BilinearMap(
             a.dim, ((0, 0, 0, F(1)),))), dict(dual.maps))
-        out.append((a, reps, dual, comultiplications_from_dual_algebra(one)))
+        out.append((a, reps, dual, one.ops))
     return out
 
 

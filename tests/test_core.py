@@ -278,6 +278,19 @@ def test_parse_comultiplications_rejects_duplicate_entries():
         assert str(exc.value) == "duplicate entry for (1,0,1)"
 
 
+def test_parse_comultiplications_reads_the_dual_products():
+    """The coop entry (i, j, k, c), the e_j (x) e_k coefficient c of the
+    image of e_i, is the dual product entry (j, k, i, c); the serializer
+    writes it back in coop order with the declared params."""
+    doc = {"dim": 2, "params": ["t", "u"], "coops": {
+        "dot": [{"i": 0, "j": 1, "k": 0, "c": "-t"}], "bracket": []}}
+    coalgebra = parse_comultiplications(json.dumps(doc))
+    assert coalgebra == AlgebraPresentation(
+        2, {"dot": BilinearMap(2, ((1, 0, 0, "-t"),)), "bracket": BilinearMap(2)},
+        params=("t", "u"))
+    assert json.loads(serialize_comultiplications(coalgebra)) == doc
+
+
 # coefficient tokens, mostly valid under params ("t", "u"); the only strings
 # with a newline are these tokens and parameter names, and none may parse
 _TOKENS = st.sampled_from(["0", "1", "-1/2", "3/4", "t", "-t", "u", "x", "1/0", 1,
@@ -363,8 +376,7 @@ def test_parsers_raise_format_error_or_round_trip():
                                    (parse_form, serialize_form, _form_docs()),
                                    (parse_o_operator, serialize_o_operator,
                                     _O_OPERATOR_DOCS),
-                                   (parse_comultiplications,
-                                    lambda p: serialize_comultiplications(*p),
+                                   (parse_comultiplications, serialize_comultiplications,
                                     _comultiplication_docs())):
         @settings(max_examples=300, derandomize=True, deadline=None, database=None)
         @given(docs)

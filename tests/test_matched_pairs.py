@@ -38,11 +38,6 @@ def _plp2_bimodule():
     }, LinearMap.zero(1))
 
 
-def _hom_lie_from(a):
-    return AlgebraPresentation(
-        a.dim, {"bracket": a.op("bracket")}, {"alpha": a.alpha}, a.basis)
-
-
 def test_zero_opposite_double_equals_semidirect():
     a = catalog.get("THP2", {"lam": F(1)})
     rep = regular_representation(a, "transposed-hom-poisson")

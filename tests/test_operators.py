@@ -134,6 +134,17 @@ def test_invertible_corollary_reproduces_tables():
     assert sum(bool(a.op("dot").entries and a.op("bracket").entries) for a, _, _ in cases) > 8
 
 
+def test_invertible_corollary_gates_on_square_and_invertible_t():
+    # a module of another dimension: T: V -> A is not square
+    a = _zero_transposed()
+    wide = RepresentationPresentation(2, 3, {}, LinearMap.identity(3))
+    for rep, T, message in ((wide, LinearMap.zero(2, 3), "T must be square"),
+                            (_regular(a), LinearMap.zero(2), "T must be invertible")):
+        with pytest.raises(PreconditionError) as exc:
+            compatible_pre_lie_from_invertible(a, rep, T)
+        assert str(exc.value) == message
+
+
 def test_scalar_invariance():
     a = _zero_transposed()
     rep = _regular(a)
