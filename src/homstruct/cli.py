@@ -12,6 +12,7 @@ import functools
 import json
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from homstruct.axioms import (
@@ -287,12 +288,14 @@ def _cmd_manin(args, binding):
 
 
 def _cmd_bialgebra(args, binding):
-    from homstruct.duality import check_bialgebra_conditions
+    from homstruct.duality import check_bialgebra_conditions, trivial_dual
     a = _load_algebra(args.algebra, binding)
     coalgebra = _load(parse_comultiplications, args.coops, binding)
     if coalgebra.dim != a.dim:
         raise DimensionError("comultiplication dimension mismatch")
-    report = check_bialgebra_conditions(a, coalgebra.ops, args.max_witnesses)
+    # A*: the comultiplications' dual products with trivial_dual's twist
+    report = check_bialgebra_conditions(a, replace(trivial_dual(a), ops=coalgebra.ops),
+                                        args.max_witnesses)
     return _emit_report(args, "bialgebra", [args.algebra, args.coops], report)
 
 
@@ -528,6 +531,8 @@ def main(argv=None):
             raise _UsageError("a subcommand is required")
         if args.command == "catalog" and args.action == "show" and not args.name:
             raise _UsageError("catalog show needs an entry name")
+        if args.command == "catalog" and args.action == "list" and args.name is not None:
+            raise _UsageError("catalog list takes no entry name")
         binding = _parse_params(args.params)
         return args.fn(args, binding)
     except _UsageError as exc:

@@ -967,7 +967,7 @@ def serialize_representation(rep):
 
 def parse_form(text):
     """The Gram matrix B of a form, B[r][c] = <e_r, e_c>."""
-    doc = _load(text, ("dim", "params", "basis", "B"))
+    doc = _load(text, ("dim", "params", "B"))
     dim, _, params = _common_header(doc)
     if "B" not in doc:
         raise FormatError('"B" is required')
@@ -1005,7 +1005,7 @@ def parse_comultiplications(text):
     comultiplication is the transpose of that product.  The result has no
     maps and the default basis.
     """
-    doc = _load(text, ("dim", "params", "basis", "coops"))
+    doc = _load(text, ("dim", "params", "coops"))
     dim, _, params = _common_header(doc)
     ops = {}
     for name, raw in _object(doc, "coops").items():

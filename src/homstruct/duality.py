@@ -33,7 +33,8 @@ _TRANSPOSED = "transposed-hom-poisson"
 
 
 def trivial_dual(a):
-    """The dual space with zero products and twist alpha^T."""
+    """The dual space with zero products and twist alpha^T, A*'s twist in
+    the CLI's `bialgebra`."""
     return AlgebraPresentation(
         a.dim, {"dot": BilinearMap(a.dim), "bracket": BilinearMap(a.dim)},
         {"alpha": a.alpha.transpose()})
@@ -146,34 +147,35 @@ def _manin_report(double, double_report, max_witnesses):
 # ---------------------------------------------------------------------------
 # bialgebras
 
-def check_bialgebra_conditions(a, coops, max_witnesses=32):
+def check_bialgebra_conditions(a, a_star, max_witnesses=32):
     """Compatibility of a transposed Hom-Poisson algebra with a cocommutative
     coassociative comultiplication ("dot") and a Lie comultiplication
     ("bracket").
 
-    coops maps "dot" and "bracket" to the products on the dual space A* that
-    the comultiplications are the transposes of: the dual product entry
-    (j, k, i, c) is the comultiplication's e_j (x) e_k coefficient c in the
-    image of e_i, as `core.parse_comultiplications` reads it.
+    a_star is the dual algebra A*: its "dot" and "bracket" are the products
+    on the dual space that the comultiplications are the transposes of, the
+    dual product entry (j, k, i, c) being the comultiplication's e_j (x) e_k
+    coefficient c in the image of e_i, as `core.parse_comultiplications`
+    reads it.
 
     Gates (sub_reports): the algebra passes the transposed checker and each
-    dual product passes its own class checker on the dual space, twisted by
-    alpha^T.  The verdict also requires the five compatibility families.
+    dual product passes its own class checker on A*, twisted by A*'s twist.
+    The verdict also requires the five compatibility families.
     """
     a.require_bound()
-    if set(coops) != {"dot", "bracket"}:
+    _require_same_dim(a, a_star)
+    if set(a_star.ops) != {"dot", "bracket"}:
         raise PreconditionError('coops must provide "dot" and "bracket"')
     n = a.dim
-    dual = AlgebraPresentation(n, coops, {"alpha": a.alpha.transpose()})
     subs = {
         "algebra-transposed": check_class(a, _TRANSPOSED, max_witnesses),
-        "dual-dot-comm-assoc": check_class(dual, "comm-hom-assoc", max_witnesses),
-        "dual-bracket-hom-lie": check_class(dual, "hom-lie", max_witnesses),
+        "dual-dot-comm-assoc": check_class(a_star, "comm-hom-assoc", max_witnesses),
+        "dual-bracket-hom-lie": check_class(a_star, "hom-lie", max_witnesses),
     }
 
     t = {"alpha": int_tensor(a.alpha), "dot": int_tensor(a.op("dot")),
          "br": int_tensor(a.op("bracket")),
-         "Dd": int_tensor(dual.op("dot")), "Db": int_tensor(dual.op("bracket"))}
+         "Dd": int_tensor(a_star.op("dot")), "Db": int_tensor(a_star.op("bracket"))}
     # e_i (x) e_j coordinates: p, q (and r); S(x) = x.-, ad(x) = {x,-};
     # Dd[p][q][r] is the e_p (x) e_q coefficient of Delta(e_r)
     out = (n, n)
@@ -236,13 +238,13 @@ def equivalence_report(a, a_star, max_witnesses=32):
     """
     a.require_bound()
     a_star.require_bound()
-    _require_same_dim(a, a_star)
-    bial = check_bialgebra_conditions(a, a_star.ops, max_witnesses)
+    bial = check_bialgebra_conditions(a, a_star, max_witnesses)
     pair = coadjoint_matched_pair(a, a_star)
     double = build_double(pair, _TRANSPOSED, check_actions=False)
     double_report = check_class(double, _TRANSPOSED, max_witnesses)
     mp = _matched_pair_report(pair, _TRANSPOSED, double_report, max_witnesses)
     if not bial.sub_reports["algebra-transposed"].passed:
+        # the error carries the default-cap report, as check_manin_triple's
         _require_transposed("a", a)
     _require_transposed("a_star", a_star)
     manin = _manin_report(double, double_report, max_witnesses)

@@ -9,9 +9,11 @@ from fractions import Fraction
 from homstruct.axioms import (
     CLASS_OPS,
     _derivation_families,
-    _morphism_families,
+    check_class,
+    check_morphism,
     resolve_class,
 )
+from homstruct.constructions import sub_adjacent
 from homstruct.core import (
     ONE,
     ZERO,
@@ -31,6 +33,15 @@ from homstruct.core import (
 from homstruct.representations import CROSS_ACTIONS, check_rep, regular_representation
 
 O_OPERATOR_CLASSES = ("comm-hom-assoc", "hom-lie", "transposed-hom-poisson")
+_TRANSPOSED = "transposed-hom-poisson"
+
+
+def _o_class(class_name):
+    """The resolved class name; PreconditionError for one without O-operators."""
+    class_name = resolve_class(class_name)
+    if class_name not in O_OPERATOR_CLASSES:
+        raise PreconditionError("no O-operator notion for class %s" % class_name)
+    return class_name
 
 
 def check_o_operator(a, rep, T, class_name, max_witnesses=32):
@@ -41,9 +52,7 @@ def check_o_operator(a, rep, T, class_name, max_witnesses=32):
     hom-lie:    [T(u),T(v)] = T(rho(T(u))v - rho(T(v))u)
     transposed: both.
     """
-    class_name = resolve_class(class_name)
-    if class_name not in O_OPERATOR_CLASSES:
-        raise PreconditionError("no O-operator notion for class %s" % class_name)
+    class_name = _o_class(class_name)
     if T.rows != a.dim or T.cols != rep.module_dim:
         raise DimensionError("T must map the module space into the algebra")
     a.require_bound()
@@ -51,7 +60,10 @@ def check_o_operator(a, rep, T, class_name, max_witnesses=32):
     T.require_bound()
     require_passed(check_rep(a, rep, class_name, max_witnesses),
                    "actions fail the %s module axioms" % class_name)
-    t, fams = _o_families(a, rep, T)
+    t = {"T": int_tensor(T), "alpha": int_tensor(a.alpha), "beta": int_tensor(rep.beta)}
+    fams = [contraction_family("twist-intertwine", (1, (a.dim,), (
+        (1, "or,ri->io", ("alpha", "T")),
+        (-1, "or,ri->io", ("T", "beta")))), t, rep.module_dim)]
     for name in CLASS_OPS[class_name]:
         # T(u) op T(v) - T(op(T(u), v) + op(u, T(v))), the cross products
         # read through CROSS_ACTIONS: T(left(T(u))v + sign right(T(v))u)
@@ -65,24 +77,15 @@ def check_o_operator(a, rep, T, class_name, max_witnesses=32):
     return run_identity_families(rep.module_dim, fams, max_witnesses)
 
 
-def _o_families(a, rep, T):
-    """The tensors of an O-operator check and its family alpha T - T beta."""
-    t = {"T": int_tensor(T), "alpha": int_tensor(a.alpha), "beta": int_tensor(rep.beta)}
-    return t, [contraction_family("twist-intertwine", (1, (a.dim,), (
-        (1, "or,ri->io", ("alpha", "T")),
-        (-1, "or,ri->io", ("T", "beta")))), t, rep.module_dim)]
-
-
 def check_rota_baxter(a, R, class_name, max_witnesses=32):
     """Rota-Baxter operator: an O-operator with respect to the algebra acting
     on itself by its own multiplications."""
-    class_name = resolve_class(class_name)
+    class_name = _o_class(class_name)
     rep = regular_representation(a, class_name)
     return check_o_operator(a, rep, R, class_name, max_witnesses)
 
 
-def induced_products(a, rep, T, class_name="transposed-hom-poisson",
-                     max_witnesses=32):
+def induced_products(a, rep, T, class_name=_TRANSPOSED, max_witnesses=32):
     """The products on the module space defined by an O-operator.
 
     u (dot) v = s(T(u))v + s(T(v))u and u (star) v = rho(T(u))v, with the
@@ -94,53 +97,46 @@ def induced_products(a, rep, T, class_name="transposed-hom-poisson",
     class_name = resolve_class(class_name)
     require_passed(check_o_operator(a, rep, T, class_name, max_witnesses),
                    "T is not an O-operator")
+    return _induced(rep, T, class_name)
+
+
+def _induced(rep, T, class_name, basis=()):
+    """induced_products' structure, for an O-operator T of the class."""
     p = rep.module_dim
     t = {"T": int_tensor(T)}
     ops = {}
-    if class_name in ("comm-hom-assoc", "transposed-hom-poisson"):
+    if "dot" in CLASS_OPS[class_name]:
         t["s"] = int_tensor(rep.action("s"))
         ops["dot"] = bilinear_from_terms(p, (
             (1, "xi,xkj->ijk", ("T", "s")),
             (1, "xj,xki->ijk", ("T", "s"))), t)
-    if class_name in ("hom-lie", "transposed-hom-poisson"):
+    if "bracket" in CLASS_OPS[class_name]:
         t["rho"] = int_tensor(rep.action("rho"))
         ops["star"] = bilinear_from_terms(p, ((1, "xi,xkj->ijk", ("T", "rho")),), t)
-    return AlgebraPresentation(p, ops, {"alpha": rep.beta})
+    return AlgebraPresentation(p, ops, {"alpha": rep.beta}, basis)
 
 
-def o_operator_is_morphism(a, rep, T, class_name="transposed-hom-poisson",
-                           max_witnesses=32):
-    """T maps the induced structure on V onto a's structure: the paper's
-    statement that an O-operator is a morphism from the sub-adjacent
-    structure of `induced_products` to a.
-
-    Checks T(u dot v) = T(u).T(v), T(u star v - v star u) = {T(u),T(v)} and
-    T beta = alpha T.
+def o_operator_is_morphism(a, rep, T, class_name=_TRANSPOSED, max_witnesses=32):
+    """The paper's statement that an O-operator T is a morphism from the
+    sub-adjacent structure of `induced_products` to a: `check_morphism` of
+    T from that sub-adjacent algebra (for the comm class, which has no
+    star, the induced algebra itself) to a.
     """
-    class_name = resolve_class(class_name)
     induced = induced_products(a, rep, T, class_name, max_witnesses)
-    t, fams = _o_families(a, rep, T)
-    if "dot" in induced.ops:
-        fams += _morphism_families(induced, a, T, ("dot",), "morphism:%s")[1]
-    if "star" in induced.ops and "bracket" in a.ops:
-        t["st"], t["br"] = int_tensor(induced.op("star")), int_tensor(a.op("bracket"))
-        fams.append(contraction_family("morphism:commutator", (2, (a.dim,), (
-            (1, "ijr,or->ijo", ("st", "T")),
-            (-1, "jir,or->ijo", ("st", "T")),
-            (-1, "ai,bj,abo->ijo", ("T", "T", "br")))), t, rep.module_dim))
-    return run_identity_families(rep.module_dim, fams, max_witnesses)
+    if "star" in induced.ops:
+        induced = sub_adjacent(induced)
+    return check_morphism(induced, a, T, max_witnesses=max_witnesses)
 
 
 def compatible_pre_lie_from_invertible(a, rep, T):
-    """The Hom-pre-Lie Poisson structure on A carried over an invertible
-    O-operator: x.y = T(s(x)T'(y) + s(y)T'(x)) and x*y = T(rho(x)T'(y))
-    with T' the inverse of T.
+    """The paper's statement that a transposed Hom-Poisson algebra with an
+    invertible O-operator has a compatible Hom-pre-Lie Poisson structure:
+    `induced_products`' structure on V carried to A along T, each product
+    x o y = T(T'x o T'y) with T' the inverse of T.
 
-    The paper's statement that a transposed Hom-Poisson algebra with an
-    invertible O-operator has a compatible Hom-pre-Lie Poisson structure.
-    It is induced_products' structure on V carried to A along T, so it is
-    Hom-pre-Lie Poisson.  Its sub-adjacent dot and bracket are a's: at
-    u = T'x and v = T'y they are the o-equation rows of the gate.
+    It is Hom-pre-Lie Poisson because the induced structure is.  Its
+    sub-adjacent dot and bracket are a's: at u = T'x and v = T'y they are
+    the o-equation rows of the gate.
     """
     if T.rows != T.cols:
         raise PreconditionError("T must be square")
@@ -148,33 +144,27 @@ def compatible_pre_lie_from_invertible(a, rep, T):
         Ti = T.inverse()
     except DimensionError:
         raise PreconditionError("T must be invertible") from None
-    require_passed(check_o_operator(a, rep, T, "transposed-hom-poisson"), "T is not an O-operator")
-    n = a.dim
-    t = {"T": int_tensor(T), "Ti": int_tensor(Ti),
-         "s": int_tensor(rep.action("s")), "rho": int_tensor(rep.action("rho"))}
-    dot = bilinear_from_terms(n, (
-        (1, "om,imb,bj->ijo", ("T", "s", "Ti")),
-        (1, "om,jmb,bi->ijo", ("T", "s", "Ti"))), t)
-    star = bilinear_from_terms(n, ((1, "om,imb,bj->ijo", ("T", "rho", "Ti")),), t)
-    return AlgebraPresentation(n, {"dot": dot, "star": star}, {"alpha": a.alpha}, a.basis)
+    induced = induced_products(a, rep, T, _TRANSPOSED)
+    t = {"T": int_tensor(T), "Ti": int_tensor(Ti)}
+    t.update((name, int_tensor(op)) for name, op in induced.ops.items())
+    ops = {name: bilinear_from_terms(
+               a.dim, ((1, "ai,bj,abr,or->ijo", ("Ti", "Ti", name, "T")),), t)
+           for name in induced.ops}
+    return AlgebraPresentation(a.dim, ops, {"alpha": a.alpha}, a.basis)
 
 
 def rota_baxter_induced(a, R):
     """Products induced by a Rota-Baxter operator on a transposed algebra:
-    x (dot) y = R(x).y + x.R(y) and x (star) y = {R(x), y}.
-
-    The sub-adjacent structure is transposed Hom-Poisson and R is a morphism
-    from it to a.
+    `induced_products` of R on the regular module, x (dot) y = R(x).y +
+    R(y).x and x (star) y = {R(x), y}.  The regular module reads x.R(y) as
+    R(y).x, so the theorem needs a to be transposed Hom-Poisson
+    (PreconditionError if it is not).  The sub-adjacent structure is
+    transposed Hom-Poisson and R is a morphism from it to a.
     """
-    require_passed(check_rota_baxter(a, R, "transposed-hom-poisson"),
+    require_passed(check_rota_baxter(a, R, _TRANSPOSED),
                    "R is not a Rota-Baxter operator")
-    n = a.dim
-    t = {"R": int_tensor(R), "dot": int_tensor(a.op("dot")), "br": int_tensor(a.op("bracket"))}
-    dot = bilinear_from_terms(n, (
-        (1, "ri,rjk->ijk", ("R", "dot")),
-        (1, "rj,irk->ijk", ("R", "dot"))), t)
-    star = bilinear_from_terms(n, ((1, "ri,rjk->ijk", ("R", "br")),), t)
-    return AlgebraPresentation(n, {"dot": dot, "star": star}, {"alpha": a.alpha}, a.basis)
+    require_passed(check_class(a, _TRANSPOSED), "input is not in class %s" % _TRANSPOSED)
+    return _induced(regular_representation(a, _TRANSPOSED), R, _TRANSPOSED, a.basis)
 
 
 # ---------------------------------------------------------------------------

@@ -882,23 +882,25 @@ def closure_o_operator_families(a, rep, T, class_name, max_witnesses=32):
 
 def closure_o_morphism_families(a, rep, T, induced, max_witnesses=32):
     """The families of o_operator_is_morphism on its induced structure, as
-    closures."""
+    closures: check_morphism's rows, in its order, from the sub-adjacent
+    structure (the commutator of the star) to a."""
     p = rep.module_dim
     u = [basis_vec(p, i) for i in range(p)]
     Tu = [column(T, i) for i in range(p)]
-    fams = [("twist-intertwine", 1,
-             lambda i: column(a.alpha @ T - T @ rep.beta, i))]
+    fams = []
+    if "star" in induced.ops and "bracket" in a.ops:
+        st, br = induced.op("star"), a.op("bracket")
+        fams.append(("morphism:bracket", 2, lambda i, j: vec_sub(
+            apply_map(T, vec_sub(eval_bilinear_scan(st, u[i], u[j]),
+                                 eval_bilinear_scan(st, u[j], u[i]))),
+            eval_bilinear_scan(br, Tu[i], Tu[j]))))
     if "dot" in induced.ops:
         ind_dot, dot = induced.op("dot"), a.op("dot")
         fams.append(("morphism:dot", 2, lambda i, j: vec_sub(
             apply_map(T, eval_bilinear_scan(ind_dot, u[i], u[j])),
             eval_bilinear_scan(dot, Tu[i], Tu[j]))))
-    if "star" in induced.ops and "bracket" in a.ops:
-        st, br = induced.op("star"), a.op("bracket")
-        fams.append(("morphism:commutator", 2, lambda i, j: vec_sub(
-            apply_map(T, vec_sub(eval_bilinear_scan(st, u[i], u[j]),
-                                 eval_bilinear_scan(st, u[j], u[i]))),
-            eval_bilinear_scan(br, Tu[i], Tu[j]))))
+    fams.append(("intertwines-twists", 1,
+                 lambda i: column(T @ rep.beta - a.alpha @ T, i)))
     return run_identity_families(p, fams, max_witnesses)
 
 

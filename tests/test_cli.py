@@ -452,6 +452,33 @@ def test_rb_check_and_induce(thp2_file, tmp_path):
     assert main(["check", str(out), "--class", "hom-pre-lie-poisson"]) == PASS
 
 
+@pytest.mark.parametrize("command", ["rb", "oop"])
+def test_class_without_o_operator_notion_is_a_precondition(thp2_file, thp2_reg_file,
+                                                           tmp_path, capsys, command):
+    rf = tmp_path / "R.json"
+    rf.write_text(serialize_o_operator(LinearMap.zero(2)))
+    argv = {"rb": ["rb", "check", thp2_file, str(rf)],
+            "oop": ["oop", "check", thp2_file, thp2_reg_file, str(rf)]}[command]
+    assert main(argv + ["--class", "hom-poisson"]) == PRECONDITION
+    assert capsys.readouterr() == (
+        "", "precondition failed: no O-operator notion for class hom-poisson\n")
+
+
+def test_rb_induce_of_algebra_outside_the_class_exits_3(tmp_path, capsys):
+    # a non-commutative dot: R = 0 passes the Rota-Baxter check, but the
+    # algebra is not transposed Hom-Poisson
+    alg, rf = tmp_path / "alg.json", tmp_path / "R.json"
+    alg.write_text(serialize_algebra(AlgebraPresentation(
+        2, {"dot": BilinearMap(2, ((0, 0, 0, F(1)), (0, 1, 1, F(1)))),
+            "bracket": BilinearMap(2)}, {"alpha": LinearMap.identity(2)})))
+    rf.write_text(serialize_o_operator(LinearMap.zero(2)))
+    assert main(["rb", "check", str(alg), str(rf)]) == PASS
+    capsys.readouterr()
+    assert main(["rb", "induce", str(alg), str(rf)]) == PRECONDITION
+    assert capsys.readouterr() == (
+        "", "precondition failed: input is not in class transposed-hom-poisson\n")
+
+
 def test_derivations(thp2_file, capsys):
     assert main(["derivations", thp2_file, "--op", "dot", "--json"]) == PASS
     doc = json.loads(capsys.readouterr().out)
@@ -465,13 +492,17 @@ def test_catalog_list_and_show(capsys, tmp_path):
     assert main(["catalog", "list", "--json"]) == PASS
     doc = json.loads(capsys.readouterr().out)
     assert doc == [catalog.describe(name) for name in catalog.names()]
+    # list takes no entry name, listed or not
+    for name in ("THP2", "no-such-entry"):
+        assert main(["catalog", "list", name]) == USAGE
+        assert capsys.readouterr() == ("", "usage error: catalog list takes no entry name\n")
     out = tmp_path / "thp2.json"
     assert main(["catalog", "show", "THP2", "--params", "lam=1",
                  "-o", str(out)]) == PASS
     assert json.loads(out.read_text())["dim"] == 2
 
 
-def test_usage_errors(tmp_path, capsys):
+def test_usage_errors(thp2_file, tmp_path, capsys):
     assert main(["bogus"]) == USAGE
     assert main(["catalog", "show"]) == USAGE
     assert main(["check", str(tmp_path / "missing.json"),
@@ -480,6 +511,15 @@ def test_usage_errors(tmp_path, capsys):
     bad.write_text("not json")
     assert main(["check", str(bad), "--class", "hom-lie"]) == USAGE
     capsys.readouterr()
+    for argv, message in (
+            ([], "a subcommand is required"),
+            (["check", thp2_file, "--class", "hom-lie", "--params", "lam"],
+             "bad --params item 'lam' (expected k=v)"),
+            (["twist", thp2_file, "--alpha-h", "e1+f2"], "bad vector term 'f2'"),
+            (["twist", thp2_file, "--alpha-h", "e1-e3"], "basis index out of range in 'e3'"),
+            (["twist", thp2_file], "twist needs one of --alpha-h, --yau, --compose, --derived")):
+        assert main(argv) == USAGE
+        assert capsys.readouterr() == ("", "usage error: %s\n" % message)
 
 
 def test_non_object_sections_are_format_errors(thp2_file, tmp_path, capsys):
@@ -662,6 +702,9 @@ _ENTRY = {"i": 0, "j": 0, "k": 0, "c": "1"}
     ("operator", {"T": [["1"]], "R": [["1"]]}),
     ("coops", {"dim": 1, "coops": {"dot": [], "bracket": []}, "coop": {}}),
     ("coops", {"dim": 1, "coops": {"dot": [dict(_ENTRY, k=False)], "bracket": []}}),
+    # a form or comultiplication document has no basis names to keep
+    ("form", {"dim": 1, "basis": ["e1"], "B": [["1"]]}),
+    ("coops", {"dim": 1, "basis": ["e1"], "coops": {"dot": [], "bracket": []}}),
 ])
 def test_unknown_keys_and_boolean_indices_are_format_errors(tmp_path, capsys, kind, doc):
     from homstruct.core import FormatError, parse_form

@@ -15,7 +15,7 @@ from homstruct.constructions import (
     tensor_product,
     yau_twist,
 )
-from homstruct.core import AlgebraPresentation, LinearMap, basis_vec
+from homstruct.core import AlgebraPresentation, BilinearMap, LinearMap, basis_vec
 from homstruct.operators import derivation_space
 
 from helpers import bound_fixtures
@@ -130,6 +130,25 @@ def test_derived_twist_exponent_is_bounded():
     assert derived_algebra(a, 10, cls, kind=2) == derived_algebra(a, 1023, cls)
     for n, kind in ((11, 2), (64, 2), (1024, 1)):
         with pytest.raises(PreconditionError, match="^derived twist exponent exceeds 1024$"):
+            derived_algebra(a, n, cls, kind=kind)
+
+
+def test_twist_builders_reject_bad_arguments():
+    # on zero ops every map preserves the products, so only the twist
+    # intertwining row of the morphism gate fails for a g that does not
+    # commute with alpha
+    a = AlgebraPresentation(2, {"dot": BilinearMap(2), "bracket": BilinearMap(2)},
+                            {"alpha": LinearMap.diagonal([F(1), F(2)])})
+    g = LinearMap.from_rows([[F(0), F(1)], [F(0), F(0)]])
+    cls = "transposed-hom-poisson"
+    with pytest.raises(PreconditionError, match="^g is not a morphism of the input algebra$") \
+            as exc:
+        compose_twist(a, g, cls)
+    assert {w[0] for w in exc.value.report.witnesses} == {"intertwines-twists"}
+    for n, kind, message in ((0, 1, "derived_algebra requires n >= 1"),
+                             (-1, 2, "derived_algebra requires n >= 1"),
+                             (1, 3, "kind must be 1 or 2"), (1, 0, "kind must be 1 or 2")):
+        with pytest.raises(PreconditionError, match="^%s$" % message):
             derived_algebra(a, n, cls, kind=kind)
 
 

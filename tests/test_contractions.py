@@ -192,16 +192,17 @@ def test_bialgebra_families_match_closure():
     cases = []
     for idx, a in enumerate(_transposed()):
         coops = rand_coops(rng, a.dim)
-        cases.append((a, coalgebra_of(a.dim, coops).ops, coops))
+        dual = trivial_dual(a)
+        cases.append((a, AlgebraPresentation(a.dim, coalgebra_of(a.dim, coops).ops,
+                                             dual.maps), coops))
         if idx % 3 == 0:
-            dual = trivial_dual(a)
             one = AlgebraPresentation(a.dim, dict(dual.ops, dot=BilinearMap(
                 a.dim, ((0, 0, 0, F(1)),))), dict(dual.maps))
-            cases += [(a, b.ops, coop_entries(b)) for b in (dual, one)]
+            cases += [(a, b, coop_entries(b)) for b in (dual, one)]
     failing = set()
-    for a, products, coops in cases:
+    for a, a_star, coops in cases:
         for mw in WITNESS_CAPS:
-            new = check_bialgebra_conditions(a, products, mw)
+            new = check_bialgebra_conditions(a, a_star, mw)
             old = closure_bialgebra_families(a, coops, mw)
             assert _flat(new)[:4] == _flat(old)[:4], mw
         failing.update(w[0] for w in old.witnesses)
@@ -309,12 +310,12 @@ def test_check_errors_match_closures():
         check_invariant_form(zero, param_form)
     # unbound comultiplications fail the dual gate before any family runs
     with pytest.raises(UnboundParameterError):
-        check_bialgebra_conditions(tp2, {"dot": BilinearMap(2, ((0, 0, 0, "t"),)),
-                                         "bracket": BilinearMap(2)})
+        check_bialgebra_conditions(tp2, AlgebraPresentation(
+            2, {"dot": BilinearMap(2, ((0, 0, 0, "t"),)), "bracket": BilinearMap(2)},
+            trivial_dual(tp2).maps))
     with pytest.raises(MissingOperationError):
         check_bialgebra_conditions(
-            AlgebraPresentation(2, {"dot": tp2.op("dot")}, dict(tp2.maps)),
-            {"dot": BilinearMap(2), "bracket": BilinearMap(2)})
+            AlgebraPresentation(2, {"dot": tp2.op("dot")}, dict(tp2.maps)), trivial_dual(tp2))
 
 
 def test_contraction_family_rows():
@@ -455,9 +456,9 @@ def _kept_tensors(*roots):
 
 
 def _construction_cases(algebras):
-    """(a, [(class, rep, matched pair)], dual, coops) per algebra, each built
-    once: the regular module of every class with module axioms that a's ops
-    allow."""
+    """(a, [(class, rep, matched pair)], dual, one-product dual) per
+    algebra, each built once: the regular module of every class with module
+    axioms that a's ops allow."""
     out = []
     for a in algebras:
         reps = []
@@ -468,7 +469,7 @@ def _construction_cases(algebras):
         dual = trivial_dual(a)
         one = AlgebraPresentation(a.dim, dict(dual.ops, dot=BilinearMap(
             a.dim, ((0, 0, 0, F(1)),))), dict(dual.maps))
-        out.append((a, reps, dual, one.ops))
+        out.append((a, reps, dual, one))
     return out
 
 
@@ -485,12 +486,12 @@ def _construction_outcomes(cases):
         return "report", out.passed, _flat(out)
 
     got = []
-    for a, reps, dual, coops in cases:
+    for a, reps, dual, one in cases:
         for cls, rep, mp in reps:
             got.append(outcome(check_rep, a, rep, cls))
             got.append(outcome(check_matched_pair, mp, cls))
         got.append(outcome(check_manin_triple, a, dual))
-        got.append(outcome(check_bialgebra_conditions, a, coops))
+        got.append(outcome(check_bialgebra_conditions, a, one))
         got += [outcome(derivation_space, a, name) for name in sorted(a.ops)]
     return got
 

@@ -206,6 +206,14 @@ def test_representation_round_trip():
     text = serialize_representation(rep)
     assert parse_representation(text) == rep
     assert serialize_representation(parse_representation(text)) == text
+    # a parametric representation keeps its declared parameters
+    rep = RepresentationPresentation(
+        1, 2, {"s": (LinearMap.from_rows([["t", F(0)], [F(0), "-u"]]),)},
+        LinearMap.identity(2), params=("t", "u"))
+    text = serialize_representation(rep)
+    assert json.loads(text)["params"] == ["t", "u"]
+    assert parse_representation(text) == rep
+    assert serialize_representation(parse_representation(text)) == text
 
 
 def test_representation_leaves_the_callers_actions_unchanged():

@@ -120,7 +120,7 @@ def test_manin_triple_fails_on_thp2_zero_dual():
 def test_bialgebra_zero_coops_pass():
     # every compatibility family is linear in the comultiplications
     a = catalog.get("THP2", {"lam": F(1)})
-    rep = check_bialgebra_conditions(a, trivial_dual(a).ops)
+    rep = check_bialgebra_conditions(a, trivial_dual(a))
     assert rep.passed
 
 
@@ -129,9 +129,24 @@ def test_bialgebra_gates_on_algebra_class():
     bad = AlgebraPresentation(
         2, {"dot": a.op("dot"), "bracket": BilinearMap(2, ((0, 1, 0, F(1)),))},
         {"alpha": a.alpha})
-    rep = check_bialgebra_conditions(bad, trivial_dual(bad).ops)
+    rep = check_bialgebra_conditions(bad, trivial_dual(bad))
     assert not rep.passed
     assert not rep.sub_reports["algebra-transposed"].passed
+
+
+def test_bialgebra_gates_read_the_given_dual():
+    # THP2 (lam = 1) as the dual of TP2: its dot is commutative
+    # Hom-associative with its own twist, but not with TP2's transposed
+    # twist (the identity), which the gates once read in its place
+    a, a_star = catalog.get("TP2"), catalog.get("THP2", {"lam": F(1)})
+    assert a_star.alpha != a.alpha.transpose()
+    wrong_twist = AlgebraPresentation(2, a_star.ops, trivial_dual(a).maps)
+    assert not axioms.check_class(wrong_twist, "comm-hom-assoc").passed
+    for subs in (check_bialgebra_conditions(a, a_star).sub_reports,
+                 equivalence_report(a, a_star)["bialgebra"].sub_reports):
+        assert subs["dual-dot-comm-assoc"] == axioms.check_class(a_star, "comm-hom-assoc")
+        assert subs["dual-dot-comm-assoc"].passed
+        assert subs["dual-bracket-hom-lie"] == axioms.check_class(a_star, "hom-lie")
 
 
 def test_equivalence_zero_dual_raises():
@@ -193,7 +208,7 @@ def _outside_the_class():
 
 def _standalone_equivalence(a, a_star, max_witnesses):
     """equivalence_report composed from the three standalone checks."""
-    bial = check_bialgebra_conditions(a, a_star.ops, max_witnesses)
+    bial = check_bialgebra_conditions(a, a_star, max_witnesses)
     mp = check_matched_pair(coadjoint_matched_pair(a, a_star), T, max_witnesses)
     manin = check_manin_triple(a, a_star, max_witnesses)
     verdicts = (bial.passed, mp.passed, manin.passed)

@@ -165,6 +165,30 @@ def test_rota_baxter_zero():
     assert not any(op.entries for op in induced.ops.values())
 
 
+def test_rota_baxter_induced_gates_on_the_algebra_class():
+    # e1.e1 = e1, e1.e2 = e2 is associative but not commutative; with a zero
+    # bracket its regular module passes the module axioms, so R = 0 is a
+    # Rota-Baxter operator of an algebra outside the theorem's class
+    a = AlgebraPresentation(2, {"dot": BilinearMap(2, ((0, 0, 0, F(1)), (0, 1, 1, F(1)))),
+                                "bracket": BilinearMap(2)},
+                            {"alpha": LinearMap.identity(2)})
+    R = LinearMap.zero(2)
+    assert check_rota_baxter(a, R, "transposed-hom-poisson").passed
+    with pytest.raises(PreconditionError) as exc:
+        rota_baxter_induced(a, R)
+    assert str(exc.value) == "input is not in class transposed-hom-poisson"
+    assert not exc.value.report.passed
+
+
+def test_rota_baxter_check_gates_on_the_o_operator_class():
+    # the class gate runs before the regular module is built
+    a = catalog.get("THP2", {"lam": F(1)})
+    for cls in ("hom-poisson", "hom-pre-lie"):
+        with pytest.raises(PreconditionError) as exc:
+            check_rota_baxter(a, LinearMap.zero(2), cls)
+        assert str(exc.value) == "no O-operator notion for class %s" % cls
+
+
 def test_derivation_space_thp2():
     a = catalog.get("THP2", {"lam": F(1)})
     space = derivation_space(a, "dot", commuting_with="alpha")

@@ -32,7 +32,6 @@ ALLOWED = {
     "core.serialize_comultiplications": "interchange round trip of parse_comultiplications",
     "core.serialize_form": "interchange round trip of parse_form",
     "core.serialize_o_operator": "interchange round trip of parse_o_operator; bench/gen.py",
-    "duality.trivial_dual": "bench/workloads.py builds the constructions' duals with it",
     "matched_pairs.block_swap_map": "paper: the doubles of a pair and of its swap are isomorphic",
     "matched_pairs.mp_pre_lie_to_lie":
         "paper: a Hom-pre-Lie matched pair gives a sub-adjacent Hom-Lie one",
