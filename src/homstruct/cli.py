@@ -9,18 +9,19 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import re
 import sys
+from collections import namedtuple
 from dataclasses import replace
 from fractions import Fraction
 
-from homstruct.axioms import (
-    check_class,
-    resolve_class,
-)
+from homstruct.axioms import check_class, resolve_class
 from homstruct.core import (
     RATIONAL_RE,
+    AlgebraPresentation,
+    CheckReport,
     ConstructionError,
     DimensionError,
     FormatError,
@@ -61,28 +62,30 @@ def _parse_params(text):
     return binding
 
 
-def _read(path):
+def _write(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError("cannot write %s: %s" % (path, exc))
+
+
+# document kind of a positional input -> its parser
+_PARSERS = {"algebra": parse_algebra, "rep": parse_representation,
+            "coops": parse_comultiplications, "operator": parse_o_operator}
+
+
+def _load(kind, path, binding):
+    """The document at path, with its parameters bound (an operator has none)."""
     try:
         with open(path) as fh:
-            return fh.read()
+            text = fh.read()
     except OSError as exc:
         raise _UsageError("cannot read %s: %s" % (path, exc))
-
-
-def _load(parse, path, binding):
-    """The document at path, with its parameters bound."""
-    p = parse(_read(path))
-    if binding or p.params:
+    p = _PARSERS[kind](text)
+    if kind != "operator" and (binding or p.params):
         p = substitute_params(p, binding)
     return p
-
-
-def _load_algebra(path, binding):
-    return _load(parse_algebra, path, binding)
-
-
-def _load_rep(path, binding):
-    return _load(parse_representation, path, binding)
 
 
 _VEC_TERM = re.compile(r"^(?:(-?[0-9]+(?:/[0-9]+)?)\*?)?e([1-9][0-9]*)$")
@@ -148,44 +151,44 @@ def _print_report_text(doc, out, indent=""):
         _print_report_text(sub, out, indent + "  ")
 
 
-def _emit(args, text):
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
+def _head(args):
+    """A document's "command", with the action, and "inputs", in positional order."""
+    entry = args.entry
+    command = "%s %s" % (args.command, args.action) if entry.actions else args.command
+    return {"command": command, "inputs": [getattr(args, dest) for dest, _ in entry.inputs]}
+
+
+def _emit(args, text, json_doc=None):
+    """Write json_doc under --json (when given), else text, to -o or stdout."""
+    if args.json and json_doc is not None:
+        text = json.dumps(json_doc, indent=2) + "\n"
+    if args.output:
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_report(args, command, inputs, report):
-    doc = {"command": command, "inputs": inputs}
+def _emit_report(args, report):
+    doc = _head(args)
     doc.update(_report_doc(report))
-    if args.json:
-        _emit(args, json.dumps(doc, indent=2) + "\n")
-    else:
-        import io
-        buf = io.StringIO()
-        buf.write("command: %s\n" % command)
+    buf = io.StringIO()
+    if not args.json:
+        buf.write("command: %s\n" % doc["command"])
         _print_report_text(doc, buf)
-        _emit(args, buf.getvalue())
+    _emit(args, buf.getvalue(), doc)
     return PASS if report.passed else FAIL
 
 
-def _emit_algebra(args, a):
-    _emit(args, serialize_algebra(a))
-    return PASS
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each handler takes the parsed arguments and the loaded inputs,
+# and returns a report or an algebra for main to print, or prints its own
+# output and returns the exit code
 
-def _cmd_check(args, binding):
-    a = _load_algebra(args.file, binding)
-    report = check_class(a, args.class_name, args.max_witnesses)
-    return _emit_report(args, "check", [args.file], report)
+def _check(args, a):
+    return check_class(a, args.class_name, args.max_witnesses)
 
 
-def _cmd_twist(args, binding):
-    from homstruct import constructions
+def _twist_usage(args):
     for flag, value in (("--yau", args.yau), ("--compose", args.compose),
                         ("--derived", args.derived)):
         if value is not None and args.class_name is None:
@@ -194,198 +197,147 @@ def _cmd_twist(args, binding):
         raise _UsageError("twist --alpha-h takes no --class")
     if args.type is not None and args.derived is None:
         raise _UsageError("twist --type needs --derived")
-    a = _load_algebra(args.file, binding)
-    if args.alpha_h is not None:
-        out = constructions.alpha_h_twist(a, _parse_vector(args.alpha_h, a.dim))
-    elif args.yau is not None:
-        out = constructions.yau_twist(a, a.map(args.yau), args.class_name)
-    elif args.compose is not None:
-        out = constructions.compose_twist(a, a.map(args.compose), args.class_name)
-    elif args.derived is not None:
-        out = constructions.derived_algebra(a, args.derived, args.class_name,
-                                            kind=args.type or 1)
-    else:
-        raise _UsageError(
-            "twist needs one of --alpha-h, --yau, --compose, --derived")
-    return _emit_algebra(args, out)
 
 
-def _cmd_tensor(args, binding):
-    from homstruct.constructions import tensor_product
-    a1 = _load_algebra(args.file1, binding)
-    a2 = _load_algebra(args.file2, binding)
-    return _emit_algebra(args, tensor_product(a1, a2, args.class_name))
-
-
-def _cmd_subadjacent(args, binding):
-    from homstruct.constructions import sub_adjacent
-    return _emit_algebra(args, sub_adjacent(_load_algebra(args.file, binding)))
-
-
-def _cmd_bracketd(args, binding):
+def _twist(args, a):
     from homstruct import constructions
-    a = _load_algebra(args.file, binding)
+    if args.alpha_h is not None:
+        return constructions.alpha_h_twist(a, _parse_vector(args.alpha_h, a.dim))
+    if args.yau is not None:
+        return constructions.yau_twist(a, a.map(args.yau), args.class_name)
+    if args.compose is not None:
+        return constructions.compose_twist(a, a.map(args.compose), args.class_name)
+    if args.derived is not None:
+        return constructions.derived_algebra(a, args.derived, args.class_name,
+                                             kind=args.type or 1)
+    raise _UsageError("twist needs one of --alpha-h, --yau, --compose, --derived")
+
+
+def _tensor(args, a1, a2):
+    from homstruct.constructions import tensor_product
+    return tensor_product(a1, a2, args.class_name)
+
+
+def _subadjacent(args, a):
+    from homstruct.constructions import sub_adjacent
+    return sub_adjacent(a)
+
+
+def _bracketd(args, a):
+    from homstruct import constructions
     if args.map2 is not None:
-        out = constructions.bracket_from_two_derivations(
+        return constructions.bracket_from_two_derivations(
             a, a.map(args.map), a.map(args.map2))
-    else:
-        out = constructions.bracket_from_derivation(a, a.map(args.map))
-    return _emit_algebra(args, out)
+    return constructions.bracket_from_derivation(a, a.map(args.map))
 
 
-def _cmd_semidirect(args, binding):
+def _semidirect(args, a, rep):
     from homstruct.representations import semidirect_product
-    a = _load_algebra(args.algebra, binding)
-    rep = _load_rep(args.rep, binding)
-    return _emit_algebra(args, semidirect_product(a, rep, args.class_name))
+    return semidirect_product(a, rep, args.class_name)
 
 
-def _cmd_checkrep(args, binding):
+def _checkrep(args, a, rep):
     from homstruct.representations import check_rep
-    a = _load_algebra(args.algebra, binding)
-    rep = _load_rep(args.rep, binding)
-    report = check_rep(a, rep, args.class_name, args.max_witnesses)
-    return _emit_report(args, "checkrep", [args.algebra, args.rep], report)
+    return check_rep(a, rep, args.class_name, args.max_witnesses)
 
 
-def _cmd_dualrep(args, binding):
+def _dualrep(args, a, rep):
     from homstruct.representations import dual_representation
-    a = _load_algebra(args.algebra, binding)
-    rep = _load_rep(args.rep, binding)
     dual, hyp = dual_representation(a, rep, args.max_witnesses)
-    code = _emit_report(args, "dualrep", [args.algebra, args.rep], hyp)
     if args.rep_output:
-        with open(args.rep_output, "w") as fh:
-            fh.write(serialize_representation(dual))
-    return code
+        _write(args.rep_output, serialize_representation(dual))
+    return hyp
 
 
-def _load_matched(args, binding):
-    from homstruct.matched_pairs import MatchedPairData
-    return MatchedPairData(_load_algebra(args.algebra_a, binding),
-                           _load_algebra(args.algebra_b, binding),
-                           _load_rep(args.actions_ab, binding),
-                           _load_rep(args.actions_ba, binding))
-
-
-def _cmd_matched(args, binding):
-    from homstruct.matched_pairs import build_double, check_matched_pair
-    mp = _load_matched(args, binding)
+def _matched(args, a, b, actions_ab, actions_ba):
+    from homstruct.matched_pairs import MatchedPairData, build_double, check_matched_pair
+    mp = MatchedPairData(a, b, actions_ab, actions_ba)
     if args.action == "double":
-        return _emit_algebra(args, build_double(mp, args.class_name))
-    report = check_matched_pair(mp, args.class_name, args.max_witnesses)
-    return _emit_report(args, "matched check",
-                        [args.algebra_a, args.algebra_b,
-                         args.actions_ab, args.actions_ba], report)
+        return build_double(mp, args.class_name)
+    return check_matched_pair(mp, args.class_name, args.max_witnesses)
 
 
-def _cmd_manin(args, binding):
+def _manin(args, a, a_star):
     from homstruct.duality import check_manin_triple
-    a = _load_algebra(args.algebra, binding)
-    a_star = _load_algebra(args.dual, binding)
-    report = check_manin_triple(a, a_star, args.max_witnesses)
-    return _emit_report(args, "manin", [args.algebra, args.dual], report)
+    return check_manin_triple(a, a_star, args.max_witnesses)
 
 
-def _cmd_bialgebra(args, binding):
+def _bialgebra(args, a, coalgebra):
     from homstruct.duality import check_bialgebra_conditions, trivial_dual
-    a = _load_algebra(args.algebra, binding)
-    coalgebra = _load(parse_comultiplications, args.coops, binding)
     if coalgebra.dim != a.dim:
         raise DimensionError("comultiplication dimension mismatch")
     # A*: the comultiplications' dual products with trivial_dual's twist
-    report = check_bialgebra_conditions(a, replace(trivial_dual(a), ops=coalgebra.ops),
-                                        args.max_witnesses)
-    return _emit_report(args, "bialgebra", [args.algebra, args.coops], report)
+    return check_bialgebra_conditions(a, replace(trivial_dual(a), ops=coalgebra.ops),
+                                      args.max_witnesses)
 
 
-def _cmd_equivalence(args, binding):
+def _equivalence(args, a, a_star):
     from homstruct.duality import equivalence_report
-    a = _load_algebra(args.algebra, binding)
-    a_star = _load_algebra(args.dual, binding)
     result = equivalence_report(a, a_star, args.max_witnesses)
-    doc = {"command": "equivalence",
-           "inputs": [args.algebra, args.dual],
-           "verdict": "pass" if result["verdict"] else "fail",
-           "bialgebra": _report_doc(result["bialgebra"]),
-           "matched_pair": _report_doc(result["matched_pair"]),
-           "manin": _report_doc(result["manin"])}
-    if args.json:
-        _emit(args, json.dumps(doc, indent=2) + "\n")
-    else:
-        import io
-        buf = io.StringIO()
+    doc = _head(args)
+    doc["verdict"] = "pass" if result["verdict"] else "fail"
+    keys = ("bialgebra", "matched_pair", "manin")
+    doc.update((key, _report_doc(result[key])) for key in keys)
+    buf = io.StringIO()
+    if not args.json:
         buf.write("command: equivalence\nshared verdict: %s\n" % doc["verdict"])
-        for key in ("bialgebra", "matched_pair", "manin"):
+        for key in keys:
             buf.write("%s:\n" % key)
             _print_report_text(doc[key], buf, "  ")
-        _emit(args, buf.getvalue())
+    _emit(args, buf.getvalue(), doc)
     return PASS if result["verdict"] else FAIL
 
 
-def _cmd_oop(args, binding):
+def _oop(args, a, rep, T):
     from homstruct.operators import check_o_operator, induced_products
-    a = _load_algebra(args.algebra, binding)
-    rep = _load_rep(args.rep, binding)
-    T = parse_o_operator(_read(args.operator))
     if args.action == "induce":
-        return _emit_algebra(args,
-                             induced_products(a, rep, T, args.class_name))
-    report = check_o_operator(a, rep, T, args.class_name, args.max_witnesses)
-    return _emit_report(args, "oop check",
-                        [args.algebra, args.rep, args.operator], report)
+        return induced_products(a, rep, T, args.class_name)
+    return check_o_operator(a, rep, T, args.class_name, args.max_witnesses)
 
 
-def _cmd_rb(args, binding):
+def _rb(args, a, R):
     from homstruct.operators import check_rota_baxter, rota_baxter_induced
-    a = _load_algebra(args.algebra, binding)
-    R = parse_o_operator(_read(args.operator))
     if args.action == "induce":
-        return _emit_algebra(args, rota_baxter_induced(a, R))
-    report = check_rota_baxter(a, R, args.class_name, args.max_witnesses)
-    return _emit_report(args, "rb check", [args.algebra, args.operator], report)
+        return rota_baxter_induced(a, R)
+    return check_rota_baxter(a, R, args.class_name, args.max_witnesses)
 
 
-def _cmd_derivations(args, binding):
+def _derivations(args, a):
     from homstruct.operators import derivation_space
-    a = _load_algebra(args.algebra, binding)
     commuting = None if args.commuting_with == "none" else args.commuting_with
-    basis = derivation_space(a, args.op, commuting)
-    doc = {"command": "derivations", "inputs": [args.algebra],
-           "op": args.op, "dimension": len(basis),
-           "basis": [[[coefficient_str(c) for c in row] for row in d.m]
-                     for d in basis]}
-    if args.json:
-        _emit(args, json.dumps(doc, indent=2) + "\n")
-    else:
-        lines = ["command: derivations", "dimension: %d" % len(basis)]
+    basis = [[[coefficient_str(c) for c in row] for row in d.m]
+             for d in derivation_space(a, args.op, commuting)]
+    doc = _head(args)
+    doc.update(op=args.op, dimension=len(basis), basis=basis)
+    buf = io.StringIO()
+    if not args.json:
+        buf.write("command: derivations\ndimension: %d\n" % len(basis))
         for idx, d in enumerate(basis):
-            lines.append("D%d:" % (idx + 1))
-            for row in d.m:
-                lines.append("  [%s]" % ", ".join(coefficient_str(c) for c in row))
-        _emit(args, "\n".join(lines) + "\n")
+            buf.write("D%d:\n" % (idx + 1))
+            buf.writelines("  [%s]\n" % ", ".join(row) for row in d)
+    _emit(args, buf.getvalue(), doc)
     return PASS
 
 
-def _cmd_catalog(args, binding):
+def _catalog_usage(args):
+    if args.action == "show" and not args.name:
+        raise _UsageError("catalog show needs an entry name")
+    if args.action == "list" and args.name is not None:
+        raise _UsageError("catalog list takes no entry name")
+
+
+def _catalog(args):
     from homstruct import catalog
     if args.action == "list":
-        if args.json:
-            doc = [catalog.describe(name) for name in catalog.names()]
-            _emit(args, json.dumps(doc, indent=2) + "\n")
-        else:
-            lines = []
-            for name in catalog.names():
-                d = catalog.describe(name)
-                lines.append("%s  class=%s dim=%d params=%s"
-                             % (name, d["class"], d["dim"],
-                                ",".join(d["params"]) or "-"))
-            _emit(args, "\n".join(lines) + "\n")
+        docs = [catalog.describe(name) for name in catalog.names()]
+        text = "" if args.json else "".join(
+            "%s  class=%s dim=%d params=%s\n"
+            % (d["name"], d["class"], d["dim"], ",".join(d["params"]) or "-") for d in docs)
+        _emit(args, text, docs)
         return PASS
     if args.name not in catalog.names():
         raise _UsageError("unknown catalog entry %r" % args.name)
-    a = catalog.get(args.name, binding or None)
-    return _emit_algebra(args, a)
+    return catalog.get(args.name, args.params or None)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +355,57 @@ def non_negative_int(text):
     return value
 
 
+def _algebra_class(text):
+    # argparse reports only a TypeError, ValueError or ArgumentTypeError
+    # from a type function as a usage error; resolve_class raises KeyError
+    try:
+        return resolve_class(text)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+
+
+# One subcommand: its handler; its positional inputs as (name, document kind)
+# pairs, loaded in that order; the choices of its leading "action" argument;
+# the add_argument keywords of its --class (None: no --class); (flag,
+# add_argument keywords) pairs of its mutually exclusive options and of its
+# other arguments, added in that order between --class and the inputs; and a
+# check of the arguments that runs before any input is read.
+_Command = namedtuple("_Command", "run inputs actions cls exclusive options validate",
+                      defaults=((), None, (), (), None))
+_REQUIRED = {"required": True}
+
+_COMMANDS = {
+    "check": _Command(_check, [("file", "algebra")], cls=_REQUIRED),
+    "twist": _Command(_twist, [("file", "algebra")], cls={}, exclusive=[
+        ("--alpha-h", {"metavar": "VEC"}), ("--yau", {"metavar": "MAP"}),
+        ("--compose", {"metavar": "MAP"}), ("--derived", {"type": int, "metavar": "N"})],
+        options=[("--type", {"type": int, "choices": (1, 2)})], validate=_twist_usage),
+    "tensor": _Command(_tensor, [("file1", "algebra"), ("file2", "algebra")], cls=_REQUIRED),
+    "subadjacent": _Command(_subadjacent, [("file", "algebra")]),
+    "bracketd": _Command(_bracketd, [("file", "algebra")],
+                         options=[("--map", _REQUIRED), ("--map2", {})]),
+    "semidirect": _Command(_semidirect, [("algebra", "algebra"), ("rep", "rep")],
+                           cls=_REQUIRED),
+    "checkrep": _Command(_checkrep, [("algebra", "algebra"), ("rep", "rep")], cls=_REQUIRED),
+    "dualrep": _Command(_dualrep, [("algebra", "algebra"), ("rep", "rep")],
+                        options=[("--rep-output", {"metavar": "FILE"})]),
+    "matched": _Command(_matched, [("algebra_a", "algebra"), ("algebra_b", "algebra"),
+                                   ("actions_ab", "rep"), ("actions_ba", "rep")],
+                        actions=("check", "double"), cls=_REQUIRED),
+    "manin": _Command(_manin, [("algebra", "algebra"), ("dual", "algebra")]),
+    "bialgebra": _Command(_bialgebra, [("algebra", "algebra"), ("coops", "coops")]),
+    "equivalence": _Command(_equivalence, [("algebra", "algebra"), ("dual", "algebra")]),
+    "oop": _Command(_oop, [("algebra", "algebra"), ("rep", "rep"), ("operator", "operator")],
+                    actions=("check", "induce"), cls=_REQUIRED),
+    "rb": _Command(_rb, [("algebra", "algebra"), ("operator", "operator")],
+                   actions=("check", "induce"), cls={"default": "transposed-hom-poisson"}),
+    "derivations": _Command(_derivations, [("algebra", "algebra")], options=[
+        ("--op", {"default": "dot"}), ("--commuting-with", {"default": "alpha"})]),
+    "catalog": _Command(_catalog, [], actions=("list", "show"),
+                        options=[("name", {"nargs": "?"})], validate=_catalog_usage),
+}
+
+
 @functools.cache
 def _build_parser():
     """The argument parser, built once per process (parse_args keeps no state in it)."""
@@ -412,114 +415,24 @@ def _build_parser():
     common.add_argument("--max-witnesses", type=non_negative_int, default=32)
     common.add_argument("-o", dest="output", default=None, metavar="FILE")
 
-    def with_class(p, required=True):
-        p.add_argument("--class", dest="class_name", required=required,
-                       type=resolve_class, metavar="CLASS")
-
     top = _Parser(prog="homstruct")
     sub = top.add_subparsers(dest="command", metavar="SUBCOMMAND")
-
-    p = sub.add_parser("check", parents=[common])
-    with_class(p)
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_check)
-
-    p = sub.add_parser("twist", parents=[common])
-    with_class(p, required=False)
-    how = p.add_mutually_exclusive_group()
-    how.add_argument("--alpha-h", dest="alpha_h", default=None, metavar="VEC")
-    how.add_argument("--yau", default=None, metavar="MAP")
-    how.add_argument("--compose", default=None, metavar="MAP")
-    how.add_argument("--derived", type=int, default=None, metavar="N")
-    p.add_argument("--type", type=int, choices=(1, 2), default=None)
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_twist)
-
-    p = sub.add_parser("tensor", parents=[common])
-    with_class(p)
-    p.add_argument("file1")
-    p.add_argument("file2")
-    p.set_defaults(fn=_cmd_tensor)
-
-    p = sub.add_parser("subadjacent", parents=[common])
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_subadjacent)
-
-    p = sub.add_parser("bracketd", parents=[common])
-    p.add_argument("--map", required=True)
-    p.add_argument("--map2", default=None)
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_bracketd)
-
-    p = sub.add_parser("semidirect", parents=[common])
-    with_class(p)
-    p.add_argument("algebra")
-    p.add_argument("rep")
-    p.set_defaults(fn=_cmd_semidirect)
-
-    p = sub.add_parser("checkrep", parents=[common])
-    with_class(p)
-    p.add_argument("algebra")
-    p.add_argument("rep")
-    p.set_defaults(fn=_cmd_checkrep)
-
-    p = sub.add_parser("dualrep", parents=[common])
-    p.add_argument("--rep-output", default=None, metavar="FILE")
-    p.add_argument("algebra")
-    p.add_argument("rep")
-    p.set_defaults(fn=_cmd_dualrep)
-
-    p = sub.add_parser("matched", parents=[common])
-    p.add_argument("action", choices=("check", "double"))
-    with_class(p)
-    p.add_argument("algebra_a")
-    p.add_argument("algebra_b")
-    p.add_argument("actions_ab")
-    p.add_argument("actions_ba")
-    p.set_defaults(fn=_cmd_matched)
-
-    p = sub.add_parser("manin", parents=[common])
-    p.add_argument("algebra")
-    p.add_argument("dual")
-    p.set_defaults(fn=_cmd_manin)
-
-    p = sub.add_parser("bialgebra", parents=[common])
-    p.add_argument("algebra")
-    p.add_argument("coops")
-    p.set_defaults(fn=_cmd_bialgebra)
-
-    p = sub.add_parser("equivalence", parents=[common])
-    p.add_argument("algebra")
-    p.add_argument("dual")
-    p.set_defaults(fn=_cmd_equivalence)
-
-    p = sub.add_parser("oop", parents=[common])
-    p.add_argument("action", choices=("check", "induce"))
-    with_class(p)
-    p.add_argument("algebra")
-    p.add_argument("rep")
-    p.add_argument("operator")
-    p.set_defaults(fn=_cmd_oop)
-
-    p = sub.add_parser("rb", parents=[common])
-    p.add_argument("action", choices=("check", "induce"))
-    p.add_argument("--class", dest="class_name", type=resolve_class,
-                   default="transposed-hom-poisson", metavar="CLASS")
-    p.add_argument("algebra")
-    p.add_argument("operator")
-    p.set_defaults(fn=_cmd_rb)
-
-    p = sub.add_parser("derivations", parents=[common])
-    p.add_argument("--op", default="dot")
-    p.add_argument("--commuting-with", dest="commuting_with", default="alpha")
-    p.add_argument("algebra")
-    p.set_defaults(fn=_cmd_derivations)
-
-    p = sub.add_parser("catalog", parents=[common])
-    p.add_argument("action", choices=("list", "show"))
-    p.add_argument("name", nargs="?", default=None)
-    p.set_defaults(fn=_cmd_catalog)
-
+    for name, entry in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common])
+        if entry.actions:
+            p.add_argument("action", choices=entry.actions)
+        if entry.cls is not None:
+            p.add_argument("--class", dest="class_name", type=_algebra_class,
+                           metavar="CLASS", **entry.cls)
+        if entry.exclusive:
+            group = p.add_mutually_exclusive_group()
+            for flag, kwargs in entry.exclusive:
+                group.add_argument(flag, **kwargs)
+        for flag, kwargs in entry.options:
+            p.add_argument(flag, **kwargs)
+        for dest, _ in entry.inputs:
+            p.add_argument(dest)
+        p.set_defaults(entry=entry)
     return top
 
 
@@ -527,14 +440,21 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if not getattr(args, "fn", None):
+        entry = getattr(args, "entry", None)
+        if entry is None:
             raise _UsageError("a subcommand is required")
-        if args.command == "catalog" and args.action == "show" and not args.name:
-            raise _UsageError("catalog show needs an entry name")
-        if args.command == "catalog" and args.action == "list" and args.name is not None:
-            raise _UsageError("catalog list takes no entry name")
-        binding = _parse_params(args.params)
-        return args.fn(args, binding)
+        if entry.validate:
+            entry.validate(args)
+        # from here on, args.params is the binding
+        args.params = _parse_params(args.params)
+        inputs = [_load(kind, getattr(args, dest), args.params) for dest, kind in entry.inputs]
+        out = entry.run(args, *inputs)
+        if isinstance(out, CheckReport):
+            return _emit_report(args, out)
+        if isinstance(out, AlgebraPresentation):
+            _emit(args, serialize_algebra(out))
+            return PASS
+        return out
     except _UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return USAGE

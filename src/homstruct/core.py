@@ -870,6 +870,9 @@ def _load(text, keys):
     except json.JSONDecodeError as exc:
         raise FormatError("syntax error at line %d column %d: %s"
                           % (exc.lineno, exc.colno, exc.msg)) from None
+    except RecursionError:
+        # the decoder recurses once per nested array or object
+        raise FormatError("document nested too deeply") from None
     if not isinstance(doc, dict):
         raise FormatError("top-level value must be an object")
     unknown = sorted(set(doc) - set(keys))

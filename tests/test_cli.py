@@ -511,6 +511,10 @@ def test_usage_errors(thp2_file, tmp_path, capsys):
     bad.write_text("not json")
     assert main(["check", str(bad), "--class", "hom-lie"]) == USAGE
     capsys.readouterr()
+    # nesting past the JSON decoder's recursion limit
+    bad.write_text('{"dim": 1, "ops": %s}' % ("[" * 200000 + "]" * 200000))
+    assert main(["check", str(bad), "--class", "hom-lie"]) == USAGE
+    assert capsys.readouterr() == ("", "input error: document nested too deeply\n")
     for argv, message in (
             ([], "a subcommand is required"),
             (["check", thp2_file, "--class", "hom-lie", "--params", "lam"],
@@ -520,6 +524,58 @@ def test_usage_errors(thp2_file, tmp_path, capsys):
             (["twist", thp2_file], "twist needs one of --alpha-h, --yau, --compose, --derived")):
         assert main(argv) == USAGE
         assert capsys.readouterr() == ("", "usage error: %s\n" % message)
+    # an unknown --class is a usage error on every subcommand that takes one
+    for argv in (["check", thp2_file], ["twist", thp2_file, "--yau", "alpha"],
+                 ["tensor", thp2_file, thp2_file], ["semidirect", thp2_file, thp2_file],
+                 ["checkrep", thp2_file, thp2_file],
+                 ["matched", "check", thp2_file, thp2_file, thp2_file, thp2_file],
+                 ["oop", "check", thp2_file, thp2_file, thp2_file],
+                 ["rb", "check", thp2_file, thp2_file]):
+        assert main(argv + ["--class", "nope"]) == USAGE, argv
+        assert capsys.readouterr() == (
+            "", "usage error: argument --class: unknown algebra class 'nope'\n")
+
+
+# each subcommand's required arguments, in the order the parser lists them
+_REQUIRED_ARGUMENTS = {
+    "check": "--class, file",
+    "twist": "file",
+    "tensor": "--class, file1, file2",
+    "subadjacent": "file",
+    "bracketd": "--map, file",
+    "semidirect": "--class, algebra, rep",
+    "checkrep": "--class, algebra, rep",
+    "dualrep": "algebra, rep",
+    "matched": "action, --class, algebra_a, algebra_b, actions_ab, actions_ba",
+    "manin": "algebra, dual",
+    "bialgebra": "algebra, coops",
+    "equivalence": "algebra, dual",
+    "oop": "action, --class, algebra, rep, operator",
+    "rb": "action, algebra, operator",
+    "derivations": "algebra",
+    "catalog": "action",
+}
+
+
+def test_parser_surface(capsys):
+    for command, required in _REQUIRED_ARGUMENTS.items():
+        assert main([command]) == USAGE
+        assert capsys.readouterr() == (
+            "", "usage error: the following arguments are required: %s\n" % required)
+    assert main(["matched", "zzz"]) == USAGE
+    assert capsys.readouterr().err == (
+        "usage error: argument action: invalid choice: 'zzz' (choose from 'check', 'double')\n")
+
+
+def test_unwritable_output_is_a_usage_error(thp2_file, thp2_reg_file, tmp_path, capsys):
+    bad = str(tmp_path / "no-such-dir" / "x.json")
+    for argv in (["catalog", "show", "THP2", "-o", bad],
+                 ["check", thp2_file, "--class", "hom-lie", "-o", bad],
+                 ["dualrep", thp2_file, thp2_reg_file, "-o", bad],
+                 ["dualrep", thp2_file, thp2_reg_file, "--rep-output", bad]):
+        assert main(argv) == USAGE, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage error: cannot write %s: " % bad), err
 
 
 def test_non_object_sections_are_format_errors(thp2_file, tmp_path, capsys):
@@ -792,7 +848,9 @@ def test_generated_documents_reach_an_exit_code(tmp_path, capsys):
     both parses and rejects some documents (catalog show and list: some
     arguments end in exit 2), and check both passes and fails.  Each command
     also runs one fixed valid and one fixed invalid document of its kind,
-    so that it parses and rejects some whatever the generated draw."""
+    so that it parses and rejects some whatever the generated draw.  The
+    class is drawn too, and an unknown one ends in exit 2 with argparse's
+    usage error before any document is read."""
     alg = tmp_path / "alg.json"
     a = catalog.get("THP2", {"lam": F(1)})
     alg.write_text(serialize_algebra(a))
@@ -820,7 +878,7 @@ def test_generated_documents_reach_an_exit_code(tmp_path, capsys):
     doc_file = tmp_path / "doc.json"
     doc = str(doc_file)
     classes = st.sampled_from(["comm-hom-assoc", "hom-lie", "transposed-hom-poisson",
-                               "hom-pre-lie"])
+                               "hom-pre-lie", "no-such-class"])
     params = st.sampled_from(["", "t=1", "t=1/2,u=-3"])
     builders = {"tensor", "subadjacent", "bracketd", "twist --alpha-h", "twist --yau",
                 "twist --compose", "twist --derived", "derivations", "semidirect",
@@ -889,6 +947,11 @@ def test_generated_documents_reach_an_exit_code(tmp_path, capsys):
             assert code in (PASS, FAIL, USAGE, PRECONDITION)
             assert code != FAIL or command not in builders
             assert not err.startswith("check failed: "), err
+            if cls == "no-such-class" and cls_slot in argv:
+                assert code == USAGE and err == (
+                    "usage error: argument --class: unknown algebra class 'no-such-class'\n")
+                outcomes.add((command, "bad class"))
+                return
             if parse is None:
                 outcomes.add((command, "rejected" if code == USAGE else "parsed"))
                 return
@@ -909,3 +972,7 @@ def test_generated_documents_reach_an_exit_code(tmp_path, capsys):
     assert {("check", "rejected"), ("check", "parsed"), ("check", PASS), ("check", FAIL),
             ("checkrep", "rejected"), ("checkrep", "parsed"),
             ("manin", FAIL)} <= outcomes, outcomes
+    assert {command for command, kind in outcomes if kind == "bad class"} == {
+        "check", "checkrep", "tensor", "twist --yau", "twist --compose", "twist --derived",
+        "semidirect", "matched check", "matched double", "rb check", "oop check",
+        "oop induce"}

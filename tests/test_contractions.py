@@ -3,6 +3,7 @@ Fraction closure it replaced (tests/helpers.py), plus the evaluator itself."""
 
 import copy
 import dataclasses
+import functools
 import random
 from fractions import Fraction
 
@@ -49,6 +50,7 @@ from homstruct.matched_pairs import (
     zero_representation,
 )
 from homstruct.operators import (
+    _induced,
     check_o_operator,
     derivation_space,
     induced_products,
@@ -249,17 +251,42 @@ def test_o_operator_families_match_closure():
     assert verdicts == {True, False}
 
 
+def _ungated_sub_adjacent(induced):
+    """sub_adjacent's algebra without its class gate: the star's commutator
+    as the bracket, the dot kept; without a star, the structure itself."""
+    if "star" not in induced.ops:
+        return induced
+    bracket = {}
+    for i, j, k, c in induced.op("star").entries:
+        bracket[i, j, k] = bracket.get((i, j, k), 0) + c
+        bracket[j, i, k] = bracket.get((j, i, k), 0) - c
+    ops = {"bracket": BilinearMap(induced.dim, tuple(idx + (c,) for idx, c in bracket.items()))}
+    if "dot" in induced.ops:
+        ops["dot"] = induced.op("dot")
+    return AlgebraPresentation(induced.dim, ops, {"alpha": induced.alpha})
+
+
 def test_o_operator_morphism_families_match_closure():
-    seen = 0
+    """o_operator_is_morphism against the closure where T passes the
+    O-operator gate; where it fails, check_morphism from the ungated induced
+    structure's sub-adjacent algebra to a against the same closure, so that
+    failing rows, their family ids and the twist row's sign T beta - alpha T
+    are compared too."""
+    seen, failing = 0, set()
     for a, rep, T, cls in _o_operator_cases():
+        induced = _induced(rep, T, cls)
+        old = functools.partial(closure_o_morphism_families, a, rep, T, induced)
         try:
-            induced = induced_products(a, rep, T, cls)
+            induced_products(a, rep, T, cls)
         except (PreconditionError, ConstructionError):
+            sub = _ungated_sub_adjacent(induced)
+            if not _same(lambda mw: check_morphism(sub, a, T, max_witnesses=mw), old):
+                failing.update(w[0] for w in old(32).witnesses)
             continue
         seen += 1
-        _same(lambda mw: o_operator_is_morphism(a, rep, T, cls, mw),
-              lambda mw: closure_o_morphism_families(a, rep, T, induced, mw))
+        assert _same(lambda mw: o_operator_is_morphism(a, rep, T, cls, mw), old)
     assert seen > 10
+    assert failing == {"morphism:bracket", "morphism:dot", "intertwines-twists"}
 
 
 def _raised(fn, *args):

@@ -399,6 +399,11 @@ def test_parsers_raise_format_error_or_round_trip():
             assert parse(serialize(p)) == p
             outcomes.add((parse, "parsed"))
         run()
+        # nesting past the decoder's recursion limit, as the document and under a key
+        deep = "[" * 200000 + "]" * 200000
+        for text in (deep, '{"dim": 1, "ops": %s}' % deep):
+            with pytest.raises(FormatError, match="^document nested too deeply$"):
+                parse(text)
     assert len(outcomes) == 10, outcomes
     # a parametric form keeps its parameters through serialize_form
     form = parse_form(json.dumps({"dim": 2, "params": ["t", "u"],
