@@ -14,7 +14,6 @@ import json
 import re
 import sys
 from collections import namedtuple
-from dataclasses import replace
 from fractions import Fraction
 
 from homstruct.axioms import check_class, resolve_class
@@ -267,8 +266,8 @@ def _bialgebra(args, a, coalgebra):
     if coalgebra.dim != a.dim:
         raise DimensionError("comultiplication dimension mismatch")
     # A*: the comultiplications' dual products with trivial_dual's twist
-    return check_bialgebra_conditions(a, replace(trivial_dual(a), ops=coalgebra.ops),
-                                      args.max_witnesses)
+    a_star = AlgebraPresentation(a.dim, coalgebra.ops, trivial_dual(a).maps)
+    return check_bialgebra_conditions(a, a_star, args.max_witnesses)
 
 
 def _equivalence(args, a, a_star):
@@ -355,6 +354,14 @@ def non_negative_int(text):
     return value
 
 
+def positive_int(text):
+    """An option value that must be a positive integer."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("%r is not positive" % text)
+    return value
+
+
 def _algebra_class(text):
     # argparse reports only a TypeError, ValueError or ArgumentTypeError
     # from a type function as a usage error; resolve_class raises KeyError
@@ -378,7 +385,7 @@ _COMMANDS = {
     "check": _Command(_check, [("file", "algebra")], cls=_REQUIRED),
     "twist": _Command(_twist, [("file", "algebra")], cls={}, exclusive=[
         ("--alpha-h", {"metavar": "VEC"}), ("--yau", {"metavar": "MAP"}),
-        ("--compose", {"metavar": "MAP"}), ("--derived", {"type": int, "metavar": "N"})],
+        ("--compose", {"metavar": "MAP"}), ("--derived", {"type": positive_int, "metavar": "N"})],
         options=[("--type", {"type": int, "choices": (1, 2)})], validate=_twist_usage),
     "tensor": _Command(_tensor, [("file1", "algebra"), ("file2", "algebra")], cls=_REQUIRED),
     "subadjacent": _Command(_subadjacent, [("file", "algebra")]),

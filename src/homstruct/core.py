@@ -17,9 +17,8 @@ import functools
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import attrgetter, itemgetter, mul
 
 RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -54,6 +53,9 @@ class UnboundParameterError(ValueError):
 class MissingOperationError(KeyError):
     """A required op or map is absent from the presentation."""
 
+    # KeyError's str is the repr of its key; this error's is its message
+    __str__ = Exception.__str__
+
 
 class PreconditionError(ValueError):
     """A builder's gate check failed; carries the offending report when present."""
@@ -75,7 +77,9 @@ def parse_coefficient(s, params=()):
     if not isinstance(s, str):
         raise FormatError("coefficient must be a string, got %r" % (s,))
     if RATIONAL_RE.fullmatch(s):
-        return Fraction(s)
+        # the string is already checked, so Fraction need not parse it again
+        num, _, den = s.partition("/")
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     if s in params:
         return s
     if s.startswith("-") and s[1:] in params:
@@ -113,10 +117,41 @@ def basis_vec(n, i):
 
 
 # ---------------------------------------------------------------------------
+# value types
+
+_set = object.__setattr__
+
+
+class _Value:
+    """A value type.  ==, hash and repr read _values, the tuple of the
+    attributes named in _fields in that order; other attributes, such as a
+    kept index, are unseen by them.  __init__ sets each field with _set and
+    then stores _values once, so that == is one tuple compare.  No attribute
+    may be set or deleted after __init__."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            "%s=%r" % pair for pair in zip(self._fields, self._values)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+# ---------------------------------------------------------------------------
 # bilinear maps
 
-@dataclass(frozen=True)
-class BilinearMap:
+class BilinearMap(_Value):
     """Sparse rank-3 structure-constant tensor on a dim-dimensional space.
 
     Besides the sorted entries, construction builds the row index that
@@ -124,18 +159,17 @@ class BilinearMap:
     each i with an entry.  It is a plain attribute, not a field, so ==, hash
     and repr see only dim and entries."""
 
-    dim: int
-    entries: tuple = ()
+    _fields = ("dim", "entries")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim, entries=()):
+        if dim < 1:
             raise DimensionError("dim must be positive")
         seen = set()
         cleaned = []
-        for e in self.entries:
+        for e in entries:
             i, j, k, c = e
-            if not (0 <= i < self.dim and 0 <= j < self.dim and 0 <= k < self.dim):
-                raise FormatError("entry index out of range: %r (dim %d)" % (e, self.dim))
+            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+                raise FormatError("entry index out of range: %r (dim %d)" % (e, dim))
             if (i, j, k) in seen:
                 raise FormatError("duplicate entry for (%d,%d,%d)" % (i, j, k))
             seen.add((i, j, k))
@@ -144,7 +178,6 @@ class BilinearMap:
             cleaned.append((i, j, k, c))
         # the (i, j, k) are distinct, so the sort never compares coefficients
         cleaned.sort()
-        object.__setattr__(self, "entries", tuple(cleaned))
         rows, last_i, last_j = {}, None, None
         for (i, j, k, c) in cleaned:
             if i != last_i:
@@ -154,7 +187,11 @@ class BilinearMap:
                 cells = row[j] = []
                 last_j = j
             cells.append((k, c))
-        object.__setattr__(self, "rows", rows)
+        entries = tuple(cleaned)
+        _set(self, "dim", dim)
+        _set(self, "entries", entries)
+        _set(self, "_values", (dim, entries))
+        _set(self, "rows", rows)
 
     def is_bound(self):
         return all(isinstance(c, Fraction) for (_, _, _, c) in self.entries)
@@ -196,20 +233,21 @@ def eval_bilinear(op, x, y):
 # ---------------------------------------------------------------------------
 # linear maps
 
-@dataclass(frozen=True)
-class LinearMap:
+class LinearMap(_Value):
     """Matrix with column convention f(e_c) = sum_r m[r][c] e_r."""
 
-    rows: int
-    cols: int
-    m: tuple = ()
+    _fields = ("rows", "cols", "m")
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
+    def __init__(self, rows, cols, m=()):
+        if rows < 1 or cols < 1:
             raise DimensionError("matrix shape must be positive")
-        if len(self.m) != self.rows or any(len(r) != self.cols for r in self.m):
+        if len(m) != rows or any(len(r) != cols for r in m):
             raise FormatError("matrix shape mismatch")
-        object.__setattr__(self, "m", tuple(tuple(r) for r in self.m))
+        m = tuple(tuple(r) for r in m)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "m", m)
+        _set(self, "_values", (rows, cols, m))
 
     @staticmethod
     def from_rows(rows):
@@ -377,35 +415,35 @@ def default_basis(n):
     return tuple("e%d" % (i + 1) for i in range(n))
 
 
-@dataclass(frozen=True)
-class AlgebraPresentation:
+class AlgebraPresentation(_Value):
     """Dimension + named bilinear ops + named linear maps + free parameters.
 
     Canonical op names: "dot", "bracket", "star"; canonical map name "alpha"
     (others hold derivations or auxiliary twist data).
     """
 
-    dim: int
-    ops: dict = field(default_factory=dict)
-    maps: dict = field(default_factory=dict)
-    basis: tuple = ()
-    params: tuple = ()
+    _fields = ("dim", "ops", "maps", "basis", "params")
 
-    def __post_init__(self):
+    def __init__(self, dim, ops=(), maps=(), basis=(), params=()):
         # new dicts, so that a later write to the caller's cannot change the algebra
-        object.__setattr__(self, "ops", dict(self.ops))
-        object.__setattr__(self, "maps", dict(self.maps))
-        if not self.basis:
-            object.__setattr__(self, "basis", default_basis(self.dim))
-        if len(self.basis) != self.dim:
+        ops, maps = dict(ops), dict(maps)
+        if not basis:
+            basis = default_basis(dim)
+        if len(basis) != dim:
             raise FormatError("basis names do not match dim")
-        for name, op in self.ops.items():
-            if op.dim != self.dim:
-                raise DimensionError("op %r has dim %d, expected %d" % (name, op.dim, self.dim))
-        for name, f in self.maps.items():
-            if (f.rows, f.cols) != (self.dim, self.dim):
+        for name, op in ops.items():
+            if op.dim != dim:
+                raise DimensionError("op %r has dim %d, expected %d" % (name, op.dim, dim))
+        for name, f in maps.items():
+            if (f.rows, f.cols) != (dim, dim):
                 raise DimensionError("map %r is %dx%d, expected %dx%d"
-                                     % (name, f.rows, f.cols, self.dim, self.dim))
+                                     % (name, f.rows, f.cols, dim, dim))
+        _set(self, "dim", dim)
+        _set(self, "ops", ops)
+        _set(self, "maps", maps)
+        _set(self, "basis", basis)
+        _set(self, "params", params)
+        _set(self, "_values", (dim, ops, maps, basis, params))
 
     def op(self, name):
         if name not in self.ops:
@@ -432,34 +470,34 @@ class AlgebraPresentation:
         return self
 
 
-@dataclass(frozen=True)
-class RepresentationPresentation:
+class RepresentationPresentation(_Value):
     """Action matrix families on a module plus the module twist beta.
 
     Canonical action names: "s", "rho", "l", "r"; each family has one
     module_dim-square matrix per algebra basis element.
     """
 
-    algebra_dim: int
-    module_dim: int
-    actions: dict = field(default_factory=dict)
-    beta: LinearMap = None
-    params: tuple = ()
+    _fields = ("algebra_dim", "module_dim", "actions", "beta", "params")
 
-    def __post_init__(self):
-        if self.beta is None:
-            object.__setattr__(self, "beta", LinearMap.identity(self.module_dim))
-        if self.beta.rows != self.module_dim or self.beta.cols != self.module_dim:
+    def __init__(self, algebra_dim, module_dim, actions=(), beta=None, params=()):
+        if beta is None:
+            beta = LinearMap.identity(module_dim)
+        if beta.rows != module_dim or beta.cols != module_dim:
             raise DimensionError("beta must be module_dim-square")
         # a new dict, so that the caller's keeps its own families
-        actions = {name: tuple(fam) for name, fam in self.actions.items()}
-        object.__setattr__(self, "actions", actions)
-        for name, fam in self.actions.items():
-            if len(fam) != self.algebra_dim:
-                raise DimensionError("action %r must have %d members" % (name, self.algebra_dim))
+        actions = {name: tuple(fam) for name, fam in dict(actions).items()}
+        for name, fam in actions.items():
+            if len(fam) != algebra_dim:
+                raise DimensionError("action %r must have %d members" % (name, algebra_dim))
             for mat in fam:
-                if mat.rows != self.module_dim or mat.cols != self.module_dim:
+                if mat.rows != module_dim or mat.cols != module_dim:
                     raise DimensionError("action %r matrices must be module_dim-square" % name)
+        _set(self, "algebra_dim", algebra_dim)
+        _set(self, "module_dim", module_dim)
+        _set(self, "actions", actions)
+        _set(self, "beta", beta)
+        _set(self, "params", params)
+        _set(self, "_values", (algebra_dim, module_dim, actions, beta, params))
 
     def action(self, name):
         if name not in self.actions:
@@ -479,15 +517,22 @@ class RepresentationPresentation:
 # ---------------------------------------------------------------------------
 # check reports
 
-@dataclass
-class CheckReport:
-    """Verdict plus violation witnesses (identity id, basis tuple, residual)."""
+class CheckReport(_Value):
+    """Verdict plus violation witnesses (identity id, basis tuple, residual).
+    Unlike the other value types it is mutable, and so unhashable."""
 
-    witnesses: list = field(default_factory=list)
-    checked: int = 0
-    failures: int = 0
-    sub_reports: dict = field(default_factory=dict)
-    notes: tuple = ()
+    _fields = ("witnesses", "checked", "failures", "sub_reports", "notes")
+    _values = property(attrgetter(*_fields))
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, witnesses=None, checked=0, failures=0, sub_reports=None, notes=()):
+        self.witnesses = [] if witnesses is None else witnesses
+        self.checked = checked
+        self.failures = failures
+        self.sub_reports = {} if sub_reports is None else sub_reports
+        self.notes = notes
 
     @property
     def passed(self):
@@ -843,17 +888,21 @@ def _matrix_in(doc, params, what, rows=None, cols=None):
     return f
 
 
+_ENTRY_KEYS = frozenset("ijkc")
+
+
 def _entries_in(doc, dim, params, what):
     if not isinstance(doc, list):
         raise FormatError("%s: entries must be an array" % what)
     entries = []
     for pos, e in enumerate(doc):
-        if not isinstance(e, dict) or set(e) != {"i", "j", "k", "c"}:
+        if not isinstance(e, dict) or e.keys() != _ENTRY_KEYS:
             raise FormatError('%s entry %d: expected {"i","j","k","c"}' % (what, pos))
         i, j, k = e["i"], e["j"], e["k"]
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (i, j, k)):
+        # JSON gives ints, floats and bools; type(True) is bool, not int
+        if not (type(i) is int and type(j) is int and type(k) is int):
             raise FormatError("%s entry %d: indices must be integers" % (what, pos))
-        if not all(0 <= v < dim for v in (i, j, k)):
+        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise FormatError("%s entry %d: index out of range for dim %d" % (what, pos, dim))
         entries.append((i, j, k, parse_coefficient(e["c"], params)))
     return entries

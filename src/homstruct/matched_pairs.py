@@ -9,8 +9,6 @@ pair with a zero opposite algebra and zero reverse actions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from homstruct.axioms import CLASS_OPS, check_class, resolve_class
 from homstruct.core import (
     AlgebraPresentation,
@@ -19,6 +17,8 @@ from homstruct.core import (
     LinearMap,
     PreconditionError,
     RepresentationPresentation,
+    _set,
+    _Value,
     basis_vec,
     block_diag,
     require_passed,
@@ -32,26 +32,27 @@ from homstruct.representations import (
 )
 
 
-@dataclass(frozen=True)
-class MatchedPairData:
+class MatchedPairData(_Value):
     """Two algebras with mutual actions.
 
     actions_ab: algebra_a acting on algebra_b's space (beta = b.alpha).
     actions_ba: algebra_b acting on algebra_a's space (beta = a.alpha).
     """
 
-    algebra_a: AlgebraPresentation
-    algebra_b: AlgebraPresentation
-    actions_ab: RepresentationPresentation
-    actions_ba: RepresentationPresentation
+    _fields = ("algebra_a", "algebra_b", "actions_ab", "actions_ba")
 
-    def __post_init__(self):
-        if (self.actions_ab.algebra_dim != self.algebra_a.dim
-                or self.actions_ab.module_dim != self.algebra_b.dim):
+    def __init__(self, algebra_a, algebra_b, actions_ab, actions_ba):
+        if (actions_ab.algebra_dim != algebra_a.dim
+                or actions_ab.module_dim != algebra_b.dim):
             raise PreconditionError("actions_ab shape mismatch")
-        if (self.actions_ba.algebra_dim != self.algebra_b.dim
-                or self.actions_ba.module_dim != self.algebra_a.dim):
+        if (actions_ba.algebra_dim != algebra_b.dim
+                or actions_ba.module_dim != algebra_a.dim):
             raise PreconditionError("actions_ba shape mismatch")
+        _set(self, "algebra_a", algebra_a)
+        _set(self, "algebra_b", algebra_b)
+        _set(self, "actions_ab", actions_ab)
+        _set(self, "actions_ba", actions_ba)
+        _set(self, "_values", (algebra_a, algebra_b, actions_ab, actions_ba))
 
 
 def zero_representation(algebra_dim, module_dim, beta, names):

@@ -1,9 +1,13 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import homstruct
 from homstruct import catalog
 from homstruct.cli import main
 from homstruct.constructions import bracket_from_two_derivations
@@ -486,6 +490,13 @@ def test_derivations(thp2_file, capsys):
     assert doc["basis"] == [[["0", "0"], ["0", "1"]]]
 
 
+def test_a_missing_op_or_map_is_named_without_quotes(thp2_file, capsys):
+    for argv, message in ((["derivations", thp2_file, "--op", "nope"], "op 'nope' is missing"),
+                          (["bracketd", thp2_file, "--map", "nope"], "map 'nope' is missing")):
+        assert main(argv) == PRECONDITION
+        assert capsys.readouterr() == ("", "precondition failed: %s\n" % message)
+
+
 def test_catalog_list_and_show(capsys, tmp_path):
     assert main(["catalog", "list"]) == PASS
     assert "THP2" in capsys.readouterr().out
@@ -521,7 +532,11 @@ def test_usage_errors(thp2_file, tmp_path, capsys):
              "bad --params item 'lam' (expected k=v)"),
             (["twist", thp2_file, "--alpha-h", "e1+f2"], "bad vector term 'f2'"),
             (["twist", thp2_file, "--alpha-h", "e1-e3"], "basis index out of range in 'e3'"),
-            (["twist", thp2_file], "twist needs one of --alpha-h, --yau, --compose, --derived")):
+            (["twist", thp2_file], "twist needs one of --alpha-h, --yau, --compose, --derived"),
+            (["twist", thp2_file, "--derived", "0", "--class", "transposed-hom-poisson"],
+             "argument --derived: '0' is not positive"),
+            (["twist", thp2_file, "--derived", "-1", "--class", "transposed-hom-poisson"],
+             "argument --derived: '-1' is not positive")):
         assert main(argv) == USAGE
         assert capsys.readouterr() == ("", "usage error: %s\n" % message)
     # an unknown --class is a usage error on every subcommand that takes one
@@ -976,3 +991,18 @@ def test_generated_documents_reach_an_exit_code(tmp_path, capsys):
         "check", "checkrep", "tensor", "twist --yau", "twist --compose", "twist --derived",
         "semidirect", "matched check", "matched double", "rb check", "oop check",
         "oop induce"}
+
+
+def test_importing_the_cli_loads_no_code_it_does_not_run():
+    """A fresh `import homstruct.cli` loads the package's core, axioms and
+    cli only, and none of the modules that `dataclasses` would pull in:
+    every CLI call pays for its imports before it reads a byte."""
+    src = str(Path(homstruct.__file__).parent.parent)
+    code = ("import sys; sys.path.insert(0, %r); import homstruct.cli; "
+            "print(' '.join(sorted(sys.modules)))" % src)
+    loaded = set(subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, check=True).stdout.split())
+    assert {"argparse", "json", "fractions"} <= loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert sorted(m for m in loaded if m.split(".")[0] == "homstruct") == [
+        "homstruct", "homstruct.axioms", "homstruct.cli", "homstruct.core"]

@@ -2,7 +2,6 @@
 Fraction closure it replaced (tests/helpers.py), plus the evaluator itself."""
 
 import copy
-import dataclasses
 import functools
 import random
 from fractions import Fraction
@@ -427,12 +426,12 @@ def test_int_tensor_is_kept_on_its_map():
     # hash and repr see only what they saw before it was kept
     op = BilinearMap(2, ((0, 0, 1, F(1, 2)), (1, 0, 0, F(3))))
     f = LinearMap.from_rows([[F(1), F(2, 3)], [F(0), F(4)]])
-    for x, fields in ((op, ["dim", "entries"]), (f, ["rows", "cols", "m"])):
+    for x, fields in ((op, ("dim", "entries")), (f, ("rows", "cols", "m"))):
         twin = type(x)(*(getattr(x, name) for name in fields))
         shown, hashed = repr(x), hash(x)
         assert int_tensor(x) is int_tensor(x)
         assert int_tensor(twin) is not int_tensor(x)
-        assert [fld.name for fld in dataclasses.fields(x)] == fields
+        assert x._fields == fields
         assert x == twin and hash(x) == hash(twin) == hashed
         assert repr(x) == repr(twin) == shown and "IntTensor" not in shown
     # a family is a sequence of maps and is converted on every call
@@ -476,8 +475,8 @@ def _kept_tensors(*roots):
             todo += x.values()
         elif isinstance(x, (tuple, list)):
             todo += x
-        elif dataclasses.is_dataclass(x):
-            todo += [getattr(x, fld.name) for fld in dataclasses.fields(x)]
+        elif hasattr(x, "_fields"):
+            todo += [getattr(x, name) for name in x._fields]
             out += [v for v in vars(x).values() if isinstance(v, IntTensor)]
     return out
 

@@ -1,16 +1,16 @@
 import ast
-import dataclasses
 import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import homstruct
 
 from homstruct.core import (
+    RATIONAL_RE,
     AlgebraPresentation,
     BilinearMap,
     CheckReport,
@@ -50,6 +50,62 @@ def test_parse_coefficient():
         parse_coefficient("1/0")
 
 
+def _fraction_or_error(parse, s):
+    try:
+        return parse(s)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=30)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.one_of(
+    st.from_regex(RATIONAL_RE, fullmatch=True),
+    st.builds(lambda sign, num, den: sign + num + ("/" + den if den else ""),
+              st.sampled_from(["", "-"]), _DIGITS,
+              st.one_of(st.none(), _DIGITS.map(lambda d: str(1 + int(d)))))))
+@example("0")
+@example("-0")
+@example("-0/7")
+@example("007")
+@example("-0012/60")
+@example("-3/6")
+@example("1/1")
+@example("7" * 5000)
+@example("-" + "7" * 5000)
+@example("1/" + "7" * 5000)
+def test_parse_coefficient_agrees_with_fraction(s):
+    """A rational token parses to the Fraction that Fraction(s) gives, of
+    the same type, or raises the same ValueError (a numerator past Python's
+    int string-conversion limit)."""
+    assert RATIONAL_RE.fullmatch(s)
+    got, want = _fraction_or_error(parse_coefficient, s), _fraction_or_error(F, s)
+    assert type(got) is type(want) and got == want
+
+
+def test_entries_error_texts():
+    """Each malformed entry gives its own FormatError text, naming the op
+    and the entry's position."""
+    good = {"i": 0, "j": 1, "k": 0, "c": "1"}
+    for entry, message in (
+            ({"i": 0, "j": True, "k": 0, "c": "1"}, "indices must be integers"),
+            ({"i": 0, "j": 1.0, "k": 0, "c": "1"}, "indices must be integers"),
+            (dict(good, x=1), 'expected {"i","j","k","c"}'),
+            ({"i": 0, "j": 1, "k": 0}, 'expected {"i","j","k","c"}'),
+            ([0, 1, 0, "1"], 'expected {"i","j","k","c"}'),
+            (dict(good, k=2), "index out of range for dim 2"),
+            (dict(good, i=-1), "index out of range for dim 2")):
+        text = json.dumps({"dim": 2, "ops": {"dot": [good, entry]}})
+        with pytest.raises(FormatError) as exc:
+            parse_algebra(text)
+        assert str(exc.value) == "op 'dot' entry 1: " + message
+    with pytest.raises(FormatError) as exc:
+        parse_comultiplications(json.dumps({"dim": 2, "coops": {"d": [{"i": False}]}}))
+    assert str(exc.value) == """coop 'd' entry 0: expected {"i","j","k","c"}"""
+
+
 def test_bilinear_map_normalization():
     # exact zeros dropped, entries sorted
     m = BilinearMap(2, ((1, 0, 0, F(1)), (0, 0, 0, F(0)), (0, 1, 1, F(2))))
@@ -83,7 +139,7 @@ def test_eval_bilinear_matches_the_scan():
     coordinates, some of them terms that cancel to 0.  The index is no
     field: maps made from the same entries in another order are equal,
     hash equal and print the same."""
-    assert [f.name for f in dataclasses.fields(BilinearMap)] == ["dim", "entries"]
+    assert BilinearMap._fields == ("dim", "entries")
     rng = random.Random(20261018)
     coefficient = lambda: F(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 1, 2, 3]))
     checked = 0
@@ -173,6 +229,80 @@ def test_check_report_verdict():
     nested = CheckReport(checked=1, sub_reports={"inner": bad})
     assert not nested.passed
     assert bad.all_witnesses()[0][0] == "id"
+
+
+def _value_cases():
+    """(copy factory, exact repr, hash error or None, frozen fields) for each
+    value type.  Each factory builds a new, equal instance per call."""
+    from homstruct.core import RepresentationPresentation
+    from homstruct.matched_pairs import MatchedPairData
+    one = "LinearMap(rows=1, cols=1, m=((Fraction(1, 1),),))"
+    algebra = ("AlgebraPresentation(dim=1, ops={'dot': BilinearMap(dim=1, entries="
+               "((0, 0, 0, Fraction(1, 1)),))}, maps={'alpha': %s}, basis=('e1',), "
+               "params=())" % one)
+    rep = ("RepresentationPresentation(algebra_dim=1, module_dim=1, actions={'s': (%s,)}, "
+           "beta=%s, params=())" % (one, one))
+
+    def a():
+        return AlgebraPresentation(1, {"dot": BilinearMap(1, ((0, 0, 0, F(1)),))},
+                                   {"alpha": LinearMap.identity(1)})
+
+    def r():
+        return RepresentationPresentation(1, 1, {"s": [LinearMap.identity(1)]})
+
+    unhashable = "unhashable type: 'dict'"
+    return [
+        (lambda: BilinearMap(2, ((0, 0, 1, F(1, 2)),)),
+         "BilinearMap(dim=2, entries=((0, 0, 1, Fraction(1, 2)),))", None, ("dim", "entries")),
+        (lambda: LinearMap(1, 2, [[F(1), F(-3, 2)]]),
+         "LinearMap(rows=1, cols=2, m=((Fraction(1, 1), Fraction(-3, 2)),))", None,
+         ("rows", "cols", "m")),
+        (a, algebra, unhashable, ("dim", "ops", "maps", "basis", "params")),
+        (r, rep, unhashable, ("algebra_dim", "module_dim", "actions", "beta", "params")),
+        (lambda: MatchedPairData(a(), a(), r(), r()),
+         "MatchedPairData(algebra_a=%s, algebra_b=%s, actions_ab=%s, actions_ba=%s)"
+         % (algebra, algebra, rep, rep), unhashable,
+         ("algebra_a", "algebra_b", "actions_ab", "actions_ba")),
+        (lambda: CheckReport([("id", (0,), (F(1),))], 4, 1, notes=("n",)),
+         "CheckReport(witnesses=[('id', (0,), (Fraction(1, 1),))], checked=4, failures=1, "
+         "sub_reports={}, notes=('n',))", "unhashable type: 'CheckReport'", ()),
+    ]
+
+
+def test_value_types_compare_hash_and_print_by_their_fields():
+    """The value types' contract: repr lists the fields in order, == and
+    hash follow the fields, another type is never equal, the presentations
+    and matched pairs refuse attribute writes, and CheckReport is mutable
+    and unhashable."""
+    for make, shown, hash_error, frozen in _value_cases():
+        x, twin = make(), make()
+        assert repr(x) == repr(twin) == shown
+        assert x == twin and not x != twin and x is not twin
+        if hash_error is None:
+            assert hash(x) == hash(twin)
+        else:
+            for y in (x, twin):
+                with pytest.raises(TypeError) as exc:
+                    hash(y)
+                assert str(exc.value) == hash_error
+        for other in (None, 1, shown, (x,), object(), BilinearMap(1), CheckReport()):
+            assert x != other and not x == other and not other == x
+        for name in frozen:
+            value = getattr(x, name)
+            with pytest.raises(AttributeError):
+                setattr(x, name, value)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+            assert getattr(x, name) is value
+        assert x == twin
+    assert BilinearMap(2, ((0, 0, 1, F(1)),)) != BilinearMap(3, ((0, 0, 1, F(1)),))
+    assert LinearMap.identity(2) != LinearMap.diagonal([F(1), F(2)])
+    report = CheckReport(checked=4)
+    report.failures = 2
+    report.witnesses.append(("id", (1,), (F(1),)))
+    report.notes = ("n",)
+    assert not report.passed and report == CheckReport([("id", (1,), (F(1),))], 4, 2,
+                                                       notes=("n",))
 
 
 def test_substitute_params():
