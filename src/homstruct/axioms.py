@@ -142,7 +142,9 @@ class _Tables:
         n = self.dim = a.dim
         t = int_tensor(a.alpha)
         # the nonzero (p, alpha[x][p]) of each row x: alpha(e_p) has e_x coefficient c
-        self.alpha = [[(p, c) for p, c in enumerate(row) if c] for row in t.dense()]
+        self.alpha = [[] for _ in range(n)]
+        for (x, p), c in t.entries.items():
+            self.alpha[x].append((p, c))
         self.alpha_scale = t.scale
         ops = {name: a.op(name) for name in op_names}
         self.scales = {name: math.lcm(1, *(c.denominator for *_, c in op.entries))
@@ -274,9 +276,9 @@ def _morphism_families(a, b, f, names, ident):
     fams = []
     for name in names:
         t["a:" + name], t["b:" + name] = int_tensor(a.op(name)), int_tensor(b.op(name))
-        fams.append(contraction_family(ident % name, (2, (b.dim,), (
+        fams.append(contraction_family(ident % name, (2, (
             (1, "ijr,or->ijo", ("a:" + name, "f")),
-            (-1, "ai,bj,abo->ijo", ("f", "f", "b:" + name)))), t, a.dim))
+            (-1, "ai,bj,abo->ijo", ("f", "f", "b:" + name)))), t))
     return t, fams
 
 
@@ -340,24 +342,22 @@ def check_derivation(a, op_name, d, commuting_with_alpha=True, max_witnesses=32)
     t = {"op": int_tensor(a.op(op_name)), "D": int_tensor((d,))}
     if commuting_with_alpha:
         t["g"] = int_tensor(a.alpha)
-    return run_identity_families(a.dim, _derivation_families(op_name, t, a.dim),
-                                 max_witnesses)
+    return run_identity_families(a.dim, _derivation_families(op_name, t), max_witnesses)
 
 
-def _derivation_families(op_name, t, n):
+def _derivation_families(op_name, t):
     """The leibniz:<op> family of D(x op y) - D(x) op y - x op D(y) and, when
     t has a map "g", the commutes-with-twist family g D - D g, over the
     integer tensors t["op"] and t["D"], a family of k matrices D_b: the
     residual coordinate (b, o) is D_b's coordinate o."""
-    k = t["D"].shape[0]
-    fams = [contraction_family("leibniz:%s" % op_name, (2, (k, n), (
+    fams = [contraction_family("leibniz:%s" % op_name, (2, (
         (1, "ijr,bor->ijbo", ("op", "D")),
         (-1, "bri,rjo->ijbo", ("D", "op")),
-        (-1, "brj,iro->ijbo", ("D", "op")))), t, n)]
+        (-1, "brj,iro->ijbo", ("D", "op")))), t)]
     if "g" in t:
-        fams.append(contraction_family("commutes-with-twist", (1, (k, n), (
+        fams.append(contraction_family("commutes-with-twist", (1, (
             (1, "bri,or->ibo", ("D", "g")),
-            (-1, "ri,bor->ibo", ("g", "D")))), t, n))
+            (-1, "ri,bor->ibo", ("g", "D")))), t))
     return fams
 
 
@@ -371,9 +371,9 @@ def check_morphism(a, b, f, op_names=None, max_witnesses=32):
     names = sorted(set(a.ops) & set(b.ops)) if op_names is None else list(op_names)
     t, fams = _morphism_families(a, b, f, names, "morphism:%s")
     t["a:alpha"], t["b:alpha"] = int_tensor(a.alpha), int_tensor(b.alpha)
-    fams.append(contraction_family("intertwines-twists", (1, (b.dim,), (
+    fams.append(contraction_family("intertwines-twists", (1, (
         (1, "ri,or->io", ("a:alpha", "f")),
-        (-1, "ri,or->io", ("f", "b:alpha")))), t, a.dim))
+        (-1, "ri,or->io", ("f", "b:alpha")))), t))
     return run_identity_families(a.dim, fams, max_witnesses)
 
 
@@ -389,10 +389,10 @@ def check_transposed_consequences(a, max_witnesses=32):
     notes = []
     if a.alpha.is_identity():
         t = {"dot": int_tensor(a.op("dot")), "br": int_tensor(a.op("bracket"))}
-        fams.append(contraction_family("four-variable", (4, (a.dim,), (
+        fams.append(contraction_family("four-variable", (4, (
             (1, "ika,jlb,abo->ijklo", ("dot", "dot", "br")),
             (1, "ila,jkb,abo->ijklo", ("dot", "dot", "br")),
-            (-2, "kla,ijb,abo->ijklo", ("dot", "br", "dot")))), t, a.dim))
+            (-2, "kla,ijb,abo->ijklo", ("dot", "br", "dot")))), t))
     else:
         notes.append("four-variable identity skipped: twist is not the identity")
     return run_identity_families(a.dim, fams, max_witnesses, notes=notes)

@@ -97,12 +97,6 @@ def _plp2():
                 {"alpha": LinearMap.diagonal([F(2), F(2)])}, params=("a",))
 
 
-def _thp2_as_poisson():
-    # negative fixture: the THP2 tables labelled as a Hom-Poisson candidate;
-    # fails the Poisson compatibility whenever lam != 0
-    return _thp2()
-
-
 _ENTRIES = {
     "CA2a": ("comm-hom-assoc", _ca2a,
              "2-dim commutative Hom-associative algebra with twist diag(1,-1)"),
@@ -125,7 +119,8 @@ _ENTRIES = {
     "PLP2": ("hom-pre-lie-poisson", _plp2,
              "2-dim Hom-pre-Lie Poisson family with non-multiplicative twist 2*id; "
              "the product e2*e1=e2 is forced by the first compatibility identity"),
-    "THP2-as-hom-poisson": ("hom-poisson", _thp2_as_poisson,
+    # fails the Poisson compatibility whenever lam != 0
+    "THP2-as-hom-poisson": ("hom-poisson", _thp2,
                             "negative fixture: THP2 tables checked against the Hom-Poisson axioms"),
 }
 

@@ -348,17 +348,22 @@ class _Parser(argparse.ArgumentParser):
 
 def non_negative_int(text):
     """An option value that must be a non-negative integer."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("%r is negative" % text)
-    return value
+    return _int_at_least(text, 0, "is negative")
 
 
 def positive_int(text):
     """An option value that must be a positive integer."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("%r is not positive" % text)
+    return _int_at_least(text, 1, "is not positive")
+
+
+def _int_at_least(text, low, fault):
+    # argparse would name the type function in its own message for a ValueError
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("%r is not an integer" % text) from None
+    if value < low:
+        raise argparse.ArgumentTypeError("%r %s" % (text, fault))
     return value
 
 

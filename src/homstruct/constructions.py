@@ -43,7 +43,7 @@ def _compose_ops(a, g, op_names):
     """Replace each op by g o op."""
     t = {"g": int_tensor(g)}
     t.update((name, int_tensor(a.op(name))) for name in op_names)
-    return {name: bilinear_from_terms(a.dim, ((1, "ijr,kr->ijk", (name, "g")),), t)
+    return {name: bilinear_from_terms(((1, "ijr,kr->ijk", (name, "g")),), t)
             for name in op_names}
 
 
@@ -107,7 +107,7 @@ def alpha_h_twist(a, h):
     t = {"h": IntTensor((len(h),), ((x, Fraction(c)) for x, c in enumerate(h))),
          "dot": int_tensor(a.op("dot"))}
     # column j of alpha_h is h.e_j
-    alpha_h = maps_from_terms((a.dim, a.dim), ((1, "x,xjk->kj", ("h", "dot")),), t)
+    alpha_h = maps_from_terms(((1, "x,xjk->kj", ("h", "dot")),), t)
     return AlgebraPresentation(a.dim, dict(a.ops), dict(a.maps, alpha=alpha_h), a.basis)
 
 
@@ -123,7 +123,7 @@ def bracket_from_derivation(a, d):
     require_passed(check_derivation(a, "dot", d),
                    "D is not a derivation commuting with the twist")
     dot = a.op("dot")
-    bracket = bilinear_from_terms(a.dim, (
+    bracket = bilinear_from_terms((
         (1, "rj,irk->ijk", ("D", "dot")),
         (-1, "ri,rjk->ijk", ("D", "dot"))), {"D": int_tensor(d), "dot": int_tensor(dot)})
     return AlgebraPresentation(a.dim, {"dot": dot, "bracket": bracket}, dict(a.maps), a.basis)
@@ -144,7 +144,7 @@ def bracket_from_two_derivations(a, d1, d2):
     if d1 @ d2 != d2 @ d1:
         raise PreconditionError("D1 and D2 do not commute")
     dot = a.op("dot")
-    bracket = bilinear_from_terms(a.dim, (
+    bracket = bilinear_from_terms((
         (1, "ai,bj,abk->ijk", ("D1", "D2", "dot")),
         (-1, "aj,bi,abk->ijk", ("D1", "D2", "dot"))),
         {"D1": int_tensor(d1), "D2": int_tensor(d2), "dot": int_tensor(dot)})
@@ -176,7 +176,7 @@ def tensor_product(a1, a2, class_name):
         t["1:" + name], t["2:" + name] = int_tensor(a1.op(name)), int_tensor(a2.op(name))
 
     def product(*pairs):
-        return bilinear_from_terms(dim, [
+        return bilinear_from_terms([
             (1, "Iac,Jbd,abx,cdy,Kxy->IJK", ("P", "P", "1:" + p1, "2:" + p2, "P"))
             for p1, p2 in pairs], t)
 
@@ -190,7 +190,7 @@ def tensor_product(a1, a2, class_name):
     if not ops:
         raise PreconditionError("tensor_product supports the commutative, "
                                 "transposed and pre-Lie Poisson classes")
-    alpha = maps_from_terms((dim, dim), (
+    alpha = maps_from_terms((
         (1, "Kxy,xa,yc,Iac->KI", ("P", "1:alpha", "2:alpha", "P")),), t)
     return AlgebraPresentation(dim, ops, {"alpha": alpha})
 
@@ -205,7 +205,7 @@ def sub_adjacent(a):
     has_dot = "dot" in a.ops
     cls_in = "hom-pre-lie-poisson" if has_dot else "hom-pre-lie"
     require_passed(check_class(a, cls_in), "input is not in class %s" % cls_in)
-    bracket = bilinear_from_terms(a.dim, (
+    bracket = bilinear_from_terms((
         (1, "ijk->ijk", ("star",)),
         (-1, "jik->ijk", ("star",))), {"star": int_tensor(a.op("star"))})
     ops = {"bracket": bracket}

@@ -618,16 +618,6 @@ class IntTensor:
                     g.setdefault(key(idx), []).append((ext(idx), w))
         return g
 
-    def dense(self):
-        """The tensor as nested int lists."""
-        strides = [math.prod(self.shape[n + 1:]) for n in range(len(self.shape))]
-        out = [0] * math.prod(self.shape)
-        for idx, v in self.entries.items():
-            out[sum(map(mul, idx, strides))] = v
-        for size in reversed(self.shape[1:]):
-            out = [out[p:p + size] for p in range(0, len(out), size)]
-        return out
-
 
 def int_tensor(x):
     """The IntTensor of a BilinearMap (i, j, k), a LinearMap (row, col) or a
@@ -651,46 +641,56 @@ def int_tensor(x):
     return t
 
 
-def contract(shape, terms, tensors):
+def contract(terms, tensors):
     """The exact sum of terms (c, spec, names) as {index: Fraction}, nonzero
     entries only.
 
     A term is c times the contraction of the named IntTensors by an
     einsum-like spec such as "ijr,kr->ijk": the output letters index the
-    result, of the given shape, and every other letter is summed (no letter
-    repeats within an operand).  Each term is multiplied by L / s_t, s_t the
-    product of its tensors' scales and L their lcm over the terms, so the
-    integer sum is L times the rational one.  A spec that does not fit its
-    tensors' shapes or the output shape raises DimensionError.
+    result and every other letter is summed (no letter repeats within an
+    operand).  Each output letter has the size of the operand axes it
+    labels, so the operands fix the result's shape.  Each term is multiplied
+    by L / s_t, s_t the product of its tensors' scales and L their lcm over
+    the terms, so the integer sum is L times the rational one.  A spec that
+    does not fit its tensors' shapes, or terms of two shapes, raise
+    DimensionError.
     """
-    scale, sums = _exact_sum(_compile(shape, terms, tensors))
+    scale, sums = _exact_sum(_compile(terms, tensors)[1])
     return {idx: Fraction(v, scale) for idx, v in sums.items()}
 
 
-def _compile(shape, terms, tensors):
-    """The terms as (c, s_t, spec, operand tensors), their shapes checked by
-    the cached _fits."""
-    compiled = []
-    for c, spec, names in terms:
-        ts = [tensors[name] for name in names]
-        shapes = (tuple(shape),) + tuple(t.shape for t in ts)
-        if not _fits(spec, shapes):
-            raise DimensionError("%r does not fit shapes %r with output shape %r"
-                                 % (spec, list(shapes[1:]), shapes[0]))
-        compiled.append((c, math.prod(t.scale for t in ts), spec, ts))
-    return compiled
+def _term_shape(term, tensors):
+    """The output shape of one term, read by the cached _shape."""
+    _, spec, names = term
+    return _shape(spec, tuple(tensors[name].shape for name in names))
+
+
+def _compile(terms, tensors):
+    """(the output shape, the terms as (c, s_t, spec, operand tensors))."""
+    shapes = {_term_shape(term, tensors) for term in terms}
+    if len(shapes) != 1:
+        raise DimensionError("the terms give shapes %s" % sorted(shapes))
+    return shapes.pop(), [(c, math.prod(tensors[name].scale for name in names), spec,
+                           [tensors[name] for name in names]) for c, spec, names in terms]
 
 
 @functools.cache
-def _fits(spec, shapes):
-    """Whether the output and operand shapes fit spec: the ranks match and a
-    letter has one size at every use.  The specs are the package's rows and
-    every size is at most MAX_DIM or a product of two, so the cache is small."""
+def _shape(spec, shapes):
+    """The output shape of spec on operands of the given shapes: each output
+    letter has the size of the operand axes it labels.  DimensionError
+    unless every operand has one letter per axis and each letter one size;
+    a raise is not cached.  The specs are the package's rows and every size
+    is at most MAX_DIM or a product of two, so the cache is small."""
     ins, out = spec.split("->")
-    letters, sizes = [out] + ins.split(","), {}
-    return (tuple(map(len, shapes)) == tuple(map(len, letters))
-            and all(sizes.setdefault(x, n) == n
-                    for xs, shape in zip(letters, shapes) for x, n in zip(xs, shape)))
+    ins, sizes = ins.split(","), {}
+    misfit = "%r does not fit shapes %r: " % (spec, list(shapes))
+    if tuple(map(len, ins)) != tuple(map(len, shapes)):
+        raise DimensionError(misfit + "the ranks differ")
+    for xs, shape in zip(ins, shapes):
+        for x, n in zip(xs, shape):
+            if sizes.setdefault(x, n) != n:
+                raise DimensionError(misfit + "letter %r has sizes %d and %d" % (x, sizes[x], n))
+    return tuple(sizes[x] for x in out)
 
 
 def _exact_sum(compiled):
@@ -705,17 +705,18 @@ def _exact_sum(compiled):
     return scale, {idx: v for idx, v in acc.items() if v}
 
 
-def bilinear_from_terms(dim, terms, tensors):
-    """The BilinearMap whose (i, j, k) constant is the contracted sum."""
-    return BilinearMap(dim, tuple(
-        idx + (c,) for idx, c in contract((dim,) * 3, terms, tensors).items()))
+def bilinear_from_terms(terms, tensors):
+    """The BilinearMap whose (i, j, k) constant is the contracted sum, on
+    the space its operands give the output letters."""
+    dim = _term_shape(terms[0], tensors)[0]
+    return BilinearMap(dim, tuple(idx + (c,) for idx, c in contract(terms, tensors).items()))
 
 
-def maps_from_terms(shape, terms, tensors):
-    """The contracted sum as a LinearMap of shape (rows, cols), or as a family
-    of LinearMaps for shape (members, rows, cols)."""
-    sums = contract(shape, terms, tensors)
-    *members, rows, cols = shape
+def maps_from_terms(terms, tensors):
+    """The contracted sum as a LinearMap for a rank-2 sum (row, col), or as
+    a family of LinearMaps for a rank-3 one (member, row, col)."""
+    sums = contract(terms, tensors)
+    *members, rows, cols = _term_shape(terms[0], tensors)
 
     def matrix(*p):
         return LinearMap.from_rows([[sums.get(p + (r, c), ZERO) for c in range(cols)]
@@ -726,28 +727,26 @@ def maps_from_terms(shape, terms, tensors):
 TUPLE_LETTERS = "ijkl"
 
 
-def contraction_family(ident, row, tensors, dim):
-    """The (ident, arity, table) triple of a row (arity, out_shape, terms).
+def contraction_family(ident, row, tensors):
+    """The (ident, arity, table) triple of a row (arity, terms).
 
-    The terms are contract's, with i, j, k, l the basis-tuple positions and
-    the other output letters the residual's coordinates in row-major order.
-    table() is (L, rows): rows is contract's integer sum, L times the rational
-    one, grouped by basis tuple, nonzero tuples only, so its zero test is
-    exact.  Shapes are checked here.
+    The terms are contract's.  Each output starts with the first arity
+    letters of TUPLE_LETTERS, the basis-tuple positions, and its other
+    letters are the residual's coordinates in row-major order.  table() is
+    (L, rows): rows is contract's integer sum, L times the rational one,
+    grouped by basis tuple, nonzero tuples only, so its zero test is exact.
+    Shapes are read and checked here.
     """
-    arity, out_shape, terms = row
-    canonical = []
-    for c, spec, names in terms:
-        canon = _canonical(spec, arity)
-        if canon is None:
-            raise DimensionError("%s: %r does not give shape %r" % (ident, spec, out_shape))
-        canonical.append((c, canon, names))
+    arity, terms = row
     try:
-        compiled = _compile((dim,) * arity + tuple(out_shape), canonical, tensors)
+        for _, spec, _ in terms:
+            _tuple_letters_first(spec, arity)
+        shape, compiled = _compile(terms, tensors)
     except DimensionError as exc:
         raise DimensionError("%s: %s" % (ident, exc)) from None
-    strides = [math.prod(out_shape[n + 1:]) for n in range(len(out_shape))]
-    size = math.prod(out_shape)
+    coords = shape[arity:]
+    strides = [math.prod(coords[n + 1:]) for n in range(len(coords))]
+    size = math.prod(coords)
 
     def table():
         scale, sums = _exact_sum(compiled)
@@ -764,15 +763,15 @@ def contraction_family(ident, row, tensors, dim):
 
 
 @functools.cache
-def _canonical(spec, arity):
-    """spec with the basis-tuple letters (the first arity of TUPLE_LETTERS)
-    first in its output, or None unless its output has exactly those."""
-    ins, out = spec.split("->")
-    positions = TUPLE_LETTERS[:arity]
-    coords = "".join(x for x in out if x not in TUPLE_LETTERS)
-    if sorted(set(out) - set(coords)) != list(positions):
-        return None
-    return "%s->%s%s" % (ins, positions, coords)
+def _tuple_letters_first(spec, arity):
+    """DimensionError unless spec's output starts with the first arity
+    letters of TUPLE_LETTERS and holds no other of them; a raise is not
+    cached."""
+    out = spec.split("->")[1]
+    tuple_letters = TUPLE_LETTERS[:arity]
+    if out[:arity] != tuple_letters or set(out[arity:]) & set(TUPLE_LETTERS):
+        raise DimensionError("%r must start its output with %r and hold no other letter of %r"
+                             % (spec, tuple_letters, TUPLE_LETTERS))
 
 
 @functools.cache
@@ -866,12 +865,8 @@ def substitute_params(p, binding):
 # ---------------------------------------------------------------------------
 # interchange format
 
-def _coeff_out(c):
-    return coefficient_str(c)
-
-
 def _matrix_out(f):
-    return [[_coeff_out(c) for c in row] for row in f.m]
+    return [[coefficient_str(c) for c in row] for row in f.m]
 
 
 def _matrix_in(doc, params, what, rows=None, cols=None):
@@ -909,7 +904,7 @@ def _entries_in(doc, dim, params, what):
 
 
 def _entries_out(entries):
-    return [{"i": i, "j": j, "k": k, "c": _coeff_out(c)} for (i, j, k, c) in entries]
+    return [{"i": i, "j": j, "k": k, "c": coefficient_str(c)} for (i, j, k, c) in entries]
 
 
 def _load(text, keys):

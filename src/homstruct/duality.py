@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from homstruct.axioms import check_class
 from homstruct.core import (
-    AlgebraPresentation,
-    BilinearMap,
     CheckReport,
     ConstructionError,
     DimensionError,
@@ -27,7 +25,12 @@ from homstruct.core import (
     require_passed,
     run_identity_families,
 )
-from homstruct.matched_pairs import MatchedPairData, _matched_pair_report, build_double
+from homstruct.matched_pairs import (
+    MatchedPairData,
+    _matched_pair_report,
+    build_double,
+    zero_algebra,
+)
 
 _TRANSPOSED = "transposed-hom-poisson"
 
@@ -35,9 +38,7 @@ _TRANSPOSED = "transposed-hom-poisson"
 def trivial_dual(a):
     """The dual space with zero products and twist alpha^T, A*'s twist in
     the CLI's `bialgebra`."""
-    return AlgebraPresentation(
-        a.dim, {"dot": BilinearMap(a.dim), "bracket": BilinearMap(a.dim)},
-        {"alpha": a.alpha.transpose()})
+    return zero_algebra(a.dim, a.alpha.transpose(), ("dot", "bracket"))
 
 
 def _require_same_dim(a, a_star):
@@ -58,7 +59,7 @@ def coadjoint_matched_pair(a, a_star):
     def coadjoint(alg, beta):
         t = {op: int_tensor(alg.op(op)) for op in ("dot", "bracket")}
         # S(x)^T[r][c] = (x.e_r)_c and ad(x)^T[r][c] = {x, e_r}_c
-        actions = {act: maps_from_terms((n, n, n), ((1, "xrc->xrc", (op,)),), t)
+        actions = {act: maps_from_terms(((1, "xrc->xrc", (op,)),), t)
                    for act, op in (("s", "dot"), ("rho", "bracket"))}
         return RepresentationPresentation(n, n, actions, beta)
 
@@ -101,13 +102,12 @@ def check_invariant_form(a, B, max_witnesses=32):
     a.require_bound()
     if (B.rows, B.cols) != (a.dim, a.dim):
         raise DimensionError("form dimension mismatch")
-    n = a.dim
     t = {"alpha": int_tensor(a.alpha), "B": int_tensor(B)}
     t.update((name, int_tensor(a.op(name))) for name in sorted(a.ops))
-    return run_identity_families(n, [contraction_family(
-        "invariance:%s" % name, (3, (), (
+    return run_identity_families(a.dim, [contraction_family(
+        "invariance:%s" % name, (3, (
             (1, "ijr,rs,sk->ijk", (name, "B", "alpha")),
-            (-1, "ri,rs,jks->ijk", ("alpha", "B", name)))), t, n)
+            (-1, "ri,rs,jks->ijk", ("alpha", "B", name)))), t)
         for name in sorted(a.ops)], max_witnesses)
 
 
@@ -147,6 +147,48 @@ def _manin_report(double, double_report, max_witnesses):
 # ---------------------------------------------------------------------------
 # bialgebras
 
+# check_bialgebra_conditions' rows over the tensors of A's alpha, "dot" and
+# "br" (its bracket) and A*'s "Dd" and "Db" (its dot and bracket).
+# e_i (x) e_j coordinates: p, q (and r); S(x) = x.-, ad(x) = {x,-};
+# Dd[p][q][r] is the e_p (x) e_q coefficient of Delta(e_r)
+BIALGEBRA_IDENTITIES = {
+    # delta({x,y}) - (ad(x) (x) a + a (x) ad(x)) delta(y) + (x <-> y)
+    "bracket-coop-cocycle": (2, (
+        (1, "ijr,pqr->ijpq", ("br", "Db")),
+        (-1, "iap,qb,abj->ijpq", ("br", "alpha", "Db")),
+        (-1, "pa,ibq,abj->ijpq", ("alpha", "br", "Db")),
+        (1, "jap,qb,abi->ijpq", ("br", "alpha", "Db")),
+        (1, "pa,jbq,abi->ijpq", ("alpha", "br", "Db")))),
+    # Delta(x.y) - (S(a(x)) (x) a) Delta(y) - (a (x) S(a(y))) Delta(x)
+    "dot-coop-infinitesimal": (2, (
+        (1, "ijr,pqr->ijpq", ("dot", "Dd")),
+        (-1, "xi,xap,qb,abj->ijpq", ("alpha", "dot", "alpha", "Dd")),
+        (-1, "pa,xj,xbq,abi->ijpq", ("alpha", "alpha", "dot", "Dd")))),
+    # (a (x) Delta) delta(x) - (delta (x) a) Delta(x)
+    #   - (tau (x) id)(a (x) delta) Delta(x)
+    "triple-tensor": (1, (
+        (1, "abi,pa,qrb->ipqr", ("Db", "alpha", "Dd")),
+        (-1, "abi,pqa,rb->ipqr", ("Dd", "Db", "alpha")),
+        (-1, "abi,qa,prb->ipqr", ("Dd", "alpha", "Db")))),
+    # delta(x.y) - (S(a(y)) (x) a) delta(x) - (S(a(x)) (x) a) delta(y)
+    #   + (a (x) ad(x)) Delta(y) + (a (x) ad(y)) Delta(x)
+    "mixed-dot-cobracket": (2, (
+        (1, "ijr,pqr->ijpq", ("dot", "Db")),
+        (-1, "xj,xap,qb,abi->ijpq", ("alpha", "dot", "alpha", "Db")),
+        (-1, "xi,xap,qb,abj->ijpq", ("alpha", "dot", "alpha", "Db")),
+        (1, "pa,ibq,abj->ijpq", ("alpha", "br", "Dd")),
+        (1, "pa,jbq,abi->ijpq", ("alpha", "br", "Dd")))),
+    # Delta({x,y}) - (ad(a(x)) (x) a + a (x) ad(a(x))) Delta(y)
+    #   - (S(a(y)) (x) a - a (x) S(a(y))) delta(x)
+    "mixed-bracket-coproduct": (2, (
+        (1, "ijr,pqr->ijpq", ("br", "Dd")),
+        (-1, "xi,xap,qb,abj->ijpq", ("alpha", "br", "alpha", "Dd")),
+        (-1, "pa,xi,xbq,abj->ijpq", ("alpha", "alpha", "br", "Dd")),
+        (-1, "xj,xap,qb,abi->ijpq", ("alpha", "dot", "alpha", "Db")),
+        (1, "pa,xj,xbq,abi->ijpq", ("alpha", "alpha", "dot", "Db")))),
+}
+
+
 def check_bialgebra_conditions(a, a_star, max_witnesses=32):
     """Compatibility of a transposed Hom-Poisson algebra with a cocommutative
     coassociative comultiplication ("dot") and a Lie comultiplication
@@ -166,58 +208,17 @@ def check_bialgebra_conditions(a, a_star, max_witnesses=32):
     _require_same_dim(a, a_star)
     if set(a_star.ops) != {"dot", "bracket"}:
         raise PreconditionError('coops must provide "dot" and "bracket"')
-    n = a.dim
     subs = {
         "algebra-transposed": check_class(a, _TRANSPOSED, max_witnesses),
         "dual-dot-comm-assoc": check_class(a_star, "comm-hom-assoc", max_witnesses),
         "dual-bracket-hom-lie": check_class(a_star, "hom-lie", max_witnesses),
     }
-
     t = {"alpha": int_tensor(a.alpha), "dot": int_tensor(a.op("dot")),
          "br": int_tensor(a.op("bracket")),
          "Dd": int_tensor(a_star.op("dot")), "Db": int_tensor(a_star.op("bracket"))}
-    # e_i (x) e_j coordinates: p, q (and r); S(x) = x.-, ad(x) = {x,-};
-    # Dd[p][q][r] is the e_p (x) e_q coefficient of Delta(e_r)
-    out = (n, n)
-    rows = {
-        # delta({x,y}) - (ad(x) (x) a + a (x) ad(x)) delta(y) + (x <-> y)
-        "bracket-coop-cocycle": (2, out, (
-            (1, "ijr,pqr->ijpq", ("br", "Db")),
-            (-1, "iap,qb,abj->ijpq", ("br", "alpha", "Db")),
-            (-1, "pa,ibq,abj->ijpq", ("alpha", "br", "Db")),
-            (1, "jap,qb,abi->ijpq", ("br", "alpha", "Db")),
-            (1, "pa,jbq,abi->ijpq", ("alpha", "br", "Db")))),
-        # Delta(x.y) - (S(a(x)) (x) a) Delta(y) - (a (x) S(a(y))) Delta(x)
-        "dot-coop-infinitesimal": (2, out, (
-            (1, "ijr,pqr->ijpq", ("dot", "Dd")),
-            (-1, "xi,xap,qb,abj->ijpq", ("alpha", "dot", "alpha", "Dd")),
-            (-1, "pa,xj,xbq,abi->ijpq", ("alpha", "alpha", "dot", "Dd")))),
-        # (a (x) Delta) delta(x) - (delta (x) a) Delta(x)
-        #   - (tau (x) id)(a (x) delta) Delta(x)
-        "triple-tensor": (1, (n, n, n), (
-            (1, "abi,pa,qrb->ipqr", ("Db", "alpha", "Dd")),
-            (-1, "abi,pqa,rb->ipqr", ("Dd", "Db", "alpha")),
-            (-1, "abi,qa,prb->ipqr", ("Dd", "alpha", "Db")))),
-        # delta(x.y) - (S(a(y)) (x) a) delta(x) - (S(a(x)) (x) a) delta(y)
-        #   + (a (x) ad(x)) Delta(y) + (a (x) ad(y)) Delta(x)
-        "mixed-dot-cobracket": (2, out, (
-            (1, "ijr,pqr->ijpq", ("dot", "Db")),
-            (-1, "xj,xap,qb,abi->ijpq", ("alpha", "dot", "alpha", "Db")),
-            (-1, "xi,xap,qb,abj->ijpq", ("alpha", "dot", "alpha", "Db")),
-            (1, "pa,ibq,abj->ijpq", ("alpha", "br", "Dd")),
-            (1, "pa,jbq,abi->ijpq", ("alpha", "br", "Dd")))),
-        # Delta({x,y}) - (ad(a(x)) (x) a + a (x) ad(a(x))) Delta(y)
-        #   - (S(a(y)) (x) a - a (x) S(a(y))) delta(x)
-        "mixed-bracket-coproduct": (2, out, (
-            (1, "ijr,pqr->ijpq", ("br", "Dd")),
-            (-1, "xi,xap,qb,abj->ijpq", ("alpha", "br", "alpha", "Dd")),
-            (-1, "pa,xi,xbq,abj->ijpq", ("alpha", "alpha", "br", "Dd")),
-            (-1, "xj,xap,qb,abi->ijpq", ("alpha", "dot", "alpha", "Db")),
-            (1, "pa,xj,xbq,abi->ijpq", ("alpha", "alpha", "dot", "Db")))),
-    }
-    fams = [contraction_family(ident, row, t, n) for ident, row in rows.items()]
+    fams = [contraction_family(ident, row, t) for ident, row in BIALGEBRA_IDENTITIES.items()]
     return run_identity_families(
-        n, fams, max_witnesses, sub_reports=subs,
+        a.dim, fams, max_witnesses, sub_reports=subs,
         notes=("mixed-bracket-coproduct groups the twisted multiplication "
                "terms as a single operator difference acting on the "
                "cobracket",))

@@ -61,19 +61,19 @@ def check_o_operator(a, rep, T, class_name, max_witnesses=32):
     require_passed(check_rep(a, rep, class_name, max_witnesses),
                    "actions fail the %s module axioms" % class_name)
     t = {"T": int_tensor(T), "alpha": int_tensor(a.alpha), "beta": int_tensor(rep.beta)}
-    fams = [contraction_family("twist-intertwine", (1, (a.dim,), (
+    fams = [contraction_family("twist-intertwine", (1, (
         (1, "or,ri->io", ("alpha", "T")),
-        (-1, "or,ri->io", ("T", "beta")))), t, rep.module_dim)]
+        (-1, "or,ri->io", ("T", "beta")))), t)]
     for name in CLASS_OPS[class_name]:
         # T(u) op T(v) - T(op(T(u), v) + op(u, T(v))), the cross products
         # read through CROSS_ACTIONS: T(left(T(u))v + sign right(T(v))u)
         left, right, sign = CROSS_ACTIONS[name]
         t[name] = int_tensor(a.op(name))
         t.update((act, int_tensor(rep.action(act))) for act in dict.fromkeys((left, right)))
-        fams.append(contraction_family("o-equation:%s" % name, (2, (a.dim,), (
+        fams.append(contraction_family("o-equation:%s" % name, (2, (
             (1, "ai,bj,abo->ijo", ("T", "T", name)),
             (-1, "xi,xmj,om->ijo", ("T", left, "T")),
-            (-sign, "xj,xmi,om->ijo", ("T", right, "T")))), t, rep.module_dim))
+            (-sign, "xj,xmi,om->ijo", ("T", right, "T")))), t))
     return run_identity_families(rep.module_dim, fams, max_witnesses)
 
 
@@ -107,12 +107,12 @@ def _induced(rep, T, class_name, basis=()):
     ops = {}
     if "dot" in CLASS_OPS[class_name]:
         t["s"] = int_tensor(rep.action("s"))
-        ops["dot"] = bilinear_from_terms(p, (
+        ops["dot"] = bilinear_from_terms((
             (1, "xi,xkj->ijk", ("T", "s")),
             (1, "xj,xki->ijk", ("T", "s"))), t)
     if "bracket" in CLASS_OPS[class_name]:
         t["rho"] = int_tensor(rep.action("rho"))
-        ops["star"] = bilinear_from_terms(p, ((1, "xi,xkj->ijk", ("T", "rho")),), t)
+        ops["star"] = bilinear_from_terms(((1, "xi,xkj->ijk", ("T", "rho")),), t)
     return AlgebraPresentation(p, ops, {"alpha": rep.beta}, basis)
 
 
@@ -147,8 +147,7 @@ def compatible_pre_lie_from_invertible(a, rep, T):
     induced = induced_products(a, rep, T, _TRANSPOSED)
     t = {"T": int_tensor(T), "Ti": int_tensor(Ti)}
     t.update((name, int_tensor(op)) for name, op in induced.ops.items())
-    ops = {name: bilinear_from_terms(
-               a.dim, ((1, "ai,bj,abr,or->ijo", ("Ti", "Ti", name, "T")),), t)
+    ops = {name: bilinear_from_terms(((1, "ai,bj,abr,or->ijo", ("Ti", "Ti", name, "T")),), t)
            for name in induced.ops}
     return AlgebraPresentation(a.dim, ops, {"alpha": a.alpha}, a.basis)
 
@@ -228,7 +227,7 @@ def derivation_space(a, op_name, commuting_with="alpha"):
         t["g"] = int_tensor(a.map(commuting_with))
     width = n * n
     t["D"] = IntTensor((width, n, n), ((b, b // n, b % n, ONE) for b in range(width)))
-    rows = [vec[o::n] for _, _, table in _derivation_families(op_name, t, n)
+    rows = [vec[o::n] for _, _, table in _derivation_families(op_name, t)
             for vec in table()[1].values() for o in range(n)]
     return [LinearMap.from_rows([v[r * n:(r + 1) * n] for r in range(n)])
             for v in nullspace_basis(_distinct_rows(rows), width)]

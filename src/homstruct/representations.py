@@ -169,12 +169,7 @@ def _tensors(a, rep, cls):
 
 
 def _families(idents, tensors):
-    n, p = tensors["alpha"].shape[0], tensors["beta"].shape[0]
-    fams = []
-    for ident in idents:
-        arity, terms = MODULE_IDENTITIES[ident]
-        fams.append(contraction_family(ident, (arity, (p, p), terms), tensors, n))
-    return fams
+    return [contraction_family(ident, MODULE_IDENTITIES[ident], tensors) for ident in idents]
 
 
 def _report(tensors, cls, max_witnesses):
@@ -199,16 +194,15 @@ def regular_representation(a, class_name):
     algebra twist."""
     class_name = rep_class(class_name)
     a.require_bound()
-    n = a.dim
     actions = {}
     for op in CLASS_OPS[class_name]:
         left, right, sign = CROSS_ACTIONS[op]
         t = {op: int_tensor(a.op(op))}
         # act(e_x)[k][m] is the e_k coefficient of e_x op e_m or of e_m op e_x
-        actions[left] = maps_from_terms((n, n, n), ((1, "xmk->xkm", (op,)),), t)
+        actions[left] = maps_from_terms(((1, "xmk->xkm", (op,)),), t)
         if right != left:
-            actions[right] = maps_from_terms((n, n, n), ((sign, "mxk->xkm", (op,)),), t)
-    return RepresentationPresentation(n, n, actions, a.alpha)
+            actions[right] = maps_from_terms(((sign, "mxk->xkm", (op,)),), t)
+    return RepresentationPresentation(a.dim, a.dim, actions, a.alpha)
 
 
 def semidirect_product(a, rep, class_name):
@@ -293,13 +287,12 @@ def bimodule_from_morphism(a, b, f, class_name="hom-pre-lie-poisson"):
     require_passed(check_morphism(a, b, f, op_names=CLASS_OPS[class_name]),
                    "f is not a morphism")
     reg = regular_representation(b, class_name)
-    n, p = a.dim, b.dim
     t = {"f": int_tensor(f)}
     t.update((name, int_tensor(fam)) for name, fam in reg.actions.items())
     # act(e_x) = sum_r f[r][x] act_b(e_r)
-    actions = {name: maps_from_terms((n, p, p), ((1, "rx,rkm->xkm", ("f", name)),), t)
+    actions = {name: maps_from_terms(((1, "rx,rkm->xkm", ("f", name)),), t)
                for name in reg.actions}
-    rep = RepresentationPresentation(n, p, actions, b.alpha)
+    rep = RepresentationPresentation(a.dim, b.dim, actions, b.alpha)
     require_passed(check_rep(a, rep, class_name),
                    "the pulled-back bimodule fails the %s module axioms" % class_name)
     return rep

@@ -536,7 +536,11 @@ def test_usage_errors(thp2_file, tmp_path, capsys):
             (["twist", thp2_file, "--derived", "0", "--class", "transposed-hom-poisson"],
              "argument --derived: '0' is not positive"),
             (["twist", thp2_file, "--derived", "-1", "--class", "transposed-hom-poisson"],
-             "argument --derived: '-1' is not positive")):
+             "argument --derived: '-1' is not positive"),
+            (["twist", thp2_file, "--derived", "x", "--class", "transposed-hom-poisson"],
+             "argument --derived: 'x' is not an integer"),
+            (["check", thp2_file, "--class", "hom-lie", "--max-witnesses", "x"],
+             "argument --max-witnesses: 'x' is not an integer")):
         assert main(argv) == USAGE
         assert capsys.readouterr() == ("", "usage error: %s\n" % message)
     # an unknown --class is a usage error on every subcommand that takes one

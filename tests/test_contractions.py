@@ -28,9 +28,11 @@ from homstruct.core import (
     PreconditionError,
     RepresentationPresentation,
     UnboundParameterError,
+    bilinear_from_terms,
     contract,
     contraction_family,
     int_tensor,
+    maps_from_terms,
     parse_algebra,
     run_identity_families,
     serialize_algebra,
@@ -351,18 +353,18 @@ def test_contraction_family_rows():
     third = int_tensor(LinearMap.diagonal([F(1, 3), F(1, 3)]))
     t = {"op": op, "g": third}
     assert (op.scale, op.entries, third.scale) == (2, {(0, 0, 1): 1}, 3)
-    ident, arity, fn = contraction_family("x", (2, (2,), (
-        (1, "ijo->ijo", ("op",)), (-1, "ijr,or->ijo", ("op", "g")))), t, 2)
+    ident, arity, fn = contraction_family("x", (2, (
+        (1, "ijo->ijo", ("op",)), (-1, "ijr,or->ijo", ("op", "g")))), t)
     report = run_identity_families(2, [(ident, arity, fn)])
     assert report.witnesses == [("x", (0, 0), (F(0), F(1, 3)))]
     assert report.checked == 4
     # a summed letter that reaches no operand of the running result is
     # taken last, and scalar rows have one coordinate
-    g = int_tensor(LinearMap.from_rows([[F(1), F(2)], [F(3), F(4)]]))
-    _, _, fn = contraction_family("tr", (1, (), ((1, "ai,bc,ab->i", ("g", "g", "g")),)),
-                                  {"g": g}, 2)
+    m = [[F(1), F(2)], [F(3), F(4)]]
+    g = int_tensor(LinearMap.from_rows(m))
+    _, _, fn = contraction_family("tr", (1, ((1, "ai,bc,ab->i", ("g", "g", "g")),)), {"g": g})
     # sum_{a,b,c} g[a][i] g[b][c] g[a][b]
-    want = [sum(g.dense()[a][i] * g.dense()[b][c] * g.dense()[a][b]
+    want = [sum(m[a][i] * m[b][c] * m[a][b]
                 for a in range(2) for b in range(2) for c in range(2)) for i in range(2)]
     scale, table = fn()
     assert [[F(x, scale) for x in table.get((i,), [0])] for i in range(2)] == \
@@ -386,8 +388,8 @@ def test_contraction_family_rows():
                  for name, entries in raw.items()}
         t = {name: IntTensor(shape, raw[name]) for name, shape in
              (("op", (n, n, n)), ("act", (n, p, p)), ("beta", (p, p)))}
-        _, _, fn = contraction_family("act(op(x, y)) beta", (2, (p, p), (
-            (1, "ijx,xuv,vw->ijuw", ("op", "act", "beta")),)), t, n)
+        _, _, fn = contraction_family("act(op(x, y)) beta", (2, (
+            (1, "ijx,xuv,vw->ijuw", ("op", "act", "beta")),)), t)
         scale, table = fn()
         for i in range(n):
             for j in range(n):
@@ -399,23 +401,31 @@ def test_contraction_family_rows():
                     (n, p, i, j)
     # the error texts: a spec is parsed once, but its shapes are checked
     # on every call; the first unbound coefficient is named
-    w = int_tensor(LinearMap.zero(2, 3))
-    for row, tensors, message in (
-            ((2, (2,), ((1, "ijr,or->ijo", ("op", "w")),)), {"op": op, "w": w},
-             "bad: 'ijr,or->ijo' does not fit shapes [(2, 2, 2), (2, 3)]"
-             " with output shape (2, 2, 2)"),
-            ((2, (3,), ((1, "ijo->ijo", ("op",)),)), {"op": op},
-             "bad: 'ijo->ijo' does not fit shapes [(2, 2, 2)] with output shape (2, 2, 3)"),
-            ((2, (2,), ((1, "ijro->ijo", ("op",)),)), {"op": op},
-             "bad: 'ijro->ijo' does not fit shapes [(2, 2, 2)] with output shape (2, 2, 2)"),
-            ((2, (2,), ((1, "ikr->iko", ("op",)),)), {"op": op},
-             "bad: 'ikr->iko' does not give shape (2,)")):
-        with pytest.raises(DimensionError) as exc:
-            contraction_family("bad", row, tensors, 2)
-        assert str(exc.value) == message
-    with pytest.raises(DimensionError) as exc:
-        contract((2, 2), ((1, "ijo->ijo", ("op",)),), {"op": op})
-    assert str(exc.value) == "'ijo->ijo' does not fit shapes [(2, 2, 2)] with output shape (2, 2)"
+    t = {"op": op, "w": int_tensor(LinearMap.zero(2, 3))}
+    letter = ("'ijr,or->ijo' does not fit shapes [(2, 2, 2), (2, 3)]:"
+              " letter 'r' has sizes 2 and 3")
+    for row, message in (
+            ((2, ((1, "ijr,or->ijo", ("op", "w")),)), letter),
+            ((2, ((1, "ijro->ijo", ("op",)),)),
+             "'ijro->ijo' does not fit shapes [(2, 2, 2)]: the ranks differ"),
+            ((2, ((1, "ikr->iko", ("op",)),)),
+             "'ikr->iko' must start its output with 'ij' and hold no other letter of 'ijkl'"),
+            # a tuple letter among the coordinates
+            ((2, ((1, "ijk->ijk", ("op",)),)),
+             "'ijk->ijk' must start its output with 'ij' and hold no other letter of 'ijkl'"),
+            # two terms of two shapes
+            ((2, ((1, "ijo->ijo", ("op",)), (1, "ijr,ro->ijo", ("op", "w")))),
+             "the terms give shapes [(2, 2, 2), (2, 2, 3)]")):
+        for _ in range(3):
+            with pytest.raises(DimensionError) as exc:
+                contraction_family("bad", row, t)
+            assert str(exc.value) == "bad: " + message
+    # the builders read and check the same shapes
+    for build in (bilinear_from_terms, maps_from_terms):
+        for _ in range(3):
+            with pytest.raises(DimensionError) as exc:
+                build(((1, "ijr,or->ijo", ("op", "w")),), t)
+            assert str(exc.value) == letter
     with pytest.raises(UnboundParameterError) as exc:
         IntTensor((3,), [(0, F(0)), (1, "t"), (2, "-u")])
     assert str(exc.value) == "unbound parameter 't' in coefficient"
@@ -452,15 +462,15 @@ def test_misfit_spec_raises_on_every_call():
     # raises it with the same text, also after a call where the spec fits
     t = {"op": int_tensor(BilinearMap(2, ((0, 0, 1, F(1)),))),
          "w": int_tensor(LinearMap.zero(2, 3)), "g": int_tensor(LinearMap.identity(2))}
-    bad = "'ijr,or->ijo' does not fit shapes [(2, 2, 2), (2, 3)] with output shape (2, 2, 2)"
+    bad = "'ijr,or->ijo' does not fit shapes [(2, 2, 2), (2, 3)]: letter 'r' has sizes 2 and 3"
     for _ in range(3):
         with pytest.raises(DimensionError) as exc:
-            contract((2, 2, 2), ((1, "ijr,or->ijo", ("op", "w")),), t)
+            contract(((1, "ijr,or->ijo", ("op", "w")),), t)
         assert str(exc.value) == bad
         with pytest.raises(DimensionError) as exc:
-            contraction_family("x", (2, (2,), ((1, "ijr,or->ijo", ("op", "w")),)), t, 2)
+            contraction_family("x", (2, ((1, "ijr,or->ijo", ("op", "w")),)), t)
         assert str(exc.value) == "x: " + bad
-        assert contract((2, 2, 2), ((1, "ijr,or->ijo", ("op", "g")),), t) == {(0, 0, 1): 1}
+        assert contract(((1, "ijr,or->ijo", ("op", "g")),), t) == {(0, 0, 1): 1}
 
 
 def _kept_tensors(*roots):

@@ -69,8 +69,8 @@ def test_each_table_is_read_once_per_report(monkeypatch):
 def test_empty_tables_count_every_tuple():
     zero = {"z": int_tensor(BilinearMap(3))}
     families = [
-        contraction_family("scalar", (3, (), ((1, "ijk->ijk", ("z",)),)), zero, 3),
-        contraction_family("vector", (2, (3,), ((1, "ijo->ijo", ("z",)),)), zero, 3),
+        contraction_family("scalar", (3, ((1, "ijk->ijk", ("z",)),)), zero),
+        contraction_family("vector", (2, ((1, "ijo->ijo", ("z",)),)), zero),
         ("none", 4, lambda: (1, {})),
         ("constant", 0, lambda: (1, {})),
     ]
@@ -85,8 +85,8 @@ def test_zero_residuals_are_not_witnesses():
         return 2, {(0, 1): (0, 0), (1, 0): [0, -1], (1, 1): [0, 0]}
     # a row whose two terms cancel leaves its table empty
     t = {"op": int_tensor(catalog.get("TP2").op("dot"))}
-    cancel = contraction_family("cancel", (2, (2,), (
-        (1, "ijo->ijo", ("op",)), (-1, "ijo->ijo", ("op",)))), t, 2)
+    cancel = contraction_family("cancel", (2, (
+        (1, "ijo->ijo", ("op",)), (-1, "ijo->ijo", ("op",)))), t)
     for mw in (0, 1, 5):
         report = run_identity_families(2, [("z", 2, table), cancel], mw)
         assert (report.checked, report.failures) == (8, 1)
