@@ -18,15 +18,14 @@ from fractions import Fraction
 
 from homstruct.axioms import check_class, resolve_class
 from homstruct.core import (
+    NAME_RE,
     RATIONAL_RE,
     AlgebraPresentation,
     CheckReport,
     ConstructionError,
     DimensionError,
-    FormatError,
     MissingOperationError,
     PreconditionError,
-    UnboundParameterError,
     coefficient_str,
     parse_algebra,
     parse_comultiplications,
@@ -53,6 +52,8 @@ def _parse_params(text):
             raise _UsageError("bad --params item %r (expected k=v)" % item)
         k, v = item.split("=", 1)
         k = k.strip()
+        if not NAME_RE.fullmatch(k):
+            raise _UsageError("bad parameter name %r in --params" % k)
         if not RATIONAL_RE.fullmatch(v.strip()):
             raise _UsageError("bad rational %r in --params" % v)
         if k in binding:
@@ -474,8 +475,8 @@ def main(argv=None):
         # before ValueError, which PreconditionError subclasses
         print("precondition failed: %s" % exc, file=sys.stderr)
         return PRECONDITION
-    except (FormatError, UnboundParameterError, DimensionError,
-            ValueError) as exc:
+    except ValueError as exc:
+        # FormatError, UnboundParameterError and DimensionError among them
         print("input error: %s" % exc, file=sys.stderr)
         return USAGE
     except ConstructionError as exc:

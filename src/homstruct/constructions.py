@@ -65,7 +65,6 @@ def compose_twist(a, g, class_name):
     intertwining row rejects a g that does not commute with alpha.
     """
     class_name = resolve_class(class_name)
-    a.require_bound()
     require_passed(check_morphism(a, a, g, op_names=CLASS_OPS[class_name]),
                    "g is not a morphism of the input algebra")
     return _twist(a, g, a.alpha @ g, class_name)
@@ -117,7 +116,6 @@ def bracket_from_derivation(a, d):
     D must be a derivation of the dot commuting with alpha; the result is a
     transposed Hom-Poisson algebra.
     """
-    a.require_bound()
     require_passed(check_class(a, "comm-hom-assoc"),
                    "input is not commutative Hom-associative")
     require_passed(check_derivation(a, "dot", d),
@@ -135,7 +133,6 @@ def bracket_from_two_derivations(a, d1, d2):
     D1, D2 must be commuting derivations of the dot, each commuting with
     alpha; the result is a Hom-Poisson algebra.
     """
-    a.require_bound()
     require_passed(check_class(a, "comm-hom-assoc"),
                    "input is not commutative Hom-associative")
     for tag, d in (("D1", d1), ("D2", d2)):
@@ -201,7 +198,6 @@ def sub_adjacent(a):
     A Hom-pre-Lie algebra yields a Hom-Lie algebra; a Hom-pre-Lie Poisson
     algebra yields a transposed Hom-Poisson algebra (the dot is kept).
     """
-    a.require_bound()
     has_dot = "dot" in a.ops
     cls_in = "hom-pre-lie-poisson" if has_dot else "hom-pre-lie"
     require_passed(check_class(a, cls_in), "input is not in class %s" % cls_in)

@@ -66,19 +66,6 @@ def coadjoint_matched_pair(a, a_star):
     return MatchedPairData(a, a_star, coadjoint(a, a_star.alpha), coadjoint(a_star, a.alpha))
 
 
-def build_double_dual(a, a_star):
-    """The structure on A (+) A* defined by the mutual coadjoint actions.
-
-    This is the matched-pair double of `coadjoint_matched_pair`; cross
-    products use the transposed multiplication operators of both sides and
-    the twist is alpha (+) alpha_star.  Both inputs must pass the transposed
-    Hom-Poisson checker.
-    """
-    for tag, alg in (("a", a), ("a_star", a_star)):
-        _require_transposed(tag, alg)
-    return build_double(coadjoint_matched_pair(a, a_star), _TRANSPOSED, check_actions=False)
-
-
 def _require_transposed(tag, alg):
     require_passed(check_class(alg, _TRANSPOSED),
                    "%s is not a transposed Hom-Poisson algebra" % tag)
@@ -114,17 +101,21 @@ def check_invariant_form(a, B, max_witnesses=32):
 def check_manin_triple(a, a_star, max_witnesses=32):
     """(A (+) A*, A, A*) with the standard pairing.
 
-    Passes when the coadjoint double satisfies the transposed Hom-Poisson
-    axioms and the standard pairing is invariant for both products of the
-    double.  Both summands are subalgebras restricting to the given
-    products by construction: `build_double` writes each summand's products
-    into its own block and every action entry into a cross block
-    (tests/test_closure.py pins this).
+    Both inputs must pass the transposed Hom-Poisson checker.  Passes when
+    the double of `coadjoint_matched_pair` (cross products the transposed
+    multiplication operators of both sides, twist alpha (+) alpha_star)
+    satisfies the transposed Hom-Poisson axioms and the standard pairing is
+    invariant for both products of the double.  Both summands are
+    subalgebras restricting to the given products by construction:
+    `build_double` writes each summand's products into its own block and
+    every action entry into a cross block (tests/test_closure.py pins this).
     """
     a.require_bound()
     a_star.require_bound()
     _require_same_dim(a, a_star)
-    double = build_double_dual(a, a_star)
+    for tag, alg in (("a", a), ("a_star", a_star)):
+        _require_transposed(tag, alg)
+    double = build_double(coadjoint_matched_pair(a, a_star), _TRANSPOSED, check_actions=False)
     return _manin_report(double, check_class(double, _TRANSPOSED, max_witnesses), max_witnesses)
 
 

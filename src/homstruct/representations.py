@@ -282,8 +282,6 @@ def bimodule_from_morphism(a, b, f, class_name="hom-pre-lie-poisson"):
     of b suffices but is not needed: f = 0 gives the zero bimodule.
     """
     class_name = rep_class(class_name)
-    a.require_bound()
-    b.require_bound()
     require_passed(check_morphism(a, b, f, op_names=CLASS_OPS[class_name]),
                    "f is not a morphism")
     reg = regular_representation(b, class_name)

@@ -530,6 +530,10 @@ def test_usage_errors(thp2_file, tmp_path, capsys):
             ([], "a subcommand is required"),
             (["check", thp2_file, "--class", "hom-lie", "--params", "lam"],
              "bad --params item 'lam' (expected k=v)"),
+            (["check", thp2_file, "--class", "hom-lie", "--params", "=1,lam=0"],
+             "bad parameter name '' in --params"),
+            (["check", thp2_file, "--class", "hom-lie", "--params", "1x=2"],
+             "bad parameter name '1x' in --params"),
             (["twist", thp2_file, "--alpha-h", "e1+f2"], "bad vector term 'f2'"),
             (["twist", thp2_file, "--alpha-h", "e1-e3"], "basis index out of range in 'e3'"),
             (["twist", thp2_file], "twist needs one of --alpha-h, --yau, --compose, --derived"),
@@ -653,7 +657,7 @@ _REP1 = {"algebra_dim": 1, "module_dim": 1,
      {"algebra_dim": 2, "actions": {"s": [[["0"]]] * 2, "rho": [[["0"]]] * 2}}, ""),
     ({}, {"algebra_dim": True}, ""),
     ({}, {"module_dim": True}, ""),
-    ({}, {"params": ["1x"], "beta": [["1x"]]}, "1x=1"),
+    ({}, {"params": ["1x"], "beta": [["1x"]]}, ""),
     ({}, {"params": ["t", "t"], "beta": [["t"]]}, "t=1"),
     ({"dim": 2, "maps": {"alpha": [["1"]]}}, {}, ""),
     ({}, {"actions": {"s": [[["0", "0"]]], "rho": [[["0"]]]}}, ""),

@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from homstruct import catalog
-from homstruct.cli import main
+from homstruct.cli import _COMMANDS, main
 from homstruct.constructions import sub_adjacent
 from homstruct.core import (
     AlgebraPresentation,
@@ -132,6 +132,7 @@ CALLS = [
     ["check", "bad.json", "--class", "hom-lie"],
     ["check", "thp2.json", "--class", "nope"],
     ["check", "thp2.json", "--class", "hom-lie", "--max-witnesses", "-1"],
+    ["check", "thp2-lam.json", "--class", T, "--params", "=1,lam=0"],
     ["twist", "thp2.json", "--derived", "0", "--class", T],
     ["twist", "thp2.json", "--yau", "alpha"],
     ["catalog", "show"],
@@ -275,6 +276,8 @@ GOLDEN = {
         'cdaafeaf205093c05409059d',
     'check thp2.json --class hom-lie --max-witnesses -1':
         '3084ea0eae2d823d3fc582f9',
+    'check thp2-lam.json --class transposed-hom-poisson --params =1,lam=0':
+        'cbfd57be942ebe4682fceda6',
     'twist thp2.json --derived 0 --class transposed-hom-poisson':
         '4e951822487775c24efbb870',
     'twist thp2.json --yau alpha':
@@ -290,6 +293,15 @@ GOLDEN = {
 
 def test_cli_bytes_are_the_golden_ones(tmp_path):
     assert outcomes(str(tmp_path)) == GOLDEN
+
+
+def test_calls_cover_every_subcommand_and_action_once():
+    called = {tuple(argv[:n]) for argv in CALLS for n in (1, 2)}
+    for name, entry in _COMMANDS.items():
+        assert (name,) in called, name
+        for action in entry.actions:
+            assert (name, action) in called, (name, action)
+    assert len({tuple(argv) for argv in CALLS}) == len(CALLS)
 
 
 if __name__ == "__main__":

@@ -15,8 +15,15 @@ from homstruct.constructions import (
     tensor_product,
     yau_twist,
 )
-from homstruct.core import AlgebraPresentation, BilinearMap, LinearMap, basis_vec
+from homstruct.core import (
+    AlgebraPresentation,
+    BilinearMap,
+    LinearMap,
+    UnboundParameterError,
+    basis_vec,
+)
 from homstruct.operators import derivation_space
+from homstruct.representations import bimodule_from_morphism
 
 from helpers import bound_fixtures
 
@@ -156,3 +163,23 @@ def test_derived_rejects_non_multiplicative():
     p = catalog.get("PLP2", {"a": F(1)})
     with pytest.raises(PreconditionError):
         derived_algebra(p, 1, "hom-pre-lie-poisson")
+
+
+def test_unbound_inputs_raise_before_any_other_check():
+    # each call would also fail a later check: THP2 and TP2 have no star, and
+    # `wide` is of the wrong shape
+    thp2, plp2 = catalog.get("THP2"), catalog.get("PLP2")  # lam and a unbound
+    tp2 = catalog.get("TP2")
+    sq, wide = LinearMap.identity(2), LinearMap.zero(2, 3)
+    lam, a = ("presentation has unbound parameters ('lam',)",
+              "presentation has unbound parameters ('a',)")
+    for build, args, message in (
+            (compose_twist, (thp2, wide, "transposed-hom-poisson"), lam),
+            (sub_adjacent, (thp2,), lam),
+            (bracket_from_derivation, (thp2, wide), lam),
+            (bracket_from_two_derivations, (thp2, wide, sq), lam),
+            (bimodule_from_morphism, (plp2, thp2, wide), a),
+            (bimodule_from_morphism, (tp2, thp2, sq), lam)):
+        with pytest.raises(UnboundParameterError) as exc:
+            build(*args)
+        assert str(exc.value) == message, build.__name__

@@ -11,7 +11,6 @@ from homstruct.core import (
 from homstruct.duality import (
     ConstructionError,
     PreconditionError,
-    build_double_dual,
     check_bialgebra_conditions,
     check_invariant_form,
     check_manin_triple,
@@ -91,7 +90,8 @@ def test_standard_form_is_a_split_pairing():
 
 def test_invariant_form_abelian():
     a = _abelian()
-    d = build_double_dual(a, trivial_dual(a))
+    d = matched_pairs.build_double(coadjoint_matched_pair(a, trivial_dual(a)), T,
+                                   check_actions=False)
     assert check_invariant_form(d, standard_form(2)).passed
 
 
@@ -182,14 +182,15 @@ def test_equivalence_abelian_agrees_passing():
         assert r["bialgebra"].passed and r["matched_pair"].passed and r["manin"].passed
 
 
-def test_build_double_dual_gates_inputs():
+def test_manin_triple_gates_inputs():
     a = catalog.get("THP2", {"lam": F(1)})
     bad_dual = AlgebraPresentation(
         2, {"dot": BilinearMap(2, ((0, 0, 0, F(1)), (0, 1, 0, F(1)))),
             "bracket": BilinearMap(2, ())},
         {"alpha": LinearMap.identity(2)})
-    with pytest.raises(PreconditionError):
-        build_double_dual(a, bad_dual)
+    with pytest.raises(PreconditionError,
+                       match="^a_star is not a transposed Hom-Poisson algebra$"):
+        check_manin_triple(a, bad_dual)
 
 
 def _outside_the_class():
