@@ -20,6 +20,7 @@ from itertools import compress
 
 from homstruct.core import (
     CheckReport,
+    DimensionError,
     ZERO,
     contraction_family,
     eval_bilinear,
@@ -332,15 +333,13 @@ def check_class(a, class_name, max_witnesses=32):
     return CLASS_CHECKERS[resolve_class(class_name)](a, max_witnesses)
 
 
-def check_derivation(a, op_name, d, commuting_with_alpha=True, max_witnesses=32):
-    """D is a derivation of the named op; optionally D must commute with alpha."""
+def check_derivation(a, op_name, d, max_witnesses=32):
+    """D is a derivation of the named op that commutes with alpha."""
     a.require_bound()
     d.require_bound()
     if d.rows != a.dim or d.cols != a.dim:
-        raise ValueError("derivation matrix must be dim-square")
-    t = {"op": int_tensor(a.op(op_name)), "D": int_tensor((d,))}
-    if commuting_with_alpha:
-        t["g"] = int_tensor(a.alpha)
+        raise DimensionError("derivation matrix must be dim-square")
+    t = {"op": int_tensor(a.op(op_name)), "D": int_tensor((d,)), "g": int_tensor(a.alpha)}
     return run_identity_families(a.dim, _derivation_families(op_name, t), max_witnesses)
 
 
@@ -366,7 +365,7 @@ def check_morphism(a, b, f, op_names=None, max_witnesses=32):
     b.require_bound()
     f.require_bound()
     if f.rows != b.dim or f.cols != a.dim:
-        raise ValueError("morphism matrix must be (dim b) x (dim a)")
+        raise DimensionError("morphism matrix must be (dim b) x (dim a)")
     names = sorted(set(a.ops) & set(b.ops)) if op_names is None else list(op_names)
     t, fams = _morphism_families(a, b, f, names, "morphism:%s")
     t["a:alpha"], t["b:alpha"] = int_tensor(a.alpha), int_tensor(b.alpha)

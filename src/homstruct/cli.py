@@ -26,7 +26,6 @@ from homstruct.core import (
     DimensionError,
     MissingOperationError,
     PreconditionError,
-    coefficient_str,
     parse_algebra,
     parse_comultiplications,
     parse_o_operator,
@@ -129,7 +128,7 @@ def _report_doc(report):
         "failures": report.failures,
         "witnesses": [{"identity": ident,
                        "tuple": list(tup),
-                       "residual": [coefficient_str(c) for c in res]}
+                       "residual": [str(c) for c in res]}
                       for (ident, tup, res) in report.witnesses],
         "sub_reports": {name: _report_doc(sub)
                         for name, sub in sorted(report.sub_reports.items())},
@@ -305,7 +304,7 @@ def _rb(args, a, R):
 def _derivations(args, a):
     from homstruct.operators import derivation_space
     commuting = None if args.commuting_with == "none" else args.commuting_with
-    basis = [[[coefficient_str(c) for c in row] for row in d.m]
+    basis = [[[str(c) for c in row] for row in d.m]
              for d in derivation_space(a, args.op, commuting)]
     doc = _head(args)
     doc.update(op=args.op, dimension=len(basis), basis=basis)

@@ -32,6 +32,10 @@ from homstruct.core import (
 )
 
 
+# the classes whose tensor products tensor_product builds
+_TENSOR_CLASSES = ("comm-hom-assoc", "transposed-hom-poisson", "hom-pre-lie-poisson")
+
+
 def _twist(a, g, alpha, class_name):
     """a in class_name with each class op replaced by g o op and twist alpha."""
     require_passed(check_class(a, class_name), "input is not in class %s" % class_name)
@@ -151,13 +155,15 @@ def bracket_from_two_derivations(a, d1, d2):
 def tensor_product(a1, a2, class_name):
     """Tensor product on the lexicographic basis e_i (x) f_j -> index i*dim2+j.
 
-    comm Hom-assoc: (x1 (x) x2).(y1 (x) y2) = x1.y1 (x) x2.y2.
-    transposed: bracket {,} = {x1,y1} (x) x2.y2 + x1.y1 (x) {x2,y2}.
-    pre-Lie Poisson: star * = x1*y1 (x) x2.y2 + x1.y1 (x) x2*y2.
-    Twist is the Kronecker product of the twists.  The result is in the
-    factors' class.
+    The dot is x1.y1 (x) x2.y2, and any other op # of the class is
+    x1#y1 (x) x2.y2 + x1.y1 (x) x2#y2.  Twist is the Kronecker product of
+    the twists.  The result is in the factors' class, one of
+    _TENSOR_CLASSES; any other class raises PreconditionError first.
     """
     class_name = resolve_class(class_name)
+    if class_name not in _TENSOR_CLASSES:
+        raise PreconditionError("tensor_product supports the commutative, "
+                                "transposed and pre-Lie Poisson classes")
     a1.require_bound()
     a2.require_bound()
     for a in (a1, a2):
@@ -172,21 +178,13 @@ def tensor_product(a1, a2, class_name):
     for name in CLASS_OPS[class_name]:
         t["1:" + name], t["2:" + name] = int_tensor(a1.op(name)), int_tensor(a2.op(name))
 
-    def product(*pairs):
+    def product(name):
+        pairs = (("dot", "dot"),) if name == "dot" else ((name, "dot"), ("dot", name))
         return bilinear_from_terms([
             (1, "Iac,Jbd,abx,cdy,Kxy->IJK", ("P", "P", "1:" + p1, "2:" + p2, "P"))
             for p1, p2 in pairs], t)
 
-    ops = {}
-    if "dot" in CLASS_OPS[class_name]:
-        ops["dot"] = product(("dot", "dot"))
-    if class_name == "transposed-hom-poisson":
-        ops["bracket"] = product(("bracket", "dot"), ("dot", "bracket"))
-    if class_name == "hom-pre-lie-poisson":
-        ops["star"] = product(("star", "dot"), ("dot", "star"))
-    if not ops:
-        raise PreconditionError("tensor_product supports the commutative, "
-                                "transposed and pre-Lie Poisson classes")
+    ops = {name: product(name) for name in CLASS_OPS[class_name]}
     alpha = maps_from_terms((
         (1, "Kxy,xa,yc,Iac->KI", ("P", "1:alpha", "2:alpha", "P")),), t)
     return AlgebraPresentation(dim, ops, {"alpha": alpha})

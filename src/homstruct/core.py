@@ -87,10 +87,6 @@ def parse_coefficient(s, params=()):
     raise FormatError("bad coefficient %r (not a rational or declared parameter)" % s)
 
 
-def coefficient_str(c):
-    return c if isinstance(c, str) else str(c)
-
-
 def substitute_coefficient(c, binding):
     if isinstance(c, Fraction):
         return c
@@ -866,7 +862,7 @@ def substitute_params(p, binding):
 # interchange format
 
 def _matrix_out(f):
-    return [[coefficient_str(c) for c in row] for row in f.m]
+    return [[str(c) for c in row] for row in f.m]
 
 
 def _matrix_in(doc, params, what, rows=None, cols=None):
@@ -904,7 +900,7 @@ def _entries_in(doc, dim, params, what):
 
 
 def _entries_out(entries):
-    return [{"i": i, "j": j, "k": k, "c": coefficient_str(c)} for (i, j, k, c) in entries]
+    return [{"i": i, "j": j, "k": k, "c": str(c)} for (i, j, k, c) in entries]
 
 
 def _load(text, keys):
@@ -985,8 +981,8 @@ def serialize_algebra(p):
 
 
 def parse_representation(text):
-    doc = _load(text, ("algebra_dim", "dim", "module_dim", "params", "actions", "beta"))
-    adim = _positive_int("algebra_dim", doc.get("algebra_dim", doc.get("dim")))
+    doc = _load(text, ("algebra_dim", "module_dim", "params", "actions", "beta"))
+    adim = _positive_int("algebra_dim", doc.get("algebra_dim"))
     mdim = _positive_int("module_dim", doc.get("module_dim"))
     params = _params(doc)
     actions = {}

@@ -16,7 +16,6 @@ from homstruct.core import (
     CheckReport,
     ConstructionError,
     DimensionError,
-    LinearMap,
     PreconditionError,
     RepresentationPresentation,
     contraction_family,
@@ -28,6 +27,7 @@ from homstruct.core import (
 from homstruct.matched_pairs import (
     MatchedPairData,
     _matched_pair_report,
+    block_swap_map,
     build_double,
     zero_algebra,
 )
@@ -69,15 +69,6 @@ def coadjoint_matched_pair(a, a_star):
 def _require_transposed(tag, alg):
     require_passed(check_class(alg, _TRANSPOSED),
                    "%s is not a transposed Hom-Poisson algebra" % tag)
-
-
-def standard_form(n):
-    """The symmetric pairing <x + f, y + g> = f(y) + g(x) on A (+) A*."""
-    I = LinearMap.identity(n)
-    Z = LinearMap.zero(n)
-    rows = [list(Z.m[i]) + list(I.m[i]) for i in range(n)]
-    rows += [list(I.m[i]) + list(Z.m[i]) for i in range(n)]
-    return LinearMap.from_rows(rows)
 
 
 def check_invariant_form(a, B, max_witnesses=32):
@@ -122,10 +113,11 @@ def check_manin_triple(a, a_star, max_witnesses=32):
 def _manin_report(double, double_report, max_witnesses):
     """`check_manin_triple`'s report on the built coadjoint `double`, whose
     class report a caller that already holds it passes in."""
+    n = double.dim // 2
     subs = {
         "double-transposed": double_report,
-        "invariant-form": check_invariant_form(double, standard_form(double.dim // 2),
-                                               max_witnesses),
+        # the standard pairing <x + f, y + g> = f(y) + g(x) swaps the two blocks
+        "invariant-form": check_invariant_form(double, block_swap_map(n, n), max_witnesses),
     }
     return CheckReport(
         checked=sum(sub.checked for sub in subs.values()),

@@ -30,7 +30,7 @@ from homstruct.core import (
     require_passed,
     run_identity_families,
 )
-from homstruct.representations import CROSS_ACTIONS, check_rep, regular_representation
+from homstruct.representations import CROSS_ACTIONS, _report, _tensors, regular_representation
 
 O_OPERATOR_CLASSES = ("comm-hom-assoc", "hom-lie", "transposed-hom-poisson")
 _TRANSPOSED = "transposed-hom-poisson"
@@ -58,9 +58,11 @@ def check_o_operator(a, rep, T, class_name, max_witnesses=32):
     a.require_bound()
     rep.require_bound()
     T.require_bound()
-    require_passed(check_rep(a, rep, class_name, max_witnesses),
+    # the module gate's tensors hold alpha, the ops, the actions and beta
+    t = _tensors(a, rep, class_name)
+    require_passed(_report(t, class_name, max_witnesses),
                    "actions fail the %s module axioms" % class_name)
-    t = {"T": int_tensor(T), "alpha": int_tensor(a.alpha), "beta": int_tensor(rep.beta)}
+    t["T"] = int_tensor(T)
     fams = [contraction_family("twist-intertwine", (1, (
         (1, "or,ri->io", ("alpha", "T")),
         (-1, "or,ri->io", ("T", "beta")))), t)]
@@ -68,8 +70,6 @@ def check_o_operator(a, rep, T, class_name, max_witnesses=32):
         # T(u) op T(v) - T(op(T(u), v) + op(u, T(v))), the cross products
         # read through CROSS_ACTIONS: T(left(T(u))v + sign right(T(v))u)
         left, right, sign = CROSS_ACTIONS[name]
-        t[name] = int_tensor(a.op(name))
-        t.update((act, int_tensor(rep.action(act))) for act in dict.fromkeys((left, right)))
         fams.append(contraction_family("o-equation:%s" % name, (2, (
             (1, "ai,bj,abo->ijo", ("T", "T", name)),
             (-1, "xi,xmj,om->ijo", ("T", left, "T")),

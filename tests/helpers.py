@@ -26,7 +26,6 @@ from homstruct.core import (
     RepresentationPresentation,
     basis_vec,
     block_diag,
-    coefficient_str,
     parse_comultiplications,
     require_bound,
     require_passed as _require,
@@ -614,7 +613,7 @@ def closure_check_derivation(a, op_name, d, commuting_with_alpha=True, max_witne
     a.require_bound()
     d.require_bound()
     if d.rows != a.dim or d.cols != a.dim:
-        raise ValueError("derivation matrix must be dim-square")
+        raise DimensionError("derivation matrix must be dim-square")
     op = a.op(op_name)
     n = a.dim
     e = [basis_vec(n, i) for i in range(n)]
@@ -640,7 +639,7 @@ def closure_check_morphism(a, b, f, op_names=None, max_witnesses=32):
     b.require_bound()
     f.require_bound()
     if f.rows != b.dim or f.cols != a.dim:
-        raise ValueError("morphism matrix must be (dim b) x (dim a)")
+        raise DimensionError("morphism matrix must be (dim b) x (dim a)")
     names = sorted(set(a.ops) & set(b.ops)) if op_names is None else list(op_names)
     n = a.dim
     e = [basis_vec(n, i) for i in range(n)]
@@ -917,7 +916,7 @@ def coalgebra_of(n, coops):
     ...)}, read through the interchange format, whose parser alone knows
     how a coop entry sits in a dual product."""
     return parse_comultiplications(json.dumps({"dim": n, "coops": {
-        name: [{"i": i, "j": j, "k": k, "c": coefficient_str(c)} for (i, j, k, c) in entries]
+        name: [{"i": i, "j": j, "k": k, "c": str(c)} for (i, j, k, c) in entries]
         for name, entries in coops.items()}}))
 
 
@@ -1128,9 +1127,13 @@ def closure_tensor_product(a1, a2, class_name):
     comm Hom-assoc: (x1 (x) x2).(y1 (x) y2) = x1.y1 (x) x2.y2.
     transposed: bracket {,} = {x1,y1} (x) x2.y2 + x1.y1 (x) {x2,y2}.
     pre-Lie Poisson: star * = x1*y1 (x) x2.y2 + x1.y1 (x) x2*y2.
-    Twist is the Kronecker product of the twists.
+    Twist is the Kronecker product of the twists.  Any other class is
+    refused before the factors are read.
     """
     class_name = resolve_class(class_name)
+    if class_name not in ("comm-hom-assoc", "transposed-hom-poisson", "hom-pre-lie-poisson"):
+        raise PreconditionError("tensor_product supports the commutative, "
+                                "transposed and pre-Lie Poisson classes")
     a1.require_bound()
     a2.require_bound()
     for a in (a1, a2):
@@ -1166,9 +1169,6 @@ def closure_tensor_product(a1, a2, class_name):
     if class_name == "hom-pre-lie-poisson":
         ops["star"] = bilinear_from_table(
             dim, add_fns(product("star", "dot"), product("dot", "star")))
-    if not ops:
-        raise PreconditionError("tensor_product supports the commutative, "
-                                "transposed and pre-Lie Poisson classes")
     alpha = LinearMap.from_columns(
         [kron_vec(column(a1.alpha, i1), column(a2.alpha, i2))
          for i1 in range(n1) for i2 in range(n2)])
@@ -1574,8 +1574,7 @@ def fraction_derivation_space(a, op_name, commuting_with="alpha"):
     for v in basis:
         d = LinearMap.from_rows([[v[r * n + col] for col in range(n)]
                                  for r in range(n)])
-        verdict = check_derivation(a, op_name, d,
-                                   commuting_with_alpha=commuting_with == "alpha")
+        verdict = closure_check_derivation(a, op_name, d, commuting_with == "alpha")
         assert verdict.passed, "solver returned a non-derivation"
         out.append(d)
     return out

@@ -189,7 +189,7 @@ def test_constructions_match_closures():
 
     small = [a for a in _algebras() if a.dim <= 2]
     cases = [(a1, a2, cls) for cls in ("comm-hom-assoc", "transposed-hom-poisson",
-                                       "hom-pre-lie-poisson", "hom-lie")
+                                       "hom-pre-lie-poisson", "hom-lie", "hom-poisson")
              for a1 in small[::3] for a2 in small[1::3]
              if cls in _classes(a1, CLASS_OPS) and cls in _classes(a2, CLASS_OPS)]
     assert _compare(tensor_product, closure_tensor_product, cases) == BOTH

@@ -93,6 +93,7 @@ CALLS = [
     ["twist", "thp2.json", "--yau", "alpha", "--class", T],
     ["tensor", "tp2.json", "thp2.json", "--class", T],
     ["tensor", "ca2a.json", "ca2b.json", "--class", "comm-hom-assoc"],
+    ["tensor", "unit.json", "unit.json", "--class", "hom-poisson"],
     ["subadjacent", "plp2.json"],
     ["bracketd", "thp2.json", "--map", "D"],
     ["bracketd", "thp2.json", "--map", "D", "--map2", "D", "-o", "poisson.json"],
@@ -198,6 +199,8 @@ GOLDEN = {
         '8b2b5f778b56a1b745299678',
     'tensor ca2a.json ca2b.json --class comm-hom-assoc':
         '4ef9cde0023c2a2ed11ab2b4',
+    'tensor unit.json unit.json --class hom-poisson':
+        'e961a6c09cd2a6a6a6c3c36a',
     'subadjacent plp2.json':
         'ecab882e2235210c38272643',
     'bracketd thp2.json --map D':
@@ -302,6 +305,8 @@ def test_calls_cover_every_subcommand_and_action_once():
         for action in entry.actions:
             assert (name, action) in called, (name, action)
     assert len({tuple(argv) for argv in CALLS}) == len(CALLS)
+    # no fixture outlives the calls that read it
+    assert set(_fixtures()) <= {arg for argv in CALLS for arg in argv}
 
 
 if __name__ == "__main__":

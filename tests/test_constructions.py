@@ -100,6 +100,21 @@ def test_tensor_product_pre_lie_poisson():
     assert check_class(t, "hom-pre-lie-poisson").passed
 
 
+def test_tensor_product_refuses_other_classes_first():
+    # the class alone rules the call out: factors in the class, unbound
+    # factors and factors without the class's op get the same error
+    unsupported = {"hom-lie": catalog.get("TP2"),
+                   "hom-poisson": catalog.get("THP2", {"lam": F(0)}),
+                   "hom-pre-lie": catalog.get("PLP2", {"a": F(0)})}
+    for cls, member in unsupported.items():
+        assert check_class(member, cls).passed, cls
+        for a in (member, catalog.get("THP2"), catalog.get("CA2a")):
+            with pytest.raises(PreconditionError) as exc:
+                tensor_product(a, a, cls)
+            assert exc.value.args == ("tensor_product supports the commutative, "
+                                      "transposed and pre-Lie Poisson classes",), cls
+
+
 def test_sub_adjacent():
     for av in (F(0), F(1), F(-2)):
         p = catalog.get("PLP2", {"a": av})

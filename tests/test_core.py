@@ -396,6 +396,11 @@ def test_parse_representation_errors():
                              ({"beta": [[]]}, "matrix shape must be positive")):
         with pytest.raises(FormatError, match=message):
             parse_representation(json.dumps(dict(rep, **changes)))
+    # the algebra dimension has one key, "algebra_dim"
+    rep["dim"] = rep.pop("algebra_dim")
+    with pytest.raises(FormatError) as exc:
+        parse_representation(json.dumps(rep))
+    assert exc.value.args == ("unknown top-level key(s) 'dim'",)
 
 
 def test_parse_comultiplications_rejects_duplicate_entries():

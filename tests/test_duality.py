@@ -16,10 +16,9 @@ from homstruct.duality import (
     check_manin_triple,
     coadjoint_matched_pair,
     equivalence_report,
-    standard_form,
     trivial_dual,
 )
-from homstruct.matched_pairs import check_matched_pair
+from homstruct.matched_pairs import block_swap_map, check_matched_pair
 
 from helpers import bound_fixtures, closure_double_coadjoint_actions, fraction_det, tensor_map
 
@@ -73,7 +72,9 @@ def test_coadjoint_sign_table():
 
 
 def test_standard_form():
-    assert standard_form(2).m == (
+    # the standard pairing <x + f, y + g> = f(y) + g(x) on A (+) A* swaps
+    # the two blocks
+    assert block_swap_map(2, 2).m == (
         (F(0), F(0), F(1), F(0)), (F(0), F(0), F(0), F(1)),
         (F(1), F(0), F(0), F(0)), (F(0), F(1), F(0), F(0)))
 
@@ -82,7 +83,7 @@ def test_standard_form_is_a_split_pairing():
     # what check_manin_triple's note states: symmetric, nondegenerate, and
     # zero on each block
     for n in (1, 2, 3, 4):
-        B = standard_form(n)
+        B = block_swap_map(n, n)
         assert B == B.transpose() and fraction_det(B) != 0
         assert all(B.m[i][j] == 0 for off in (0, n) for i in range(off, off + n)
                    for j in range(off, off + n))
@@ -92,7 +93,7 @@ def test_invariant_form_abelian():
     a = _abelian()
     d = matched_pairs.build_double(coadjoint_matched_pair(a, trivial_dual(a)), T,
                                    check_actions=False)
-    assert check_invariant_form(d, standard_form(2)).passed
+    assert check_invariant_form(d, block_swap_map(2, 2)).passed
 
 
 def test_manin_triple_abelian_passes():
