@@ -294,6 +294,11 @@ def _oop(args, a, rep, T):
     return check_o_operator(a, rep, T, args.class_name, args.max_witnesses)
 
 
+def _rb_usage(args):
+    if args.action == "induce" and args.class_name != "transposed-hom-poisson":
+        raise _UsageError("rb induce takes only --class transposed-hom-poisson")
+
+
 def _rb(args, a, R):
     from homstruct.operators import check_rota_baxter, rota_baxter_induced
     if args.action == "induce":
@@ -410,7 +415,8 @@ _COMMANDS = {
     "oop": _Command(_oop, [("algebra", "algebra"), ("rep", "rep"), ("operator", "operator")],
                     actions=("check", "induce"), cls=_REQUIRED),
     "rb": _Command(_rb, [("algebra", "algebra"), ("operator", "operator")],
-                   actions=("check", "induce"), cls={"default": "transposed-hom-poisson"}),
+                   actions=("check", "induce"), cls={"default": "transposed-hom-poisson"},
+                   validate=_rb_usage),
     "derivations": _Command(_derivations, [("algebra", "algebra")], options=[
         ("--op", {"default": "dot"}), ("--commuting-with", {"default": "alpha"})]),
     "catalog": _Command(_catalog, [], actions=("list", "show"),

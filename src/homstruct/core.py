@@ -115,15 +115,16 @@ def basis_vec(n, i):
 # ---------------------------------------------------------------------------
 # value types
 
-_set = object.__setattr__
-
-
 class _Value:
     """A value type.  ==, hash and repr read _values, the tuple of the
     attributes named in _fields in that order; other attributes, such as a
-    kept index, are unseen by them.  __init__ sets each field with _set and
-    then stores _values once, so that == is one tuple compare.  No attribute
-    may be set or deleted after __init__."""
+    kept index, are unseen by them.  A subclass's __init__ passes one value
+    per field, in _fields order, to _Value.__init__, which sets each field and
+    stores them once as _values, so that == is one tuple compare.  No
+    attribute may be set or deleted after __init__."""
+
+    def __init__(self, *values):
+        self.__dict__.update(zip(self._fields, values, strict=True), _values=values)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -183,11 +184,8 @@ class BilinearMap(_Value):
                 cells = row[j] = []
                 last_j = j
             cells.append((k, c))
-        entries = tuple(cleaned)
-        _set(self, "dim", dim)
-        _set(self, "entries", entries)
-        _set(self, "_values", (dim, entries))
-        _set(self, "rows", rows)
+        super().__init__(dim, tuple(cleaned))
+        object.__setattr__(self, "rows", rows)
 
     def is_bound(self):
         return all(isinstance(c, Fraction) for (_, _, _, c) in self.entries)
@@ -234,16 +232,12 @@ class LinearMap(_Value):
 
     _fields = ("rows", "cols", "m")
 
-    def __init__(self, rows, cols, m=()):
+    def __init__(self, rows, cols, m):
         if rows < 1 or cols < 1:
             raise DimensionError("matrix shape must be positive")
         if len(m) != rows or any(len(r) != cols for r in m):
             raise FormatError("matrix shape mismatch")
-        m = tuple(tuple(r) for r in m)
-        _set(self, "rows", rows)
-        _set(self, "cols", cols)
-        _set(self, "m", m)
-        _set(self, "_values", (rows, cols, m))
+        super().__init__(rows, cols, tuple(tuple(r) for r in m))
 
     @staticmethod
     def from_rows(rows):
@@ -252,8 +246,7 @@ class LinearMap(_Value):
 
     @staticmethod
     def identity(n):
-        return LinearMap.from_rows(
-            [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return LinearMap.diagonal([ONE] * n)
 
     @staticmethod
     def zero(rows, cols=None):
@@ -411,6 +404,13 @@ def default_basis(n):
     return tuple("e%d" % (i + 1) for i in range(n))
 
 
+def _named(table, kind, name):
+    """table[name]; MissingOperationError naming the kind when it is absent."""
+    if name not in table:
+        raise MissingOperationError("%s %r is missing" % (kind, name))
+    return table[name]
+
+
 class AlgebraPresentation(_Value):
     """Dimension + named bilinear ops + named linear maps + free parameters.
 
@@ -434,22 +434,13 @@ class AlgebraPresentation(_Value):
             if (f.rows, f.cols) != (dim, dim):
                 raise DimensionError("map %r is %dx%d, expected %dx%d"
                                      % (name, f.rows, f.cols, dim, dim))
-        _set(self, "dim", dim)
-        _set(self, "ops", ops)
-        _set(self, "maps", maps)
-        _set(self, "basis", basis)
-        _set(self, "params", params)
-        _set(self, "_values", (dim, ops, maps, basis, params))
+        super().__init__(dim, ops, maps, basis, params)
 
     def op(self, name):
-        if name not in self.ops:
-            raise MissingOperationError("op %r is missing" % name)
-        return self.ops[name]
+        return _named(self.ops, "op", name)
 
     def map(self, name):
-        if name not in self.maps:
-            raise MissingOperationError("map %r is missing" % name)
-        return self.maps[name]
+        return _named(self.maps, "map", name)
 
     @property
     def alpha(self):
@@ -488,17 +479,10 @@ class RepresentationPresentation(_Value):
             for mat in fam:
                 if mat.rows != module_dim or mat.cols != module_dim:
                     raise DimensionError("action %r matrices must be module_dim-square" % name)
-        _set(self, "algebra_dim", algebra_dim)
-        _set(self, "module_dim", module_dim)
-        _set(self, "actions", actions)
-        _set(self, "beta", beta)
-        _set(self, "params", params)
-        _set(self, "_values", (algebra_dim, module_dim, actions, beta, params))
+        super().__init__(algebra_dim, module_dim, actions, beta, params)
 
     def action(self, name):
-        if name not in self.actions:
-            raise MissingOperationError("action %r is missing" % name)
-        return self.actions[name]
+        return _named(self.actions, "action", name)
 
     def is_bound(self):
         return (self.beta.is_bound()

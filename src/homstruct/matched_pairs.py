@@ -17,7 +17,6 @@ from homstruct.core import (
     LinearMap,
     PreconditionError,
     RepresentationPresentation,
-    _set,
     _Value,
     basis_vec,
     block_diag,
@@ -48,11 +47,7 @@ class MatchedPairData(_Value):
         if (actions_ba.algebra_dim != algebra_b.dim
                 or actions_ba.module_dim != algebra_a.dim):
             raise PreconditionError("actions_ba shape mismatch")
-        _set(self, "algebra_a", algebra_a)
-        _set(self, "algebra_b", algebra_b)
-        _set(self, "actions_ab", actions_ab)
-        _set(self, "actions_ba", actions_ba)
-        _set(self, "_values", (algebra_a, algebra_b, actions_ab, actions_ba))
+        super().__init__(algebra_a, algebra_b, actions_ab, actions_ba)
 
 
 def zero_representation(algebra_dim, module_dim, beta, names):

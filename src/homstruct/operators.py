@@ -21,7 +21,6 @@ from homstruct.core import (
     DimensionError,
     IntTensor,
     LinearMap,
-    MissingOperationError,
     PreconditionError,
     bilinear_from_terms,
     contraction_family,
@@ -218,11 +217,10 @@ def derivation_space(a, op_name, commuting_with="alpha"):
     checked again: it solves the very rows a check would evaluate
     (tests/test_closure.py pins it).
     """
-    if op_name not in a.ops:
-        raise MissingOperationError("op %r is missing" % op_name)
+    op = a.op(op_name)
     a.require_bound()
     n = a.dim
-    t = {"op": int_tensor(a.op(op_name))}
+    t = {"op": int_tensor(op)}
     if commuting_with is not None:
         t["g"] = int_tensor(a.map(commuting_with))
     width = n * n

@@ -100,11 +100,13 @@ def test_twist_alpha_h(tmp_path, capsys):
 def test_twist_alpha_h_takes_comma_rationals(tmp_path, capsys):
     tp2 = tmp_path / "tp2.json"
     tp2.write_text(serialize_algebra(catalog.get("TP2")))
-    outputs = []
-    for vec in ("1,0", "e1"):
-        assert main(["twist", str(tp2), "--alpha-h", vec]) == PASS
-        outputs.append(capsys.readouterr())
-    assert outputs[0] == outputs[1] and outputs[0].err == ""
+    # a leading minus gives the term list an empty first term
+    for pair in (("1,0", "e1"), ("-1,0", "-e1")):
+        outputs = []
+        for vec in pair:
+            assert main(["twist", str(tp2), "--alpha-h=" + vec]) == PASS
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].err == ""
     assert main(["twist", str(tp2), "--alpha-h", "1,0,0"]) == USAGE
     assert capsys.readouterr().err == \
         "usage error: vector '1,0,0' has wrong length (need 2)\n"
@@ -454,6 +456,8 @@ def test_rb_check_and_induce(thp2_file, tmp_path):
     out = tmp_path / "induced.json"
     assert main(["rb", "induce", thp2_file, str(rf), "-o", str(out)]) == PASS
     assert main(["check", str(out), "--class", "hom-pre-lie-poisson"]) == PASS
+    # the alias names the one class that rb induce takes
+    assert main(["rb", "induce", thp2_file, str(rf), "--class", "transposed-poisson"]) == PASS
 
 
 @pytest.mark.parametrize("command", ["rb", "oop"])
@@ -544,7 +548,10 @@ def test_usage_errors(thp2_file, tmp_path, capsys):
             (["twist", thp2_file, "--derived", "x", "--class", "transposed-hom-poisson"],
              "argument --derived: 'x' is not an integer"),
             (["check", thp2_file, "--class", "hom-lie", "--max-witnesses", "x"],
-             "argument --max-witnesses: 'x' is not an integer")):
+             "argument --max-witnesses: 'x' is not an integer"),
+            # the class is refused before the missing operator file is read
+            (["rb", "induce", thp2_file, str(tmp_path / "missing.json"), "--class", "hom-poisson"],
+             "rb induce takes only --class transposed-hom-poisson")):
         assert main(argv) == USAGE
         assert capsys.readouterr() == ("", "usage error: %s\n" % message)
     # an unknown --class is a usage error on every subcommand that takes one

@@ -139,6 +139,7 @@ CALLS = [
     ["catalog", "show"],
     ["checkrep", "thp2.json", "reg.json", "--class", "hom-poisson"],
     ["semidirect", "tp2.json", "reg.json", "--class", T],
+    ["rb", "induce", "thp2.json", "zero.json", "--class", "hom-poisson"],
 ]
 
 
@@ -291,6 +292,8 @@ GOLDEN = {
         '3b35c346a0743ad195c3909a',
     'semidirect tp2.json reg.json --class transposed-hom-poisson':
         'c1d84ac9c592650acc3e73da',
+    'rb induce thp2.json zero.json --class hom-poisson':
+        'b93318b3361d2f27420376af',
 }
 
 

@@ -18,6 +18,7 @@ from homstruct.core import (
     FormatError,
     LinearMap,
     UnboundParameterError,
+    _Value,
     basis_vec,
     eval_bilinear,
     parse_algebra,
@@ -202,6 +203,28 @@ def test_linear_map_algebra():
         LinearMap.from_rows([[F(1), F(2)], [F(2), F(4)]]).inverse()
 
 
+def test_shape_errors_of_the_value_types():
+    from homstruct.core import RepresentationPresentation
+    wide, square = LinearMap.zero(1, 2), LinearMap.identity(2)
+    for build, message in (
+            (lambda: BilinearMap(0), "dim must be positive"),
+            (lambda: wide @ wide, "matrix product shape mismatch"),
+            (lambda: wide + square, "matrix sum shape mismatch"),
+            (lambda: wide.power(2), "power of a non-square map"),
+            (lambda: wide.inverse(), "inverse of a non-square map"),
+            (lambda: AlgebraPresentation(2, {"dot": BilinearMap(3)}),
+             "op 'dot' has dim 3, expected 2"),
+            (lambda: RepresentationPresentation(1, 2, beta=LinearMap.identity(1)),
+             "beta must be module_dim-square"),
+            (lambda: RepresentationPresentation(2, 2, {"s": [square]}),
+             "action 's' must have 2 members"),
+            (lambda: RepresentationPresentation(1, 2, {"s": [wide]}),
+             "action 's' matrices must be module_dim-square")):
+        with pytest.raises(DimensionError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
 def test_linear_map_power_rejects_a_negative_exponent():
     # a negative n would otherwise give the identity, a wrong map, silently
     with pytest.raises(ValueError, match="n >= 0, got -1"):
@@ -305,6 +328,19 @@ def test_value_types_compare_hash_and_print_by_their_fields():
                                                        notes=("n",))
 
 
+def test_value_initialiser_takes_one_value_per_field():
+    class Pair(_Value):
+        _fields = ("x", "y")
+
+    pair = Pair(1, 2)
+    assert (pair.x, pair.y, pair._values) == (1, 2, (1, 2))
+    for values, message in (((1,), "zip() argument 2 is shorter than argument 1"),
+                            ((1, 2, 3), "zip() argument 2 is longer than argument 1")):
+        with pytest.raises(ValueError) as exc:
+            Pair(*values)
+        assert str(exc.value) == message
+
+
 def test_substitute_params():
     a = AlgebraPresentation(
         2, {"dot": BilinearMap(2, ((0, 0, 0, "t"), (0, 1, 1, "-t")))},
@@ -315,6 +351,14 @@ def test_substitute_params():
         substitute_params(a, {})
     with pytest.raises(UnboundParameterError):
         a.op("dot").is_bound() or a.require_bound()
+    # a coefficient naming a parameter that params does not declare
+    undeclared = AlgebraPresentation(1, {"dot": BilinearMap(1, ((0, 0, 0, "-u"),))})
+    with pytest.raises(UnboundParameterError) as exc:
+        substitute_params(undeclared, {"t": F(1)})
+    assert str(exc.value) == "parameter 'u' is unbound"
+    with pytest.raises(TypeError) as exc:
+        substitute_params(LinearMap.identity(1), {})
+    assert str(exc.value) == "cannot substitute into 'LinearMap'"
 
 
 def test_algebra_round_trip():
@@ -374,6 +418,12 @@ def test_parse_algebra_errors():
         parse_algebra('{"dim": 1, "ops": {"dot": [{"i": 0, "j": 0, "k": 3, "c": "1"}]}}')
     with pytest.raises(FormatError):
         parse_algebra("not json")
+    for text, message in (
+            ("[]", "top-level value must be an object"),
+            ('{"dim": 1, "ops": {"dot": {}}}', "op 'dot': entries must be an array")):
+        with pytest.raises(FormatError) as exc:
+            parse_algebra(text)
+        assert str(exc.value) == message
     # a trailing newline is part of neither a name nor a rational
     with pytest.raises(FormatError, match="bad parameter name"):
         parse_algebra(json.dumps({"dim": 1, "params": ["t\n"], "ops": {"dot": [

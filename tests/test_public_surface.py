@@ -11,6 +11,9 @@ method is used when the package reads an attribute of its name outside a
 name that two classes share counts for both.  An entry of `ALLOWED` that
 names nothing public, or a name that the package now uses, fails the test
 too, so the list cannot rot.  A name only the tests use is not a reason.
+Likewise, a module that imports another module's private name must be on
+`PRIVATE_IMPORTS` with its reason, and a listed import that no module makes
+fails the test.
 """
 
 import ast
@@ -149,3 +152,36 @@ def test_modules_read_every_name_they_import():
     tree = ast.parse("from __future__ import annotations\nimport os.path\nimport re as r\n"
                      "from json import dumps, loads\nprint(os.sep, loads)\n")
     assert _unused_imports(tree) == {"r", "dumps"}
+
+
+# (importing module, "module._name") -> why the importer reads another
+# module's private name
+PRIVATE_IMPORTS = {
+    ("duality", "matched_pairs._matched_pair_report"):
+        "equivalence_report wraps the double's class report that it already holds",
+    ("matched_pairs", "core._Value"): "MatchedPairData is a value type",
+    ("operators", "axioms._derivation_families"):
+        "derivation_space solves the rows that check_derivation evaluates",
+    ("operators", "representations._report"):
+        "check_o_operator's module gate is check_rep's report",
+    ("operators", "representations._tensors"):
+        "check_o_operator reads its module gate's tensors",
+}
+
+
+def _private_imports(mod, tree):
+    """(mod, "module._name") for each private name that mod imports with
+    `from homstruct.<module> import`, at any depth."""
+    return {(mod, "%s.%s" % (node.module.split(".", 1)[1], alias.name))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("homstruct.")
+            for alias in node.names if alias.name.startswith("_")}
+
+
+def test_private_imports_across_modules_are_listed():
+    found = set().union(*(_private_imports(mod, tree) for mod, tree in _modules().items()))
+    assert sorted(found - set(PRIVATE_IMPORTS)) == [], "unlisted private imports"
+    assert sorted(set(PRIVATE_IMPORTS) - found) == [], "listed imports that no module makes"
+    tree = ast.parse("from homstruct.core import _Value, parse_form\n"
+                     "def f():\n    from homstruct.axioms import _x\n")
+    assert _private_imports("m", tree) == {("m", "core._Value"), ("m", "axioms._x")}
