@@ -14,12 +14,13 @@ import json
 import re
 import sys
 from collections import namedtuple
-from fractions import Fraction
 
 from homstruct.axioms import check_class, resolve_class
 from homstruct.core import (
     NAME_RE,
+    ONE,
     RATIONAL_RE,
+    ZERO,
     AlgebraPresentation,
     CheckReport,
     ConstructionError,
@@ -27,6 +28,7 @@ from homstruct.core import (
     MissingOperationError,
     PreconditionError,
     parse_algebra,
+    parse_coefficient,
     parse_comultiplications,
     parse_o_operator,
     parse_representation,
@@ -57,7 +59,7 @@ def _parse_params(text):
             raise _UsageError("bad rational %r in --params" % v)
         if k in binding:
             raise _UsageError("duplicate parameter %r in --params" % k)
-        binding[k] = Fraction(v.strip())
+        binding[k] = parse_coefficient(v.strip())
     return binding
 
 
@@ -99,8 +101,8 @@ def _parse_vector(text, dim):
             raise _UsageError("vector %r has wrong length (need %d)" % (text, dim))
         if not all(RATIONAL_RE.fullmatch(p) for p in parts):
             raise _UsageError("bad rational in vector %r" % text)
-        return tuple(Fraction(p) for p in parts)
-    out = [Fraction(0)] * dim
+        return tuple(map(parse_coefficient, parts))
+    out = [ZERO] * dim
     for term in text.replace("-", "+-").split("+"):
         term = term.strip()
         if not term:
@@ -110,10 +112,10 @@ def _parse_vector(text, dim):
             term = term[1:]
         m = _VEC_TERM.match(term)
         if not m:
-            raise _UsageError("bad vector term %r" % term)
+            raise _UsageError("bad vector term %r" % (term or "-"))
         if m.group(1) and not RATIONAL_RE.fullmatch(m.group(1)):
             raise _UsageError("bad rational in vector %r" % text)
-        coef = Fraction(m.group(1) or 1)
+        coef = parse_coefficient(m.group(1)) if m.group(1) else ONE
         idx = int(m.group(2)) - 1
         if idx >= dim:
             raise _UsageError("basis index out of range in %r" % term)

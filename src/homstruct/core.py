@@ -27,8 +27,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 # The largest dim, algebra_dim or module_dim a document may declare.  A
-# declared dim sizes the basis names and the dense dim^3 tables before any
-# entry is read; at 64 an op's table has 262,144 cells.
+# declared dim sizes the default basis names and the dim ** arity
+# accumulators of axioms._Tables: 262,144 slots per ternary family at 64.
 MAX_DIM = 64
 
 # The largest power of alpha a derived algebra may take as its twist.  Kind 2
@@ -241,8 +241,8 @@ class LinearMap(_Value):
 
     @staticmethod
     def from_rows(rows):
-        rows = [tuple(r) for r in rows]
-        return LinearMap(len(rows), len(rows[0]), tuple(rows))
+        rows = tuple(map(tuple, rows))
+        return LinearMap(len(rows), len(rows[0]) if rows else 0, rows)
 
     @staticmethod
     def identity(n):
@@ -262,9 +262,7 @@ class LinearMap(_Value):
 
     @staticmethod
     def from_columns(cols):
-        cols = [tuple(c) for c in cols]
-        return LinearMap.from_rows(
-            [[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
+        return LinearMap.from_rows(cols).transpose()
 
     def is_bound(self):
         return all(isinstance(c, Fraction) for row in self.m for c in row)
@@ -283,8 +281,7 @@ class LinearMap(_Value):
         return self.is_square and self == LinearMap.identity(self.rows)
 
     def transpose(self):
-        return LinearMap.from_rows(
-            [[self.m[r][c] for r in range(self.rows)] for c in range(self.cols)])
+        return LinearMap.from_rows(zip(*self.m))
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -446,12 +443,9 @@ class AlgebraPresentation(_Value):
     def alpha(self):
         return self.map("alpha")
 
-    def is_bound(self):
-        return (all(op.is_bound() for op in self.ops.values())
-                and all(f.is_bound() for f in self.maps.values()))
-
     def require_bound(self):
-        if self.params or not self.is_bound():
+        values = (*self.ops.values(), *self.maps.values())
+        if self.params or not all(v.is_bound() for v in values):
             raise UnboundParameterError(
                 "presentation has unbound parameters %r" % (self.params,))
         return self
@@ -484,12 +478,9 @@ class RepresentationPresentation(_Value):
     def action(self, name):
         return _named(self.actions, "action", name)
 
-    def is_bound(self):
-        return (self.beta.is_bound()
-                and all(m.is_bound() for fam in self.actions.values() for m in fam))
-
     def require_bound(self):
-        if self.params or not self.is_bound():
+        maps = (self.beta, *(m for fam in self.actions.values() for m in fam))
+        if self.params or not all(f.is_bound() for f in maps):
             raise UnboundParameterError("representation has unbound parameters")
         return self
 

@@ -54,8 +54,6 @@ def check_o_operator(a, rep, T, class_name, max_witnesses=32):
     class_name = _o_class(class_name)
     if T.rows != a.dim or T.cols != rep.module_dim:
         raise DimensionError("T must map the module space into the algebra")
-    a.require_bound()
-    rep.require_bound()
     T.require_bound()
     # the module gate's tensors hold alpha, the ops, the actions and beta
     t = _tensors(a, rep, class_name)

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from pathlib import Path
 
 import random
+import re
 
 import pytest
 
@@ -444,6 +446,66 @@ def test_identity_terms_are_homogeneous():
         for ident in idents:
             ops = ops_alphas_slots(IDENTITIES[ident][1][0])[0]
             assert set(ops) <= set(CLASS_OPS[cls]), (cls, ident)
+
+
+def read_formula(text):
+    """The (arity, terms) row of an IDENTITIES formula comment such as
+    "2 a(z).{x,y} - {z.x, a(y)}": x, y and z are the slots 0, 1 and 2, a(.)
+    is the twist, "." is dot, "*" is star and {,} is bracket, and each term
+    has an optional integer coefficient and a sign."""
+    toks, pos = re.findall(r"[0-9]+|[-+xyza.*{},()]", text), 0
+
+    def take():
+        nonlocal pos
+        pos += 1
+        return toks[pos - 1]
+
+    def operand():
+        t = take()
+        if t == "a":  # a(p)
+            take()
+            out = ("a", operand())
+        elif t == "{":  # {p,q}
+            left = product()
+            take()
+            out = ("bracket", left, product())
+        elif t == "(":  # (p)
+            out = product()
+        else:
+            return "xyz".index(t)
+        take()  # the closing ) or }
+        return out
+
+    def product():
+        left = operand()
+        if pos < len(toks) and toks[pos] in (".", "*"):
+            return ({".": "dot", "*": "star"}[take()], left, operand())
+        return left
+
+    terms = []
+    while pos < len(toks):
+        sign = -1 if toks[pos] == "-" else 1
+        pos += toks[pos] in ("+", "-")
+        c = sign * (int(take()) if toks[pos].isdigit() else 1)
+        outer, left, right = product()
+        if isinstance(left, int):
+            terms.append((c, outer, left, right))
+        elif left[0] == "a":
+            terms.append((c, outer, right[0], "L", left[1], right[1], right[2]))
+        else:
+            terms.append((c, outer, left[0], "R", right[1], left[1], left[2]))
+    return len(set(toks) & set("xyz")), tuple(terms)
+
+
+def test_identity_rows_equal_their_formula_comments():
+    """Each IDENTITIES row is the row its formula comment reads as, so a
+    swapped slot or a flipped sign in either one fails here."""
+    text = Path(axioms.__file__).read_text()
+    comments = dict((ident, formula) for formula, ident in re.findall(
+        r'^    # (.*)\n    "([a-z0-9-]+)": \(', text, re.M))
+    assert comments.keys() == IDENTITIES.keys()
+    for ident, formula in comments.items():
+        assert read_formula(formula) == IDENTITIES[ident], (ident, formula)
 
 
 def test_composite_check_builds_each_table_once(monkeypatch):

@@ -539,6 +539,9 @@ def test_usage_errors(thp2_file, tmp_path, capsys):
             (["check", thp2_file, "--class", "hom-lie", "--params", "1x=2"],
              "bad parameter name '1x' in --params"),
             (["twist", thp2_file, "--alpha-h", "e1+f2"], "bad vector term 'f2'"),
+            # a dangling sign is named as the sign, not as the empty term after it
+            (["twist", thp2_file, "--alpha-h=e1-"], "bad vector term '-'"),
+            (["twist", thp2_file, "--alpha-h=e1--e2"], "bad vector term '-'"),
             (["twist", thp2_file, "--alpha-h", "e1-e3"], "basis index out of range in 'e3'"),
             (["twist", thp2_file], "twist needs one of --alpha-h, --yau, --compose, --derived"),
             (["twist", thp2_file, "--derived", "0", "--class", "transposed-hom-poisson"],

@@ -225,6 +225,28 @@ def test_shape_errors_of_the_value_types():
         assert str(exc.value) == message
 
 
+def test_linear_map_factories_read_their_shape_in_the_constructor():
+    """An empty or ragged input to a factory raises the constructor's error,
+    not an IndexError, and no entry of a ragged input is dropped."""
+    from homstruct.core import RepresentationPresentation
+    for build, error, message in (
+            (lambda: LinearMap.from_rows([]), DimensionError, "matrix shape must be positive"),
+            (lambda: LinearMap.identity(0), DimensionError, "matrix shape must be positive"),
+            (lambda: LinearMap.zero(0), DimensionError, "matrix shape must be positive"),
+            (lambda: LinearMap.diagonal([]), DimensionError, "matrix shape must be positive"),
+            (lambda: LinearMap.from_columns([]), DimensionError,
+             "matrix shape must be positive"),
+            (lambda: RepresentationPresentation(1, 0), DimensionError,
+             "matrix shape must be positive"),
+            (lambda: LinearMap.from_columns([(1, 2), (3, 4, 5)]), FormatError,
+             "matrix shape mismatch"),
+            (lambda: LinearMap.from_columns([(1, 2, 3), (4, 5)]), FormatError,
+             "matrix shape mismatch")):
+        with pytest.raises(error) as exc:
+            build()
+        assert type(exc.value) is error and str(exc.value) == message
+
+
 def test_linear_map_power_rejects_a_negative_exponent():
     # a negative n would otherwise give the identity, a wrong map, silently
     with pytest.raises(ValueError, match="n >= 0, got -1"):
