@@ -118,12 +118,13 @@ class _Tables:
     Each op is read through one eval_bilinear call per nonempty cell
     (i, j), at the pair of basis vectors (e_i, e_j); the op's row index says
     which cells exist, and empty cells stay 0 without a call.  It is
-    scaled by the lcm of its denominators (scales[name]), and alpha by
-    alpha_scale.  A vector (v_0, ..., v_{n-1}) of integers is packed into
-    the one int sum_o v_o << (lane * o).  Packing is linear, so a sum of
-    integer multiples of packed vectors is the packed sum, and it unpacks
-    exactly (signs included) while every |v_o| < 2 ** (lane - 1).  A
-    coordinate of a binary term is at most max|op|, and one of a ternary
+    scaled by the lcm of its denominators (scales[name]), alpha by
+    alpha_scale, and each nonempty cell is kept as one record (`nonzero`).
+    A vector (v_0, ..., v_{n-1}) of integers is packed into the one int
+    sum_o v_o << (lane * o).  Packing is linear, so a sum of integer
+    multiples of packed vectors is the packed sum, and it unpacks exactly
+    (signs included) while every |v_o| < 2 ** (lane - 1).  A coordinate
+    of a binary term is at most max|op|, and one of a ternary
     term c outer(a(e_p), inner(e_q, e_r)) sums n ** 2 products (over the
     inner coordinate b and the twist coordinate x) of two op entries and
     one alpha entry.  So every residual coordinate of an identity is at most
@@ -148,19 +149,17 @@ class _Tables:
             self.alpha[x].append((p, c))
         self.alpha_scale = t.scale
         ops = {name: a.op(name) for name in op_names}
-        self.scales = {name: math.lcm(1, *(c.denominator for *_, c in op.entries))
-                       for name, op in ops.items()}
         e = [[int(b == i) for i in range(n)] for b in range(n)]
-        self._nonzero = {}
+        self.scales, cells = {}, {}
         for name, op in ops.items():
-            s = self.scales[name]
-            # the index lists the nonempty cells in sorted (i, j) order, and a
-            # coordinate the call left untouched is ZERO itself
-            self._nonzero[name] = [(i, j, [(b, v.numerator * (s // v.denominator))
-                                           for b, v in enumerate(eval_bilinear(op, e[i], e[j]))
-                                           if v is not ZERO and v])
-                                   for i, row in op.rows.items() for j in row]
-        top = max((abs(v) for cells in self._nonzero.values() for *_, pairs in cells
+            s = self.scales[name] = math.lcm(1, *(c.denominator for *_, c in op.entries))
+            # the index lists the nonempty cells in sorted (i, j) order, and at
+            # basis vectors each coordinate is a cell coefficient or ZERO itself
+            cells[name] = [(i, j, [(b, v.numerator * (s // v.denominator))
+                                   for b, v in enumerate(eval_bilinear(op, e[i], e[j]))
+                                   if v is not ZERO])
+                           for i, row in op.rows.items() for j in row]
+        top = max((abs(v) for records in cells.values() for *_, pairs in records
                    for _, v in pairs), default=0)
         twist = max(map(abs, t.entries.values()), default=0)
         bound = MAX_COEFFICIENT_SUM * max(top, n * n * top * top * twist)
@@ -169,17 +168,16 @@ class _Tables:
         self._mask, self._half = (1 << lane) - 1, 1 << (lane - 1)
         # every lane raised by half, so that no negative lane borrows from the next
         self._offset = sum(self._half << shift for shift in shifts)
-        self.packed = {}
-        for name, cells in self._nonzero.items():
-            packed = self.packed[name] = [[0] * n for _ in range(n)]
-            for i, j, pairs in cells:
-                packed[i][j] = sum(v << shifts[b] for b, v in pairs)
+        self._cells = {name: [(i, j, pairs, sum(v << shifts[b] for b, v in pairs))
+                              for i, j, pairs in records]
+                       for name, records in cells.items()}
         self._twisted = {}
 
     def nonzero(self, name):
-        """(i, j, pairs) for each op(e_i, e_j) != 0, row-major, pairs its
-        (b, coefficient) pairs with coefficient != 0."""
-        return self._nonzero[name]
+        """The record (i, j, pairs, w) of each op(e_i, e_j) != 0, row-major:
+        pairs its (b, coefficient) pairs with coefficient != 0, and w their
+        packed vector."""
+        return self._cells[name]
 
     def twisted(self, name, side):
         """For each b, the (x, M[x][b]) with M[x][b] != 0, where M[x][b] is
@@ -188,11 +186,10 @@ class _Tables:
         entries of alpha's rows."""
         key = (name, side)
         if key not in self._twisted:
-            packed = self.packed[name]
             m = [{} for _ in range(self.dim)]
-            for i, j, _ in self._nonzero[name]:
+            for i, j, _, w in self._cells[name]:
                 y, b = (i, j) if side == "L" else (j, i)
-                w, col = packed[i][j], m[b]
+                col = m[b]
                 for x, c in self.alpha[y]:
                     col[x] = col.get(x, 0) + c * w
             self._twisted[key] = [[(x, w) for x, w in col.items() if w] for col in m]
@@ -232,18 +229,19 @@ class _Tables:
                 # the flat-index stride of each argument, by its tuple position
                 st = [strides[slot] for slot in term[-arity:]]
                 if arity == 2:
-                    packed = self.packed[term[1]]
-                    for x, y, _ in self.nonzero(term[1]):
-                        acc[x * st[0] + y * st[1]] += c * packed[x][y]
+                    for x, y, _, w in self.nonzero(term[1]):
+                        acc[x * st[0] + y * st[1]] += c * w
                     continue
                 rows = [[(xp * st[0], w) for xp, w in row]
                         for row in self.twisted(term[1], term[3])]
-                for xq, xr, pairs in self.nonzero(term[2]):
+                for xq, xr, pairs, _ in self.nonzero(term[2]):
                     base = xq * st[1] + xr * st[2]
                     for b, v in pairs:
                         cv = c * v
                         for off, w in rows[b]:
                             acc[base + off] += cv * w
+            # a passing family leaves every slot 0, and one C-level count
+            # returns before compress walks a range over all n ** arity slots
             if acc.count(0) == len(acc):
                 return scale, {}
             return scale, {tuple(idx // stride % n for stride in strides): self.unpack(acc[idx])

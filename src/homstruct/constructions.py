@@ -20,9 +20,11 @@ from homstruct.axioms import (
     resolve_class,
 )
 from homstruct.core import (
+    MAX_DIM,
     MAX_TWIST_EXPONENT,
     ONE,
     AlgebraPresentation,
+    DimensionError,
     IntTensor,
     PreconditionError,
     bilinear_from_terms,
@@ -92,8 +94,8 @@ def derived_algebra(a, n, class_name, kind=1):
         raise PreconditionError("derived twist exponent exceeds %d" % MAX_TWIST_EXPONENT)
     require_passed(check_multiplicative(a),
                    "twist is not multiplicative for the algebra's ops")
-    p = n if kind == 1 else 2 ** n - 1
-    return _twist(a, a.alpha.power(p), a.alpha.power(p + 1), class_name)
+    g = a.alpha.power(n if kind == 1 else 2 ** n - 1)
+    return _twist(a, g, g @ a.alpha, class_name)
 
 
 def alpha_h_twist(a, h):
@@ -158,7 +160,9 @@ def tensor_product(a1, a2, class_name):
     The dot is x1.y1 (x) x2.y2, and any other op # of the class is
     x1#y1 (x) x2.y2 + x1.y1 (x) x2#y2.  Twist is the Kronecker product of
     the twists.  The result is in the factors' class, one of
-    _TENSOR_CLASSES; any other class raises PreconditionError first.
+    _TENSOR_CLASSES; any other class raises PreconditionError first, and a
+    product dim above core.MAX_DIM raises DimensionError before the class
+    gates.
     """
     class_name = resolve_class(class_name)
     if class_name not in _TENSOR_CLASSES:
@@ -166,11 +170,13 @@ def tensor_product(a1, a2, class_name):
                                 "transposed and pre-Lie Poisson classes")
     a1.require_bound()
     a2.require_bound()
+    n1, n2 = a1.dim, a2.dim
+    dim = n1 * n2
+    if dim > MAX_DIM:
+        raise DimensionError("tensor product dim %d exceeds %d" % (dim, MAX_DIM))
     for a in (a1, a2):
         require_passed(check_class(a, class_name),
                        "tensor factor is not in class %s" % class_name)
-    n1, n2 = a1.dim, a2.dim
-    dim = n1 * n2
     # P[I][i1][i2] = 1 for I = i1*n2 + i2
     t = {"P": IntTensor((dim, n1, n2), ((i1 * n2 + i2, i1, i2, ONE)
                                         for i1 in range(n1) for i2 in range(n2))),

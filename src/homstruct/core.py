@@ -26,8 +26,9 @@ NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# The largest dim, algebra_dim or module_dim a document may declare.  A
-# declared dim sizes the default basis names and the dim ** arity
+# The largest dim, algebra_dim or module_dim a document may declare, and the
+# largest dim of an algebra that a builder makes (a tensor product or a
+# double).  A dim sizes the default basis names and the dim ** arity
 # accumulators of axioms._Tables: 262,144 slots per ternary family at 64.
 MAX_DIM = 64
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from homstruct.axioms import CLASS_OPS, check_class, resolve_class
 from homstruct.core import (
+    MAX_DIM,
     AlgebraPresentation,
     BilinearMap,
     CheckReport,
+    DimensionError,
     LinearMap,
     PreconditionError,
     RepresentationPresentation,
@@ -95,18 +97,21 @@ def build_double(mp, class_name, check_actions=True):
     bracket:  [x,b] = rho_A(x)b - rho_B(b)x   (and skew for [a,y])
     star:     x*b = l_A(x)b + r_B(b)x,  a*y = r_A(y)a + l_B(a)y
     Twist is alpha_A (+) alpha_B.  The ops are a block scatter of both op
-    tables and the action matrices.
+    tables and the action matrices.  A double dim above core.MAX_DIM raises
+    DimensionError before the module gates.
     """
     class_name = resolve_class(class_name)
     a, b = mp.algebra_a, mp.algebra_b
     a.require_bound()
     b.require_bound()
+    n, p = a.dim, b.dim
+    if n + p > MAX_DIM:
+        raise DimensionError("double dim %d exceeds %d" % (n + p, MAX_DIM))
     if check_actions:
         for rep, alg, tag in ((mp.actions_ab, a, "actions_ab"),
                               (mp.actions_ba, b, "actions_ba")):
             require_passed(check_rep(alg, rep, class_name),
                            "%s fails the %s module axioms" % (tag, class_name))
-    n, p = a.dim, b.dim
 
     def action(rep, name):
         """(x, k, m, c): act(e_x) has entry c at row k, column m.  Bound: no

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,8 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import homstruct
 from homstruct import catalog
+from homstruct.axioms import CLASS_OPS
 from homstruct.cli import main
-from homstruct.constructions import bracket_from_two_derivations
+from homstruct.constructions import bracket_from_two_derivations, tensor_product
 from homstruct.core import (
     AlgebraPresentation,
     BilinearMap,
@@ -27,8 +30,12 @@ from homstruct.core import (
     serialize_representation,
 )
 from homstruct.duality import trivial_dual
-from homstruct.matched_pairs import matched_pair_from_representation
-from homstruct.representations import regular_representation
+from homstruct.matched_pairs import (
+    matched_pair_from_representation,
+    zero_algebra,
+    zero_representation,
+)
+from homstruct.representations import REP_OPS, regular_representation
 
 from test_core import (
     _O_OPERATOR_DOCS,
@@ -283,6 +290,48 @@ def test_semidirect_of_algebra_outside_the_class_exits_3(tmp_path, capsys):
     assert main(argv) == PRECONDITION
     assert capsys.readouterr().err == (
         "precondition failed: input is not in class transposed-hom-poisson\n")
+
+
+def _zero_semidirect_files(tmp_path, n, m):
+    """A zero transposed Hom-Poisson algebra of dim n and a zero module of
+    dim m over it, each with the identity twist, as document paths."""
+    cls = "transposed-hom-poisson"
+    alg, rep = tmp_path / ("zero%d.json" % n), tmp_path / ("zero%d-%d.json" % (n, m))
+    alg.write_text(serialize_algebra(zero_algebra(n, LinearMap.identity(n), CLASS_OPS[cls])))
+    rep.write_text(serialize_representation(
+        zero_representation(n, m, LinearMap.identity(m), REP_OPS[cls])))
+    return str(alg), str(rep)
+
+
+def test_builds_above_max_dim_exit_2_within_a_second(tmp_path, capsys):
+    # two valid dim-64 documents: their tensor product would have dim 4096
+    zero64 = tmp_path / "zero64.json"
+    zero64.write_text(serialize_algebra(zero_algebra(64, LinearMap.identity(64), ("dot",))))
+    alg, rep = _zero_semidirect_files(tmp_path, 33, 32)
+    for argv, message in (
+            (["tensor", str(zero64), str(zero64), "--class", "comm-hom-assoc"],
+             "tensor product dim 4096 exceeds 64"),
+            (["semidirect", alg, rep, "--class", "transposed-hom-poisson"],
+             "double dim 65 exceeds 64")):
+        start = time.perf_counter()
+        assert main(argv) == USAGE
+        assert time.perf_counter() - start < 1.0, argv[0]
+        assert capsys.readouterr() == ("", "input error: %s\n" % message)
+
+
+def test_builds_at_max_dim_write_documents_that_parse_back(tmp_path):
+    ca = catalog.get("CA2a")
+    dim8 = tmp_path / "ca8.json"
+    dim8.write_text(serialize_algebra(
+        tensor_product(tensor_product(ca, ca, "comm-hom-assoc"), ca, "comm-hom-assoc")))
+    alg, rep = _zero_semidirect_files(tmp_path, 32, 32)
+    out = tmp_path / "out.json"
+    for argv in (["tensor", str(dim8), str(dim8), "--class", "comm-hom-assoc"],
+                 ["semidirect", alg, rep, "--class", "transposed-hom-poisson"]):
+        assert main(argv + ["-o", str(out)]) == PASS
+        text = out.read_text()
+        a = parse_algebra(text)
+        assert a.dim == 64 and serialize_algebra(a) == text, argv[0]
 
 
 def test_dualrep(thp2_file, thp2_reg_file, tmp_path):
@@ -1024,3 +1073,18 @@ def test_importing_the_cli_loads_no_code_it_does_not_run():
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
     assert sorted(m for m in loaded if m.split(".")[0] == "homstruct") == [
         "homstruct", "homstruct.axioms", "homstruct.cli", "homstruct.core"]
+
+
+def test_module_entry_point_runs_main(capsys):
+    """`python -m homstruct.cli` exits with main's code and writes its
+    bytes, through `entry`."""
+    env = dict(os.environ, PYTHONPATH=str(Path(homstruct.__file__).parent.parent))
+    run = [sys.executable, "-m", "homstruct.cli"]
+    listed = subprocess.run(run + ["catalog", "list"], capture_output=True, text=True,
+                            env=env)
+    assert main(["catalog", "list"]) == PASS
+    assert (listed.returncode, listed.stdout, listed.stderr) == (
+        PASS, capsys.readouterr().out, "")
+    bare = subprocess.run(run, capture_output=True, text=True, env=env)
+    assert (bare.returncode, bare.stdout, bare.stderr) == (
+        USAGE, "", "usage error: a subcommand is required\n")

@@ -18,6 +18,7 @@ from homstruct.constructions import (
 from homstruct.core import (
     AlgebraPresentation,
     BilinearMap,
+    DimensionError,
     LinearMap,
     UnboundParameterError,
     basis_vec,
@@ -113,6 +114,20 @@ def test_tensor_product_refuses_other_classes_first():
                 tensor_product(a, a, cls)
             assert exc.value.args == ("tensor_product supports the commutative, "
                                       "transposed and pre-Lie Poisson classes",), cls
+
+
+def test_tensor_product_above_max_dim_raises_before_the_class_gates():
+    # 9 * 8 = 72 > MAX_DIM; skew9 is not commutative, so the class gate
+    # would refuse it if the gate ran first
+    zero9, zero8 = (AlgebraPresentation(n, {"dot": BilinearMap(n)},
+                                        {"alpha": LinearMap.identity(n)}) for n in (9, 8))
+    skew9 = AlgebraPresentation(9, {"dot": BilinearMap(9, ((0, 1, 0, F(1)),))},
+                                {"alpha": LinearMap.identity(9)})
+    assert not check_class(skew9, "comm-hom-assoc").passed
+    for a1 in (zero9, skew9):
+        with pytest.raises(DimensionError) as exc:
+            tensor_product(a1, zero8, "comm-hom-assoc")
+        assert exc.value.args == ("tensor product dim 72 exceeds 64",)
 
 
 def test_sub_adjacent():

@@ -7,6 +7,7 @@ from homstruct import catalog
 from homstruct.axioms import CLASS_OPS, check_class, check_morphism
 from homstruct.core import (
     AlgebraPresentation,
+    DimensionError,
     LinearMap,
     RepresentationPresentation,
     basis_vec,
@@ -22,6 +23,8 @@ from homstruct.matched_pairs import (
     matched_pair_from_representation,
     mp_pre_lie_to_lie,
     swap,
+    zero_algebra,
+    zero_representation,
 )
 from homstruct.representations import REP_OPS, regular_representation, semidirect_product
 
@@ -123,6 +126,18 @@ def test_build_double_gates_on_module_axioms():
     # gate can be bypassed explicitly, and the double then fails the class check
     d = build_double(mp, "transposed-hom-poisson", check_actions=False)
     assert not check_class(d, "transposed-hom-poisson").passed
+
+
+def test_build_double_above_max_dim_raises():
+    # a zero pair of dims 33 and 32: its double would have dim 65 > MAX_DIM
+    cls = "transposed-hom-poisson"
+    a = zero_algebra(33, LinearMap.identity(33), CLASS_OPS[cls])
+    rep = zero_representation(33, 32, LinearMap.identity(32), REP_OPS[cls])
+    mp = matched_pair_from_representation(a, rep, cls)
+    for check_actions in (True, False):
+        with pytest.raises(DimensionError) as exc:
+            build_double(mp, cls, check_actions=check_actions)
+        assert exc.value.args == ("double dim 65 exceeds 64",)
 
 
 def test_matched_pair_shape_validation():
