@@ -8,15 +8,16 @@ The class identities are data (IDENTITIES), evaluated on integer tables: each
 op, and alpha, is scaled by the lcm of its denominators.  All terms of one
 identity use the same multiset of ops and the same number of alphas, so the
 integer residual is the rational residual times one positive scale and its
-zero test is exact.  The tables hand over the integer residuals and that
-scale; core.run_identity_families divides only the kept witnesses back into
-Fractions.
+zero test is exact.  A table counts its failing basis tuples and hands over
+that count, the scale and the integer residuals of only the first
+max_witnesses failing tuples; core.run_identity_families divides only the
+nonzero coordinates of the kept witnesses back into Fractions.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import compress
+from itertools import compress, islice
 
 from homstruct.core import (
     CheckReport,
@@ -201,17 +202,20 @@ class _Tables:
         mask, half = self._mask, self._half
         return [(v >> shift & mask) - half for shift in self._shifts]
 
-    def family(self, ident):
+    def family(self, ident, limit):
         """The (identity id, arity, table fn) triple of one IDENTITIES row.
 
-        table() returns (scale, rows), each row the integer residual times
-        scale.  It is a sparse join into one packed accumulator per basis
-        tuple: a binary term adds its op's nonzero cells, and a ternary term
-        adds, for each nonzero inner cell (x_q, x_r) with coordinate v at b,
-        c * v * M[x_p][b] for each (x_p, M[x_p][b]) of twisted row b, which
-        lists only the nonzero ones.  Only the nonzero accumulators are
-        decoded and unpacked; C-level scans (`list.count`, `compress`) find
-        them, so the n ** arity slots cost no Python-level loop.
+        table() returns (scale, rows, failures): failures counts the basis
+        tuples with a nonzero residual, and rows maps the first `limit` of
+        them, in tuple order, to the integer residual times scale.  The
+        residuals come from a sparse join into one packed accumulator per
+        basis tuple: a binary term adds its op's nonzero cells, and a
+        ternary term adds, for each nonzero inner cell (x_q, x_r) with
+        coordinate v at b, c * v * M[x_p][b] for each (x_p, M[x_p][b]) of
+        twisted row b, which lists only the nonzero ones.  The accumulators
+        are counted by C-level scans (`list.count`), and only the kept ones
+        are found (`compress`, whose flat index runs in tuple order) and
+        unpacked, so the n ** arity slots cost no Python-level loop.
         """
         arity, terms = IDENTITIES[ident]
         n = self.dim
@@ -242,10 +246,11 @@ class _Tables:
                             acc[base + off] += cv * w
             # a passing family leaves every slot 0, and one C-level count
             # returns before compress walks a range over all n ** arity slots
-            if acc.count(0) == len(acc):
-                return scale, {}
+            failures = len(acc) - acc.count(0)
+            if not failures:
+                return scale, {}, 0
             return scale, {tuple(idx // stride % n for stride in strides): self.unpack(acc[idx])
-                           for idx in compress(range(len(acc)), acc)}
+                           for idx in islice(compress(range(len(acc)), acc), limit)}, failures
         return ident, arity, table
 
 
@@ -255,7 +260,7 @@ def _check(a, cls, max_witnesses, tables):
     if tables is None:
         tables = _Tables(a, CLASS_OPS[cls])
     return run_identity_families(
-        a.dim, [tables.family(ident) for ident in idents], max_witnesses,
+        a.dim, [tables.family(ident, max_witnesses) for ident in idents], max_witnesses,
         sub_reports={sub: CLASS_CHECKERS[sub](a, max_witnesses, _tables=tables)
                      for sub in subs})
 
@@ -381,7 +386,7 @@ def check_transposed_consequences(a, max_witnesses=32):
     four-variable (only when alpha = id, otherwise skipped with a note):
     {x.z, y.t} + {x.t, y.z} = 2 (z.t).{x,y}.
     """
-    fams = [_Tables(a, ("dot", "bracket")).family("cyclic-sum")]
+    fams = [_Tables(a, ("dot", "bracket")).family("cyclic-sum", max_witnesses)]
     notes = []
     if a.alpha.is_identity():
         t = {"dot": int_tensor(a.op("dot")), "br": int_tensor(a.op("bracket"))}
@@ -407,7 +412,8 @@ def check_poisson_intersection(a, max_witnesses=32):
     """
     t = _Tables(a, ("dot", "bracket"))
     annihilation = run_identity_families(
-        a.dim, [t.family("dot-bracket-vanishes"), t.family("bracket-dot-vanishes")],
+        a.dim, [t.family(ident, max_witnesses)
+                for ident in ("dot-bracket-vanishes", "bracket-dot-vanishes")],
         max_witnesses)
     hp = check_hom_poisson(a, max_witnesses, _tables=t)
     tp = check_transposed_hom_poisson(a, max_witnesses, _tables=t)

@@ -526,29 +526,36 @@ def require_passed(report, message):
 def run_identity_families(dim, families, max_witnesses=32, sub_reports=None, notes=()):
     """Evaluate each family's residual table once; collect sorted witnesses.
 
-    families: iterable of (identity_id, arity, table) where table() returns
-    (scale, rows): rows maps a basis index tuple to its residual coefficient
-    vector times the positive scale, for the tuples whose residual may be
-    nonzero; the identity holds on every tuple it leaves out, and an all-zero
-    residual is not a witness.  Each family counts all dim ** arity basis
-    tuples as checked.  The failing tuples are counted and sorted as they
-    come; only the at most max_witnesses (>= 0) kept are divided by their
-    scale into Fraction residuals.
+    families: iterable of (identity_id, arity, table).  table() returns
+    (scale, rows) or (scale, rows, failures); rows maps a basis index tuple
+    to its residual coefficient vector times the positive scale.
+    - In (scale, rows), rows holds every tuple whose residual may be
+      nonzero, in any order; the identity holds on every tuple it leaves
+      out, and an all-zero residual is not a witness.
+    - In (scale, rows, failures), failures counts the tuples with a nonzero
+      residual, and rows holds the first at most max_witnesses of them in
+      tuple order, each residual nonzero.
+    Each family counts all dim ** arity basis tuples as checked.  The rows
+    handed over are sorted; only the at most max_witnesses (>= 0) kept are
+    divided by their scale into Fraction residuals, and only at their
+    nonzero coordinates: a zero coordinate is ZERO.
     """
     if max_witnesses < 0:
         raise ValueError("max_witnesses must be >= 0, got %d" % max_witnesses)
     failing = []
-    checked = 0
+    checked = failures = 0
     for (ident, arity, table) in families:
         checked += dim ** arity
-        scale, rows = table()
-        failing += [(ident, tup, scale, res) for tup, res in rows.items() if any(res)]
+        scale, rows, *counted = table()
+        found = [(ident, tup, scale, res) for tup, res in rows.items() if counted or any(res)]
+        failures += counted[0] if counted else len(found)
+        failing += found
     failing.sort(key=itemgetter(0, 1))
     return CheckReport(
-        witnesses=[(ident, tup, tuple(Fraction(x, scale) for x in res))
+        witnesses=[(ident, tup, tuple(Fraction(x, scale) if x else ZERO for x in res))
                    for ident, tup, scale, res in failing[:max_witnesses]],
         checked=checked,
-        failures=len(failing),
+        failures=failures,
         sub_reports=dict(sub_reports or {}),
         notes=tuple(notes))
 

@@ -29,6 +29,7 @@ from homstruct.matched_pairs import (
     _matched_pair_report,
     block_swap_map,
     build_double,
+    require_double_dim,
     zero_algebra,
 )
 
@@ -92,7 +93,8 @@ def check_invariant_form(a, B, max_witnesses=32):
 def check_manin_triple(a, a_star, max_witnesses=32):
     """(A (+) A*, A, A*) with the standard pairing.
 
-    Both inputs must pass the transposed Hom-Poisson checker.  Passes when
+    Both inputs must pass the transposed Hom-Poisson checker; a double dim
+    above core.MAX_DIM raises DimensionError before that check.  Passes when
     the double of `coadjoint_matched_pair` (cross products the transposed
     multiplication operators of both sides, twist alpha (+) alpha_star)
     satisfies the transposed Hom-Poisson axioms and the standard pairing is
@@ -104,6 +106,7 @@ def check_manin_triple(a, a_star, max_witnesses=32):
     a.require_bound()
     a_star.require_bound()
     _require_same_dim(a, a_star)
+    require_double_dim(a.dim, a_star.dim)
     for tag, alg in (("a", a), ("a_star", a_star)):
         _require_transposed(tag, alg)
     double = build_double(coadjoint_matched_pair(a, a_star), _TRANSPOSED, check_actions=False)
@@ -212,7 +215,8 @@ def equivalence_report(a, a_star, max_witnesses=32):
 
     The reports are those of `check_bialgebra_conditions`,
     `check_matched_pair` on `coadjoint_matched_pair` and
-    `check_manin_triple`, with the raises in that order.  The coadjoint
+    `check_manin_triple`, with the raises in that order, after the
+    dimension gates of the double.  The coadjoint
     double is built and class-checked once: that one report is the
     matched-pair report's "double" and the Manin report's
     "double-transposed".  The Manin gate on `a` reads the bialgebra
@@ -222,6 +226,8 @@ def equivalence_report(a, a_star, max_witnesses=32):
     """
     a.require_bound()
     a_star.require_bound()
+    _require_same_dim(a, a_star)
+    require_double_dim(a.dim, a_star.dim)
     bial = check_bialgebra_conditions(a, a_star, max_witnesses)
     pair = coadjoint_matched_pair(a, a_star)
     double = build_double(pair, _TRANSPOSED, check_actions=False)

@@ -90,6 +90,14 @@ def block_swap_map(n, p):
     return LinearMap.from_columns(cols)
 
 
+def require_double_dim(n, p):
+    """DimensionError when the double of dims n and p exceeds core.MAX_DIM;
+    a caller that gates its inputs calls this first, so an oversize double
+    costs no check."""
+    if n + p > MAX_DIM:
+        raise DimensionError("double dim %d exceeds %d" % (n + p, MAX_DIM))
+
+
 def build_double(mp, class_name, check_actions=True):
     """The class structure on A (+) B (A block first) defined by the actions.
 
@@ -105,8 +113,7 @@ def build_double(mp, class_name, check_actions=True):
     a.require_bound()
     b.require_bound()
     n, p = a.dim, b.dim
-    if n + p > MAX_DIM:
-        raise DimensionError("double dim %d exceeds %d" % (n + p, MAX_DIM))
+    require_double_dim(n, p)
     if check_actions:
         for rep, alg, tag in ((mp.actions_ab, a, "actions_ab"),
                               (mp.actions_ba, b, "actions_ba")):

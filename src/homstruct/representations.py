@@ -214,16 +214,22 @@ def semidirect_product(a, rep, class_name):
     Twist is alpha (+) beta.  This is the double of the matched pair with a
     zero opposite algebra and zero reverse actions.  The representation must
     pass the class's module axioms and a must pass the class checker
-    (PreconditionError otherwise).  The output is not checked again: the
+    (PreconditionError otherwise); a double dim above core.MAX_DIM raises
+    DimensionError before either gate.  The output is not checked again: the
     module axioms are its class identities with one argument in V, and a
     product of two elements of V is zero, so it is in the class exactly
     when a is (tests/test_representations.py pins this).
     """
+    from homstruct.matched_pairs import (
+        build_double,
+        matched_pair_from_representation,
+        require_double_dim,
+    )
     class_name = rep_class(class_name)
+    require_double_dim(a.dim, rep.module_dim)
     require_passed(check_rep(a, rep, class_name),
                    "representation fails the %s module axioms" % class_name)
     require_passed(check_class(a, class_name), "input is not in class %s" % class_name)
-    from homstruct.matched_pairs import build_double, matched_pair_from_representation
     return build_double(matched_pair_from_representation(a, rep, class_name),
                         class_name, check_actions=False)
 

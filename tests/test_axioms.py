@@ -238,6 +238,49 @@ def test_sparse_join_matches_fraction_closures_at_dim_8():
     assert verdicts == {True, False} and skips == {True}
 
 
+def test_failing_families_unpack_only_the_kept_witnesses(monkeypatch):
+    """A dense random dim-6 algebra fails every class family on most of its
+    216 (or 36) tuples.  Each family still unpacks at most max_witnesses
+    accumulators, and the reports are the Fraction closures' ones, cut to
+    the cap (run_identity_families sorts, then cuts)."""
+    a = rand_algebra(random.Random(5), 6, ("dot", "bracket", "star"))
+    unpack, family = _Tables.unpack, _Tables.family
+    unpacked, per_family = [], {}
+
+    def counting_unpack(self, v):
+        unpacked.append(v)
+        return unpack(self, v)
+
+    def counting_family(self, ident, limit):
+        _, arity, table = family(self, ident, limit)
+
+        def counted():
+            start = len(unpacked)
+            out = table()
+            per_family[ident] = len(unpacked) - start
+            return out
+        return ident, arity, counted
+
+    monkeypatch.setattr(_Tables, "unpack", counting_unpack)
+    monkeypatch.setattr(_Tables, "family", counting_family)
+    for cls in ("transposed-hom-poisson", "hom-pre-lie-poisson"):
+        oracle = closure_check_class(a, cls, 1000)
+        for mw in (0, 1, 3, 32):
+            per_family.clear()
+            mine, want = check_class(a, cls, mw), _capped(oracle, mw)
+            assert sorted(per_family) == sorted(_family_idents(cls)), (cls, mw)
+            assert max(per_family.values()) <= mw, (cls, mw, per_family)
+            assert (mine.passed, _flat(mine), str(mine)) == \
+                (want.passed, _flat(want), str(want)), (cls, mw)
+        assert not oracle.passed and all(
+            sub.failures > 32 for sub in oracle.sub_reports.values()), cls
+
+
+def _family_idents(cls):
+    subs, idents = CLASS_FAMILIES[cls]
+    return list(idents) + [i for sub in subs for i in _family_idents(sub)]
+
+
 # which cells (i, j) of a dim-n op may be nonempty
 _CELL_SHAPES = {
     "empty rows": lambda n, cell: lambda i, j: i % 2 == 0,

@@ -319,6 +319,25 @@ def test_builds_above_max_dim_exit_2_within_a_second(tmp_path, capsys):
         assert capsys.readouterr() == ("", "input error: %s\n" % message)
 
 
+def test_oversize_double_is_refused_before_the_gates(tmp_path, capsys):
+    # one dot entry e_0.e_1 = e_0 and no e_1.e_0: the dim-33 algebra fails
+    # every class gate, but its doubles (dim 65 and 66) are refused first
+    odd = tmp_path / "odd33.json"
+    odd.write_text(serialize_algebra(AlgebraPresentation(
+        33, {"dot": BilinearMap(33, ((0, 1, 0, F(1)),)), "bracket": BilinearMap(33)},
+        {"alpha": LinearMap.identity(33)})))
+    _, rep = _zero_semidirect_files(tmp_path, 33, 32)
+    for argv, message in (
+            (["semidirect", str(odd), rep, "--class", "transposed-hom-poisson"],
+             "double dim 65 exceeds 64"),
+            (["manin", str(odd), str(odd)], "double dim 66 exceeds 64"),
+            (["equivalence", str(odd), str(odd)], "double dim 66 exceeds 64")):
+        start = time.perf_counter()
+        assert main(argv) == USAGE, argv[0]
+        assert time.perf_counter() - start < 1.0, argv[0]
+        assert capsys.readouterr() == ("", "input error: %s\n" % message)
+
+
 def test_builds_at_max_dim_write_documents_that_parse_back(tmp_path):
     ca = catalog.get("CA2a")
     dim8 = tmp_path / "ca8.json"

@@ -1,7 +1,8 @@
 """The family protocol of core.run_identity_families: a family is
 (identity id, arity, table fn), and table() gives (scale, rows), rows the
 integer residuals times scale of the basis tuples on which the identity may
-fail."""
+fail, or (scale, rows, failures), rows the first failing tuples only and
+failures their count."""
 
 from fractions import Fraction
 
@@ -108,3 +109,32 @@ def test_only_kept_witnesses_are_divided():
     assert report.witnesses == [("big", tup, tuple(F(x, 6) for x in rows[tup]))
                                 for tup in kept]
     assert report.witnesses[0] == ("big", (0, 0, 0), (F(-250, 3), F(7, 6), F(0)))
+
+
+def test_three_element_tables_hand_over_their_count_and_kept_rows():
+    """A table (scale, rows, failures) hands over the count of its failing
+    tuples and only the first of them, in tuple order.  The runner adds the
+    count, keeps the rows in their order, sorts them with the rows of
+    plain-form families, and divides only their nonzero coordinates."""
+    kept = {(0, 0): [0, 3], (0, 2): [-4, 0], (1, 1): [2, 2]}
+
+    def counted(limit):
+        # 7 failing tuples, of which the first 3 are known
+        return "b", 2, lambda: (2, dict(list(kept.items())[:limit]), 7)
+
+    before = ("a", 2, lambda: (1, {(1, 0): [0, 1], (0, 1): [0, 0]}))
+    after = ("c", 2, lambda: (3, {(2, 2): [1, 0]}))
+    everything = [("a", (1, 0), (F(0), F(1))),
+                  ("b", (0, 0), (F(0), F(3, 2))),
+                  ("b", (0, 2), (F(-2), F(0))),
+                  ("b", (1, 1), (F(1), F(1))),
+                  ("c", (2, 2), (F(1, 3), F(0)))]
+    for mw in (0, 1, 2, 4, 10):
+        report = run_identity_families(3, [after, counted(mw), before], mw)
+        assert (report.checked, report.failures) == (27, 1 + 7 + 1), mw
+        assert report.witnesses == everything[:mw], mw
+        assert [tup for ident, tup, _ in report.witnesses if ident == "b"] == \
+            list(kept)[:max(0, min(3, mw - 1))], mw
+        assert not report.passed
+    zeros = [c for _, _, res in report.witnesses for c in res if not c]
+    assert len(zeros) == 4 and all(c == F(0) and str(c) == "0" for c in zeros)
