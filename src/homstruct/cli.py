@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import json
 import re
 import sys
 from collections import namedtuple
@@ -27,14 +26,16 @@ from homstruct.core import (
     DimensionError,
     MissingOperationError,
     PreconditionError,
+    exact_str,
     parse_algebra,
-    parse_coefficient,
     parse_comultiplications,
     parse_o_operator,
     parse_representation,
+    read_coefficient,
     serialize_algebra,
     serialize_representation,
     substitute_params,
+    to_json,
 )
 
 PASS, FAIL, USAGE, PRECONDITION = 0, 1, 2, 3
@@ -59,7 +60,7 @@ def _parse_params(text):
             raise _UsageError("bad rational %r in --params" % v)
         if k in binding:
             raise _UsageError("duplicate parameter %r in --params" % k)
-        binding[k] = parse_coefficient(v.strip())
+        binding[k] = read_coefficient(v.strip())
     return binding
 
 
@@ -101,7 +102,7 @@ def _parse_vector(text, dim):
             raise _UsageError("vector %r has wrong length (need %d)" % (text, dim))
         if not all(RATIONAL_RE.fullmatch(p) for p in parts):
             raise _UsageError("bad rational in vector %r" % text)
-        return tuple(map(parse_coefficient, parts))
+        return tuple(map(read_coefficient, parts))
     out = [ZERO] * dim
     for term in text.replace("-", "+-").split("+"):
         term = term.strip()
@@ -115,7 +116,7 @@ def _parse_vector(text, dim):
             raise _UsageError("bad vector term %r" % (term or "-"))
         if m.group(1) and not RATIONAL_RE.fullmatch(m.group(1)):
             raise _UsageError("bad rational in vector %r" % text)
-        coef = parse_coefficient(m.group(1)) if m.group(1) else ONE
+        coef = read_coefficient(m.group(1)) if m.group(1) else ONE
         idx = int(m.group(2)) - 1
         if idx >= dim:
             raise _UsageError("basis index out of range in %r" % term)
@@ -130,7 +131,7 @@ def _report_doc(report):
         "failures": report.failures,
         "witnesses": [{"identity": ident,
                        "tuple": list(tup),
-                       "residual": [str(c) for c in res]}
+                       "residual": list(map(exact_str, res))}
                       for (ident, tup, res) in report.witnesses],
         "sub_reports": {name: _report_doc(sub)
                         for name, sub in sorted(report.sub_reports.items())},
@@ -162,7 +163,7 @@ def _head(args):
 def _emit(args, text, json_doc=None):
     """Write json_doc under --json (when given), else text, to -o or stdout."""
     if args.json and json_doc is not None:
-        text = json.dumps(json_doc, indent=2) + "\n"
+        text = to_json(json_doc) + "\n"
     if args.output:
         _write(args.output, text)
     else:
@@ -311,7 +312,7 @@ def _rb(args, a, R):
 def _derivations(args, a):
     from homstruct.operators import derivation_space
     commuting = None if args.commuting_with == "none" else args.commuting_with
-    basis = [[[str(c) for c in row] for row in d.m]
+    basis = [[list(map(exact_str, row)) for row in d.m]
              for d in derivation_space(a, args.op, commuting)]
     doc = _head(args)
     doc.update(op=args.op, dimension=len(basis), basis=basis)

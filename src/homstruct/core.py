@@ -18,6 +18,7 @@ import json
 import math
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter, itemgetter, mul
 
 RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
@@ -31,6 +32,12 @@ ONE = Fraction(1)
 # double).  A dim sizes the default basis names and the dim ** arity
 # accumulators of axioms._Tables: 262,144 slots per ternary family at 64.
 MAX_DIM = 64
+
+# The most digits an integer in a document or a --params value may have: a
+# rational's numerator and denominator each.  It is CPython's default
+# int_max_str_digits, so int() reads every integer within the cap.  Results
+# may grow past it, and exact_str writes them at any size.
+MAX_DIGITS = 4300
 
 # The largest power of alpha a derived algebra may take as its twist.  Kind 2
 # of derived level n takes alpha^(2^n), whose entries can grow with the
@@ -73,6 +80,9 @@ class ConstructionError(AssertionError):
 # ---------------------------------------------------------------------------
 # coefficients
 
+_TOO_LONG = "a number has more than %d digits" % MAX_DIGITS
+
+
 def parse_coefficient(s, params=()):
     """Parse a coefficient token: rational string, parameter name or -name."""
     if not isinstance(s, str):
@@ -86,6 +96,32 @@ def parse_coefficient(s, params=()):
     if s.startswith("-") and s[1:] in params:
         return s
     raise FormatError("bad coefficient %r (not a rational or declared parameter)" % s)
+
+
+def read_coefficient(s, params=()):
+    """parse_coefficient for a token read from a document or an option.
+
+    A rational whose numerator or denominator has more than MAX_DIGITS
+    digits raises FormatError, where parse_coefficient gives int()'s error.
+    """
+    if (isinstance(s, str) and len(s) > MAX_DIGITS and RATIONAL_RE.fullmatch(s)
+            and max(map(len, s.lstrip("-").split("/"))) > MAX_DIGITS):
+        raise FormatError(_TOO_LONG)
+    return parse_coefficient(s, params)
+
+
+def exact_str(c):
+    """str(c) for a coefficient, a Fraction or a parameter name, at any size.
+
+    str of an int past the interpreter's int_max_str_digits raises
+    ValueError; decimal renders every int exactly.
+    """
+    try:
+        return str(c)
+    except ValueError:
+        from decimal import Decimal
+        num = str(Decimal(c.numerator))
+        return num if c.denominator == 1 else "%s/%s" % (num, Decimal(c.denominator))
 
 
 def substitute_coefficient(c, binding):
@@ -844,8 +880,42 @@ def substitute_params(p, binding):
 # ---------------------------------------------------------------------------
 # interchange format
 
+def to_json(value, pad="\n"):
+    """json.dumps(value, indent=2) for what the package writes: dicts with
+    str keys, lists, tuples, str, int, bool and None.
+
+    pad is the line break and indent before the closing bracket of value.
+    json's C encoder runs only without an indent; this one pass quotes
+    strings with its C-level quoting and writes leaf strings and ints inline.
+    """
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join([
+            _quote(k) + ": " + (_quote(v) if type(v) is str else repr(v) if type(v) is int
+                                else to_json(v, inner))
+            for k, v in value.items()]) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([
+            _quote(v) if type(v) is str else repr(v) if type(v) is int else to_json(v, inner)
+            for v in value]) + pad + "]"
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return int.__repr__(value)
+
+
 def _matrix_out(f):
-    return [[str(c) for c in row] for row in f.m]
+    return [list(map(exact_str, row)) for row in f.m]
 
 
 def _matrix_in(doc, params, what, rows=None, cols=None):
@@ -853,7 +923,7 @@ def _matrix_in(doc, params, what, rows=None, cols=None):
             or any(not isinstance(r, list) for r in doc)):
         raise FormatError("%s: matrix must be a non-empty array of rows" % what)
     try:
-        f = LinearMap.from_rows([[parse_coefficient(c, params) for c in row] for row in doc])
+        f = LinearMap.from_rows([[read_coefficient(c, params) for c in row] for row in doc])
     except DimensionError as exc:
         raise FormatError(str(exc)) from None
     if rows is not None and (f.rows, f.cols) != (rows, cols):
@@ -878,12 +948,12 @@ def _entries_in(doc, dim, params, what):
             raise FormatError("%s entry %d: indices must be integers" % (what, pos))
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise FormatError("%s entry %d: index out of range for dim %d" % (what, pos, dim))
-        entries.append((i, j, k, parse_coefficient(e["c"], params)))
+        entries.append((i, j, k, read_coefficient(e["c"], params)))
     return entries
 
 
 def _entries_out(entries):
-    return [{"i": i, "j": j, "k": k, "c": str(c)} for (i, j, k, c) in entries]
+    return [{"i": i, "j": j, "k": k, "c": exact_str(c)} for (i, j, k, c) in entries]
 
 
 def _load(text, keys):
@@ -896,6 +966,9 @@ def _load(text, keys):
     except RecursionError:
         # the decoder recurses once per nested array or object
         raise FormatError("document nested too deeply") from None
+    except ValueError:
+        # json's one other error: an integer literal past int_max_str_digits
+        raise FormatError(_TOO_LONG) from None
     if not isinstance(doc, dict):
         raise FormatError("top-level value must be an object")
     unknown = sorted(set(doc) - set(keys))
@@ -960,7 +1033,7 @@ def serialize_algebra(p):
         doc["params"] = list(p.params)
     doc["ops"] = {name: _entries_out(p.ops[name].entries) for name in sorted(p.ops)}
     doc["maps"] = {name: _matrix_out(p.maps[name]) for name in sorted(p.maps)}
-    return json.dumps(doc, indent=2) + "\n"
+    return to_json(doc) + "\n"
 
 
 def parse_representation(text):
@@ -988,7 +1061,7 @@ def serialize_representation(rep):
     doc["actions"] = {name: [_matrix_out(m) for m in rep.actions[name]]
                       for name in sorted(rep.actions)}
     doc["beta"] = _matrix_out(rep.beta)
-    return json.dumps(doc, indent=2) + "\n"
+    return to_json(doc) + "\n"
 
 
 def parse_form(text):
@@ -1007,7 +1080,7 @@ def serialize_form(B):
     if params:
         doc["params"] = params
     doc["B"] = _matrix_out(B)
-    return json.dumps(doc, indent=2) + "\n"
+    return to_json(doc) + "\n"
 
 
 def parse_o_operator(text):
@@ -1019,7 +1092,7 @@ def parse_o_operator(text):
 
 
 def serialize_o_operator(T):
-    return json.dumps({"T": _matrix_out(T)}, indent=2) + "\n"
+    return to_json({"T": _matrix_out(T)}) + "\n"
 
 
 def parse_comultiplications(text):
@@ -1049,4 +1122,4 @@ def serialize_comultiplications(coalgebra):
     doc["coops"] = {name: _entries_out(sorted((i, j, k, c) for (j, k, i, c)
                                               in coalgebra.ops[name].entries))
                     for name in sorted(coalgebra.ops)}
-    return json.dumps(doc, indent=2) + "\n"
+    return to_json(doc) + "\n"

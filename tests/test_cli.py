@@ -765,6 +765,73 @@ def test_dim_above_the_cap_is_a_format_error(tmp_path, capsys, key):
     assert capsys.readouterr().err == 'input error: "%s" must be at most %d\n' % (key, MAX_DIM)
 
 
+_LONG = "7" * 4301
+_LAM_DOC = ('{"dim": %s, "params": ["lam"], "ops": {"dot": [{"i": %s, "j": 0, "k": 0, '
+            '"c": "%s"}]}, "maps": {"alpha": [["%s"]]}}')
+
+
+@pytest.mark.parametrize("where", ["dim", "i", "c", "denominator", "alpha", "params"])
+def test_numbers_past_the_digit_cap_are_format_errors(tmp_path, capsys, where):
+    """An integer of more than MAX_DIGITS digits, as a JSON number, in a
+    coefficient or a matrix entry, or in a --params value, is a FormatError
+    in the package's words, and the CLI exits 2 with it."""
+    from homstruct.core import MAX_DIGITS, read_coefficient
+    assert len(_LONG) == MAX_DIGITS + 1
+    fields = {"dim": "1", "i": "0", "c": "lam", "alpha": "1"}
+    if where in fields:
+        fields[where] = _LONG
+    if where == "denominator":
+        fields["c"] = "1/" + _LONG
+    text = _LAM_DOC % (fields["dim"], fields["i"], fields["c"], fields["alpha"])
+    alg = tmp_path / "alg.json"
+    alg.write_text(text)
+    binding = "lam=" + (_LONG if where == "params" else "1")
+    with pytest.raises(FormatError) as exc:
+        if where == "params":
+            read_coefficient(_LONG)
+        else:
+            parse_algebra(text)
+    assert str(exc.value) == "a number has more than 4300 digits"
+    assert main(["check", str(alg), "--class", "comm-hom-assoc", "--params", binding]) == USAGE
+    assert capsys.readouterr() == ("", "input error: a number has more than 4300 digits\n")
+    # at the cap the number reads, and a dim or an index is then out of range
+    alg.write_text(text.replace(_LONG, _LONG[1:]))
+    argv = ["check", str(alg), "--class", "comm-hom-assoc"]
+    assert main(argv + ["--params", binding.replace(_LONG, _LONG[1:])]) == (
+        USAGE if where in ("dim", "i") else PASS)
+    assert "digits" not in capsys.readouterr().err
+
+
+def test_results_past_the_digit_cap_are_written(tmp_path, capsys):
+    """Exact results with more digits than MAX_DIGITS are written, in text
+    and --json, and a document holding one does not read back."""
+    from homstruct.core import MAX_DIGITS
+    lie = tmp_path / "lie.json"
+    c = "5" + "0" * (MAX_DIGITS - 1)
+    lie.write_text(_LAM_DOC.replace('"dot"', '"bracket"') % ("1", "0", c, "1"))
+    # skew-symmetry: [e1, e1] + [e1, e1] = 2c e1; hom-jacobi: 3 [e1, [e1, e1]] = 3c^2 e1
+    skew, jacobi = "1" + "0" * MAX_DIGITS, "75" + "0" * (2 * MAX_DIGITS - 2)
+    argv = ["check", str(lie), "--class", "hom-lie", "--params", "lam=1"]
+    assert main(argv + ["--json"]) == FAIL
+    doc = json.loads(capsys.readouterr().out)
+    assert [(w["identity"], w["tuple"], w["residual"]) for w in doc["witnesses"]] == [
+        ("hom-jacobi", [0, 0, 0], [jacobi]), ("skew-symmetry", [0, 0], [skew])]
+    assert main(argv) == FAIL
+    assert capsys.readouterr().out == (
+        "command: check\nverdict: fail (checked 2, failures 2)\n"
+        "  witness hom-jacobi (0, 0, 0) residual [%s]\n"
+        "  witness skew-symmetry (0, 0) residual [%s]\n" % (jacobi, skew))
+    dot, out = tmp_path / "dot.json", tmp_path / "out.json"
+    dot.write_text(_LAM_DOC % ("1", "0", "1" + "0" * 4000, "1"))
+    argv = ["tensor", str(dot), str(dot), "--class", "comm-hom-assoc", "--params", "lam=1"]
+    assert main(argv + ["-o", str(out)]) == PASS
+    assert capsys.readouterr() == ("", "")
+    assert json.loads(out.read_text())["ops"]["dot"] == [
+        {"i": 0, "j": 0, "k": 0, "c": "1" + "0" * 8000}]
+    with pytest.raises(FormatError, match="^a number has more than 4300 digits$"):
+        parse_algebra(out.read_text())
+
+
 @pytest.mark.parametrize("command", ["check", "checkrep", "manin"])
 def test_negative_max_witnesses_is_a_usage_error(thp2_file, thp2_reg_file, tmp_path,
                                                   capsys, command):

@@ -1,6 +1,7 @@
 import ast
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,26 +17,37 @@ from homstruct.core import (
     CheckReport,
     DimensionError,
     FormatError,
+    MAX_DIGITS,
     LinearMap,
     UnboundParameterError,
     _Value,
     basis_vec,
     eval_bilinear,
+    exact_str,
     parse_algebra,
     parse_coefficient,
     parse_comultiplications,
     parse_form,
     parse_o_operator,
     parse_representation,
+    read_coefficient,
     serialize_algebra,
     serialize_comultiplications,
     serialize_form,
     serialize_o_operator,
     serialize_representation,
     substitute_params,
+    to_json,
 )
 
-from helpers import apply_map, bilinear_from_table, column, eval_bilinear_scan, fraction_det
+from helpers import (
+    apply_map,
+    bilinear_from_table,
+    bound_fixtures,
+    column,
+    eval_bilinear_scan,
+    fraction_det,
+)
 
 F = Fraction
 
@@ -616,6 +628,93 @@ def test_parsers_raise_format_error_or_round_trip():
     form = parse_form(json.dumps({"dim": 2, "params": ["t", "u"],
                                   "B": [["-t", "0"], ["1", "t"]]}))
     assert parse_form(serialize_form(form)) == form
+
+
+_JSON_STRINGS = st.text() | st.sampled_from(
+    ["", '"', "\\", '\\"', "\x00\x1f\x7f", "\n\t\r\b\f", "\u2028", "\u00e9", "\U0001f600",
+     "\ud800", "/"])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _JSON_STRINGS
+    | st.sampled_from([-1, 2 ** 64, -(10 ** 300)]),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_JSON_STRINGS, inner, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(_JSON_VALUES)
+@example({})
+@example([])
+@example(())
+@example({"": {}, "a": [[], (), {}], "b": [{"c": ()}]})
+@example([True, False, None, 0, -0, -7, 10 ** 100])
+def test_to_json_is_json_dumps_with_indent_2(value):
+    assert to_json(value) == json.dumps(value, indent=2)
+
+
+def test_every_serialization_is_json_dumps_with_indent_2_and_parses_back():
+    """Each document the serializers write, for every catalog entry, its
+    bound fixtures and the golden CLI fixtures, is json.dumps(doc, indent=2)
+    of its own document and parses to what writes the same text."""
+    from homstruct import catalog
+    from homstruct.duality import trivial_dual
+    from test_cli_golden import _fixtures
+    cases = [(serialize_algebra, parse_algebra, catalog.get(name)) for name in catalog.names()]
+    for _, _, a, _ in bound_fixtures():
+        cases += [(serialize_algebra, parse_algebra, a),
+                  (serialize_comultiplications, parse_comultiplications, trivial_dual(a))]
+    cases += [(serialize_form, parse_form, B) for B in (
+        LinearMap.identity(3), LinearMap.from_rows([["-t", F(1, 2)], [F(0), "u"]]))]
+    cases += [(serialize_o_operator, parse_o_operator, T) for T in (
+        LinearMap.identity(2), LinearMap.from_rows([[F(-3, 4)], [F(5)]]))]
+    rep = (serialize_representation, parse_representation)
+    operator = (serialize_o_operator, parse_o_operator)
+    kinds = {"reg.json": rep, "zr.json": rep, "sub-reg.json": rep,
+             "coops.json": (serialize_comultiplications, parse_comultiplications),
+             "id.json": operator, "e1.json": operator, "zero.json": operator,
+             "wide.json": operator}
+    for name, text in _fixtures().items():
+        serialize, parse = kinds.get(name, (serialize_algebra, parse_algebra))
+        if name != "bad.json":
+            cases.append((serialize, parse, parse(text)))
+    for serialize, parse, obj in cases:
+        text = serialize(obj)
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert serialize(parse(text)) == text
+    assert len(cases) > 40
+
+
+def test_exact_str_writes_a_rational_of_any_size():
+    """exact_str is str at every size, where str stops at the interpreter's
+    digit limit; the oracle lifts the limit for its own str calls."""
+    cases = [F(0), F(-3, 4), "lam", "-lam", F(10 ** 5000), F(-(10 ** 5000) - 1, 7),
+             F(3, 10 ** 4400), F(7 ** 9000, 11 ** 4200)]
+    with pytest.raises(ValueError):
+        str(F(10 ** 5000))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = [str(c) for c in cases]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [exact_str(c) for c in cases] == want
+    assert exact_str(F(10 ** 5000)) == "1" + "0" * 5000
+
+
+def test_read_coefficient_caps_the_digits_it_reads():
+    """read_coefficient is parse_coefficient with a FormatError, in the
+    package's words, for a numerator or denominator past MAX_DIGITS."""
+    top = "7" * MAX_DIGITS
+    for s, want in ((top, F(int(top))), ("-" + top, -F(int(top))),
+                    ("1/" + top, F(1, int(top))), ("-%s/%s" % (top, top), F(-1)),
+                    ("lam", "lam"), ("-lam", "-lam")):
+        assert read_coefficient(s, ("lam",)) == parse_coefficient(s, ("lam",)) == want
+    for s in (top + "7", "-" + top + "7", "1/" + top + "7", top + "7/3"):
+        with pytest.raises(FormatError, match="^a number has more than 4300 digits$"):
+            read_coefficient(s)
+    # a long token that is not a rational is not a number
+    with pytest.raises(FormatError, match="^bad coefficient 'lll"):
+        read_coefficient("l" * 5000)
 
 
 def test_bilinear_from_table():

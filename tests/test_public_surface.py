@@ -185,3 +185,29 @@ def test_private_imports_across_modules_are_listed():
     tree = ast.parse("from homstruct.core import _Value, parse_form\n"
                      "def f():\n    from homstruct.axioms import _x\n")
     assert _private_imports("m", tree) == {("m", "core._Value"), ("m", "axioms._x")}
+
+
+_DUMPS = ("dump", "dumps")
+
+
+def _json_writes(tree):
+    """The line of each call under tree to a function named dump or dumps,
+    of each call that passes indent=, and of each import of json's dump or
+    dumps."""
+    return sorted(node.lineno for node in ast.walk(tree) if (
+        isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", getattr(node.func, "id", None)) in _DUMPS
+             or any(kw.arg == "indent" for kw in node.keywords)))
+        or (isinstance(node, ast.ImportFrom) and node.module == "json"
+            and any(alias.name in _DUMPS for alias in node.names)))
+
+
+def test_core_to_json_is_the_one_json_writer():
+    """No module writes JSON but through core.to_json: json's indent
+    encoder is pure Python, and one writer keeps every document's bytes
+    in one place."""
+    found = {mod: lines for mod, tree in _modules().items() if (lines := _json_writes(tree))}
+    assert found == {}
+    tree = ast.parse("import json\nfrom json import dumps as d, dump\n"
+                     "json.dumps(x)\ndump(x, f)\nd(x)\nf(x, indent=4)\njson.loads(s)\n")
+    assert _json_writes(tree) == [2, 3, 4, 6]
